@@ -12,17 +12,12 @@ import itertools
 from dataclasses import dataclass
 
 from .words import Word
-from .presentations import chain_presentation, BuildError
+from .presentations import CHAIN_BASE, chain_presentation, BuildError
 from . import engine
 
 
 class ChainError(ValueError):
     pass
-
-
-# lowest chain level per family; its representative block is the whole
-# base group (A2+ = C3, B2+ = C4, D3+ of order 12)
-_BASE = {"A": 2, "B": 2, "D": 3}
 
 
 @dataclass(frozen=True)
@@ -33,15 +28,15 @@ class ChainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", self.family.upper())
-        if self.family not in _BASE:
+        if self.family not in CHAIN_BASE:
             raise ChainError(f"unknown family {self.family!r}")
-        if self.n < _BASE[self.family]:
+        if self.n < CHAIN_BASE[self.family]:
             raise ChainError(f"rank {self.n} below chain base")
         chain_presentation(self.family, self.variant, self.n)  # validates
 
     @property
     def base(self):
-        return _BASE[self.family]
+        return CHAIN_BASE[self.family]
 
     @property
     def presentation(self):

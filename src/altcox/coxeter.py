@@ -49,7 +49,13 @@ class CoxeterMatrix:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        return cls(int(data["n"]), tuple(tuple(r) for r in data["m"]))
+        if not (isinstance(data, dict) and type(data.get("n")) is int
+                and isinstance(data.get("m"), list)
+                and all(isinstance(r, list) and all(type(v) is int for v in r)
+                        for r in data["m"])):
+            raise MatrixError('matrix JSON needs an integer "n" and a list "m" '
+                              'of integer rows')
+        return cls(data["n"], tuple(tuple(r) for r in data["m"]))
 
 
 def standard_matrix(family: str, n: int) -> CoxeterMatrix:

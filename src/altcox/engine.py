@@ -38,11 +38,18 @@ def _columns(w: Word):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Completed, standardized table: rows[c][col] for live cosets 1..index."""
+    """Completed, standardized table: rows[c][col] for live cosets 1..index.
+
+    The numbering is the order in which a traversal from coset 1 first
+    reaches each coset, trying the arrival generator first, then the other
+    generators in decreasing index, positive letters only.  arrival[c] is
+    (parent coset, generator g) for c >= 2, meaning rows[parent][2g] == c
+    and parent < c; arrival[0] and arrival[1] are None.
+    """
 
     presentation: Presentation
     rows: tuple[tuple[int, ...], ...]  # rows[0] unused; 1-based coset ids
-    definition_log: tuple[tuple[int, int], ...]
+    arrival: tuple[tuple[int, int] | None, ...]
 
     @property
     def index(self):
@@ -81,7 +88,7 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> EnumerationResul
     relators = [_columns(w) for w in p.relators]
     subwords = [_columns(w) for w in subgroup]
     try:
-        flat, ndef, parent, deflog = _core(ncols, relators, subwords, cap)
+        flat, ndef, parent, _ = _core(ncols, relators, subwords, cap)
     except CapExceeded:
         return EnumerationResult("cap_exceeded", None, None)
 
@@ -91,25 +98,22 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> EnumerationResul
         return c
 
     live = [c for c in range(1, ndef + 1) if find(c) == c]
-    # renumber in traversal order from coset 1 (arrival column first, then
-    # remaining generator columns in decreasing index, positive letters only;
-    # this fixes the representative words produced downstream)
+    # renumber in the traversal order described on CosetTable; it fixes the
+    # representative words that schreier() reads off the arrival tree
     number = {1: 1}
-    order = [1]
-    arrival = {1: None}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        cols = [] if arrival[c] is None else [arrival[c]]
-        cols += [2 * g for g in range(p.rank - 1, -1, -1) if 2 * g not in cols]
-        for col in cols:
-            d = flat[c * ncols + col]
+    order = [1]  # old coset ids in new-number order; grows during the loop
+    arrival = [None, None]
+    for c in order:
+        k = number[c]
+        gens = [] if arrival[k] is None else [arrival[k][1]]
+        gens += [g for g in range(p.rank - 1, -1, -1) if g not in gens]
+        for g in gens:
+            d = flat[c * ncols + 2 * g]
             if d:
                 d = find(d)
                 if d not in number:
-                    number[d] = len(number) + 1
-                    arrival[d] = col
+                    number[d] = len(order) + 1
+                    arrival.append((k, g))
                     order.append(d)
     if len(number) != len(live):  # pragma: no cover - positive orbit covers all
         raise AssertionError("positive-letter traversal missed cosets")
@@ -119,7 +123,7 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> EnumerationResul
     for c in order:
         rows[number[c]] = tuple(number[find(flat[c * ncols + x])] if flat[c * ncols + x] else 0
                                 for x in range(ncols))
-    table = CosetTable(p, tuple(rows), tuple(deflog))
+    table = CosetTable(p, tuple(rows), tuple(arrival))
     return EnumerationResult("completed", table, len(live))
 
 
@@ -157,31 +161,15 @@ class SchreierGraph:
 
 
 def schreier(r: EnumerationResult) -> SchreierGraph:
-    """Representatives by the same traversal that standardized the table:
-    from coset 1, arrival letter first then decreasing generator index,
-    positive letters only; each new coset's word prepends the letter used."""
+    """Representatives along the arrival tree of the standardizing
+    traversal: coset c's word is its arrival generator times its parent's
+    word."""
     if not r.completed:
         raise ValueError("enumeration did not complete")
-    t = r.table
-    nrank = t.presentation.rank
-    reps = [None] * (t.index + 1)
-    reps[1] = Word()
-    arrival = {1: None}
-    queue = [1]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        gens = [] if arrival[c] is None else [arrival[c]]
-        gens += [g for g in range(nrank - 1, -1, -1) if g not in gens]
-        for g in gens:
-            d = t.rows[c][2 * g]
-            if d and reps[d] is None:
-                reps[d] = Word.gen(g) * reps[c]
-                arrival[d] = g
-                queue.append(d)
-    reps[0] = Word()
-    return SchreierGraph(t, tuple(reps))
+    reps = [Word(), Word()]
+    for parent, g in r.table.arrival[2:]:
+        reps.append(Word.gen(g) * reps[parent])
+    return SchreierGraph(r.table, tuple(reps))
 
 
 def _involutions(p: Presentation):

@@ -6,13 +6,25 @@ edge-generator presentations (one generator per oriented edge of a
 connected extension), Carmichael-style presentations, the VV variant for
 type A, the spinor extensions (tilde and tilde-prime, Bourbaki and edge
 styles), and the universal central extensions of A5+ and A6+.
+
+The Coxeter, Bourbaki and edge families are each written once, as
+(relator, tilde twist, tilde-prime twist) triples.  The plain builder keeps
+the relators.  Its spinor extension prefixes the generator names with t,
+appends a central involution z (alpha for the full group; z or zp for the
+even subgroup) and multiplies each relator by z^-twist.  The twists are:
+
+    relator                     tilde          tilde-prime
+    label-m powers and braids   (m-1) mod 2    1
+    fundamental cycles          0              (edge count) mod 2
+    squared 2- and 3-paths      1              1
+    commutators                 0              0
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coxeter import (CoxeterMatrix, CoxeterGraph, ConnectedExtension, INFINITY,
+from .coxeter import (CoxeterMatrix, ConnectedExtension, INFINITY,
                       graph_from_matrix, connected_extension, cycle_basis,
                       standard_matrix)
 from .words import Word, Presentation, commutator
@@ -24,44 +36,67 @@ class BuildError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# plain Coxeter and Bourbaki presentations
+# relator families, plain and spinor builders
+
+def _plain(names, family) -> Presentation:
+    return Presentation(names, tuple(w for w, _, _ in family))
+
+
+def _spinor(names, family, variant: str, zname: str) -> Presentation:
+    """Names prefixed with t, central ``zname`` of order 2 appended, and
+    each relator w replaced by w z^-twist for the variant's twist."""
+    if variant not in ("tilde", "tilde_prime"):
+        raise BuildError(f"unknown spinor variant {variant!r}")
+    k = 1 if variant == "tilde" else 2
+    z = Word.gen(len(names))
+    return Presentation.build(tuple("t" + s for s in names) + (zname,),
+                              [t[0] * z ** -t[k] for t in family],
+                              central=((zname, 2),))
+
+
+def _label_twists(mij):
+    """A label-m power or braid is z^(m-1) in tilde, z in tilde-prime."""
+    return (mij - 1) % 2, 1
+
+
+def _coxeter_family(m: CoxeterMatrix):
+    names = tuple(f"s{i}" for i in range(m.n))
+    family = []
+    for i in range(m.n):
+        for j in range(i, m.n):
+            mij = m.entry(i, j)
+            if mij != INFINITY:
+                family.append(((Word.gen(i) * Word.gen(j)) ** mij, *_label_twists(mij)))
+    return names, family
+
+
+def _bourbaki_family(m: CoxeterMatrix, base: int):
+    if not 0 <= base < m.n:
+        raise BuildError(f"base vertex {base} out of range")
+    verts = [i for i in range(m.n) if i != base]
+    family = []
+    for a, v in enumerate(verts):
+        mv = m.entry(base, v)
+        if mv != INFINITY:
+            family.append((Word.gen(a) ** mv, *_label_twists(mv)))
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            mij = m.entry(verts[a], verts[b])
+            if mij != INFINITY:
+                family.append(((Word.gen(a, -1) * Word.gen(b)) ** mij, *_label_twists(mij)))
+    return tuple(f"R{v}" for v in verts), family
+
 
 def coxeter_presentation(m: CoxeterMatrix) -> Presentation:
     """Generators s0..s{n-1}; relators (s_i s_j)^m_ij for i <= j, infinite
     labels omitted."""
-    n = m.n
-    gens = tuple(f"s{i}" for i in range(n))
-    relators = []
-    for i in range(n):
-        for j in range(i, n):
-            mij = m.entry(i, j)
-            if mij == INFINITY:
-                continue
-            relators.append((Word.gen(i) * Word.gen(j)) ** mij)
-    return Presentation(gens, tuple(relators))
+    return _plain(*_coxeter_family(m))
 
 
 def bourbaki_presentation(m: CoxeterMatrix, base: int = 0) -> Presentation:
     """Generators R_i = s_base s_i for i != base; relators R_i^m_{base,i}
     and (R_i^-1 R_j)^m_ij."""
-    n = m.n
-    if not 0 <= base < n:
-        raise BuildError(f"base vertex {base} out of range")
-    verts = [i for i in range(n) if i != base]
-    gens = tuple(f"R{v}" for v in verts)
-    pos = {v: k for k, v in enumerate(verts)}
-    relators = []
-    for v in verts:
-        mv = m.entry(base, v)
-        if mv != INFINITY:
-            relators.append(Word.gen(pos[v]) ** mv)
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            mij = m.entry(verts[a], verts[b])
-            if mij == INFINITY:
-                continue
-            relators.append((Word.gen(pos[verts[a]], -1) * Word.gen(pos[verts[b]])) ** mij)
-    return Presentation(gens, tuple(relators))
+    return _plain(*_bourbaki_family(m, base))
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +119,13 @@ class EdgeGeneratorMap:
         if p < q:
             return Word.gen(self._pos[(p, q)])
         return Word.gen(self._pos[(q, p)], -1)
+
+    def path_word(self, verts) -> Word:
+        """Product of the symbols r_pq along a vertex sequence."""
+        w = Word()
+        for p, q in zip(verts, verts[1:]):
+            w = w * self.gen_word(p, q)
+        return w
 
     def generator_names(self):
         return tuple(f"r{i}_{j}" for i, j in self.edges)
@@ -110,6 +152,29 @@ def _path_words(ext: ConnectedExtension, length):
     return paths
 
 
+def _edge_family(ext: ConnectedExtension):
+    """Generator map and relator triples of the edge presentation."""
+    all_edges = ext.all_edges()  # virtual edges carry label 2
+    emap = EdgeGeneratorMap(ext, tuple((i, j) for i, j, _, _ in all_edges))
+    m = ext.graph.matrix
+    family = []
+    for k, (_, _, lab, _) in enumerate(all_edges):
+        if lab != INFINITY:
+            family.append((Word.gen(k) ** lab, *_label_twists(lab)))
+    for cyc in cycle_basis(ext):
+        family.append((emap.path_word(cyc), 0, (len(cyc) - 1) % 2))
+    for path in _path_words(ext, 2) + _path_words(ext, 3):
+        if m.entry(path[0], path[-1]) == 2:
+            family.append((emap.path_word(path) ** 2, 1, 1))
+    adj, edges = ext.adjacency(), emap.edges
+    for a, (i, j) in enumerate(edges):
+        near = adj[i] | adj[j]  # i, j and their neighbours
+        for b in range(a + 1, len(edges)):
+            if near.isdisjoint(edges[b]):  # edges a and b are not connected
+                family.append((commutator(Word.gen(a), Word.gen(b)), 0, 0))
+    return emap, family
+
+
 def edge_presentation(ext: ConnectedExtension):
     """Edge-generator presentation of the alternating subgroup.
 
@@ -117,39 +182,8 @@ def edge_presentation(ext: ConnectedExtension):
     fundamental cycle basis, squared 2-paths, squared 3-paths, and
     commutators of not-connected generator pairs.
     """
-    edges = [(i, j) for i, j, _, _ in ext.all_edges()]
-    emap = EdgeGeneratorMap(ext, tuple(edges))
-    labels = {(i, j): (2 if virt else lab) for i, j, lab, virt in ext.all_edges()}
-    m = ext.graph.matrix
-    relators = []
-    for k, (i, j) in enumerate(edges):
-        lab = labels[(i, j)]
-        if lab != INFINITY:
-            relators.append(Word.gen(k) ** lab)
-    for cyc in cycle_basis(ext):
-        w = Word()
-        for p, q in zip(cyc, cyc[1:]):
-            w = w * emap.gen_word(p, q)
-        relators.append(w)
-    for i, j, k in _path_words(ext, 2):
-        if m.entry(i, k) == 2:
-            relators.append((emap.gen_word(i, j) * emap.gen_word(j, k)) ** 2)
-    for i, j, k, l in _path_words(ext, 3):
-        if m.entry(i, l) == 2:
-            relators.append((emap.gen_word(i, j) * emap.gen_word(j, k)
-                             * emap.gen_word(k, l)) ** 2)
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            if _not_connected(ext, edges[a], edges[b]):
-                relators.append(commutator(Word.gen(a), Word.gen(b)))
-    p = Presentation(emap.generator_names(), tuple(relators))
-    return p, emap
-
-
-def _not_connected(ext, e1, e2):
-    if set(e1) & set(e2):
-        return False
-    return not any(ext.connected(u, v) for u in e1 for v in e2)
+    emap, family = _edge_family(ext)
+    return _plain(emap.generator_names(), family), emap
 
 
 def edge_presentation_for_matrix(m: CoxeterMatrix):
@@ -159,74 +193,57 @@ def edge_presentation_for_matrix(m: CoxeterMatrix):
 # ---------------------------------------------------------------------------
 # chain presentations (types A, B, D in three variants)
 
-_CHAIN_MINIMUM = {
-    ("A", "carmichael"): 2, ("A", "bourbaki"): 2, ("A", "edge"): 2,
-    ("B", "carmichael"): 2, ("B", "bourbaki"): 2, ("B", "edge"): 2,
-    ("D", "carmichael"): 3, ("D", "bourbaki"): 3, ("D", "edge"): 3,
-}
+# lowest chain level per family, also read by the chains module; its
+# representative block is the whole base group (A2+ = C3, B2+ = C4, D3+ of
+# order 12)
+CHAIN_BASE = {"A": 2, "B": 2, "D": 3}
 
 
 def chain_presentation(family: str, variant: str, n: int) -> Presentation:
     """The displayed A/B/D presentation in the given variant at rank n.
 
-    Generators are a1.., R1.., or r1.. (n-1 of them).
+    Generators are a1.., R1.., or r1.. (n-1 of them).  The Bourbaki and
+    A/B edge variants are the generic builders renamed; type D's edge
+    display uses its own generator choice.
     """
     family = family.upper()
-    if (family, variant) not in _CHAIN_MINIMUM:
+    if family not in CHAIN_BASE or variant not in ("carmichael", "bourbaki", "edge"):
         raise BuildError(f"unsupported chain ({family}, {variant})")
-    if n < _CHAIN_MINIMUM[(family, variant)]:
+    if n < CHAIN_BASE[family]:
         raise BuildError(f"rank {n} below minimum for ({family}, {variant})")
+    if variant == "bourbaki":
+        return _rename(bourbaki_presentation(standard_matrix(family, n), 0),
+                       tuple(f"R{i}" for i in range(1, n)))
+    if variant == "edge" and family != "D":
+        return _rename(edge_presentation_for_matrix(standard_matrix(family, n))[0],
+                       tuple(f"r{i}" for i in range(1, n)))
     g = lambda i, k=1: Word.gen(i - 1, k)  # 1-based generator helper
-    rel = []
+    rel = [g(i) ** (4 if family == "B" else 3) for i in range(1, n)]
     if variant == "carmichael":
         names = tuple(f"a{i}" for i in range(1, n))
         if family == "A":
-            rel += [g(i) ** 3 for i in range(1, n)]
             rel += [(g(i) * g(j)) ** 2 for i in range(1, n) for j in range(i + 1, n)]
         elif family == "B":
-            rel += [g(i) ** 4 for i in range(1, n)]
             rel += [(g(1) * g(i)) ** 3 for i in range(2, n)]
             rel += [(g(1, 2) * g(i)) ** 2 for i in range(2, n)]
             rel += [(g(1) * g(i) * g(1) * g(j)) ** 2
                     for i in range(2, n) for j in range(i + 1, n)]
         else:
-            rel += [g(i) ** 3 for i in range(1, n)]
             rel += [(g(1) * g(i)) ** 2 for i in range(2, n)]
             rel += [(g(2, 2) * g(i)) ** 2 for i in range(3, n)]
             rel += [(g(i) * g(j)) ** 2 for i in range(3, n) for j in range(i + 1, n)]
-    elif variant == "bourbaki":
-        return _rename(bourbaki_presentation(standard_matrix(family, n), 0),
-                       tuple(f"R{i}" for i in range(1, n)))
-    elif variant == "edge":
+    else:  # type D edge display
         names = tuple(f"r{i}" for i in range(1, n))
-        if family == "A":
-            rel += [g(i) ** 3 for i in range(1, n)]
-            rel += [(g(i) * g(i + 1)) ** 2 for i in range(1, n - 1)]
-            rel += [(g(i) * g(i + 1) * g(i + 2)) ** 2 for i in range(1, n - 2)]
-            rel += [commutator(g(i), g(j)) for i in range(1, n)
-                    for j in range(i + 3, n)]
-        elif family == "B":
-            rel += [g(1) ** 4]
-            rel += [g(i) ** 3 for i in range(2, n)]
-            rel += [(g(i) * g(i + 1)) ** 2 for i in range(1, n - 1)]
-            rel += [(g(i) * g(i + 1) * g(i + 2)) ** 2 for i in range(1, n - 2)]
-            rel += [commutator(g(i), g(j)) for i in range(1, n)
-                    for j in range(i + 3, n)]
-        else:
-            rel += [g(i) ** 3 for i in range(1, n)]
-            if n >= 3:
-                rel += [(g(1) * g(2, 2)) ** 2]
-            if n >= 4:
-                rel += [(g(1) * g(3)) ** 2]
-            rel += [(g(i) * g(i + 1)) ** 2 for i in range(2, n - 1)]
-            if n >= 5:
-                rel += [(g(1) * g(3) * g(4)) ** 2]
-            rel += [(g(i) * g(i + 1) * g(i + 2)) ** 2 for i in range(2, n - 2)]
-            rel += [commutator(g(1), g(i)) for i in range(5, n)]
-            rel += [commutator(g(i), g(j)) for i in range(2, n)
-                    for j in range(i + 3, n)]
-    else:
-        raise BuildError(f"unknown variant {variant!r}")
+        rel += [(g(1) * g(2, 2)) ** 2]
+        if n >= 4:
+            rel += [(g(1) * g(3)) ** 2]
+        rel += [(g(i) * g(i + 1)) ** 2 for i in range(2, n - 1)]
+        if n >= 5:
+            rel += [(g(1) * g(3) * g(4)) ** 2]
+        rel += [(g(i) * g(i + 1) * g(i + 2)) ** 2 for i in range(2, n - 2)]
+        rel += [commutator(g(1), g(i)) for i in range(5, n)]
+        rel += [commutator(g(i), g(j)) for i in range(2, n)
+                for j in range(i + 3, n)]
     return Presentation(names, tuple(rel))
 
 
@@ -288,91 +305,19 @@ def spinor_presentation(m: CoxeterMatrix, variant: str) -> Presentation:
     tilde: (ts_i ts_j)^m_ij = 1 for odd m_ij, = alpha for even.
     tilde_prime: every (ts_i ts_j)^m_ij = alpha.
     """
-    n = m.n
-    gens = tuple(f"ts{i}" for i in range(n)) + ("alpha",)
-    alpha = Word.gen(n)
-    relators = []
-    for i in range(n):
-        for j in range(i, n):
-            mij = m.entry(i, j)
-            if mij == INFINITY:
-                continue
-            braid = (Word.gen(i) * Word.gen(j)) ** mij
-            if variant == "tilde":
-                relators.append(braid if mij % 2 else braid * alpha.inverse())
-            elif variant == "tilde_prime":
-                relators.append(braid * alpha.inverse())
-            else:
-                raise BuildError(f"unknown spinor variant {variant!r}")
-    return Presentation.build(gens, relators, central=(("alpha", 2),))
+    return _spinor(*_coxeter_family(m), variant, "alpha")
 
 
 def spinor_plus_presentation(m: CoxeterMatrix, style: str, variant: str) -> Presentation:
     """Spinor extension of the alternating subgroup, with central z (tilde)
     or zp (tilde_prime); Bourbaki or edge style."""
-    if variant not in ("tilde", "tilde_prime"):
-        raise BuildError(f"unknown spinor variant {variant!r}")
     zname = "z" if variant == "tilde" else "zp"
-
-    def power_rhs(mij):
-        # z^(m-1) for tilde, z for tilde_prime; z^2 = 1 folded in
-        k = (mij - 1) % 2 if variant == "tilde" else 1
-        return k
-
     if style == "bourbaki":
-        n = m.n
-        verts = list(range(1, n))
-        gens = tuple(f"tR{v}" for v in verts) + (zname,)
-        z = Word.gen(len(verts))
-        pos = {v: k for k, v in enumerate(verts)}
-        relators = []
-        for v in verts:
-            mv = m.entry(0, v)
-            if mv != INFINITY:
-                relators.append(Word.gen(pos[v]) ** mv * z ** (-power_rhs(mv)))
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                mij = m.entry(verts[a], verts[b])
-                if mij == INFINITY:
-                    continue
-                relators.append((Word.gen(pos[verts[a]], -1) * Word.gen(pos[verts[b]])) ** mij
-                                * z ** (-power_rhs(mij)))
-        return Presentation.build(gens, relators, central=((zname, 2),))
-
+        return _spinor(*_bourbaki_family(m, 0), variant, zname)
     if style != "edge":
         raise BuildError(f"unknown spinor style {style!r}")
-    ext = connected_extension(graph_from_matrix(m))
-    edges = [(i, j) for i, j, _, _ in ext.all_edges()]
-    labels = {(i, j): (2 if virt else lab) for i, j, lab, virt in ext.all_edges()}
-    emap = EdgeGeneratorMap(ext, tuple(edges))
-    gens = tuple(f"tr{i}_{j}" for i, j in edges) + (zname,)
-    z = Word.gen(len(edges))
-    relators = []
-    for k, (i, j) in enumerate(edges):
-        lab = labels[(i, j)]
-        if lab != INFINITY:
-            relators.append(Word.gen(k) ** lab * z ** (-power_rhs(lab)))
-    for cyc in cycle_basis(ext):
-        w = Word()
-        nedges = len(cyc) - 1
-        for p, q in zip(cyc, cyc[1:]):
-            w = w * emap.gen_word(p, q)
-        rhs = 0 if variant == "tilde" else nedges % 2
-        relators.append(w * z ** (-rhs))
-    mtx = ext.graph.matrix
-    for i, j, k in _path_words(ext, 2):
-        if mtx.entry(i, k) == 2:
-            relators.append((emap.gen_word(i, j) * emap.gen_word(j, k)) ** 2
-                            * z.inverse())
-    for i, j, k, l in _path_words(ext, 3):
-        if mtx.entry(i, l) == 2:
-            relators.append((emap.gen_word(i, j) * emap.gen_word(j, k)
-                             * emap.gen_word(k, l)) ** 2 * z.inverse())
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            if _not_connected(ext, edges[a], edges[b]):
-                relators.append(commutator(Word.gen(a), Word.gen(b)))
-    return Presentation.build(gens, relators, central=((zname, 2),))
+    emap, family = _edge_family(connected_extension(graph_from_matrix(m)))
+    return _spinor(emap.generator_names(), family, variant, zname)
 
 
 def spinor_chain_presentation(family: str, n: int, variant: str = "tilde") -> Presentation:
@@ -477,13 +422,9 @@ def spinor_iso(m: CoxeterMatrix):
     src = spinor_plus_presentation(m, "edge", "tilde")
     dst = spinor_plus_presentation(m, "edge", "tilde_prime")
     nedges = src.rank - 1
-    zp = Word.gen(nedges)
-    fwd = GroupHom(src, dst,
-                   tuple(zp * Word.gen(k) for k in range(nedges)) + (zp,))
-    z = Word.gen(nedges)
-    bwd = GroupHom(dst, src,
-                   tuple(z * Word.gen(k) for k in range(nedges)) + (z,))
-    return fwd, bwd
+    c = Word.gen(nedges)  # the central generator, z or zp, on either side
+    images = tuple(c * Word.gen(k) for k in range(nedges)) + (c,)
+    return GroupHom(src, dst, images), GroupHom(dst, src, images)
 
 
 def bourbaki_edge_homs(m: CoxeterMatrix):
@@ -517,11 +458,7 @@ def bourbaki_edge_homs(m: CoxeterMatrix):
         verts = [v]
         while parent[verts[-1]] is not None:
             verts.append(parent[verts[-1]])
-        verts.reverse()
-        w = Word()
-        for p, q in zip(verts, verts[1:]):
-            w = w * emap.gen_word(p, q)
-        return w
+        return emap.path_word(verts[::-1])
 
     psi_images = tuple(path_word(v) for v in range(1, m.n))
     psi = GroupHom(bour_p, edge_p, psi_images)

@@ -8,11 +8,17 @@ enumerator, the oracle) works over these.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 
 class WordSyntaxError(ValueError):
     """Raised on malformed word text or unknown generator names."""
+
+
+# generator names are identifiers, so that words round-trip through
+# whitespace-separated text and names can be quoted in DOT labels
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _reduce_letters(letters):
@@ -140,6 +146,9 @@ class Presentation:
         n = len(self.generators)
         if len(set(self.generators)) != n:
             raise ValueError("duplicate generator names")
+        for name in self.generators:
+            if not _NAME.fullmatch(name):
+                raise ValueError(f"generator name {name!r} is not an identifier")
         for w in self.relators:
             for x in w:
                 if not 1 <= abs(x) <= n:
@@ -168,13 +177,27 @@ class Presentation:
     @classmethod
     def from_json(cls, text: str) -> "Presentation":
         data = json.loads(text)
+        if not (isinstance(data, dict) and _strings(data.get("generators"))
+                and _strings(data.get("relators"))):
+            raise ValueError('presentation JSON needs "generators" and "relators" '
+                             'lists of strings')
+        central = data.get("central", [])
+        if not (isinstance(central, list) and all(
+                isinstance(c, dict) and isinstance(c.get("name"), str)
+                and type(c.get("order")) is int for c in central)):
+            raise ValueError('presentation JSON "central" must be a list of '
+                             '{"name": string, "order": integer}')
         generators = tuple(data["generators"])
         p0 = cls(generators, ())
         relators = tuple(parse_word(t, p0) for t in data["relators"])
-        central = tuple((c["name"], int(c["order"])) for c in data.get("central", []))
+        central = tuple((c["name"], c["order"]) for c in central)
         p = cls(generators, relators, central)
         p.validate()
         return p
+
+
+def _strings(x):
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
 def parse_word(text: str, p: Presentation) -> Word:

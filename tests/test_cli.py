@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +48,37 @@ def test_present_malformed_matrix_file(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["present", "--matrix", str(bad)]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--matrix", '{"n": 3}'),
+    ("--matrix", "[1, 2]"),
+    ("--presentation", '{"generators": ["a"]}'),
+    ("--presentation", '{"generators": ["a b"], "relators": []}'),
+    ("--presentation", '{"generators": ["x\\"y"], "relators": ["x\\"y^2"]}'),
+])
+def test_malformed_json_input_is_usage_error(tmp_path, capsys, flag, text):
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    assert main(["present", flag, str(f)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+# SHA-256 over the exit code and stdout of every `present` invocation below;
+# a change to the bytes of any built-in presentation changes it
+PRESENT_DIGEST = "e0136d864e7c873e7346736c1fc4fd5b2199f43c6704cbd6b585077403fb558b"
+
+
+def test_present_output_golden(capsys):
+    h = hashlib.sha256()
+    for v in cli._VARIANTS:
+        for fam, ranks in (("A", range(1, 8)), ("B", range(2, 7)), ("D", range(3, 7))):
+            for r in ranks:
+                code = main(["present", "--family", fam, "--rank", str(r),
+                             "--variant", v])
+                h.update(f"{v} {fam}{r} exit={code}\n".encode())
+                h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == PRESENT_DIGEST
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -82,6 +82,12 @@ def test_schreier_representatives_a():
     assert words == [(), (4,), (3, 4), (2, 3, 4), (1, 2, 3, 4)]
     for c, w in enumerate(g.representatives[1:], start=1):
         assert g.table.trace(1, w) == c
+    # the arrival tree the representatives are read from
+    arrival = g.table.arrival
+    assert arrival[:2] == (None, None) and len(arrival) == g.table.index + 1
+    for c in range(2, g.table.index + 1):
+        parent, gen = arrival[c]
+        assert parent < c and g.table.rows[parent][2 * gen] == c
 
 
 def test_schreier_representatives_b():

@@ -2,8 +2,8 @@ import pytest
 
 from altcox import engine, oracle
 from altcox.words import Word, render_word, commutator
-from altcox.coxeter import (CoxeterMatrix, standard_matrix, graph_from_matrix,
-                            connected_extension)
+from altcox.coxeter import (CoxeterMatrix, INFINITY, standard_matrix,
+                            graph_from_matrix, connected_extension)
 from altcox import presentations as pres
 
 from reflection_rep import edge_images, simple_reflections
@@ -118,21 +118,28 @@ def test_chain_b_carmichael_matches_display():
 
 
 def test_chain_agrees_with_generic_builders():
-    for fam, n in (("A", 4), ("B", 4), ("D", 5)):
-        m = standard_matrix(fam, n)
-        chain_b = pres.chain_presentation(fam, "bourbaki", n)
-        assert chain_b.relators == pres.bourbaki_presentation(m).relators
-        chain_e = pres.chain_presentation(fam, "edge", n)
-        generic = pres.edge_presentation_for_matrix(m)[0]
-        assert chain_e.rank == generic.rank
-        # mutually interderivable relator sets (displays use r^2 for r^-1)
-        reg_generic = engine.enumerate(generic, ())
-        reg_chain = engine.enumerate(chain_e, ())
-        for w in chain_e.relators:
-            assert engine.word_in_subgroup(reg_generic, w)
-        for w in generic.relators:
-            assert engine.word_in_subgroup(reg_chain, w)
-        assert engine.order(chain_e) == engine.order(generic)
+    for fam, ranks in (("A", range(2, 8)), ("B", range(2, 7)), ("D", range(3, 7))):
+        for n in ranks:
+            m = standard_matrix(fam, n)
+            chain_b = pres.chain_presentation(fam, "bourbaki", n)
+            assert chain_b.relators == pres.bourbaki_presentation(m).relators
+            chain_e = pres.chain_presentation(fam, "edge", n)
+            generic = pres.edge_presentation_for_matrix(m)[0]
+            assert chain_e.rank == generic.rank
+            if fam != "D":
+                assert chain_e.relators == generic.relators
+    # type D's display uses another generator choice: check that the two
+    # relator sets are mutually derivable
+    m = standard_matrix("D", 5)
+    chain_e = pres.chain_presentation("D", "edge", 5)
+    generic = pres.edge_presentation_for_matrix(m)[0]
+    reg_generic = engine.enumerate(generic, ())
+    reg_chain = engine.enumerate(chain_e, ())
+    for w in chain_e.relators:
+        assert engine.word_in_subgroup(reg_generic, w)
+    for w in generic.relators:
+        assert engine.word_in_subgroup(reg_chain, w)
+    assert engine.order(chain_e) == engine.order(generic)
 
 
 def test_chain_rank_minimum():
@@ -224,6 +231,48 @@ def test_spinor_plus_orders():
             for v in ("tilde", "tilde_prime"):
                 assert engine.order(pres.spinor_plus_presentation(m, style, v)) \
                     == 2 * plain
+
+
+def _matrix(n, labels):
+    """Coxeter matrix with the given {(i, j): m_ij} labels, 2 elsewhere."""
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for (i, j), lab in labels.items():
+        m[i][j] = m[j][i] = lab
+    return CoxeterMatrix(n, m)
+
+
+SPINOR_MATRICES = (
+    [standard_matrix("A", n) for n in range(1, 8)]
+    + [standard_matrix("B", n) for n in range(2, 7)]
+    + [standard_matrix("D", n) for n in range(3, 7)]
+    + [_matrix(3, {(0, 1): 5, (1, 2): 3}),                       # H3
+       _matrix(4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}),            # F4
+       _matrix(2, {(0, 1): 5}), _matrix(2, {(0, 1): 6}),         # I2(5), I2(6)
+       _matrix(3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}),            # affine A2
+       _matrix(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (0, 3): 3}), # 4-cycle
+       _matrix(3, {(0, 1): INFINITY, (1, 2): 3}),
+       _matrix(4, {(0, 1): 3, (2, 3): 4})])                      # two components
+
+
+@pytest.mark.parametrize("m", SPINOR_MATRICES)
+def test_spinor_builders_kill_central_to_plain(m):
+    # deleting the central generator from a spinor presentation's relators
+    # leaves the plain presentation's relators first, under t-prefixed names
+    plain = [pres.coxeter_presentation(m), pres.bourbaki_presentation(m),
+             pres.edge_presentation_for_matrix(m)[0]]
+    cases = []
+    for v in ("tilde", "tilde_prime"):
+        cases.append((plain[0], "alpha", pres.spinor_presentation(m, v)))
+        zname = "z" if v == "tilde" else "zp"
+        for p, style in zip(plain[1:], ("bourbaki", "edge")):
+            cases.append((p, zname, pres.spinor_plus_presentation(m, style, v)))
+    for p, zname, spinor in cases:
+        assert spinor.generators == tuple("t" + s for s in p.generators) + (zname,)
+        assert spinor.central == ((zname, 2),)
+        z = spinor.rank
+        killed = [Word(tuple(x for x in w.letters if abs(x) != z))
+                  for w in spinor.relators]
+        assert tuple(killed[:len(p.relators)]) == p.relators
 
 
 def test_spinor_iso_both_ways():
