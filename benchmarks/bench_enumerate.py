@@ -1,6 +1,8 @@
 """Compare the compiled and pure-Python enumeration cores.
 
 Run as: python3 benchmarks/bench_enumerate.py [--repeat N]
+The compiled column needs the extension built first, for a source checkout
+with ``python setup.py build_ext --inplace``.
 """
 
 import argparse

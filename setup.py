@@ -1,13 +1,6 @@
 from setuptools import setup, Extension
 
-try:
-    from Cython.Build import cythonize
-    ext_modules = cythonize(
-        [Extension("altcox._tc_core", ["src/altcox/_tc_core.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    # the package runs on the pure-Python core without the extension
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package installs and runs on the
+# pure-Python core
+setup(ext_modules=[Extension("altcox._tc_core", ["src/altcox/_tc_core.c"],
+                             optional=True)])

@@ -5,8 +5,8 @@ g, column ``2*g+1`` of its inverse, and words act rightmost letter first.
 Callers pass relator/subgroup words already reversed so the scan below can
 run left to right.
 
-A compiled twin of this loop lives in ``_tc_core.pyx``; both must stay
-behaviourally identical (the test suite compares their tables).
+A compiled twin of this loop lives in ``_tc_core.c``; both must stay
+behaviourally identical (the test suite compares their results).
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
     """Run HLT coset enumeration.
 
     ncols: 2 * generator count.  relators / subgroup_words: sequences of
-    column-index tuples (reversed words).  Returns (table, ndef, parent,
-    deflog) where table is a flat list of size (ndef+1)*ncols with 0 for
-    dead rows, and deflog[i] = (coset, column) that defined coset i+2.
+    column-index tuples (reversed words).  Returns (table, ndef, parent)
+    where table is a flat list of size (ndef+1)*ncols with 0 for dead rows
+    and parent is the union-find forest over cosets 0..ndef.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     table = [0] * ((cap + 2) * ncols)
     parent = list(range(cap + 2))
     ndef = 1
-    deflog = []
     dead = []
 
     def find(c):
@@ -48,7 +47,6 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
         beta = ndef
         table[alpha * ncols + x] = beta
         table[beta * ncols + (x ^ 1)] = alpha
-        deflog.append((alpha, x))
         return beta
 
     def merge(k, l):
@@ -126,4 +124,4 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
                     define(alpha, x)
         alpha += 1
 
-    return table[: (ndef + 1) * ncols], ndef, parent[: ndef + 1], deflog
+    return table[: (ndef + 1) * ncols], ndef, parent[: ndef + 1]

@@ -1,9 +1,10 @@
 """Command-line front end: presentation builders, coset enumeration,
 chain normal forms, and the verification catalog.
 
-Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded, 4 verification
-failure.  All file writes are atomic (temp file + rename) and all output
-is byte-deterministic.
+Exit codes: 0 ok, 2 usage error (including a --max-cosets whose table does
+not fit in memory), 3 coset cap exceeded, 4 verification failure.  All
+file writes are atomic (temp file + rename) and all output is
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -350,6 +351,11 @@ def main(argv=None):
         # WordSyntaxError / MatrixError / BuildError / ChainError and JSON
         # parse errors are all ValueErrors
         sys.stderr.write(f"error: {e}\n")
+        return EXIT_USAGE
+    except MemoryError:
+        # both cores reserve the whole table for --max-cosets up front
+        cap = getattr(args, "max_cosets", engine.DEFAULT_CAP)
+        sys.stderr.write(f"error: not enough memory for --max-cosets {cap}\n")
         return EXIT_USAGE
 
 

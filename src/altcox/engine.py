@@ -1,8 +1,9 @@
 """Deterministic Todd-Coxeter coset enumeration over a Presentation.
 
-The hot scan loop lives in a compiled extension (``altcox._tc_core``) with
-a pure-Python fallback (``altcox._tc_py``); set ALTCOX_PURE_PYTHON=1 to
-force the fallback.  Both produce identical tables.
+The hot scan loop lives in a C extension (``altcox._tc_core``, built from
+``_tc_core.c`` whenever a C compiler is present) with the pure-Python
+reference core (``altcox._tc_py``) as the fallback; BACKEND names the one
+in use.  Both produce identical tables.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -10,24 +11,20 @@ matching the composition convention of the oracle module.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .words import Word, Presentation
-from ._tc_py import CapExceeded, enumerate_core as _enumerate_py
+from ._tc_py import CapExceeded
 
-if os.environ.get("ALTCOX_PURE_PYTHON"):
-    _enumerate_native = None
-else:
-    try:
-        from ._tc_core import enumerate_core as _enumerate_native
-    except ImportError:
-        _enumerate_native = None
-
-BACKEND = "compiled" if _enumerate_native is not None else "python"
-_core = _enumerate_native if _enumerate_native is not None else _enumerate_py
+try:
+    from ._tc_core import enumerate_core as _core
+    BACKEND = "compiled"
+except ImportError:
+    from ._tc_py import enumerate_core as _core
+    BACKEND = "python"
 
 DEFAULT_CAP = 200_000
+MAX_CAP = 2**31 - 3  # coset ids run to cap + 1 and must fit a C int
 
 
 def _columns(w: Word):
@@ -85,10 +82,12 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> EnumerationResul
     ncols = 2 * p.rank
     if ncols == 0:
         raise ValueError("presentation has no generators")
+    if not 1 <= cap <= MAX_CAP:
+        raise ValueError(f"cap must be between 1 and {MAX_CAP}")
     relators = [_columns(w) for w in p.relators]
     subwords = [_columns(w) for w in subgroup]
     try:
-        flat, ndef, parent, _ = _core(ncols, relators, subwords, cap)
+        flat, ndef, parent = _core(ncols, relators, subwords, cap)
     except CapExceeded:
         return EnumerationResult("cap_exceeded", None, None)
 

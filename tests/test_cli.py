@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from altcox import cli, chains, presentations
+from altcox import cli, chains, engine, presentations
 from altcox.cli import main, EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VERIFY
 from altcox.coxeter import CoxeterMatrix
 from altcox.words import parse_word, render_word
@@ -152,6 +152,26 @@ def test_order_cap_exceeded(tmp_path, capsys):
     assert main(["order", "--matrix", str(mfile),
                  "--max-cosets", "5000"]) == EXIT_CAP
     assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "--family", "A", "--rank", "3"],
+    ["enumerate", "--family", "A", "--rank", "3", "--subgroup-gens", "1"],
+    ["nf", "--family", "A", "--variant", "edge", "--rank", "3", "--enumerate"],
+])
+def test_max_cosets_beyond_c_int_is_usage_error(capsys, argv):
+    # rejected before either core allocates its table
+    assert main(argv + ["--max-cosets", "3000000000"]) == EXIT_USAGE
+    assert "cap must be between 1 and 2147483645" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(engine, "_core", no_memory)
+    assert main(["order", "--family", "A", "--rank", "3",
+                 "--max-cosets", "1000"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: not enough memory for --max-cosets 1000\n"
 
 
 def test_nf_decompose(capsys):

@@ -1,16 +1,56 @@
+import importlib.util
+import os
+import shutil
+import signal
+import sysconfig
+from pathlib import Path
+
 import pytest
 
 from altcox import engine
 from altcox.words import Word, Presentation
 from altcox.coxeter import CoxeterMatrix, standard_matrix
+from altcox.chains import chain_subgroup_words
 from altcox.presentations import (coxeter_presentation, chain_presentation,
-                                  universal_extension)
-from altcox._tc_py import enumerate_core as py_core
+                                  spinor_plus_presentation, universal_extension)
+from altcox._tc_py import CapExceeded, enumerate_core as py_core
 
-try:
-    from altcox._tc_core import enumerate_core as c_core
-except ImportError:
-    c_core = None
+C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "altcox" / "_tc_core.c"
+
+# affine A2: infinite, so every enumeration of it runs into its cap
+AFFINE_A2 = CoxeterMatrix(3, ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+
+
+@pytest.fixture(scope="module")
+def c_core(tmp_path_factory):
+    """The compiled core: the installed extension, else one built from
+    _tc_core.c into a temporary directory.  Skips only without a C compiler."""
+    try:
+        from altcox._tc_core import enumerate_core
+        return enumerate_core
+    except ImportError:
+        pass
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(cc.split()[0]) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled core")
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+    out = tmp_path_factory.mktemp("tc_core")
+    cmd = build_ext(Distribution(
+        {"ext_modules": [Extension("altcox._tc_core", [str(C_SOURCE)])]}))
+    cmd.build_lib, cmd.build_temp = str(out), str(out / "temp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "altcox._tc_core", cmd.get_ext_fullpath("altcox._tc_core"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.enumerate_core
+
+
+def columns(p, sub=()):
+    return (2 * p.rank, [engine._columns(w) for w in p.relators],
+            [engine._columns(w) for w in sub])
 
 
 def s(*ks):
@@ -128,29 +168,69 @@ def test_determinism():
     assert engine.to_dot(engine.schreier(r1)) == engine.to_dot(engine.schreier(r2))
 
 
-@pytest.mark.skipif(c_core is None, reason="compiled core not built")
-def test_backend_equivalence():
-    cases = [(chain_presentation(f, v, n), ())
-             for f, n in (("A", 4), ("B", 3), ("D", 4))
-             for v in ("carmichael", "bourbaki", "edge")]
-    cases.append((coxeter_presentation(standard_matrix("A", 4)), s(0, 1)))
+def test_backend_equivalence(c_core):
+    cases = []
+    for f, n in (("A", 4), ("B", 3), ("D", 4)):
+        for v in ("carmichael", "bourbaki", "edge"):
+            cases.append((chain_presentation(f, v, n), ()))
+            cases.append((chain_presentation(f, v, n), chain_subgroup_words(f, v, n)))
+        cases.append((coxeter_presentation(standard_matrix(f, n)), s(*range(n - 1))))
+    a4 = standard_matrix("A", 4)
+    cases += [(spinor_plus_presentation(a4, style, variant), ())
+              for style in ("bourbaki", "edge") for variant in ("tilde", "tilde_prime")]
+    cases.append((coxeter_presentation(a4), s(0, 1)))
     cases.append((universal_extension("A5"), ()))
     for p, sub in cases:
-        ncols = 2 * p.rank
-        rel = [engine._columns(w) for w in p.relators]
-        sw = [engine._columns(w) for w in sub]
-        assert py_core(ncols, rel, sw, 50_000) == c_core(ncols, rel, sw, 50_000)
-
-
-def test_backend_cap_equivalence():
-    from altcox._tc_py import CapExceeded
-    inf = coxeter_presentation(CoxeterMatrix(2, ((1, 0), (0, 1))))
-    rel = [engine._columns(w) for w in inf.relators]
-    with pytest.raises(CapExceeded):
-        py_core(4, rel, [], 100)
-    if c_core is not None:
+        args = columns(p, sub)
+        want = py_core(*args, 50_000)
+        assert want == c_core(*args, 50_000), p.generators
+        # the cap boundary: exactly ndef cosets completes, one fewer does not
+        ndef = want[1]
+        assert py_core(*args, ndef) == c_core(*args, ndef) == want
+        for core in (py_core, c_core):
+            with pytest.raises(CapExceeded):
+                core(*args, ndef - 1)
+    for core in (py_core, c_core):
         with pytest.raises(CapExceeded):
-            c_core(4, rel, [], 100)
+            core(*columns(coxeter_presentation(AFFINE_A2)), 20_000)
+
+
+def test_backend_cap_equivalence(c_core):
+    inf = coxeter_presentation(CoxeterMatrix(2, ((1, 0), (0, 1))))
+    for core in (py_core, c_core):
+        with pytest.raises(CapExceeded):
+            core(*columns(inf), 100)
+
+
+def test_compiled_core_rejects_bad_input(c_core):
+    rel = [(0, 0), (2, 2)]
+    for ncols, words, cap in ((4, rel, 0), (4, rel, 2**31 - 2), (3, rel, 10),
+                              (4, [(0, 4)], 10), (4, [(0, -1)], 10), (4, [(0, "x")], 10)):
+        with pytest.raises(ValueError):
+            c_core(ncols, words, [], cap)
+    with pytest.raises(TypeError):
+        c_core(4, [5], [], 10)
+
+
+def test_compiled_core_stops_on_signal(c_core):
+    """A signal handler's exception ends the compiled loop, as Ctrl-C's
+    KeyboardInterrupt must.  The run would define 2,000,000 cosets before
+    raising CapExceeded, far more than fit in the 20 ms before the timer."""
+    class Interrupted(Exception):
+        pass
+
+    def handler(signum, frame):
+        raise Interrupted
+
+    args = columns(coxeter_presentation(AFFINE_A2))
+    previous = signal.signal(signal.SIGALRM, handler)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.02)
+        with pytest.raises(Interrupted):
+            c_core(*args, 2_000_000)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_subgroup_indices_grow_linearly():
