@@ -1,12 +1,14 @@
 /* Compiled Todd-Coxeter core: a line-for-line port of _tc_py.enumerate_core.
 
-Same HLT strategy, same definition order, same coincidence handling; the
-test suite asserts that both cores return identical (table, ndef, parent).
-Coset ids are C ints, so the wrapper accepts caps up to INT_MAX - 2 (ids
-reach cap + 1); table indices are computed in size_t.  Rows are allocated
-for the whole cap but zeroed by calloc and written only as cosets are
-defined, so untouched pages cost no memory.  The loop holds the GIL and
-checks for signals every SIGNAL_EVERY rows, so Ctrl-C stops it.
+Same HLT strategy, same definition order, same coincidence handling, and
+the same standardizing traversal, which _tc_py.enumerate_core's docstring
+specifies; the test suite asserts that both cores return identical
+(rows, ndef, parent, arrival).  Coset ids are C ints, so the wrapper
+accepts caps up to INT_MAX - 2; table indices are computed in size_t.  As
+in the pure core, the table starts with rows 0 and 1 and doubles on demand
+up to the cap, so memory follows the cosets defined, not the cap.  The
+loop holds the GIL and checks for signals every SIGNAL_EVERY rows, so
+Ctrl-C stops it.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -14,19 +16,21 @@ checks for signals every SIGNAL_EVERY rows, so Ctrl-C stops it.
 #include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define CELL(tc, a, x) ((tc)->table[(size_t)(a) * (size_t)(tc)->ncols + (size_t)(x)])
 #define SIGNAL_EVERY 4096
 
-enum { DONE = 0, CAP = -1, SIGNALLED = -2 };
+/* a negative result ends the run with the matching exception */
+enum { DONE = 0, CAP = -1, SIGNALLED = -2, NOMEM = -3 };
 
 static PyObject *CapExceeded;
 
 typedef struct {
-    int *table;   /* (cap + 2) rows of ncols; 0 is an undefined entry */
+    int *table;   /* nrows rows of ncols; 0 is an undefined entry */
     int *parent;  /* union-find forest over coset ids; entry c set when c is defined */
     int *dead;    /* stack of merged-away cosets whose rows await processing */
-    int ncols, cap, ndef, ndead;
+    int ncols, cap, ndef, ndead, nrows;
 } TC;
 
 static int find(TC *tc, int c)
@@ -42,11 +46,37 @@ static int find(TC *tc, int c)
     return root;
 }
 
+/* Doubles the rows of table, parent and dead (a coset dies at most once),
+   up to cap + 1 rows; the new table rows are zeroed. */
+static int grow(TC *tc)
+{
+    size_t old = (size_t)tc->nrows, ncols = (size_t)tc->ncols;
+    size_t rows = old * 2 < (size_t)tc->cap + 1 ? old * 2 : (size_t)tc->cap + 1;
+    int *table = ncols <= SIZE_MAX / sizeof(int) / rows
+                 ? realloc(tc->table, rows * ncols * sizeof(int)) : NULL;
+    if (table)
+        tc->table = table;
+    int *parent = table ? realloc(tc->parent, rows * sizeof(int)) : NULL;
+    if (parent)
+        tc->parent = parent;
+    int *dead = parent ? realloc(tc->dead, rows * sizeof(int)) : NULL;
+    if (!dead) {
+        PyErr_NoMemory();
+        return NOMEM;
+    }
+    tc->dead = dead;
+    memset(table + old * ncols, 0, (rows - old) * ncols * sizeof(int));
+    tc->nrows = (int)rows;
+    return DONE;
+}
+
 static int define(TC *tc, int alpha, int x)
 {
     if (tc->ndef >= tc->cap)
         return CAP;
     int beta = ++tc->ndef;
+    if (beta == tc->nrows && grow(tc) == NOMEM)
+        return NOMEM;
     tc->parent[beta] = beta;
     CELL(tc, alpha, x) = beta;
     CELL(tc, beta, x ^ 1) = alpha;
@@ -116,8 +146,8 @@ static int scan_and_fill(TC *tc, int alpha, const int *word, Py_ssize_t len)
             return DONE;
         }
         f = define(tc, f, word[i]);
-        if (f == CAP)
-            return CAP;
+        if (f < 0)
+            return f;
         i++;
     }
 }
@@ -127,9 +157,10 @@ static int scan_and_fill(TC *tc, int alpha, const int *word, Py_ssize_t len)
 static int hlt(TC *tc, const int *words, const Py_ssize_t *off,
                Py_ssize_t nsub, Py_ssize_t nwords)
 {
+    int status;
     for (Py_ssize_t k = 0; k < nsub; k++)
-        if (scan_and_fill(tc, 1, words + off[k], off[k + 1] - off[k]) == CAP)
-            return CAP;
+        if ((status = scan_and_fill(tc, 1, words + off[k], off[k + 1] - off[k])) < 0)
+            return status;
 
     for (int alpha = 1; alpha <= tc->ndef; alpha++) {
         if (alpha % SIGNAL_EVERY == 0 && PyErr_CheckSignals())
@@ -137,15 +168,15 @@ static int hlt(TC *tc, const int *words, const Py_ssize_t *off,
         if (find(tc, alpha) != alpha)
             continue;
         for (Py_ssize_t k = nsub; k < nwords; k++) {
-            if (scan_and_fill(tc, alpha, words + off[k], off[k + 1] - off[k]) == CAP)
-                return CAP;
+            if ((status = scan_and_fill(tc, alpha, words + off[k], off[k + 1] - off[k])) < 0)
+                return status;
             if (find(tc, alpha) != alpha)
                 break;
         }
         if (find(tc, alpha) == alpha)
             for (int x = 0; x < tc->ncols; x++)
-                if (!CELL(tc, alpha, x) && define(tc, alpha, x) == CAP)
-                    return CAP;
+                if (!CELL(tc, alpha, x) && (status = define(tc, alpha, x)) < 0)
+                    return status;
     }
     return DONE;
 }
@@ -203,6 +234,97 @@ static PyObject *int_list(const int *a, Py_ssize_t n)
     return list;
 }
 
+/* The standardization of _tc_py.enumerate_core on a completed table:
+   number[c] is the new number of live coset c, order[k] the old id of new
+   coset k, and new coset k arrived from coset from[k] by generator via[k].
+   Sets *rows and *arrival to new references and returns 0, or returns -1
+   with an exception set. */
+static int standardize(TC *tc, PyObject **rows, PyObject **arrival)
+{
+    int ngens = tc->ncols / 2, n = 1, live = 0, status = -1;
+    size_t size = (size_t)tc->ndef + 1;
+    int *number = calloc(4 * size, sizeof(int));  /* zeroed: no coset numbered */
+    int *order = number + size, *from = order + size, *via = from + size;
+    PyObject **ids = NULL;
+    *rows = *arrival = NULL;
+    if (!number) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    number[1] = 1;
+    order[1] = 1;
+    for (int k = 1; k <= n; k++) {
+        int c = order[k], first = k > 1 ? via[k] : ngens - 1;
+        /* first is tried again in the descending sweep, where its target is
+           already numbered */
+        for (int i = ngens; i >= 0; i--) {
+            int g = i == ngens ? first : i, d = CELL(tc, c, 2 * g);
+            if (d) {
+                d = find(tc, d);
+                if (!number[d]) {
+                    number[d] = ++n;
+                    order[n] = d;
+                    from[n] = k;
+                    via[n] = g;
+                }
+            }
+        }
+    }
+    for (int c = 1; c <= tc->ndef; c++)
+        live += tc->parent[c] == c;
+    if (n != live) {
+        PyErr_SetString(PyExc_AssertionError, "positive-letter traversal missed cosets");
+        goto done;
+    }
+
+    /* ids[k] is the int k, shared by every cell and arrival that holds it */
+    ids = calloc((size_t)n + 1, sizeof(PyObject *));
+    *rows = PyTuple_New((Py_ssize_t)n + 1);
+    *arrival = PyTuple_New((Py_ssize_t)n + 1);
+    if (!ids || !*rows || !*arrival) {
+        if (!ids)
+            PyErr_NoMemory();
+        goto done;
+    }
+    for (int k = 0; k <= n; k++)
+        if (!(ids[k] = PyLong_FromLong(k)))
+            goto done;
+    for (int k = 0; k <= n; k++) {
+        int c = order[k];
+        PyObject *row = PyTuple_New(tc->ncols);
+        if (!row)
+            goto done;
+        PyTuple_SET_ITEM(*rows, k, row);
+        for (int x = 0; x < tc->ncols; x++) {
+            int d = k ? CELL(tc, c, x) : 0;
+            PyObject *v = ids[d ? number[find(tc, d)] : 0];
+            Py_INCREF(v);
+            PyTuple_SET_ITEM(row, x, v);
+        }
+        PyObject *edge = Py_None;
+        if (k > 1)
+            edge = Py_BuildValue("(Oi)", ids[from[k]], via[k]);
+        else
+            Py_INCREF(edge);
+        if (!edge)
+            goto done;
+        PyTuple_SET_ITEM(*arrival, k, edge);
+    }
+    status = 0;
+
+done:
+    if (ids)
+        for (int k = 0; k <= n; k++)
+            Py_XDECREF(ids[k]);
+    free(ids);
+    free(number);
+    if (status < 0) {
+        Py_CLEAR(*rows);
+        Py_CLEAR(*arrival);
+    }
+    return status;
+}
+
 static PyObject *enumerate_core(PyObject *self, PyObject *args)
 {
     int ncols, cap;
@@ -220,7 +342,7 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args)
     PyObject *subs = PySequence_Tuple(subgroup_words);
     PyObject *rels = subs ? PySequence_Tuple(relators) : NULL;
     PyObject *result = NULL;
-    TC tc = {NULL, NULL, NULL, ncols, cap, 1, 0};
+    TC tc = {NULL, NULL, NULL, ncols, cap, 1, 0, 2};
     int *words = NULL;
     Py_ssize_t size = 64, nwords = 0, nsub = 0, *off = NULL;
     if (!rels)
@@ -238,10 +360,9 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args)
     if (pack(rels, ncols, &words, &size, off, &nwords) < 0)
         goto done;
 
-    size_t rows = (size_t)cap + 2;  /* calloc checks the product with sizeof(int) */
-    tc.table = (size_t)ncols <= SIZE_MAX / rows ? calloc(rows * ncols, sizeof(int)) : NULL;
-    tc.parent = malloc(rows * sizeof(int));
-    tc.dead = malloc(rows * sizeof(int));
+    tc.table = calloc(2 * (size_t)ncols, sizeof(int));
+    tc.parent = malloc(2 * sizeof(int));
+    tc.dead = malloc(2 * sizeof(int));
     if (!tc.table || !tc.parent || !tc.dead) {
         PyErr_NoMemory();
         goto done;
@@ -254,15 +375,19 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args)
         PyErr_SetNone(CapExceeded);
         break;
     case DONE: {
-        PyObject *table = int_list(tc.table, (Py_ssize_t)(tc.ndef + 1) * ncols);
-        PyObject *parent = table ? int_list(tc.parent, tc.ndef + 1) : NULL;
+        PyObject *rows, *arrival, *parent;
+        if (standardize(&tc, &rows, &arrival) < 0)
+            break;
+        parent = int_list(tc.parent, tc.ndef + 1);
         if (parent)
-            result = Py_BuildValue("NiN", table, tc.ndef, parent);
-        else
-            Py_XDECREF(table);
+            result = Py_BuildValue("NiNN", rows, tc.ndef, parent, arrival);
+        else {
+            Py_DECREF(rows);
+            Py_DECREF(arrival);
+        }
         break;
     }
-    }  /* SIGNALLED: the signal handler's exception is already set */
+    }  /* SIGNALLED, NOMEM: the exception is already set */
 
 done:
     free(tc.table);
@@ -277,7 +402,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"enumerate_core", enumerate_core, METH_VARARGS,
-     "enumerate_core(ncols, relators, subgroup_words, cap) -> (table, ndef, parent)\n\n"
+     "enumerate_core(ncols, relators, subgroup_words, cap) -> (rows, ndef, parent, arrival)\n\n"
      "Compiled twin of altcox._tc_py.enumerate_core."},
     {NULL, NULL, 0, NULL},
 };

@@ -1,15 +1,18 @@
-"""Pure-Python Todd-Coxeter core (HLT strategy).
+"""Pure-Python Todd-Coxeter core (HLT strategy) and table standardization.
 
 The table acts on *left* cosets: column ``2*g`` is the action of generator
 g, column ``2*g+1`` of its inverse, and words act rightmost letter first.
 Callers pass relator/subgroup words already reversed so the scan below can
 run left to right.
 
-A compiled twin of this loop lives in ``_tc_core.c``; both must stay
-behaviourally identical (the test suite compares their results).
+This is the reference core.  Its compiled twin in ``_tc_core.c`` is a
+line-for-line port; the test suite asserts that both return identical
+``(rows, ndef, parent, arrival)``.
 """
 
 from __future__ import annotations
+
+MAX_CAP = 2**31 - 3  # coset ids must fit the compiled core's C int
 
 
 class CapExceeded(Exception):
@@ -17,17 +20,37 @@ class CapExceeded(Exception):
 
 
 def enumerate_core(ncols, relators, subgroup_words, cap):
-    """Run HLT coset enumeration.
+    """Run HLT coset enumeration and standardize the completed table.
 
-    ncols: 2 * generator count.  relators / subgroup_words: sequences of
-    column-index tuples (reversed words).  Returns (table, ndef, parent)
-    where table is a flat list of size (ndef+1)*ncols with 0 for dead rows
-    and parent is the union-find forest over cosets 0..ndef.
+    ncols: 2 * generator count, positive and even.  relators /
+    subgroup_words: sequences of column-index tuples (reversed words), each
+    letter an int in [0, ncols).  cap: at most this many cosets (live +
+    dead) are defined, 1 <= cap <= MAX_CAP; more raises CapExceeded.
+    Malformed input raises ValueError.
+
+    Returns (rows, ndef, parent, arrival).  The live cosets are renumbered
+    1..index in the order a traversal from coset 1 first reaches them: each
+    coset, in its new order, tries its arrival generator first, then the
+    other generators in decreasing index, positive letters only (coset 1
+    has no arrival generator).  rows[k] is the tuple of coset k's ncols
+    entries in that numbering; rows[0] is all zeros.  arrival[k] is
+    (parent coset, generator g) with rows[parent][2*g] == k and parent < k,
+    for k >= 2; arrival[0] and arrival[1] are None.  ndef is the number of
+    cosets defined and parent the union-find forest over the old ids
+    0..ndef, with parent[c] == c exactly for the live cosets.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    table = [0] * ((cap + 2) * ncols)
-    parent = list(range(cap + 2))
+    if not 1 <= cap <= MAX_CAP:
+        raise ValueError(f"cap must be between 1 and {MAX_CAP}")
+    if ncols < 2 or ncols % 2:
+        raise ValueError("ncols must be a positive even number")
+    subgroup_words, relators = tuple(subgroup_words), tuple(relators)
+    for w in subgroup_words + relators:
+        for x in w:
+            if not isinstance(x, int) or not 0 <= x < ncols:
+                raise ValueError(f"word letters must be ints in [0, {ncols})")
+
+    table = [0] * (2 * ncols)  # rows 0 and 1; doubled as cosets are defined
+    parent = [0, 1]
     ndef = 1
     dead = []
 
@@ -45,6 +68,9 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
             raise CapExceeded
         ndef += 1
         beta = ndef
+        parent.append(beta)
+        if len(table) <= beta * ncols:
+            table.extend([0] * min(len(table), (cap + 1) * ncols - len(table)))
         table[alpha * ncols + x] = beta
         table[beta * ncols + (x ^ 1)] = alpha
         return beta
@@ -124,4 +150,34 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
                     define(alpha, x)
         alpha += 1
 
-    return table[: (ndef + 1) * ncols], ndef, parent[: ndef + 1]
+    # standardize: number[c] is the new number of live coset c, order[k]
+    # the old id of new coset k; order grows while the loop walks it
+    ngens = ncols // 2
+    number = [0] * (ndef + 1)
+    number[1] = 1
+    order = [0, 1]
+    arrival = [None, None]
+    k = 1
+    while k < len(order):
+        c = order[k]
+        first = arrival[k][1] if k > 1 else ngens - 1
+        # first is tried again in the descending sweep, where its target is
+        # already numbered
+        for g in (first, *range(ngens - 1, -1, -1)):
+            d = table[c * ncols + 2 * g]
+            if d:
+                d = find(d)
+                if not number[d]:
+                    number[d] = len(order)
+                    order.append(d)
+                    arrival.append((k, g))
+        k += 1
+    live = sum(parent[c] == c for c in range(1, ndef + 1))
+    if len(order) - 1 != live:  # pragma: no cover - the positive orbit covers all
+        raise AssertionError("positive-letter traversal missed cosets")
+
+    rows = [(0,) * ncols]
+    for c in order[1:]:
+        row = table[c * ncols:(c + 1) * ncols]
+        rows.append(tuple(number[find(d)] if d else 0 for d in row))
+    return tuple(rows), ndef, parent, tuple(arrival)

@@ -353,7 +353,8 @@ def main(argv=None):
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except MemoryError:
-        # both cores reserve the whole table for --max-cosets up front
+        # both cores double their table on demand up to --max-cosets, so a
+        # large cap can run out of memory before the cap is reached
         cap = getattr(args, "max_cosets", engine.DEFAULT_CAP)
         sys.stderr.write(f"error: not enough memory for --max-cosets {cap}\n")
         return EXIT_USAGE

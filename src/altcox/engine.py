@@ -1,9 +1,11 @@
 """Deterministic Todd-Coxeter coset enumeration over a Presentation.
 
-The hot scan loop lives in a C extension (``altcox._tc_core``, built from
-``_tc_core.c`` whenever a C compiler is present) with the pure-Python
-reference core (``altcox._tc_py``) as the fallback; BACKEND names the one
-in use.  Both produce identical tables.
+The enumeration and the standardization of its table run in a core: a C
+extension (``altcox._tc_core``, built from ``_tc_core.c`` whenever a C
+compiler is present) with the pure-Python reference core
+(``altcox._tc_py``) as the fallback; BACKEND names the one in use.  Both
+return identical ``(rows, ndef, parent, arrival)``; this module encodes
+the words, calls the core and wraps its rows and arrival tree.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .words import Word, Presentation
-from ._tc_py import CapExceeded
+from ._tc_py import CapExceeded, MAX_CAP
 
 try:
     from ._tc_core import enumerate_core as _core
@@ -24,7 +26,6 @@ except ImportError:
     BACKEND = "python"
 
 DEFAULT_CAP = 200_000
-MAX_CAP = 2**31 - 3  # coset ids run to cap + 1 and must fit a C int
 
 
 def _columns(w: Word):
@@ -37,11 +38,13 @@ def _columns(w: Word):
 class CosetTable:
     """Completed, standardized table: rows[c][col] for live cosets 1..index.
 
-    The numbering is the order in which a traversal from coset 1 first
-    reaches each coset, trying the arrival generator first, then the other
-    generators in decreasing index, positive letters only.  arrival[c] is
-    (parent coset, generator g) for c >= 2, meaning rows[parent][2g] == c
-    and parent < c; arrival[0] and arrival[1] are None.
+    rows and arrival are the core's, as specified in
+    ``_tc_py.enumerate_core``.  The numbering is the order in which a
+    traversal from coset 1 first reaches each coset, trying the arrival
+    generator first, then the other generators in decreasing index,
+    positive letters only.  arrival[c] is (parent coset, generator g) for
+    c >= 2, meaning rows[parent][2g] == c and parent < c; arrival[0] and
+    arrival[1] are None.
     """
 
     presentation: Presentation
@@ -79,51 +82,17 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> EnumerationResul
 
     Deterministic: identical inputs give identical standardized tables.
     """
-    ncols = 2 * p.rank
-    if ncols == 0:
+    if not p.rank:
         raise ValueError("presentation has no generators")
-    if not 1 <= cap <= MAX_CAP:
+    if not 1 <= cap <= MAX_CAP:  # any int; the compiled core parses a C int
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
     relators = [_columns(w) for w in p.relators]
     subwords = [_columns(w) for w in subgroup]
     try:
-        flat, ndef, parent = _core(ncols, relators, subwords, cap)
+        rows, _, _, arrival = _core(2 * p.rank, relators, subwords, cap)
     except CapExceeded:
         return EnumerationResult("cap_exceeded", None, None)
-
-    def find(c):
-        while parent[c] != c:
-            c = parent[c]
-        return c
-
-    live = [c for c in range(1, ndef + 1) if find(c) == c]
-    # renumber in the traversal order described on CosetTable; it fixes the
-    # representative words that schreier() reads off the arrival tree
-    number = {1: 1}
-    order = [1]  # old coset ids in new-number order; grows during the loop
-    arrival = [None, None]
-    for c in order:
-        k = number[c]
-        gens = [] if arrival[k] is None else [arrival[k][1]]
-        gens += [g for g in range(p.rank - 1, -1, -1) if g not in gens]
-        for g in gens:
-            d = flat[c * ncols + 2 * g]
-            if d:
-                d = find(d)
-                if d not in number:
-                    number[d] = len(order) + 1
-                    arrival.append((k, g))
-                    order.append(d)
-    if len(number) != len(live):  # pragma: no cover - positive orbit covers all
-        raise AssertionError("positive-letter traversal missed cosets")
-
-    rows = [None] * (len(live) + 1)
-    rows[0] = (0,) * ncols
-    for c in order:
-        rows[number[c]] = tuple(number[find(flat[c * ncols + x])] if flat[c * ncols + x] else 0
-                                for x in range(ncols))
-    table = CosetTable(p, tuple(rows), tuple(arrival))
-    return EnumerationResult("completed", table, len(live))
+    return EnumerationResult("completed", CosetTable(p, rows, arrival), len(rows) - 1)
 
 
 def order(p: Presentation, cap=DEFAULT_CAP):

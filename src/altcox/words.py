@@ -20,6 +20,9 @@ class WordSyntaxError(ValueError):
 # whitespace-separated text and names can be quoted in DOT labels
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# longest word parse_word builds; "g^k" text is short but expands to |k| letters
+MAX_WORD_LENGTH = 1_000_000
+
 
 def _reduce_letters(letters):
     out = []
@@ -203,7 +206,8 @@ def _strings(x):
 def parse_word(text: str, p: Presentation) -> Word:
     """Parse whitespace-separated tokens ``name``, ``name^k`` (k integer).
 
-    The token ``1`` denotes the identity.
+    The token ``1`` denotes the identity.  A word of more than
+    MAX_WORD_LENGTH letters raises WordSyntaxError before it is built.
     """
     letters = []
     for token in text.split():
@@ -218,6 +222,8 @@ def parse_word(text: str, p: Presentation) -> Word:
         else:
             k = 1
         idx = p.gen_index(name)
+        if len(letters) + abs(k) > MAX_WORD_LENGTH:
+            raise WordSyntaxError(f"word longer than {MAX_WORD_LENGTH} letters")
         letters.extend(Word.gen(idx, k).letters)
     return Word(tuple(letters))
 

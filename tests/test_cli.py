@@ -184,6 +184,14 @@ def test_nf_decompose(capsys):
     assert got == " | ".join(render_word(f, p) for f in d.factors)
 
 
+@pytest.mark.parametrize("word", ["R1^999999999", "R1^-1000001", "R1^600000 R2^600000"])
+def test_overlong_word_is_usage_error(capsys, word):
+    # refused before the letters are built
+    assert main(["nf", "--family", "A", "--variant", "bourbaki", "--rank", "4",
+                 "--word", word]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: word longer than 1000000 letters\n"
+
+
 def test_nf_enumerate_lists_all_normal_forms(capsys):
     assert main(["nf", "--family", "A", "--variant", "carmichael",
                  "--rank", "3", "--enumerate"]) == EXIT_OK

@@ -1,8 +1,10 @@
+import hashlib
 import importlib.util
 import os
 import shutil
 import signal
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,49 @@ def test_determinism():
     assert engine.to_dot(engine.schreier(r1)) == engine.to_dot(engine.schreier(r2))
 
 
+def golden_cases():
+    """296 enumerations: every A2-A7/B2-B6/D3-D6 chain presentation in each
+    variant over every prefix subgroup and its chain subgroup, then the
+    Coxeter and four spinor-plus presentations of A1-A5, B2-B5, D4-D5 and
+    the A5 cover, all regular."""
+    for f, ranks in (("A", range(2, 8)), ("B", range(2, 7)), ("D", range(3, 7))):
+        for n in ranks:
+            for v in ("carmichael", "bourbaki", "edge"):
+                p = chain_presentation(f, v, n)
+                for k in range(p.rank + 1):
+                    yield p, s(*range(k))
+                yield p, chain_subgroup_words(f, v, n)
+    for f, ranks in (("A", range(1, 6)), ("B", range(2, 6)), ("D", range(4, 6))):
+        for n in ranks:
+            m = standard_matrix(f, n)
+            yield coxeter_presentation(m), ()
+            for style in ("bourbaki", "edge"):
+                for variant in ("tilde", "tilde_prime"):
+                    yield spinor_plus_presentation(m, style, variant), ()
+    yield universal_extension("A5"), ()
+
+
+# taken with the renumbering still in engine.enumerate, before the cores
+# standardized their own tables
+ENUMERATION_DIGEST = "96fc374324ac96181e51816bad13aa97870e00aa7e936a07952d5ac0ead88d94"
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_enumeration_golden(backend, request, monkeypatch):
+    """Rows and arrival trees (hence Schreier words) of both cores, through
+    engine.enumerate, pinned by one SHA-256."""
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    monkeypatch.setattr(engine, "_core", core)
+    h = hashlib.sha256()
+    n = 0
+    for p, sub in golden_cases():
+        t = engine.enumerate(p, sub, cap=500_000).table
+        h.update(repr((t.rows, t.arrival)).encode())
+        n += 1
+    assert n == 296
+    assert h.hexdigest() == ENUMERATION_DIGEST
+
+
 def test_backend_equivalence(c_core):
     cases = []
     for f, n in (("A", 4), ("B", 3), ("D", 4)):
@@ -183,6 +228,7 @@ def test_backend_equivalence(c_core):
     for p, sub in cases:
         args = columns(p, sub)
         want = py_core(*args, 50_000)
+        assert len(want) == 4  # (rows, ndef, parent, arrival)
         assert want == c_core(*args, 50_000), p.generators
         # the cap boundary: exactly ndef cosets completes, one fewer does not
         ndef = want[1]
@@ -202,14 +248,31 @@ def test_backend_cap_equivalence(c_core):
             core(*columns(inf), 100)
 
 
-def test_compiled_core_rejects_bad_input(c_core):
+def test_cores_reject_bad_input(c_core):
     rel = [(0, 0), (2, 2)]
-    for ncols, words, cap in ((4, rel, 0), (4, rel, 2**31 - 2), (3, rel, 10),
-                              (4, [(0, 4)], 10), (4, [(0, -1)], 10), (4, [(0, "x")], 10)):
-        with pytest.raises(ValueError):
-            c_core(ncols, words, [], cap)
-    with pytest.raises(TypeError):
-        c_core(4, [5], [], 10)
+    for core in (py_core, c_core):
+        for ncols, words, cap in ((4, rel, 0), (4, rel, 2**31 - 2), (3, rel, 10),
+                                  (0, rel, 10), (4, rel + [(0, 4)], 10),
+                                  (4, [(0, -1)], 10), (4, [(0, "x")], 10)):
+            with pytest.raises(ValueError):
+                core(ncols, words, [], cap)
+            with pytest.raises(ValueError):
+                core(ncols, [], words, cap)
+        with pytest.raises(TypeError):
+            core(4, [5], [], 10)
+
+
+def test_pure_core_memory_follows_cosets_not_cap():
+    args = columns(chain_presentation("A", "edge", 3))
+    peaks = []
+    for cap in (1_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            py_core(*args, cap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_compiled_core_stops_on_signal(c_core):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from altcox.words import (Word, Presentation, parse_word, render_word,
                           free_reduce, word_invert, commutator,
-                          WordSyntaxError)
+                          WordSyntaxError, MAX_WORD_LENGTH)
 
 P3 = Presentation(("a", "b", "c"), ())
 
@@ -59,6 +59,10 @@ def test_parse_word_syntax():
         parse_word("bogus", P3)
     with pytest.raises(WordSyntaxError):
         parse_word("a^x", P3)
+    # the length bound counts letters before free reduction
+    assert len(parse_word(f"a^{MAX_WORD_LENGTH - 1} b^-1", P3).letters) == MAX_WORD_LENGTH
+    with pytest.raises(WordSyntaxError):
+        parse_word(f"a^{MAX_WORD_LENGTH} a^-1", P3)
 
 
 def test_commutator():
