@@ -9,8 +9,8 @@ from .coxeter import (CoxeterMatrix, CoxeterGraph, ConnectedExtension,
                       graph_from_matrix, connected_extension, cycle_basis,
                       graph_to_dot)
 from .engine import (enumerate, order, schreier, word_in_subgroup,
-                     words_equal, to_dot, CosetTable, EnumerationResult,
-                     SchreierGraph, CapExceeded, BACKEND, DEFAULT_CAP)
+                     words_equal, to_dot, CosetTable, CapExceeded, BACKEND,
+                     DEFAULT_CAP)
 from .presentations import (coxeter_presentation, bourbaki_presentation,
                             edge_presentation, edge_presentation_for_matrix,
                             chain_presentation, carmichael_generators,
@@ -20,7 +20,7 @@ from .presentations import (coxeter_presentation, bourbaki_presentation,
                             spinor_iso, bourbaki_edge_homs, GroupHom,
                             compose, is_identity_hom, EdgeGeneratorMap,
                             BuildError)
-from .chains import (ChainSpec, Chain, CosetRepSet, ChainDecomposition,
+from .chains import (ChainSpec, Chain, ChainDecomposition,
                      rep_set, decompose, enumerate_elements, ChainError)
 from . import oracle
 

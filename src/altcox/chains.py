@@ -4,15 +4,16 @@ An element of the rank-n group factors uniquely as u_n u_{n-1} ... u_base
 with u_i drawn from a level-i representative set E_i.  For type A the sets
 are explicit closed-form lists; for B and D they are the engine's Schreier
 representatives of the level-i enumeration over the level-(i-1) subgroup.
+A cap overrun in any enumeration raises the engine's CapExceeded.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .words import Word
-from .presentations import CHAIN_BASE, chain_presentation, BuildError
+from .words import Word, Presentation
+from .presentations import CHAIN_BASE, chain_presentation
 from . import engine
 
 
@@ -25,6 +26,7 @@ class ChainSpec:
     family: str
     variant: str
     n: int
+    presentation: Presentation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", self.family.upper())
@@ -32,30 +34,16 @@ class ChainSpec:
             raise ChainError(f"unknown family {self.family!r}")
         if self.n < CHAIN_BASE[self.family]:
             raise ChainError(f"rank {self.n} below chain base")
-        chain_presentation(self.family, self.variant, self.n)  # validates
+        # validates the variant
+        object.__setattr__(self, "presentation",
+                           chain_presentation(self.family, self.variant, self.n))
 
     @property
     def base(self):
         return CHAIN_BASE[self.family]
 
-    @property
-    def presentation(self):
-        return chain_presentation(self.family, self.variant, self.n)
-
     def levels(self):
         return range(self.n, self.base - 1, -1)
-
-
-@dataclass(frozen=True)
-class CosetRepSet:
-    level: int
-    representatives: tuple[Word, ...]
-
-    def __len__(self):
-        return len(self.representatives)
-
-    def __iter__(self):
-        return iter(self.representatives)
 
 
 @dataclass(frozen=True)
@@ -104,9 +92,12 @@ def _closed_form_a(variant: str, i: int):
 class Chain:
     """Representative sets and membership tables for one ChainSpec.
 
-    Tables are computed lazily: level-i membership uses the rank-n
-    presentation with the first (i-2) generators as subgroup, so every
-    factor word stays over the rank-n alphabet.
+    The level-i subgroup is generated by the first i-2 generators, or is
+    trivial at the base level.  Membership at level i reads the rank-n
+    table over that subgroup, so every factor word stays over the rank-n
+    alphabet; the B/D representatives at level i are the Schreier words of
+    the rank-i table over the same subgroup.  Each table is enumerated once,
+    on first use.
     """
 
     def __init__(self, spec: ChainSpec, cap=engine.DEFAULT_CAP):
@@ -114,52 +105,33 @@ class Chain:
         self.cap = cap
         self._tables = {}
         self._reps = {}
-        self._regular = None
 
-    def _regular_table(self):
-        if self._regular is None:
-            r = engine.enumerate(self.spec.presentation, (), self.cap)
-            if not r.completed:
-                raise ChainError(f"regular enumeration exceeded cap {self.cap}")
-            self._regular = r
-        return self._regular
+    def _table(self, rank, i):
+        """Coset table of the level-i subgroup inside the rank-`rank` group."""
+        if (rank, i) not in self._tables:
+            spec = self.spec
+            p = (spec.presentation if rank == spec.n
+                 else chain_presentation(spec.family, spec.variant, rank))
+            sub = tuple(Word.gen(k) for k in range(i - 2)) if i > spec.base else ()
+            self._tables[rank, i] = engine.enumerate(p, sub, self.cap)
+        return self._tables[rank, i]
 
-    def _table(self, i):
-        """Coset table of the level-(i-1) subgroup inside the rank-n group."""
-        if i not in self._tables:
-            p = self.spec.presentation
-            sub = tuple(Word.gen(k) for k in range(max(i - 2, 0)))
-            r = engine.enumerate(p, sub, self.cap)
-            if not r.completed:
-                raise ChainError(f"level-{i} enumeration exceeded cap {self.cap}")
-            self._tables[i] = r
-        return self._tables[i]
-
-    def rep_set(self, i) -> CosetRepSet:
+    def rep_set(self, i) -> tuple[Word, ...]:
         spec = self.spec
         if not spec.base <= i <= spec.n:
             raise ChainError(f"level {i} outside [{spec.base}, {spec.n}]")
         if i not in self._reps:
             if spec.family == "A" and i > spec.base:
-                reps = tuple(_closed_form_a(spec.variant, i))
-            elif i == spec.base:
-                # the whole base group, as Schreier words of its regular table
-                r = engine.enumerate(chain_presentation(spec.family, spec.variant,
-                                                        spec.base), (), self.cap)
-                reps = engine.schreier(r).representatives[1:]
+                self._reps[i] = tuple(_closed_form_a(spec.variant, i))
             else:
-                r = engine.enumerate(chain_presentation(spec.family, spec.variant, i),
-                                     tuple(Word.gen(k) for k in range(i - 2)),
-                                     self.cap)
-                reps = engine.schreier(r).representatives[1:]
-            self._reps[i] = CosetRepSet(i, tuple(reps))
+                self._reps[i] = engine.schreier(self._table(i, i))[1:]
         return self._reps[i]
 
     def decompose(self, w: Word) -> ChainDecomposition:
         """Peel factors from level n down to the base block."""
         factors = []
-        for i in range(self.spec.n, self.spec.base, -1):
-            t = self._table(i)
+        for i in self.spec.levels():
+            t = self._table(self.spec.n, i)
             for u in self.rep_set(i):
                 if engine.word_in_subgroup(t, u.inverse() * w):
                     factors.append(u)
@@ -167,13 +139,6 @@ class Chain:
                     break
             else:  # pragma: no cover - reps cover all cosets
                 raise ChainError(f"no representative matched at level {i}")
-        regular = self._regular_table()
-        for u in self.rep_set(self.spec.base):
-            if engine.words_equal(regular, u, w):
-                factors.append(u)
-                break
-        else:  # pragma: no cover
-            raise ChainError("no base representative matched")
         return ChainDecomposition(self.spec, tuple(factors))
 
     def enumerate_elements(self, scale_cap=100_000):
@@ -185,7 +150,7 @@ class Chain:
         if total > scale_cap:
             raise ChainError(f"{total} normal forms exceed scale cap {scale_cap}")
         return [ChainDecomposition(self.spec, combo)
-                for combo in itertools.product(*(s.representatives for s in sets))]
+                for combo in itertools.product(*sets)]
 
 
 def chain_subgroup_words(family: str, variant: str, n: int):
@@ -208,7 +173,7 @@ def chain_subgroup_words(family: str, variant: str, n: int):
     return tuple(Word.gen(k) for k in range(n - 2))
 
 
-def rep_set(spec: ChainSpec, i, cap=engine.DEFAULT_CAP) -> CosetRepSet:
+def rep_set(spec: ChainSpec, i, cap=engine.DEFAULT_CAP) -> tuple[Word, ...]:
     return Chain(spec, cap).rep_set(i)
 
 

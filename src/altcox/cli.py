@@ -2,7 +2,9 @@
 chain normal forms, and the verification catalog.
 
 Exit codes: 0 ok, 2 usage error (including a --max-cosets whose table does
-not fit in memory), 3 coset cap exceeded, 4 verification failure.  All
+not fit in memory), 3 coset cap exceeded (by `order`, `enumerate`, or any
+of the enumerations behind `nf`; the enumeration raises CapExceeded and
+``main`` alone turns it into this exit code), 4 verification failure.  All
 file writes are atomic (temp file + rename) and all output is
 byte-deterministic.
 """
@@ -138,31 +140,21 @@ def _table_csv(t):
 
 def cmd_enumerate(args):
     p = _build_presentation(args)
-    sub = _subgroup_words(args, p)
-    r = engine.enumerate(p, sub, args.max_cosets)
-    if not r.completed:
-        sys.stderr.write(f"cap exceeded at {args.max_cosets} cosets\n")
-        return EXIT_CAP
-    out = [f"index {r.index}"]
-    g = engine.schreier(r)
+    t = engine.enumerate(p, _subgroup_words(args, p), args.max_cosets)
+    reps = engine.schreier(t)
     if args.table:
-        _atomic_write(args.table, _table_csv(r.table))
+        _atomic_write(args.table, _table_csv(t))
     if args.dot:
-        _atomic_write(args.dot, engine.to_dot(g))
+        _atomic_write(args.dot, engine.to_dot(t, reps))
     if args.reps:
-        _atomic_write(args.reps, "".join(
-            render_word(w, p) + "\n" for w in g.representatives[1:]))
-    _emit("\n".join(out) + "\n", args.output)
+        _atomic_write(args.reps, "".join(render_word(w, p) + "\n" for w in reps[1:]))
+    _emit(f"index {t.index}\n", args.output)
     return EXIT_OK
 
 
 def cmd_order(args):
     p = _build_presentation(args)
-    n = engine.order(p, args.max_cosets)
-    if n is None:
-        sys.stderr.write(f"cap exceeded at {args.max_cosets} cosets\n")
-        return EXIT_CAP
-    _emit(f"{n}\n", args.output)
+    _emit(f"{engine.enumerate(p, (), args.max_cosets).index}\n", args.output)
     return EXIT_OK
 
 
@@ -248,14 +240,9 @@ def _verify_checks():
             for i in range(n - 2):
                 r_i = images[i].inverse() if (i + 1) % 2 else images[i]
                 r_j = images[i + 1].inverse() if (i + 2) % 2 else images[i + 1]
-                lhs = r_i * r_j * r_i
-                rhs = r_j * r_i * r_j
-                if lhs * rhs.inverse() != WreathIdentity(lhs):
+                if r_i * r_j * r_i != r_j * r_i * r_j:
                     return False
         return True
-
-    def WreathIdentity(e):
-        return oracle.WreathElement.identity(len(e.flags))
     checks.append(("artin-braid", artin_check))
 
     def spinor_iso_check():
@@ -347,6 +334,10 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except engine.CapExceeded:
+        cap = getattr(args, "max_cosets", engine.DEFAULT_CAP)
+        sys.stderr.write(f"cap exceeded at {cap} cosets\n")
+        return EXIT_CAP
     except (UsageError, ValueError, OSError) as e:
         # WordSyntaxError / MatrixError / BuildError / ChainError and JSON
         # parse errors are all ValueErrors

@@ -107,10 +107,6 @@ class CoxeterGraph:
                     out.append((i, j, v))
         return out
 
-    def neighbors(self, v):
-        return sorted(j for i, j, _ in self.edges() if i == v) + \
-            sorted(i for i, j, _ in self.edges() if j == v)
-
     def adjacency(self):
         adj = {v: set() for v in range(self.n)}
         for i, j, _ in self.edges():
@@ -168,10 +164,6 @@ class ConnectedExtension:
             adj[i].add(j)
             adj[j].add(i)
         return adj
-
-    def connected(self, i, j):
-        """True if vertices i, j are joined by a real or virtual edge."""
-        return j in self.adjacency()[i]
 
 
 def connected_extension(g: CoxeterGraph, anchors=None) -> ConnectedExtension:

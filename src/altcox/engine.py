@@ -5,7 +5,10 @@ extension (``altcox._tc_core``, built from ``_tc_core.c`` whenever a C
 compiler is present) with the pure-Python reference core
 (``altcox._tc_py``) as the fallback; BACKEND names the one in use.  Both
 return identical ``(rows, ndef, parent, arrival)``; this module encodes
-the words, calls the core and wraps its rows and arrival tree.
+the words, calls the core and wraps its rows and arrival tree in a
+CosetTable.  A run that would define more cosets than its cap raises the
+core's CapExceeded, which ``enumerate`` lets through to its caller; only
+``order`` turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -66,21 +69,12 @@ class CosetTable:
         return coset
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    status: str  # "completed" | "cap_exceeded"
-    table: CosetTable | None
-    index: int | None
-
-    @property
-    def completed(self):
-        return self.status == "completed"
-
-
-def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> EnumerationResult:
+def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> CosetTable:
     """HLT enumeration of the cosets of <subgroup> in the presented group.
 
     Deterministic: identical inputs give identical standardized tables.
+    Raises CapExceeded when the enumeration would define more than cap
+    cosets.
     """
     if not p.rank:
         raise ValueError("presentation has no generators")
@@ -88,11 +82,8 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> EnumerationResul
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
     relators = [_columns(w) for w in p.relators]
     subwords = [_columns(w) for w in subgroup]
-    try:
-        rows, _, _, arrival = _core(2 * p.rank, relators, subwords, cap)
-    except CapExceeded:
-        return EnumerationResult("cap_exceeded", None, None)
-    return EnumerationResult("completed", CosetTable(p, rows, arrival), len(rows) - 1)
+    rows, _, _, arrival = _core(2 * p.rank, relators, subwords, cap)
+    return CosetTable(p, rows, arrival)
 
 
 def order(p: Presentation, cap=DEFAULT_CAP):
@@ -100,44 +91,30 @@ def order(p: Presentation, cap=DEFAULT_CAP):
 
     Returns the order, or None when the cap was exceeded.
     """
-    r = enumerate(p, (), cap)
-    return r.index if r.completed else None
+    try:
+        return enumerate(p, (), cap).index
+    except CapExceeded:
+        return None
 
 
-def word_in_subgroup(r: EnumerationResult, w: Word) -> bool:
+def word_in_subgroup(t: CosetTable, w: Word) -> bool:
     """True iff w stabilizes coset 1 (the word problem for empty subgroups)."""
-    if not r.completed:
-        raise ValueError("enumeration did not complete")
-    return r.table.trace(1, w) == 1
+    return t.trace(1, w) == 1
 
 
-def words_equal(r: EnumerationResult, a: Word, b: Word) -> bool:
+def words_equal(t: CosetTable, a: Word, b: Word) -> bool:
     """Equality in the group, via a regular (trivial-subgroup) table."""
-    return word_in_subgroup(r, a * b.inverse())
+    return word_in_subgroup(t, a * b.inverse())
 
 
-@dataclass(frozen=True)
-class SchreierGraph:
-    """Cosets with canonical representative words plus the action edges."""
-
-    table: CosetTable
-    representatives: tuple[Word, ...]  # representatives[c] for coset c (index 0 unused)
-
-    @property
-    def presentation(self):
-        return self.table.presentation
-
-
-def schreier(r: EnumerationResult) -> SchreierGraph:
-    """Representatives along the arrival tree of the standardizing
+def schreier(t: CosetTable) -> tuple[Word, ...]:
+    """Representative words along the arrival tree of the standardizing
     traversal: coset c's word is its arrival generator times its parent's
-    word."""
-    if not r.completed:
-        raise ValueError("enumeration did not complete")
+    word.  Index 0 is unused."""
     reps = [Word(), Word()]
-    for parent, g in r.table.arrival[2:]:
+    for parent, g in t.arrival[2:]:
         reps.append(Word.gen(g) * reps[parent])
-    return SchreierGraph(r.table, tuple(reps))
+    return tuple(reps)
 
 
 def _involutions(p: Presentation):
@@ -148,16 +125,16 @@ def _involutions(p: Presentation):
             out.add(w.letters[0] - 1)
     return out
 
-def to_dot(g: SchreierGraph) -> str:
-    """DOT export of the Schreier graph: self-loops omitted,
-    involution generators drawn as single undirected-styled edges."""
-    t = g.table
+def to_dot(t: CosetTable, reps) -> str:
+    """DOT export of the Schreier graph of t, each coset labelled by its
+    representative word reps[c]: self-loops omitted, involution generators
+    drawn as single undirected-styled edges."""
     p = t.presentation
     invol = _involutions(p)
     lines = ["digraph schreier {"]
     from .words import render_word
     for c in range(1, t.index + 1):
-        label = render_word(g.representatives[c], p) if g.representatives[c] else "H"
+        label = render_word(reps[c], p) if reps[c] else "H"
         lines.append(f'  {c} [label="{label}"];')
     for c in range(1, t.index + 1):
         for gen in range(p.rank):

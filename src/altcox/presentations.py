@@ -387,14 +387,12 @@ class GroupHom:
             out = out * (img if x > 0 else img.inverse())
         return out
 
-    def verify(self, target_result=None, cap=engine.DEFAULT_CAP) -> bool:
+    def verify(self, target_table=None, cap=engine.DEFAULT_CAP) -> bool:
         """Check all source relators die in the target, via the target's
-        regular coset table."""
-        if target_result is None:
-            target_result = engine.enumerate(self.target, (), cap)
-        if not target_result.completed:
-            raise BuildError("target enumeration did not complete")
-        ok = all(engine.word_in_subgroup(target_result, self.apply(rel))
+        regular coset table (enumerated here when not given)."""
+        if target_table is None:
+            target_table = engine.enumerate(self.target, (), cap)
+        ok = all(engine.word_in_subgroup(target_table, self.apply(rel))
                  for rel in self.source.relators)
         self.verified = ok
         return ok
@@ -408,11 +406,12 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(f.source, g.target, images)
 
 
-def is_identity_hom(h: GroupHom, source_result=None, cap=engine.DEFAULT_CAP) -> bool:
-    """True iff h fixes every generator modulo the source relations."""
-    if source_result is None:
-        source_result = engine.enumerate(h.source, (), cap)
-    return all(engine.words_equal(source_result, h.images[k], Word.gen(k))
+def is_identity_hom(h: GroupHom, source_table=None, cap=engine.DEFAULT_CAP) -> bool:
+    """True iff h fixes every generator modulo the source relations, via
+    the source's regular coset table (enumerated here when not given)."""
+    if source_table is None:
+        source_table = engine.enumerate(h.source, (), cap)
+    return all(engine.words_equal(source_table, h.images[k], Word.gen(k))
                for k in range(h.source.rank))
 
 

@@ -70,9 +70,6 @@ class Word:
         return iter(self.letters)
 
 
-IDENTITY = Word()
-
-
 def free_reduce(w: Word) -> Word:
     """Freely reduce (idempotent; Word construction already reduces)."""
     return Word(w.letters)

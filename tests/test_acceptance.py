@@ -129,7 +129,7 @@ def test_criterion_07_normal_form_uniqueness():
             reg = engine.enumerate(spec.presentation, ())
             forms = chains.enumerate_elements(spec)
             assert len(forms) == reg.index == oracle.alternating_order(fam, n)
-            cosets = {reg.table.trace(1, d.product()) for d in forms}
+            cosets = {reg.trace(1, d.product()) for d in forms}
             assert len(cosets) == len(forms), (fam, v, n)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ import pytest
 from altcox import cli, chains, engine, presentations
 from altcox.cli import main, EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VERIFY
 from altcox.coxeter import CoxeterMatrix
-from altcox.words import parse_word, render_word
+from altcox.words import Word, parse_word, render_word
+from altcox._tc_py import enumerate_core as py_core
 
 
 INFINITE_MATRIX = CoxeterMatrix(2, ((1, 0), (0, 1)))
@@ -146,12 +148,21 @@ def test_order_cover(capsys):
     assert capsys.readouterr().out == "2160\n"
 
 
-def test_order_cap_exceeded(tmp_path, capsys):
+@pytest.mark.parametrize("argv, cap", [
+    (["order", "--matrix", "INF"], 5000),
+    # the rank-5 table over the first three generators
+    (["nf", "--family", "D", "--rank", "5", "--variant", "edge", "--word", "r1"], 15),
+    # the rank-5 regular table behind the base level
+    (["nf", "--family", "B", "--rank", "5", "--variant", "edge", "--word", "r1"], 1000),
+], ids=["order", "nf-D5-level", "nf-B5-regular"])
+def test_order_cap_exceeded(tmp_path, capsys, argv, cap):
     mfile = tmp_path / "inf.json"
     mfile.write_text(INFINITE_MATRIX.to_json())
-    assert main(["order", "--matrix", str(mfile),
-                 "--max-cosets", "5000"]) == EXIT_CAP
-    assert "cap exceeded" in capsys.readouterr().err
+    argv = [str(mfile) if a == "INF" else a for a in argv]
+    assert main(argv + ["--max-cosets", str(cap)]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err
+    assert err == f"cap exceeded at {cap} cosets\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -182,6 +193,63 @@ def test_nf_decompose(capsys):
     p = spec.presentation
     d = chains.decompose(spec, parse_word("a1 a2", p))
     assert got == " | ".join(render_word(f, p) for f in d.factors)
+
+
+def nf_golden_argvs():
+    """249 `nf` invocations: six seeded random words on each of A2-A6,
+    B2-B5, D3-D5 in every variant, and --enumerate up to rank 5."""
+    rng = random.Random(20111)
+    for fam, ranks in (("A", range(2, 7)), ("B", range(2, 6)), ("D", range(3, 6))):
+        for n in ranks:
+            for v in ("carmichael", "bourbaki", "edge"):
+                base = ["nf", "--family", fam, "--variant", v, "--rank", str(n)]
+                p = presentations.chain_presentation(fam, v, n)
+                for _ in range(6):
+                    letters = [rng.choice((1, -1)) * rng.randint(1, p.rank)
+                               for _ in range(rng.randint(0, 12))]
+                    yield base + ["--word", render_word(Word(tuple(letters)), p)]
+                if n <= 5:
+                    yield base + ["--enumerate"]
+
+
+# SHA-256 over the exit code and stdout of every nf_golden_argvs() invocation;
+# taken before the chain tables were shared across levels
+NF_DIGEST = "04e752ac7b745272d5564c190eb10191cb3d0d56e45ab10e7aa5723798405783"
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_nf_output_golden(backend, request, monkeypatch, capsys):
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    monkeypatch.setattr(engine, "_core", core)
+    h = hashlib.sha256()
+    n = 0
+    for argv in nf_golden_argvs():
+        code = main(argv)
+        h.update(f"{' '.join(argv)} exit={code}\n".encode())
+        h.update(capsys.readouterr().out.encode())
+        n += 1
+    assert n == 249
+    assert h.hexdigest() == NF_DIGEST
+
+
+@pytest.mark.parametrize("family, builds, enumerations",
+                         [("A", 2, 5), ("B", 4, 7), ("D", 3, 5)])
+def test_nf_builds_each_table_once(monkeypatch, capsys, family, builds, enumerations):
+    """One presentation per rank and one enumeration per (rank, level) table."""
+    calls = {"build": 0, "enumerate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(chains, "chain_presentation",
+                        counted("build", chains.chain_presentation))
+    monkeypatch.setattr(engine, "enumerate", counted("enumerate", engine.enumerate))
+    assert main(["nf", "--family", family, "--variant", "edge", "--rank", "5",
+                 "--word", "r1 r2^-1 r3 r4"]) == EXIT_OK
+    assert capsys.readouterr().out.count(" | ") == (2 if family == "D" else 3)
+    assert calls == {"build": builds, "enumerate": enumerations}
 
 
 @pytest.mark.parametrize("word", ["R1^999999999", "R1^-1000001", "R1^600000 R2^600000"])

@@ -1,11 +1,6 @@
 import hashlib
-import importlib.util
-import os
-import shutil
 import signal
-import sysconfig
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -17,37 +12,8 @@ from altcox.presentations import (coxeter_presentation, chain_presentation,
                                   spinor_plus_presentation, universal_extension)
 from altcox._tc_py import CapExceeded, enumerate_core as py_core
 
-C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "altcox" / "_tc_core.c"
-
 # affine A2: infinite, so every enumeration of it runs into its cap
 AFFINE_A2 = CoxeterMatrix(3, ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
-
-
-@pytest.fixture(scope="module")
-def c_core(tmp_path_factory):
-    """The compiled core: the installed extension, else one built from
-    _tc_core.c into a temporary directory.  Skips only without a C compiler."""
-    try:
-        from altcox._tc_core import enumerate_core
-        return enumerate_core
-    except ImportError:
-        pass
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(cc.split()[0]) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the compiled core")
-    from setuptools import Distribution, Extension
-    from setuptools.command.build_ext import build_ext
-    out = tmp_path_factory.mktemp("tc_core")
-    cmd = build_ext(Distribution(
-        {"ext_modules": [Extension("altcox._tc_core", [str(C_SOURCE)])]}))
-    cmd.build_lib, cmd.build_temp = str(out), str(out / "temp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(
-        "altcox._tc_core", cmd.get_ext_fullpath("altcox._tc_core"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.enumerate_core
 
 
 def columns(p, sub=()):
@@ -61,20 +27,20 @@ def s(*ks):
 
 def test_index_a3_parabolic():
     p = coxeter_presentation(standard_matrix("A", 3))
-    r = engine.enumerate(p, s(0, 1))
-    assert r.completed and r.index == 4
+    t = engine.enumerate(p, s(0, 1))
+    assert t.index == 4
 
 
 def test_index_full_generator_subgroup_is_one():
     p = chain_presentation("B", "edge", 3)
-    r = engine.enumerate(p, s(0, 1))
-    assert r.index == 1
+    t = engine.enumerate(p, s(0, 1))
+    assert t.index == 1
 
 
 def test_carmichael_a4_index_five():
     p = chain_presentation("A", "carmichael", 4)
-    r = engine.enumerate(p, s(0, 1))
-    assert r.index == 5
+    t = engine.enumerate(p, s(0, 1))
+    assert t.index == 5
 
 
 def test_orders():
@@ -85,14 +51,14 @@ def test_orders():
 
 def test_cap_exceeded_on_infinite_group():
     inf = CoxeterMatrix(2, ((1, 0), (0, 1)))
-    r = engine.enumerate(coxeter_presentation(inf), (), cap=10_000)
-    assert r.status == "cap_exceeded" and r.table is None
+    with pytest.raises(CapExceeded):
+        engine.enumerate(coxeter_presentation(inf), (), cap=10_000)
     assert engine.order(coxeter_presentation(inf), cap=10_000) is None
 
 
 def test_table_consistency_invariant():
     p = chain_presentation("D", "edge", 4)
-    t = engine.enumerate(p, s(0, 1)).table
+    t = engine.enumerate(p, s(0, 1))
     ncols = 2 * p.rank
     for c in range(1, t.index + 1):
         for col in range(ncols):
@@ -102,72 +68,75 @@ def test_table_consistency_invariant():
 
 def test_relators_close_everywhere():
     p = chain_presentation("B", "bourbaki", 3)
-    r = engine.enumerate(p, s(0,))
-    for c in range(1, r.index + 1):
+    t = engine.enumerate(p, s(0,))
+    for c in range(1, t.index + 1):
         for rel in p.relators:
-            assert r.table.trace(c, rel) == c
+            assert t.trace(c, rel) == c
 
 
 def test_word_problem():
     p = chain_presentation("A", "edge", 3)
-    r = engine.enumerate(p, ())
+    t = engine.enumerate(p, ())
     for rel in p.relators:
-        assert engine.word_in_subgroup(r, rel)
-    assert not engine.word_in_subgroup(r, Word.gen(0))
-    assert engine.words_equal(r, Word((1, 2, 1)), Word((2, 2)))
+        assert engine.word_in_subgroup(t, rel)
+    assert not engine.word_in_subgroup(t, Word.gen(0))
+    assert engine.words_equal(t, Word((1, 2, 1)), Word((2, 2)))
 
 
 def test_schreier_representatives_a():
     p = coxeter_presentation(standard_matrix("A", 4))
-    g = engine.schreier(engine.enumerate(p, s(0, 1, 2)))
-    words = [w.letters for w in g.representatives[1:]]
+    t = engine.enumerate(p, s(0, 1, 2))
+    reps = engine.schreier(t)
+    words = [w.letters for w in reps[1:]]
     assert words == [(), (4,), (3, 4), (2, 3, 4), (1, 2, 3, 4)]
-    for c, w in enumerate(g.representatives[1:], start=1):
-        assert g.table.trace(1, w) == c
+    for c, w in enumerate(reps[1:], start=1):
+        assert t.trace(1, w) == c
     # the arrival tree the representatives are read from
-    arrival = g.table.arrival
-    assert arrival[:2] == (None, None) and len(arrival) == g.table.index + 1
-    for c in range(2, g.table.index + 1):
+    arrival = t.arrival
+    assert arrival[:2] == (None, None) and len(arrival) == t.index + 1
+    for c in range(2, t.index + 1):
         parent, gen = arrival[c]
-        assert parent < c and g.table.rows[parent][2 * gen] == c
+        assert parent < c and t.rows[parent][2 * gen] == c
 
 
 def test_schreier_representatives_b():
     n = 3
     p = coxeter_presentation(standard_matrix("B", n))
-    g = engine.schreier(engine.enumerate(p, s(*range(n - 1))))
-    assert len(g.representatives) - 1 == 2 * n
+    reps = engine.schreier(engine.enumerate(p, s(*range(n - 1))))
+    assert len(reps) - 1 == 2 * n
     # doubled-back chain: longest representative walks down through s0 and up
-    longest = max(g.representatives[1:], key=len)
+    longest = max(reps[1:], key=len)
     assert longest.letters == (3, 2, 1, 2, 3)
 
 
 def test_schreier_index_one():
     p = Presentation(("g",), (Word.gen(0),))
-    g = engine.schreier(engine.enumerate(p, ()))
-    assert g.representatives[1:] == (Word(),)
-    dot = engine.to_dot(g)
+    t = engine.enumerate(p, ())
+    reps = engine.schreier(t)
+    assert reps[1:] == (Word(),)
+    dot = engine.to_dot(t, reps)
     assert "->" not in dot
 
 
 def test_dot_output():
     p = coxeter_presentation(standard_matrix("A", 3))
-    g = engine.schreier(engine.enumerate(p, s(0, 1)))
-    dot = engine.to_dot(g)
+    t = engine.enumerate(p, s(0, 1))
+    dot = engine.to_dot(t, engine.schreier(t))
     assert dot.count("dir=none") == 3     # path of 4 nodes, involution edges
     assert 'label="H"' in dot
     d = coxeter_presentation(standard_matrix("D", 4))
-    gd = engine.schreier(engine.enumerate(d, s(0, 1, 2)))
-    dotd = engine.to_dot(gd)
+    td = engine.enumerate(d, s(0, 1, 2))
+    dotd = engine.to_dot(td, engine.schreier(td))
     assert 'label="s0"' in dotd and 'label="s1"' in dotd
 
 
 def test_determinism():
     p = chain_presentation("D", "edge", 4)
-    r1 = engine.enumerate(p, s(0, 1))
-    r2 = engine.enumerate(p, s(0, 1))
-    assert r1.table.rows == r2.table.rows
-    assert engine.to_dot(engine.schreier(r1)) == engine.to_dot(engine.schreier(r2))
+    t1 = engine.enumerate(p, s(0, 1))
+    t2 = engine.enumerate(p, s(0, 1))
+    assert t1.rows == t2.rows
+    assert (engine.to_dot(t1, engine.schreier(t1))
+            == engine.to_dot(t2, engine.schreier(t2)))
 
 
 def golden_cases():
@@ -206,7 +175,7 @@ def test_enumeration_golden(backend, request, monkeypatch):
     h = hashlib.sha256()
     n = 0
     for p, sub in golden_cases():
-        t = engine.enumerate(p, sub, cap=500_000).table
+        t = engine.enumerate(p, sub, cap=500_000)
         h.update(repr((t.rows, t.arrival)).encode())
         n += 1
     assert n == 296
@@ -303,5 +272,5 @@ def test_subgroup_indices_grow_linearly():
         for n in ranks:
             for v in ("carmichael", "bourbaki", "edge"):
                 p = chain_presentation(fam, v, n)
-                r = engine.enumerate(p, s(*range(n - 2)))
-                assert r.index == idx(n), (fam, v, n)
+                t = engine.enumerate(p, s(*range(n - 2)))
+                assert t.index == idx(n), (fam, v, n)

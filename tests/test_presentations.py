@@ -80,8 +80,8 @@ def test_edge_relators_hold_in_reflection_representation():
 def test_example_group_is_infinite():
     ext = connected_extension(graph_from_matrix(EXAMPLE5), (1, 2))
     p, emap = pres.edge_presentation(ext)
-    r = engine.enumerate(p, (), cap=20_000)
-    assert r.status == "cap_exceeded"
+    with pytest.raises(engine.CapExceeded):
+        engine.enumerate(p, (), cap=20_000)
     # independent witness: r2_3 r2_4 maps to a unipotent matrix that is not
     # the identity, hence has infinite order
     imgs = edge_images(EXAMPLE5, emap)
@@ -297,6 +297,17 @@ def test_universal_extension_quotient_by_zeta_gives_spinor_order():
     p = pres.universal_extension("A5")
     assert engine.order(pres.quotient_by_generators(p, ("zeta",)),
                         cap=500_000) == 2 * 360
+
+
+def test_hom_checks_let_cap_overrun_through():
+    # the A4 edge group has order 60, so its regular table needs more than 5 cosets
+    p_vv = pres.vv_presentation(4)
+    p_edge = pres.chain_presentation("A", "edge", 4)
+    ident = tuple(Word.gen(k) for k in range(3))
+    with pytest.raises(engine.CapExceeded):
+        pres.GroupHom(p_vv, p_edge, ident).verify(cap=5)
+    with pytest.raises(engine.CapExceeded):
+        pres.is_identity_hom(pres.GroupHom(p_edge, p_vv, ident), cap=5)
 
 
 def test_bourbaki_edge_homs():
