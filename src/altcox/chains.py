@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .words import Word, Presentation
+from .words import InputError, Word, Presentation
 from .presentations import CHAIN_BASE, chain_presentation
 from . import engine
 
 
-class ChainError(ValueError):
+class ChainError(InputError):
     pass
 
 
@@ -44,18 +44,6 @@ class ChainSpec:
 
     def levels(self):
         return range(self.n, self.base - 1, -1)
-
-
-@dataclass(frozen=True)
-class ChainDecomposition:
-    spec: ChainSpec
-    factors: tuple[Word, ...]  # u_n, u_{n-1}, ..., u_base
-
-    def product(self) -> Word:
-        out = Word()
-        for f in self.factors:
-            out = out * f
-        return out
 
 
 def _closed_form_a(variant: str, i: int):
@@ -127,8 +115,9 @@ class Chain:
                 self._reps[i] = engine.schreier(self._table(i, i))[1:]
         return self._reps[i]
 
-    def decompose(self, w: Word) -> ChainDecomposition:
-        """Peel factors from level n down to the base block."""
+    def decompose(self, w: Word) -> tuple[Word, ...]:
+        """Peel factors u_n, u_{n-1}, ..., u_base from level n down to the
+        base block; their product is w."""
         factors = []
         for i in self.spec.levels():
             t = self._table(self.spec.n, i)
@@ -139,18 +128,18 @@ class Chain:
                     break
             else:  # pragma: no cover - reps cover all cosets
                 raise ChainError(f"no representative matched at level {i}")
-        return ChainDecomposition(self.spec, tuple(factors))
+        return tuple(factors)
 
     def enumerate_elements(self, scale_cap=100_000):
-        """All normal forms as the Cartesian product of the E_i."""
+        """All normal forms, as factor tuples: the Cartesian product of the
+        E_i."""
         sets = [self.rep_set(i) for i in self.spec.levels()]
         total = 1
         for s in sets:
             total *= len(s)
         if total > scale_cap:
             raise ChainError(f"{total} normal forms exceed scale cap {scale_cap}")
-        return [ChainDecomposition(self.spec, combo)
-                for combo in itertools.product(*sets)]
+        return list(itertools.product(*sets))
 
 
 def chain_subgroup_words(family: str, variant: str, n: int):
@@ -172,14 +161,3 @@ def chain_subgroup_words(family: str, variant: str, n: int):
         return (g(1) * g(2, 2),)
     return tuple(Word.gen(k) for k in range(n - 2))
 
-
-def rep_set(spec: ChainSpec, i, cap=engine.DEFAULT_CAP) -> tuple[Word, ...]:
-    return Chain(spec, cap).rep_set(i)
-
-
-def decompose(spec: ChainSpec, w: Word, cap=engine.DEFAULT_CAP) -> ChainDecomposition:
-    return Chain(spec, cap).decompose(w)
-
-
-def enumerate_elements(spec: ChainSpec, cap=engine.DEFAULT_CAP):
-    return Chain(spec, cap).enumerate_elements()

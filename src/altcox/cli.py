@@ -1,12 +1,13 @@
 """Command-line front end: presentation builders, coset enumeration,
 chain normal forms, and the verification catalog.
 
-Exit codes: 0 ok, 2 usage error (including a --max-cosets whose table does
-not fit in memory), 3 coset cap exceeded (by `order`, `enumerate`, or any
-of the enumerations behind `nf`; the enumeration raises CapExceeded and
-``main`` alone turns it into this exit code), 4 verification failure.  All
-file writes are atomic (temp file + rename) and all output is
-byte-deterministic.
+Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded (by `order`,
+`enumerate`, or any enumeration behind `nf`; ``main`` alone turns the
+engine's CapExceeded into it), 4 verification failure.  A usage error is
+bad input (an argparse error such as a rank above ``coxeter.MAX_RANK``, an
+``InputError`` or a file error) or a --max-cosets that does not fit in
+memory; any other exception is a bug and ends in a traceback.  File writes
+are atomic (temp file + rename) and all output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import os
 import sys
 import tempfile
 
-from .words import Word, Presentation, parse_word, render_word, WordSyntaxError
-from .coxeter import (CoxeterMatrix, MatrixError, graph_from_matrix,
+from .words import InputError, Word, Presentation, parse_word, render_word
+from .coxeter import (MAX_RANK, CoxeterMatrix, graph_from_matrix,
                       connected_extension, standard_matrix)
 from . import engine, oracle, presentations, chains
 
@@ -27,7 +28,7 @@ EXIT_CAP = 3
 EXIT_VERIFY = 4
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     pass
 
 
@@ -69,10 +70,8 @@ def _matrix_for(args) -> CoxeterMatrix:
 
 def _build_presentation(args) -> Presentation:
     v = args.variant
-    if v == "a5-cover":
-        return presentations.universal_extension("A5")
-    if v == "a6-cover":
-        return presentations.universal_extension("A6")
+    if v.endswith("-cover"):
+        return presentations.universal_extension(v[:2].upper())
     if v == "vv":
         if args.rank is None:
             raise UsageError("vv variant needs --rank")
@@ -80,8 +79,12 @@ def _build_presentation(args) -> Presentation:
     if args.presentation:
         with open(args.presentation) as f:
             return Presentation.from_json(f.read())
-    if v in ("carmichael", "bourbaki", "edge") and args.family and not args.matrix:
+    if (v in ("carmichael", "bourbaki", "edge") and args.family
+            and args.rank is not None and not args.matrix):
         return presentations.chain_presentation(args.family, v, args.rank)
+    if v == "carmichael":
+        raise UsageError("variant 'carmichael' needs --family and --rank; "
+                         "it has no matrix form")
     m = _matrix_for(args)
     if v == "coxeter":
         return presentations.coxeter_presentation(m)
@@ -90,24 +93,26 @@ def _build_presentation(args) -> Presentation:
     if v == "edge":
         return presentations.edge_presentation(connected_extension(
             graph_from_matrix(m)))[0]
-    if v == "tilde":
-        return presentations.spinor_presentation(m, "tilde")
-    if v == "tilde-prime":
-        return presentations.spinor_presentation(m, "tilde_prime")
-    if v.startswith("tilde-plus-") or v.startswith("tilde-prime-plus-"):
-        style = v.rsplit("-", 1)[1]
-        variant = "tilde_prime" if v.startswith("tilde-prime") else "tilde"
-        return presentations.spinor_plus_presentation(m, style, variant)
-    raise UsageError(f"variant {v!r} needs a catalog triple or matrix")
+    variant = "tilde_prime" if v.startswith("tilde-prime") else "tilde"
+    if v in ("tilde", "tilde-prime"):
+        return presentations.spinor_presentation(m, variant)
+    # the four tilde-plus and tilde-prime-plus variants remain
+    return presentations.spinor_plus_presentation(m, v.rsplit("-", 1)[1], variant)
 
 
-def _input_flags(sub, need_variant=True):
+def _rank(text):
+    rank = int(text)
+    if rank > MAX_RANK:
+        raise argparse.ArgumentTypeError(f"rank {rank} above {MAX_RANK}")
+    return rank
+
+
+def _input_flags(sub):
     sub.add_argument("--family", choices=("A", "B", "D", "a", "b", "d"))
-    sub.add_argument("--rank", type=int)
+    sub.add_argument("--rank", type=_rank)
     sub.add_argument("--matrix", help="Coxeter matrix JSON file")
     sub.add_argument("--presentation", help="presentation JSON file")
-    if need_variant:
-        sub.add_argument("--variant", choices=_VARIANTS, default="coxeter")
+    sub.add_argument("--variant", choices=_VARIANTS, default="coxeter")
     sub.add_argument("--output", help="write to file instead of stdout")
 
 
@@ -165,14 +170,14 @@ def cmd_nf(args):
     if args.enumerate:
         lines = []
         for d in chain.enumerate_elements():
-            lines.append(" | ".join(render_word(f, p) for f in d.factors))
+            lines.append(" | ".join(render_word(f, p) for f in d))
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
     if not args.word:
         raise UsageError("nf needs --word or --enumerate")
     w = parse_word(args.word, p)
     d = chain.decompose(w)
-    _emit(" | ".join(render_word(f, p) for f in d.factors) + "\n", args.output)
+    _emit(" | ".join(render_word(f, p) for f in d) + "\n", args.output)
     return EXIT_OK
 
 
@@ -311,7 +316,7 @@ def build_parser():
     p.add_argument("--family", required=True, choices=("A", "B", "D", "a", "b", "d"))
     p.add_argument("--variant", required=True,
                    choices=("carmichael", "bourbaki", "edge"))
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--word", help="word to decompose")
     p.add_argument("--enumerate", action="store_true",
                    help="dump every normal form")
@@ -338,9 +343,7 @@ def main(argv=None):
         cap = getattr(args, "max_cosets", engine.DEFAULT_CAP)
         sys.stderr.write(f"cap exceeded at {cap} cosets\n")
         return EXIT_CAP
-    except (UsageError, ValueError, OSError) as e:
-        # WordSyntaxError / MatrixError / BuildError / ChainError and JSON
-        # parse errors are all ValueErrors
+    except (InputError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except MemoryError:

@@ -9,10 +9,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .words import InputError, load_json
+
 INFINITY = 0
 
+MAX_RANK = 400  # the presentation builders take time quadratic in the rank
 
-class MatrixError(ValueError):
+
+class MatrixError(InputError):
     pass
 
 
@@ -26,11 +30,11 @@ class CoxeterMatrix:
         self.validate()
 
     def validate(self):
-        if self.n < 1 or len(self.m) != self.n:
-            raise MatrixError("matrix size mismatch")
+        if not 1 <= self.n <= MAX_RANK:
+            raise MatrixError(f"matrix size {self.n} outside 1..{MAX_RANK}")
+        if len(self.m) != self.n or any(len(row) != self.n for row in self.m):
+            raise MatrixError("matrix not n x n")
         for i, row in enumerate(self.m):
-            if len(row) != self.n:
-                raise MatrixError("matrix not square")
             if row[i] != 1:
                 raise MatrixError(f"diagonal entry m[{i}][{i}] must be 1")
             for j, v in enumerate(row):
@@ -48,7 +52,7 @@ class CoxeterMatrix:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
+        data = load_json(text)
         if not (isinstance(data, dict) and type(data.get("n")) is int
                 and isinstance(data.get("m"), list)
                 and all(isinstance(r, list) and all(type(v) is int for v in r)
@@ -145,7 +149,6 @@ class ConnectedExtension:
 
     graph: CoxeterGraph
     virtual_edges: tuple[tuple[int, int], ...]
-    anchors: tuple[int, ...]
 
     @property
     def n(self):
@@ -177,18 +180,18 @@ def connected_extension(g: CoxeterGraph, anchors=None) -> ConnectedExtension:
     else:
         anchors = list(anchors)
         if len(anchors) != len(comps):
-            raise ValueError("need exactly one anchor per component")
+            raise InputError("need exactly one anchor per component")
         by_comp = []
         for c in comps:
             hits = [a for a in anchors if a in c]
             if len(hits) != 1:
-                raise ValueError(f"component {c} needs exactly one anchor, got {hits}")
+                raise InputError(f"component {c} needs exactly one anchor, got {hits}")
             by_comp.append(hits[0])
         anchors = by_comp
     virtual = []
     for a, b in zip(anchors, anchors[1:]):
         virtual.append((min(a, b), max(a, b)))
-    return ConnectedExtension(g, tuple(virtual), tuple(anchors))
+    return ConnectedExtension(g, tuple(virtual))
 
 
 def cycle_basis(ext: ConnectedExtension):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, Presentation
+from .words import InputError, Word, Presentation, render_word
 from ._tc_py import CapExceeded, MAX_CAP
 
 try:
@@ -58,14 +58,10 @@ class CosetTable:
     def index(self):
         return len(self.rows) - 1
 
-    def act_letter(self, coset, letter):
-        col = 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-        return self.rows[coset][col]
-
     def trace(self, coset, w: Word):
         """Apply word w to a coset (rightmost letter acts first)."""
-        for x in reversed(w.letters):
-            coset = self.act_letter(coset, x)
+        for col in _columns(w):
+            coset = self.rows[coset][col]
         return coset
 
 
@@ -74,12 +70,12 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> CosetTable:
 
     Deterministic: identical inputs give identical standardized tables.
     Raises CapExceeded when the enumeration would define more than cap
-    cosets.
+    cosets.  A presentation with no generators is the trivial group.
     """
-    if not p.rank:
-        raise ValueError("presentation has no generators")
     if not 1 <= cap <= MAX_CAP:  # any int; the compiled core parses a C int
-        raise ValueError(f"cap must be between 1 and {MAX_CAP}")
+        raise InputError(f"cap must be between 1 and {MAX_CAP}")
+    if not p.rank:  # the cores reject a table without columns
+        return CosetTable(p, ((), ()), (None, None))
     relators = [_columns(w) for w in p.relators]
     subwords = [_columns(w) for w in subgroup]
     rows, _, _, arrival = _core(2 * p.rank, relators, subwords, cap)
@@ -132,7 +128,6 @@ def to_dot(t: CosetTable, reps) -> str:
     p = t.presentation
     invol = _involutions(p)
     lines = ["digraph schreier {"]
-    from .words import render_word
     for c in range(1, t.index + 1):
         label = render_word(reps[c], p) if reps[c] else "H"
         lines.append(f'  {c} [label="{label}"];')

@@ -167,21 +167,15 @@ def eval_word(images, w: Word):
         result = g if result is None else result * g
     if result is None:
         some = images[next(iter(images))] if isinstance(images, dict) else images[0]
-        n = len(some.flags) if isinstance(some, WreathElement) else None
-        if n is not None:
-            return WreathElement.identity(n)
         return some * some.inverse()
     return result
 
 
 def verify_hom(presentation, images) -> bool:
-    """True iff every relator evaluates to the identity under the images."""
-    for rel in presentation.relators:
-        e = eval_word(images, rel)
-        value = e.is_identity() if hasattr(e, "is_identity") else e == e * e
-        if not value:
-            return False
-    return True
+    """True iff every relator evaluates to the identity under the images,
+    which are elements as in eval_word that also have ``is_identity()``."""
+    return all(eval_word(images, rel).is_identity()
+               for rel in presentation.relators)
 
 
 def generated_order(generators, cap=10 ** 6) -> int:

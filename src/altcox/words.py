@@ -12,7 +12,11 @@ import re
 from dataclasses import dataclass, field
 
 
-class WordSyntaxError(ValueError):
+class InputError(ValueError):
+    """Bad input; ``altcox.cli`` reports these as usage errors, not bugs."""
+
+
+class WordSyntaxError(InputError):
     """Raised on malformed word text or unknown generator names."""
 
 
@@ -68,15 +72,6 @@ class Word:
 
     def __iter__(self):
         return iter(self.letters)
-
-
-def free_reduce(w: Word) -> Word:
-    """Freely reduce (idempotent; Word construction already reduces)."""
-    return Word(w.letters)
-
-
-def word_invert(w: Word) -> Word:
-    return w.inverse()
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -145,26 +140,26 @@ class Presentation:
     def validate(self):
         n = len(self.generators)
         if len(set(self.generators)) != n:
-            raise ValueError("duplicate generator names")
+            raise InputError("duplicate generator names")
         for name in self.generators:
             if not _NAME.fullmatch(name):
-                raise ValueError(f"generator name {name!r} is not an identifier")
+                raise InputError(f"generator name {name!r} is not an identifier")
         for w in self.relators:
             for x in w:
                 if not 1 <= abs(x) <= n:
-                    raise ValueError(f"relator letter {x} out of range")
+                    raise InputError(f"relator letter {x} out of range")
         relset = {w.letters for w in self.relators}
         for name, order in self.central:
             g = Word.gen(self.gen_index(name))
             if (g ** order).letters not in relset:
-                raise ValueError(f"missing power relator for central {name}")
+                raise InputError(f"missing power relator for central {name}")
             for other in self.generators:
                 if other == name:
                     continue
                 h = Word.gen(self.gen_index(other))
                 if (commutator(g, h).letters not in relset
                         and commutator(h, g).letters not in relset):
-                    raise ValueError(f"missing commutator [{name},{other}]")
+                    raise InputError(f"missing commutator [{name},{other}]")
 
     def to_json(self) -> str:
         data = {
@@ -176,16 +171,16 @@ class Presentation:
 
     @classmethod
     def from_json(cls, text: str) -> "Presentation":
-        data = json.loads(text)
+        data = load_json(text)
         if not (isinstance(data, dict) and _strings(data.get("generators"))
                 and _strings(data.get("relators"))):
-            raise ValueError('presentation JSON needs "generators" and "relators" '
+            raise InputError('presentation JSON needs "generators" and "relators" '
                              'lists of strings')
         central = data.get("central", [])
         if not (isinstance(central, list) and all(
                 isinstance(c, dict) and isinstance(c.get("name"), str)
                 and type(c.get("order")) is int for c in central)):
-            raise ValueError('presentation JSON "central" must be a list of '
+            raise InputError('presentation JSON "central" must be a list of '
                              '{"name": string, "order": integer}')
         generators = tuple(data["generators"])
         p0 = cls(generators, ())
@@ -194,6 +189,13 @@ class Presentation:
         p = cls(generators, relators, central)
         p.validate()
         return p
+
+
+def load_json(text):
+    try:  # json.loads raises ValueError also for an int of over 4300 digits
+        return json.loads(text)
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _strings(x):

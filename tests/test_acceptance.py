@@ -127,9 +127,10 @@ def test_criterion_07_normal_form_uniqueness():
         for fam, v, n in cases:
             spec = ChainSpec(fam, v, n)
             reg = engine.enumerate(spec.presentation, ())
-            forms = chains.enumerate_elements(spec)
+            forms = chains.Chain(spec).enumerate_elements()
             assert len(forms) == reg.index == oracle.alternating_order(fam, n)
-            cosets = {reg.trace(1, d.product()) for d in forms}
+            cosets = {reg.trace(1, Word(tuple(x for f in d for x in f)))
+                      for d in forms}
             assert len(cosets) == len(forms), (fam, v, n)
 
 

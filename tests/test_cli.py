@@ -9,7 +9,7 @@ import pytest
 
 from altcox import cli, chains, engine, presentations
 from altcox.cli import main, EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VERIFY
-from altcox.coxeter import CoxeterMatrix
+from altcox.coxeter import MAX_RANK, CoxeterMatrix
 from altcox.words import Word, parse_word, render_word
 from altcox._tc_py import enumerate_core as py_core
 
@@ -58,12 +58,65 @@ def test_present_malformed_matrix_file(tmp_path, capsys):
     ("--presentation", '{"generators": ["a"]}'),
     ("--presentation", '{"generators": ["a b"], "relators": []}'),
     ("--presentation", '{"generators": ["x\\"y"], "relators": ["x\\"y^2"]}'),
+    ("--matrix", '{"n": 2, "m": [[1, 2], []]}'),
 ])
 def test_malformed_json_input_is_usage_error(tmp_path, capsys, flag, text):
     f = tmp_path / "in.json"
     f.write_text(text)
     assert main(["present", flag, str(f)]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--presentation"])
+def test_json_integer_beyond_digit_limit_is_usage_error(tmp_path, capsys, flag):
+    # json.loads raises a ValueError here that is not a JSONDecodeError
+    f = tmp_path / "in.json"
+    f.write_text('{"n": 1%s}' % ("0" * 5000))
+    assert main(["present", flag, str(f)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["--matrix", "RANK1", "--variant", "edge"], "1\n"),
+    (["--matrix", "RANK1", "--variant", "bourbaki"], "1\n"),
+    (["--matrix", "RANK1", "--variant", "tilde-plus-edge"], "2\n"),
+    (["--presentation", "EMPTY"], "1\n"),
+], ids=["edge", "bourbaki", "tilde-plus-edge", "presentation"])
+def test_trivial_group_order(tmp_path, capsys, argv, out):
+    # the rank-1 alternating group has no generators and order 1, and its
+    # spinor cover order 2
+    (tmp_path / "RANK1").write_text('{"n": 1, "m": [[1]]}')
+    (tmp_path / "EMPTY").write_text('{"generators": [], "relators": []}')
+    argv = [str(tmp_path / a) if a.isupper() else a for a in argv]
+    assert main(["order"] + argv) == EXIT_OK
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("source", ["family", "matrix"])
+def test_rank_above_bound_is_usage_error(tmp_path, capsys, source):
+    # rejected before any presentation is built
+    n = MAX_RANK + 1
+    m = [[1 if i == j else 3 if abs(i - j) == 1 else 2 for j in range(n)]
+         for i in range(n)]
+    (tmp_path / "m.json").write_text(json.dumps({"n": n, "m": m}))
+    argv = (["--family", "A", "--rank", str(n)] if source == "family"
+            else ["--matrix", str(tmp_path / "m.json")])
+    assert main(["present", "--variant", "edge"] + argv) == EXIT_USAGE
+    assert str(n) in capsys.readouterr().err
+
+
+def test_carmichael_has_no_matrix_form(tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_text('{"n": 2, "m": [[1, 3], [3, 1]]}')
+    assert main(["present", "--variant", "carmichael", "--matrix", str(f)]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: variant 'carmichael' needs --family "
+                                       "and --rank; it has no matrix form\n")
+
+
+@pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
+def test_family_without_rank_is_usage_error(capsys, variant):
+    assert main(["present", "--family", "A", "--variant", variant]) == EXIT_USAGE
+    assert "--rank" in capsys.readouterr().err
 
 
 # SHA-256 over the exit code and stdout of every `present` invocation below;
@@ -185,14 +238,22 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: not enough memory for --max-cosets 1000\n"
 
 
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args):
+        raise ValueError("internal")
+    monkeypatch.setattr(engine, "_core", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["order", "--family", "A", "--rank", "3"])
+
+
 def test_nf_decompose(capsys):
     assert main(["nf", "--family", "A", "--variant", "carmichael",
                  "--rank", "3", "--word", "a1 a2"]) == EXIT_OK
     got = capsys.readouterr().out.strip()
     spec = chains.ChainSpec("A", "carmichael", 3)
     p = spec.presentation
-    d = chains.decompose(spec, parse_word("a1 a2", p))
-    assert got == " | ".join(render_word(f, p) for f in d.factors)
+    d = chains.Chain(spec).decompose(parse_word("a1 a2", p))
+    assert got == " | ".join(render_word(f, p) for f in d)
 
 
 def nf_golden_argvs():

@@ -1,6 +1,10 @@
 import hashlib
+import os
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +278,17 @@ def test_subgroup_indices_grow_linearly():
                 p = chain_presentation(fam, v, n)
                 t = engine.enumerate(p, s(*range(n - 2)))
                 assert t.index == idx(n), (fam, v, n)
+
+
+def test_bench_enumerate_script_runs():
+    # the script reaches into engine internals; running it here keeps a
+    # rename from breaking it unnoticed
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, str(root / "benchmarks" / "bench_enumerate.py"),
+                        "--repeat", "1"], capture_output=True, text=True, env=env,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    header, *cases = r.stdout.splitlines()
+    assert header.startswith("case") and len(cases) == 6

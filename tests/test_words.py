@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from altcox.words import (Word, Presentation, parse_word, render_word,
-                          free_reduce, word_invert, commutator,
-                          WordSyntaxError, MAX_WORD_LENGTH)
+                          commutator, WordSyntaxError, MAX_WORD_LENGTH)
 
 P3 = Presentation(("a", "b", "c"), ())
 
@@ -15,8 +14,8 @@ letters = st.lists(st.integers(min_value=-3, max_value=3).filter(bool),
 
 def test_identity_cases():
     assert Word().letters == ()
-    assert free_reduce(Word()) == Word()
-    assert word_invert(Word()) == Word()
+    assert Word(Word().letters) == Word()
+    assert Word().inverse() == Word()
 
 
 def test_cancellation():
