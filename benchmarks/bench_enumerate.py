@@ -4,7 +4,9 @@ Run as: python3 benchmarks/bench_enumerate.py [--repeat N]
 Each time covers the whole engine.enumerate call: encoding the words, the
 core's enumeration and its standardization of the table.  The compiled
 column needs the extension built first, for a source checkout with
-``python setup.py build_ext --inplace``.
+``python setup.py build_ext --inplace``.  The last row times the Word
+layer instead, which no core runs: engine.schreier plus
+engine.schreier_texts on one finished table.
 """
 
 import argparse
@@ -47,6 +49,14 @@ def run(core, p, sub, cap=500_000):
         engine._core = saved
 
 
+def run_schreier(t):
+    """Seconds for the Schreier words and their texts of table t."""
+    t0 = time.perf_counter()
+    engine.schreier(t)
+    engine.schreier_texts(t)
+    return time.perf_counter() - t0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
@@ -59,6 +69,9 @@ def main():
             continue
         t_c = min(run(c_core, p, sub) for _ in range(args.repeat))
         print(f"{name:45s} {t_py:8.4f}s {t_c:8.4f}s {t_py / t_c:7.1f}x")
+    t = engine.enumerate(chain_presentation("B", "edge", 5), ())
+    t_w = min(run_schreier(t) for _ in range(args.repeat))
+    print(f"{'B5 edge regular (1920): schreier + texts':45s} {t_w:8.4f}s")
 
 
 if __name__ == "__main__":

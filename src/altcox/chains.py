@@ -117,12 +117,14 @@ class Chain:
 
     def decompose(self, w: Word) -> tuple[Word, ...]:
         """Peel factors u_n, u_{n-1}, ..., u_base from level n down to the
-        base block; their product is w."""
+        base block; their product is w.  u^-1 w fixes coset 1 of a level's
+        table (a permutation action) iff u and w move coset 1 alike."""
         factors = []
         for i in self.spec.levels():
             t = self._table(self.spec.n, i)
+            c = t.trace(1, w)
             for u in self.rep_set(i):
-                if engine.word_in_subgroup(t, u.inverse() * w):
+                if t.trace(1, u) == c:
                     factors.append(u)
                     w = u.inverse() * w
                     break

@@ -13,6 +13,7 @@ are atomic (temp file + rename) and all output is byte-deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -146,13 +147,12 @@ def _table_csv(t):
 def cmd_enumerate(args):
     p = _build_presentation(args)
     t = engine.enumerate(p, _subgroup_words(args, p), args.max_cosets)
-    reps = engine.schreier(t)
     if args.table:
         _atomic_write(args.table, _table_csv(t))
     if args.dot:
-        _atomic_write(args.dot, engine.to_dot(t, reps))
+        _atomic_write(args.dot, engine.to_dot(t))
     if args.reps:
-        _atomic_write(args.reps, "".join(render_word(w, p) + "\n" for w in reps[1:]))
+        _atomic_write(args.reps, "\n".join(engine.schreier_texts(t)[1:]) + "\n")
     _emit(f"index {t.index}\n", args.output)
     return EXIT_OK
 
@@ -331,10 +331,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    """Run one command and return its exit code.  The parser is built on
+    the first call, not at import, and reused for the life of the process."""
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

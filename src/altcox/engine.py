@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import InputError, Word, Presentation, render_word
+from .words import InputError, Word, Presentation
 from ._tc_py import CapExceeded, MAX_CAP
 
 try:
@@ -107,10 +107,28 @@ def schreier(t: CosetTable) -> tuple[Word, ...]:
     """Representative words along the arrival tree of the standardizing
     traversal: coset c's word is its arrival generator times its parent's
     word.  Index 0 is unused."""
-    reps = [Word(), Word()]
+    letters = [(), ()]
     for parent, g in t.arrival[2:]:
-        reps.append(Word.gen(g) * reps[parent])
-    return tuple(reps)
+        letters.append((g + 1,) + letters[parent])
+    # arrival letters are all positive, so no product cancels
+    return tuple(map(Word._reduced, letters))
+
+
+def schreier_texts(t: CosetTable) -> list[str]:
+    """render_word of each Schreier word, built along the arrival tree: c's
+    text is its generator's token, merged into the parent's leading run when
+    it repeats (r1 r1 r2 -> r1^2 r2), then the parent's text.  Index 0 unused."""
+    names = t.presentation.generators
+    texts = ["", ""]
+    runs = [None, (None, 0, "")]  # (leading generator, its run, text after it)
+    for parent, g in t.arrival[2:]:
+        lead, k, rest = runs[parent]
+        k, rest = (k + 1, rest) if lead == g else (1, texts[parent])
+        runs.append((g, k, rest))
+        token = names[g] if k == 1 else f"{names[g]}^{k}"
+        texts.append(f"{token} {rest}" if rest else token)
+    texts[1] = "1"  # render_word's identity
+    return texts
 
 
 def _involutions(p: Presentation):
@@ -121,16 +139,16 @@ def _involutions(p: Presentation):
             out.add(w.letters[0] - 1)
     return out
 
-def to_dot(t: CosetTable, reps) -> str:
-    """DOT export of the Schreier graph of t, each coset labelled by its
-    representative word reps[c]: self-loops omitted, involution generators
-    drawn as single undirected-styled edges."""
+def to_dot(t: CosetTable) -> str:
+    """DOT export of the Schreier graph of t, coset 1 labelled H and every
+    other coset by its representative's schreier_texts: self-loops
+    omitted, involution generators drawn as single undirected-styled
+    edges."""
     p = t.presentation
     invol = _involutions(p)
-    lines = ["digraph schreier {"]
-    for c in range(1, t.index + 1):
-        label = render_word(reps[c], p) if reps[c] else "H"
-        lines.append(f'  {c} [label="{label}"];')
+    texts = schreier_texts(t)
+    lines = ["digraph schreier {", '  1 [label="H"];']
+    lines += [f'  {c} [label="{texts[c]}"];' for c in range(2, t.index + 1)]
     for c in range(1, t.index + 1):
         for gen in range(p.rank):
             d = t.rows[c][2 * gen]

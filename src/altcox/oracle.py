@@ -178,18 +178,30 @@ def verify_hom(presentation, images) -> bool:
                for rel in presentation.relators)
 
 
+def _signed(e: WreathElement) -> tuple[int, ...]:
+    """(flags, pi) as signed images: i -> pi(i), negated if pi(i) is flagged."""
+    return tuple(-j if e.flags[j - 1] else j for j in e.perm.images)
+
+
+def _signed_mul(e, g):
+    """e*g of signed permutations, g acting first: x[i] = +-e[|g[i]|-1]."""
+    return tuple(e[j - 1] if j > 0 else -e[-j - 1] for j in g)
+
+
 def generated_order(generators, cap=10 ** 6) -> int:
-    """Order of the generated subgroup by breadth-first closure."""
+    """Order of the subgroup generated by WreathElements, by breadth-first
+    closure over their _signed encodings (which multiply as they do)."""
     if not generators:
         return 1
-    identity = generators[0] * generators[0].inverse()
+    gens = [_signed(g) for g in generators]
+    identity = tuple(range(1, len(gens[0]) + 1))
     seen = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for e in frontier:
-            for g in generators:
-                x = e * g
+            for g in gens:
+                x = _signed_mul(e, g)
                 if x not in seen:
                     seen.add(x)
                     new.append(x)

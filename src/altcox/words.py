@@ -24,8 +24,9 @@ class WordSyntaxError(InputError):
 # whitespace-separated text and names can be quoted in DOT labels
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# longest word parse_word builds; "g^k" text is short but expands to |k| letters
+# longest word parse_word or ** builds: a short exponent expands to |k| letters
 MAX_WORD_LENGTH = 1_000_000
+MAX_GENERATORS = 10_000  # for Presentation.from_json; A/B/D builders write <= 401
 
 
 def _reduce_letters(letters):
@@ -48,6 +49,13 @@ class Word:
         object.__setattr__(self, "letters", _reduce_letters(self.letters))
 
     @classmethod
+    def _reduced(cls, letters):
+        """Wrap letters known to be freely reduced, skipping __post_init__."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def gen(cls, index, power=1):
         """The word g^power for generator number ``index`` (0-based)."""
         letter = index + 1 if power >= 0 else -(index + 1)
@@ -59,6 +67,8 @@ class Word:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
+        if len(self.letters) * k > MAX_WORD_LENGTH:
+            raise InputError(f"word longer than {MAX_WORD_LENGTH} letters")
         return Word(self.letters * k)
 
     def inverse(self):
@@ -176,6 +186,8 @@ class Presentation:
                 and _strings(data.get("relators"))):
             raise InputError('presentation JSON needs "generators" and "relators" '
                              'lists of strings')
+        if len(data["generators"]) > MAX_GENERATORS:
+            raise InputError(f"more than {MAX_GENERATORS} generators")
         central = data.get("central", [])
         if not (isinstance(central, list) and all(
                 isinstance(c, dict) and isinstance(c.get("name"), str)

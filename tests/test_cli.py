@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -9,8 +10,8 @@ import pytest
 
 from altcox import cli, chains, engine, presentations
 from altcox.cli import main, EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VERIFY
-from altcox.coxeter import MAX_RANK, CoxeterMatrix
-from altcox.words import Word, parse_word, render_word
+from altcox.coxeter import MAX_RANK, CoxeterMatrix, standard_matrix
+from altcox.words import Word, parse_word, render_word, MAX_GENERATORS
 from altcox._tc_py import enumerate_core as py_core
 
 
@@ -134,6 +135,35 @@ def test_present_output_golden(capsys):
                 h.update(f"{v} {fam}{r} exit={code}\n".encode())
                 h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == PRESENT_DIGEST
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+HUGE = 10 ** 20
+
+
+@pytest.mark.parametrize("flag, data, err", [
+    ("--matrix", {"n": 2, "m": [[1, HUGE], [HUGE, 1]]},
+     "word longer than 1000000 letters"),
+    ("--matrix", {"n": 2, "m": [[1, 10 ** 9], [10 ** 9, 1]]},
+     "word longer than 1000000 letters"),
+    ("--presentation", {"generators": ["a", "z"], "relators": ["a^2"],
+                        "central": [{"name": "z", "order": HUGE}]},
+     "word longer than 1000000 letters"),
+    ("--presentation", {"generators": [f"g{i}" for i in range(MAX_GENERATORS + 1)],
+                        "relators": []}, f"more than {MAX_GENERATORS} generators"),
+], ids=["label-1e20", "label-1e9", "central-order-1e20", "generators"])
+def test_oversized_input_is_usage_error(tmp_path, flag, data, err):
+    # refused before the word or presentation is built: a fresh interpreter
+    # held to 2 GB of address space exits 2 well within the timeout
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    r = subprocess.run([sys.executable, "-m", "altcox.cli", "present", flag, str(path)],
+                       capture_output=True, text=True, timeout=60,
+                       preexec_fn=_limit_memory)
+    assert (r.returncode, r.stderr) == (EXIT_USAGE, f"error: {err}\n")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -293,6 +323,49 @@ def test_nf_output_golden(backend, request, monkeypatch, capsys):
     assert h.hexdigest() == NF_DIGEST
 
 
+def enumerate_golden_argvs():
+    """254 `enumerate` invocations: every prefix subgroup of A2-A6, B2-B5
+    and D3-D5 in the three chain variants, Coxeter and tilde-plus-edge."""
+    for fam, ranks in (("A", range(2, 7)), ("B", range(2, 6)), ("D", range(3, 6))):
+        for n in ranks:
+            for v in ("carmichael", "bourbaki", "edge", "coxeter", "tilde-plus-edge"):
+                base = ["enumerate", "--family", fam, "--rank", str(n), "--variant", v]
+                if v == "coxeter":
+                    rank = n
+                elif v == "tilde-plus-edge":
+                    rank = presentations.spinor_plus_presentation(
+                        standard_matrix(fam, n), "edge", "tilde").rank
+                else:
+                    rank = presentations.chain_presentation(fam, v, n).rank
+                for k in range(rank + 1):
+                    yield base + ["--subgroup-gens", str(k)]
+
+
+# SHA-256 over the exit code, stdout and the --table, --dot and --reps file
+# bytes of every enumerate_golden_argvs() invocation; taken before the
+# representatives were rendered along the arrival tree
+ENUMERATE_ARTIFACTS_DIGEST = "744c712c1b5ddc925f0a5fc528466b61095a21e2fb97d3095d680da8be015464"
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_enumerate_artifacts_golden(backend, request, monkeypatch, capsys, tmp_path):
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    monkeypatch.setattr(engine, "_core", core)
+    files = [tmp_path / name for name in ("t.csv", "g.dot", "r.txt")]
+    outputs = ["--table", str(files[0]), "--dot", str(files[1]), "--reps", str(files[2])]
+    h = hashlib.sha256()
+    n = 0
+    for argv in enumerate_golden_argvs():
+        code = main(argv + outputs)
+        h.update(f"{' '.join(argv)} exit={code}\n".encode())
+        h.update(capsys.readouterr().out.encode())
+        for f in files:
+            h.update(f.read_bytes())
+        n += 1
+    assert n == 254
+    assert h.hexdigest() == ENUMERATE_ARTIFACTS_DIGEST
+
+
 @pytest.mark.parametrize("family, builds, enumerations",
                          [("A", 2, 5), ("B", 4, 7), ("D", 3, 5)])
 def test_nf_builds_each_table_once(monkeypatch, capsys, family, builds, enumerations):
@@ -354,6 +427,35 @@ def test_verify_reports_failure(monkeypatch, capsys):
                         lambda name: presentations.chain_presentation("A", "edge", 3))
     assert main(["verify", "--only", "a5-cover"]) == EXIT_VERIFY
     assert "FAIL a5-cover-order" in capsys.readouterr().out
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    # importing the module builds no parser
+    r = subprocess.run([sys.executable, "-c", "import altcox.cli as c; "
+                        "print(c._parser.cache_info().currsize)"],
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "0\n")
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["order", "--family", "A", "--rank", "3"]) == EXIT_OK
+    finally:
+        cli._parser.cache_clear()
+    assert capsys.readouterr().out == "24\n" * 3
+    assert len(built) == 1
+
+
+def test_parser_reuse_carries_no_state(capsys):
+    assert main(["enumerate", "--family", "A", "--rank", "3",
+                 "--subgroup", "s0", "--subgroup", "s1"]) == EXIT_OK
+    assert main(["enumerate", "--family", "A", "--rank", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == "index 4\nindex 24\n"
+    assert main(["order", "--family", "A", "--rank", "three"]) == EXIT_USAGE
+    assert main(["order", "--family", "A", "--rank", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == "24\n"
 
 
 def test_console_script():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from altcox import engine
-from altcox.words import Word, Presentation
+from altcox.words import Word, Presentation, render_word
 from altcox.coxeter import CoxeterMatrix, standard_matrix
 from altcox.chains import chain_subgroup_words
 from altcox.presentations import (coxeter_presentation, chain_presentation,
@@ -118,19 +118,19 @@ def test_schreier_index_one():
     t = engine.enumerate(p, ())
     reps = engine.schreier(t)
     assert reps[1:] == (Word(),)
-    dot = engine.to_dot(t, reps)
+    dot = engine.to_dot(t)
     assert "->" not in dot
 
 
 def test_dot_output():
     p = coxeter_presentation(standard_matrix("A", 3))
     t = engine.enumerate(p, s(0, 1))
-    dot = engine.to_dot(t, engine.schreier(t))
+    dot = engine.to_dot(t)
     assert dot.count("dir=none") == 3     # path of 4 nodes, involution edges
     assert 'label="H"' in dot
     d = coxeter_presentation(standard_matrix("D", 4))
     td = engine.enumerate(d, s(0, 1, 2))
-    dotd = engine.to_dot(td, engine.schreier(td))
+    dotd = engine.to_dot(td)
     assert 'label="s0"' in dotd and 'label="s1"' in dotd
 
 
@@ -139,8 +139,7 @@ def test_determinism():
     t1 = engine.enumerate(p, s(0, 1))
     t2 = engine.enumerate(p, s(0, 1))
     assert t1.rows == t2.rows
-    assert (engine.to_dot(t1, engine.schreier(t1))
-            == engine.to_dot(t2, engine.schreier(t2)))
+    assert engine.to_dot(t1) == engine.to_dot(t2)
 
 
 def golden_cases():
@@ -184,6 +183,18 @@ def test_enumeration_golden(backend, request, monkeypatch):
         n += 1
     assert n == 296
     assert h.hexdigest() == ENUMERATION_DIGEST
+
+
+def test_schreier_words_reduced_and_texts_rendered():
+    """The arrival-tree shortcuts match the general path: every Schreier
+    word is freely reduced and schreier_texts is render_word of it."""
+    for p, sub in golden_cases():
+        t = engine.enumerate(p, sub, cap=500_000)
+        reps, texts = engine.schreier(t), engine.schreier_texts(t)
+        assert len(reps) == len(texts) == t.index + 1
+        for c in range(1, t.index + 1):
+            assert reps[c] == Word(reps[c].letters)
+            assert texts[c] == render_word(reps[c], p)
 
 
 def test_backend_equivalence(c_core):
@@ -291,4 +302,4 @@ def test_bench_enumerate_script_runs():
                        timeout=120)
     assert r.returncode == 0, r.stderr
     header, *cases = r.stdout.splitlines()
-    assert header.startswith("case") and len(cases) == 6
+    assert header.startswith("case") and len(cases) == 7

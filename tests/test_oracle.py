@@ -103,6 +103,40 @@ def test_generated_order():
         oracle.generated_order(b3, cap=10)
 
 
+def reference_order(generators):
+    """generated_order's BFS over the WreathElement products themselves."""
+    identity = generators[0] * generators[0].inverse()
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in generators:
+                x = e * g
+                if x not in seen:
+                    seen.add(x)
+                    new.append(x)
+        frontier = new
+    return len(seen)
+
+
+def test_generated_order_matches_wreath_bfs():
+    for family, ranks in (("A", range(2, 6)), ("B", range(2, 5)), ("D", range(3, 6))):
+        for n in ranks:
+            for variant in ("coxeter", "carmichael", "bourbaki", "edge"):
+                images = oracle.standard_images(family, variant, n)
+                for k in range(1, len(images) + 1):
+                    assert (oracle.generated_order(images[:k])
+                            == reference_order(images[:k])), (family, n, variant, k)
+
+
+@given(wreaths, wreaths)
+def test_signed_encoding_is_faithful_homomorphism(a, b):
+    sa, sb = oracle._signed(a), oracle._signed(b)
+    assert oracle._signed(a * b) == oracle._signed_mul(sa, sb)
+    assert (sa == sb) == (a == b)
+
+
 def test_images_land_in_character_subgroups():
     for fam, cond in (("B", "B+"), ("D", "D+")):
         for variant in ("carmichael", "bourbaki", "edge"):
