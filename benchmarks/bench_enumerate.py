@@ -1,7 +1,7 @@
 """Compare engine.enumerate on the compiled and pure-Python cores.
 
 Run as: python3 benchmarks/bench_enumerate.py [--repeat N]
-Each time covers the whole engine.enumerate call: encoding the words, the
+Times are in milliseconds, the minimum over N runs.  Each time covers the whole engine.enumerate call: encoding the words, the
 core's enumeration and its standardization of the table.  The compiled
 column needs the extension built first, for a source checkout with
 ``python setup.py build_ext --inplace``.  The last row times the Word
@@ -61,17 +61,17 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
-    print(f"{'case':45s} {'python':>9s} {'compiled':>9s} {'speedup':>8s}")
+    print(f"{'case':45s} {'python':>11s} {'compiled':>11s} {'speedup':>8s}")
     for name, p, sub in CASES:
         t_py = min(run(py_core, p, sub) for _ in range(args.repeat))
         if c_core is None:
-            print(f"{name:45s} {t_py:8.4f}s {'n/a':>9s} {'n/a':>8s}")
+            print(f"{name:45s} {t_py * 1e3:9.3f}ms {'n/a':>11s} {'n/a':>8s}")
             continue
         t_c = min(run(c_core, p, sub) for _ in range(args.repeat))
-        print(f"{name:45s} {t_py:8.4f}s {t_c:8.4f}s {t_py / t_c:7.1f}x")
+        print(f"{name:45s} {t_py * 1e3:9.3f}ms {t_c * 1e3:9.3f}ms {t_py / t_c:7.1f}x")
     t = engine.enumerate(chain_presentation("B", "edge", 5), ())
     t_w = min(run_schreier(t) for _ in range(args.repeat))
-    print(f"{'B5 edge regular (1920): schreier + texts':45s} {t_w:8.4f}s")
+    print(f"{'B5 edge regular (1920): schreier + texts':45s} {t_w * 1e3:9.3f}ms")
 
 
 if __name__ == "__main__":

@@ -3,11 +3,13 @@
 Same HLT strategy, same definition order, same coincidence handling, and
 the same standardizing traversal, which _tc_py.enumerate_core's docstring
 specifies; the test suite asserts that both cores return identical
-(rows, ndef, parent, arrival).  Coset ids are C ints, so the wrapper
-accepts caps up to INT_MAX - 2; table indices are computed in size_t.  As
-in the pure core, the table starts with rows 0 and 1 and doubles on demand
-up to the cap, so memory follows the cosets defined, not the cap.  The
-loop holds the GIL and checks for signals every SIGNAL_EVERY rows, so
+(rows, ndef, parent, arrival).  rows, parent and arrival are flat
+array('i') buffers written as C ints, with no Python object per cell,
+row, coset or arrival edge.  Coset ids are C ints, so the wrapper accepts
+caps up to INT_MAX - 2; table indices are computed in size_t.  As in the
+pure core, the table starts with rows 0 and 1 and doubles on demand up to
+the cap, so memory follows the cosets defined, not the cap.  The loop
+holds the GIL and checks for signals every SIGNAL_EVERY rows, so
 Ctrl-C stops it.
 */
 
@@ -25,6 +27,7 @@ Ctrl-C stops it.
 enum { DONE = 0, CAP = -1, SIGNALLED = -2, NOMEM = -3 };
 
 static PyObject *CapExceeded;
+static PyObject *zero;  /* array('i', [0]), repeated into each result buffer */
 
 typedef struct {
     int *table;   /* nrows rows of ncols; 0 is an undefined entry */
@@ -220,41 +223,51 @@ static int pack(PyObject *seq, int ncols, int **words, Py_ssize_t *size,
     return 0;
 }
 
-static PyObject *int_list(const int *a, Py_ssize_t n)
+/* A new zeroed array('i') of n C ints, its buffer exported to *view for
+   writing (the caller releases it), or NULL with an exception set. */
+static PyObject *int_array(Py_ssize_t n, Py_buffer *view)
 {
-    PyObject *list = PyList_New(n);
-    for (Py_ssize_t i = 0; list && i < n; i++) {
-        PyObject *v = PyLong_FromLong(a[i]);
-        if (!v) {
-            Py_CLEAR(list);
-            break;
-        }
-        PyList_SET_ITEM(list, i, v);
-    }
-    return list;
+    PyObject *a = PySequence_Repeat(zero, n);
+    if (a && PyObject_GetBuffer(a, view, PyBUF_WRITABLE) < 0)
+        Py_CLEAR(a);
+    return a;
 }
 
 /* The standardization of _tc_py.enumerate_core on a completed table:
-   number[c] is the new number of live coset c, order[k] the old id of new
-   coset k, and new coset k arrived from coset from[k] by generator via[k].
-   Sets *rows and *arrival to new references and returns 0, or returns -1
-   with an exception set. */
-static int standardize(TC *tc, PyObject **rows, PyObject **arrival)
+   number[c] is the new number of live coset c and order[k] the old id of
+   new coset k, which arrived from coset arrival[2k] by generator
+   arrival[2k+1].  Returns the core's (rows, ndef, parent, arrival), or
+   NULL with an exception set. */
+static PyObject *standardize(TC *tc)
 {
-    int ngens = tc->ncols / 2, n = 1, live = 0, status = -1;
+    int ngens = tc->ncols / 2, n = 1, live = 0;
+    for (int c = 1; c <= tc->ndef; c++)
+        live += tc->parent[c] == c;
     size_t size = (size_t)tc->ndef + 1;
-    int *number = calloc(4 * size, sizeof(int));  /* zeroed: no coset numbered */
-    int *order = number + size, *from = order + size, *via = from + size;
-    PyObject **ids = NULL;
-    *rows = *arrival = NULL;
+    int *number = calloc(2 * size, sizeof(int));  /* zeroed: no coset numbered */
+    int *order = number + size;
+    int *out, *via;  /* the rows buffer; via[2k], via[2k+1] is k's arrival */
+    Py_buffer rv, pv, av;
+    PyObject *rows = NULL, *parent = NULL, *arrival = NULL, *result = NULL;
     if (!number) {
         PyErr_NoMemory();
-        goto done;
+        return NULL;
     }
+    if (!(rows = int_array(((Py_ssize_t)live + 1) * tc->ncols, &rv)))
+        goto done;
+    if (!(parent = int_array((Py_ssize_t)size, &pv)))
+        goto release_rows;
+    if (!(arrival = int_array(2 * ((Py_ssize_t)live + 1), &av)))
+        goto release_parent;
+    out = rv.buf;
+    via = av.buf;
+    memcpy(pv.buf, tc->parent, size * sizeof(int));
+
     number[1] = 1;
     order[1] = 1;
+    /* every numbered coset is a distinct live root, so n stays <= live */
     for (int k = 1; k <= n; k++) {
-        int c = order[k], first = k > 1 ? via[k] : ngens - 1;
+        int c = order[k], first = k > 1 ? via[2 * k + 1] : ngens - 1;
         /* first is tried again in the descending sweep, where its target is
            already numbered */
         for (int i = ngens; i >= 0; i--) {
@@ -264,65 +277,34 @@ static int standardize(TC *tc, PyObject **rows, PyObject **arrival)
                 if (!number[d]) {
                     number[d] = ++n;
                     order[n] = d;
-                    from[n] = k;
-                    via[n] = g;
+                    via[2 * n] = k;
+                    via[2 * n + 1] = g;
                 }
             }
         }
     }
-    for (int c = 1; c <= tc->ndef; c++)
-        live += tc->parent[c] == c;
-    if (n != live) {
+    if (n != live)
         PyErr_SetString(PyExc_AssertionError, "positive-letter traversal missed cosets");
-        goto done;
+    else {
+        for (int k = 1; k <= n; k++)
+            for (int x = 0; x < tc->ncols; x++) {
+                int d = CELL(tc, order[k], x);
+                out[(size_t)k * tc->ncols + x] = d ? number[find(tc, d)] : 0;
+            }
+        result = Py_BuildValue("OiOO", rows, tc->ndef, parent, arrival);
     }
 
-    /* ids[k] is the int k, shared by every cell and arrival that holds it */
-    ids = calloc((size_t)n + 1, sizeof(PyObject *));
-    *rows = PyTuple_New((Py_ssize_t)n + 1);
-    *arrival = PyTuple_New((Py_ssize_t)n + 1);
-    if (!ids || !*rows || !*arrival) {
-        if (!ids)
-            PyErr_NoMemory();
-        goto done;
-    }
-    for (int k = 0; k <= n; k++)
-        if (!(ids[k] = PyLong_FromLong(k)))
-            goto done;
-    for (int k = 0; k <= n; k++) {
-        int c = order[k];
-        PyObject *row = PyTuple_New(tc->ncols);
-        if (!row)
-            goto done;
-        PyTuple_SET_ITEM(*rows, k, row);
-        for (int x = 0; x < tc->ncols; x++) {
-            int d = k ? CELL(tc, c, x) : 0;
-            PyObject *v = ids[d ? number[find(tc, d)] : 0];
-            Py_INCREF(v);
-            PyTuple_SET_ITEM(row, x, v);
-        }
-        PyObject *edge = Py_None;
-        if (k > 1)
-            edge = Py_BuildValue("(Oi)", ids[from[k]], via[k]);
-        else
-            Py_INCREF(edge);
-        if (!edge)
-            goto done;
-        PyTuple_SET_ITEM(*arrival, k, edge);
-    }
-    status = 0;
-
+    PyBuffer_Release(&av);
+release_parent:
+    PyBuffer_Release(&pv);
+release_rows:
+    PyBuffer_Release(&rv);
 done:
-    if (ids)
-        for (int k = 0; k <= n; k++)
-            Py_XDECREF(ids[k]);
-    free(ids);
+    Py_XDECREF(rows);
+    Py_XDECREF(parent);
+    Py_XDECREF(arrival);
     free(number);
-    if (status < 0) {
-        Py_CLEAR(*rows);
-        Py_CLEAR(*arrival);
-    }
-    return status;
+    return result;
 }
 
 static PyObject *enumerate_core(PyObject *self, PyObject *args)
@@ -374,19 +356,9 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args)
     case CAP:
         PyErr_SetNone(CapExceeded);
         break;
-    case DONE: {
-        PyObject *rows, *arrival, *parent;
-        if (standardize(&tc, &rows, &arrival) < 0)
-            break;
-        parent = int_list(tc.parent, tc.ndef + 1);
-        if (parent)
-            result = Py_BuildValue("NiNN", rows, tc.ndef, parent, arrival);
-        else {
-            Py_DECREF(rows);
-            Py_DECREF(arrival);
-        }
+    case DONE:
+        result = standardize(&tc);
         break;
-    }
     }  /* SIGNALLED, NOMEM: the exception is already set */
 
 done:
@@ -420,6 +392,13 @@ PyMODINIT_FUNC PyInit__tc_core(void)
     Py_XSETREF(CapExceeded, PyObject_GetAttrString(py, "CapExceeded"));
     Py_DECREF(py);
     if (!CapExceeded)
+        return NULL;
+    PyObject *array = PyImport_ImportModule("array");
+    if (!array)
+        return NULL;
+    Py_XSETREF(zero, PyObject_CallMethod(array, "array", "s(i)", "i", 0));
+    Py_DECREF(array);
+    if (!zero)
         return NULL;
     return PyModule_Create(&module);
 }

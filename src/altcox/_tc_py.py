@@ -12,6 +12,8 @@ line-for-line port; the test suite asserts that both return identical
 
 from __future__ import annotations
 
+from array import array
+
 MAX_CAP = 2**31 - 3  # coset ids must fit the compiled core's C int
 
 
@@ -28,16 +30,19 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
     dead) are defined, 1 <= cap <= MAX_CAP; more raises CapExceeded.
     Malformed input raises ValueError.
 
-    Returns (rows, ndef, parent, arrival).  The live cosets are renumbered
-    1..index in the order a traversal from coset 1 first reaches them: each
-    coset, in its new order, tries its arrival generator first, then the
-    other generators in decreasing index, positive letters only (coset 1
-    has no arrival generator).  rows[k] is the tuple of coset k's ncols
-    entries in that numbering; rows[0] is all zeros.  arrival[k] is
-    (parent coset, generator g) with rows[parent][2*g] == k and parent < k,
-    for k >= 2; arrival[0] and arrival[1] are None.  ndef is the number of
-    cosets defined and parent the union-find forest over the old ids
-    0..ndef, with parent[c] == c exactly for the live cosets.
+    Returns (rows, ndef, parent, arrival), rows, parent and arrival each
+    a flat array('i').  The live cosets are renumbered 1..index in the
+    order a traversal from coset 1 first reaches them: each coset, in its
+    new order, tries its arrival generator first, then the other generators
+    in decreasing index, positive letters only (coset 1 has no arrival
+    generator).  rows is row-major with (index+1)*ncols entries:
+    rows[k*ncols + x] is coset k's entry in column x in that numbering, and
+    row 0 is all zeros.  arrival has 2*(index+1) entries: arrival[2k] and
+    arrival[2k+1] are k's parent coset p and generator g, with
+    rows[p*ncols + 2*g] == k and p < k, for k >= 2; cosets 0 and 1 have
+    zeros.  ndef is the number of cosets defined and parent, with ndef+1
+    entries, the union-find forest over the old ids 0..ndef, with
+    parent[c] == c exactly for the live cosets.
     """
     if not 1 <= cap <= MAX_CAP:
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
@@ -156,11 +161,11 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
     number = [0] * (ndef + 1)
     number[1] = 1
     order = [0, 1]
-    arrival = [None, None]
+    arrival = [0, 0, 0, 0]
     k = 1
     while k < len(order):
         c = order[k]
-        first = arrival[k][1] if k > 1 else ngens - 1
+        first = arrival[2 * k + 1] if k > 1 else ngens - 1
         # first is tried again in the descending sweep, where its target is
         # already numbered
         for g in (first, *range(ngens - 1, -1, -1)):
@@ -170,14 +175,13 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
                 if not number[d]:
                     number[d] = len(order)
                     order.append(d)
-                    arrival.append((k, g))
+                    arrival += (k, g)
         k += 1
     live = sum(parent[c] == c for c in range(1, ndef + 1))
     if len(order) - 1 != live:  # pragma: no cover - the positive orbit covers all
         raise AssertionError("positive-letter traversal missed cosets")
 
-    rows = [(0,) * ncols]
+    rows = [0] * ncols
     for c in order[1:]:
-        row = table[c * ncols:(c + 1) * ncols]
-        rows.append(tuple(number[find(d)] if d else 0 for d in row))
-    return tuple(rows), ndef, parent, tuple(arrival)
+        rows += [number[find(d)] if d else 0 for d in table[c * ncols:(c + 1) * ncols]]
+    return array("i", rows), ndef, array("i", parent), array("i", arrival)

@@ -34,16 +34,22 @@ class UsageError(InputError):
 
 
 def _atomic_write(path, text):
+    """Write text to path through a temp file and a rename.  An OSError
+    names path alone: the temp file's random name would make the message
+    differ from run to run."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-altcox-")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-altcox-")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
 
 
 def _emit(text, path=None):
@@ -138,8 +144,10 @@ def _table_csv(t):
     p = t.presentation
     header = "coset," + ",".join(p.generators)
     lines = [header]
+    rank = p.rank
+    targets = t.rows[::2].tolist()  # the positive columns, rank per row
     for c in range(1, t.index + 1):
-        row = [str(c)] + [str(t.rows[c][2 * g]) for g in range(p.rank)]
+        row = [str(c)] + [str(d) for d in targets[c * rank:(c + 1) * rank]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -173,7 +181,7 @@ def cmd_nf(args):
             lines.append(" | ".join(render_word(f, p) for f in d))
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
-    if not args.word:
+    if args.word is None:  # "" is the identity, like "1"
         raise UsageError("nf needs --word or --enumerate")
     w = parse_word(args.word, p)
     d = chain.decompose(w)

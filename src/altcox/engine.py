@@ -4,11 +4,11 @@ The enumeration and the standardization of its table run in a core: a C
 extension (``altcox._tc_core``, built from ``_tc_core.c`` whenever a C
 compiler is present) with the pure-Python reference core
 (``altcox._tc_py``) as the fallback; BACKEND names the one in use.  Both
-return identical ``(rows, ndef, parent, arrival)``; this module encodes
-the words, calls the core and wraps its rows and arrival tree in a
-CosetTable.  A run that would define more cosets than its cap raises the
-core's CapExceeded, which ``enumerate`` lets through to its caller; only
-``order`` turns it into None.
+return identical ``(rows, ndef, parent, arrival)``, each sequence a flat
+``array('i')``; this module encodes the words, calls the core and wraps
+its rows and arrival tree in a CosetTable.  A run that would define more
+cosets than its cap raises the core's CapExceeded, which ``enumerate``
+lets through to its caller; only ``order`` turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -16,6 +16,7 @@ matching the composition convention of the oracle module.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .words import InputError, Word, Presentation
@@ -39,29 +40,31 @@ def _columns(w: Word):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Completed, standardized table: rows[c][col] for live cosets 1..index.
+    """Completed, standardized table over live cosets 1..index.
 
-    rows and arrival are the core's, as specified in
-    ``_tc_py.enumerate_core``.  The numbering is the order in which a
-    traversal from coset 1 first reaches each coset, trying the arrival
-    generator first, then the other generators in decreasing index,
-    positive letters only.  arrival[c] is (parent coset, generator g) for
-    c >= 2, meaning rows[parent][2g] == c and parent < c; arrival[0] and
-    arrival[1] are None.
+    rows and arrival are the core's flat arrays, as specified in
+    ``_tc_py.enumerate_core``: with ncols = 2 * rank, rows[c*ncols + col]
+    is coset c's entry in column col (row 0 is unused), and arrival[2c],
+    arrival[2c+1] are c's parent coset and generator g for c >= 2, meaning
+    rows[parent*ncols + 2g] == c and parent < c; cosets 0 and 1 hold
+    zeros.  The numbering is the order in which a traversal from coset 1
+    first reaches each coset, trying the arrival generator first, then the
+    other generators in decreasing index, positive letters only.
     """
 
     presentation: Presentation
-    rows: tuple[tuple[int, ...], ...]  # rows[0] unused; 1-based coset ids
-    arrival: tuple[tuple[int, int] | None, ...]
+    rows: array  # 1-based coset ids, row-major
+    arrival: array
 
     @property
     def index(self):
-        return len(self.rows) - 1
+        return len(self.arrival) // 2 - 1
 
     def trace(self, coset, w: Word):
         """Apply word w to a coset (rightmost letter acts first)."""
+        rows, ncols = self.rows, 2 * self.presentation.rank
         for col in _columns(w):
-            coset = self.rows[coset][col]
+            coset = rows[coset * ncols + col]
         return coset
 
 
@@ -75,7 +78,7 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> CosetTable:
     if not 1 <= cap <= MAX_CAP:  # any int; the compiled core parses a C int
         raise InputError(f"cap must be between 1 and {MAX_CAP}")
     if not p.rank:  # the cores reject a table without columns
-        return CosetTable(p, ((), ()), (None, None))
+        return CosetTable(p, array("i"), array("i", (0,) * 4))
     relators = [_columns(w) for w in p.relators]
     subwords = [_columns(w) for w in subgroup]
     rows, _, _, arrival = _core(2 * p.rank, relators, subwords, cap)
@@ -108,7 +111,7 @@ def schreier(t: CosetTable) -> tuple[Word, ...]:
     traversal: coset c's word is its arrival generator times its parent's
     word.  Index 0 is unused."""
     letters = [(), ()]
-    for parent, g in t.arrival[2:]:
+    for parent, g in zip(t.arrival[4::2], t.arrival[5::2]):
         letters.append((g + 1,) + letters[parent])
     # arrival letters are all positive, so no product cancels
     return tuple(map(Word._reduced, letters))
@@ -121,7 +124,7 @@ def schreier_texts(t: CosetTable) -> list[str]:
     names = t.presentation.generators
     texts = ["", ""]
     runs = [None, (None, 0, "")]  # (leading generator, its run, text after it)
-    for parent, g in t.arrival[2:]:
+    for parent, g in zip(t.arrival[4::2], t.arrival[5::2]):
         lead, k, rest = runs[parent]
         k, rest = (k + 1, rest) if lead == g else (1, texts[parent])
         runs.append((g, k, rest))
@@ -147,11 +150,14 @@ def to_dot(t: CosetTable) -> str:
     p = t.presentation
     invol = _involutions(p)
     texts = schreier_texts(t)
+    rank = p.rank
+    targets = t.rows[::2].tolist()  # the positive columns, rank per row
     lines = ["digraph schreier {", '  1 [label="H"];']
     lines += [f'  {c} [label="{texts[c]}"];' for c in range(2, t.index + 1)]
     for c in range(1, t.index + 1):
-        for gen in range(p.rank):
-            d = t.rows[c][2 * gen]
+        row = targets[c * rank:(c + 1) * rank]
+        for gen in range(rank):
+            d = row[gen]
             if d == c:
                 continue
             name = p.generators[gen]

@@ -219,6 +219,19 @@ def test_enumerate_byte_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("flag", ["--output", "--table"])
+def test_write_error_names_requested_path(tmp_path, capsys, flag):
+    """A failed write reports the path asked for, not the temp file beside
+    it, so the message is the same on every run."""
+    path = str(tmp_path / "missing" / "x")
+    errs = []
+    for _ in range(2):
+        assert main(["enumerate", "--family", "A", "--rank", "3",
+                     flag, path]) == EXIT_USAGE
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
 def test_order(capsys):
     assert main(["order", "--family", "A", "--rank", "4",
                  "--variant", "edge"]) == EXIT_OK
@@ -404,9 +417,14 @@ def test_nf_enumerate_lists_all_normal_forms(capsys):
 
 
 def test_nf_needs_word_or_enumerate(capsys):
-    assert main(["nf", "--family", "A", "--variant", "edge",
-                 "--rank", "3"]) == EXIT_USAGE
+    base = ["nf", "--family", "A", "--variant", "edge", "--rank", "3"]
+    assert main(base) == EXIT_USAGE
     capsys.readouterr()
+    # the empty word is the identity, as "1" is
+    assert main(base + ["--word", ""]) == EXIT_OK
+    assert main(base + ["--word", "1"]) == EXIT_OK
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second == "1 | 1"
 
 
 def test_verify_only_filter(capsys):

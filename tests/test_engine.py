@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,17 @@ def columns(p, sub=()):
 
 def s(*ks):
     return tuple(Word.gen(k) for k in ks)
+
+
+def nested(t):
+    """t's (rows, arrival) in the nested form the cores returned before
+    they returned flat arrays: one tuple per row, one (parent, generator)
+    pair per arrival edge, None for cosets 0 and 1."""
+    n = 2 * t.presentation.rank
+    rows = tuple(tuple(t.rows[c * n:(c + 1) * n]) for c in range(t.index + 1))
+    arrival = (None, None) + tuple(
+        (t.arrival[2 * c], t.arrival[2 * c + 1]) for c in range(2, t.index + 1))
+    return rows, arrival
 
 
 def test_index_a3_parabolic():
@@ -64,10 +76,11 @@ def test_table_consistency_invariant():
     p = chain_presentation("D", "edge", 4)
     t = engine.enumerate(p, s(0, 1))
     ncols = 2 * p.rank
+    assert len(t.rows) == (t.index + 1) * ncols
     for c in range(1, t.index + 1):
         for col in range(ncols):
-            d = t.rows[c][col]
-            assert d and t.rows[d][col ^ 1] == c
+            d = t.rows[c * ncols + col]
+            assert d and t.rows[d * ncols + (col ^ 1)] == c
 
 
 def test_relators_close_everywhere():
@@ -96,11 +109,11 @@ def test_schreier_representatives_a():
     for c, w in enumerate(reps[1:], start=1):
         assert t.trace(1, w) == c
     # the arrival tree the representatives are read from
-    arrival = t.arrival
-    assert arrival[:2] == (None, None) and len(arrival) == t.index + 1
+    arrival, ncols = t.arrival, 2 * p.rank
+    assert arrival[:4].tolist() == [0] * 4 and len(arrival) == 2 * (t.index + 1)
     for c in range(2, t.index + 1):
-        parent, gen = arrival[c]
-        assert parent < c and t.rows[parent][2 * gen] == c
+        parent, gen = arrival[2 * c], arrival[2 * c + 1]
+        assert parent < c and t.rows[parent * ncols + 2 * gen] == c
 
 
 def test_schreier_representatives_b():
@@ -179,10 +192,33 @@ def test_enumeration_golden(backend, request, monkeypatch):
     n = 0
     for p, sub in golden_cases():
         t = engine.enumerate(p, sub, cap=500_000)
-        h.update(repr((t.rows, t.arrival)).encode())
+        h.update(repr(nested(t)).encode())
         n += 1
     assert n == 296
     assert h.hexdigest() == ENUMERATION_DIGEST
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_core_returns_flat_arrays(backend, request):
+    """Each core returns rows, parent and arrival as flat array('i') with
+    (index+1)*ncols, ndef+1 and 2*(index+1) entries; row 0 and the
+    arrivals of cosets 0 and 1 are zeros, and parent has one root per
+    live coset (and the root 0)."""
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    for p, sub in ((chain_presentation("A", "edge", 5), s(0, 1)),
+                   (chain_presentation("B", "carmichael", 4), ()),
+                   (universal_extension("A5"), ())):
+        ncols, relators, subwords = columns(p, sub)
+        rows, ndef, parent, arrival = core(ncols, relators, subwords, 50_000)
+        index = engine.enumerate(p, sub).index
+        for seq in (rows, parent, arrival):
+            assert type(seq) is array and seq.typecode == "i"
+        assert len(rows) == (index + 1) * ncols
+        assert len(parent) == ndef + 1
+        assert len(arrival) == 2 * (index + 1)
+        assert rows[:ncols].tolist() == [0] * ncols
+        assert arrival[:4].tolist() == [0] * 4
+        assert sum(parent[c] == c for c in range(1, ndef + 1)) == index
 
 
 def test_schreier_words_reduced_and_texts_rendered():
