@@ -1,9 +1,10 @@
 """Compare engine.enumerate on the compiled and pure-Python cores.
 
 Run as: python3 benchmarks/bench_enumerate.py [--repeat N]
-Times are in milliseconds, the minimum over N runs.  Each time covers the whole engine.enumerate call: encoding the words, the
-core's enumeration and its standardization of the table.  The compiled
-column needs the extension built first, for a source checkout with
+Times are in milliseconds, the minimum over N >= 1 runs.  Each time
+covers the whole engine.enumerate call: encoding the words, the core's
+enumeration and its standardization of the table.  The compiled column
+needs the extension built first, for a source checkout with
 ``python setup.py build_ext --inplace``.  The last row times the Word
 layer instead, which no core runs: engine.schreier plus
 engine.schreier_texts on one finished table.
@@ -28,6 +29,7 @@ except ImportError:
 CASES = [
     ("A5 symmetric, regular", coxeter_presentation(standard_matrix("A", 5)), ()),
     ("A6 alternating edge, regular", chain_presentation("A", "edge", 6), ()),
+    ("A7 alternating edge, regular", chain_presentation("A", "edge", 7), ()),
     ("B4 alternating bourbaki, regular", chain_presentation("B", "bourbaki", 4), ()),
     ("D5 alternating carmichael, regular",
      chain_presentation("D", "carmichael", 5), ()),
@@ -57,9 +59,16 @@ def run_schreier(t):
     return time.perf_counter() - t0
 
 
+def at_least_one(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--repeat", type=at_least_one, default=3)
     args = ap.parse_args()
     print(f"{'case':45s} {'python':>11s} {'compiled':>11s} {'speedup':>8s}")
     for name, p, sub in CASES:

@@ -1,8 +1,9 @@
 /* Compiled Todd-Coxeter core: a line-for-line port of _tc_py.enumerate_core.
 
-Same HLT strategy, same definition order, same coincidence handling, and
-the same standardizing traversal, which _tc_py.enumerate_core's docstring
-specifies; the test suite asserts that both cores return identical
+Same HLT strategy with the same read-only closure pass before the scans at
+each coset, same definition order, same coincidence handling, and the same
+standardizing traversal, which _tc_py.enumerate_core's docstring specifies;
+the test suite asserts that both cores return identical
 (rows, ndef, parent, arrival).  rows, parent and arrival are flat
 array('i') buffers written as C ints, with no Python object per cell,
 row, coset or arrival edge.  Coset ids are C ints, so the wrapper accepts
@@ -156,9 +157,9 @@ static int scan_and_fill(TC *tc, int alpha, const int *word, Py_ssize_t len)
 }
 
 /* Word k is words[off[k]:off[k + 1]]; the first nsub are subgroup words,
-   the rest relators. */
+   the rest relators.  closed has one byte per word. */
 static int hlt(TC *tc, const int *words, const Py_ssize_t *off,
-               Py_ssize_t nsub, Py_ssize_t nwords)
+               Py_ssize_t nsub, Py_ssize_t nwords, char *closed)
 {
     int status;
     for (Py_ssize_t k = 0; k < nsub; k++)
@@ -170,7 +171,17 @@ static int hlt(TC *tc, const int *words, const Py_ssize_t *off,
             return SIGNALLED;
         if (find(tc, alpha) != alpha)
             continue;
+        /* closure pass: an undefined entry sends the walk to row 0, which
+           is all zeros, so the walk needs no branch */
         for (Py_ssize_t k = nsub; k < nwords; k++) {
+            int f = alpha;
+            for (Py_ssize_t i = off[k]; i < off[k + 1]; i++)
+                f = CELL(tc, f, words[i]);
+            closed[k] = f == alpha;
+        }
+        for (Py_ssize_t k = nsub; k < nwords; k++) {
+            if (closed[k])
+                continue;
             if ((status = scan_and_fill(tc, alpha, words + off[k], off[k + 1] - off[k])) < 0)
                 return status;
             if (find(tc, alpha) != alpha)
@@ -236,8 +247,9 @@ static PyObject *int_array(Py_ssize_t n, Py_buffer *view)
 /* The standardization of _tc_py.enumerate_core on a completed table:
    number[c] is the new number of live coset c and order[k] the old id of
    new coset k, which arrived from coset arrival[2k] by generator
-   arrival[2k+1].  Returns the core's (rows, ndef, parent, arrival), or
-   NULL with an exception set. */
+   arrival[2k+1].  Every live row is full and names live cosets only, so
+   neither the traversal nor the rows need find.  Returns the core's
+   (rows, ndef, parent, arrival), or NULL with an exception set. */
 static PyObject *standardize(TC *tc)
 {
     int ngens = tc->ncols / 2, n = 1, live = 0;
@@ -272,24 +284,23 @@ static PyObject *standardize(TC *tc)
            already numbered */
         for (int i = ngens; i >= 0; i--) {
             int g = i == ngens ? first : i, d = CELL(tc, c, 2 * g);
-            if (d) {
-                d = find(tc, d);
-                if (!number[d]) {
-                    number[d] = ++n;
-                    order[n] = d;
-                    via[2 * n] = k;
-                    via[2 * n + 1] = g;
-                }
+            if (d && !number[d]) {
+                number[d] = ++n;
+                order[n] = d;
+                via[2 * n] = k;
+                via[2 * n + 1] = g;
             }
         }
     }
     if (n != live)
         PyErr_SetString(PyExc_AssertionError, "positive-letter traversal missed cosets");
     else {
-        for (int k = 1; k <= n; k++)
-            for (int x = 0; x < tc->ncols; x++) {
-                int d = CELL(tc, order[k], x);
-                out[(size_t)k * tc->ncols + x] = d ? number[find(tc, d)] : 0;
+        /* in ascending old id, so the table is read front to back */
+        for (int c = 1; c <= tc->ndef; c++)
+            if (tc->parent[c] == c) {
+                int *row = out + (size_t)number[c] * tc->ncols;
+                for (int x = 0; x < tc->ncols; x++)
+                    row[x] = number[CELL(tc, c, x)];
             }
         result = Py_BuildValue("OiOO", rows, tc->ndef, parent, arrival);
     }
@@ -326,12 +337,14 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args)
     PyObject *result = NULL;
     TC tc = {NULL, NULL, NULL, ncols, cap, 1, 0, 2};
     int *words = NULL;
+    char *closed = NULL;  /* hlt's closure flags, one per word */
     Py_ssize_t size = 64, nwords = 0, nsub = 0, *off = NULL;
     if (!rels)
         goto done;
     words = malloc(size * sizeof(int));
     off = malloc((PyTuple_GET_SIZE(subs) + PyTuple_GET_SIZE(rels) + 1) * sizeof(Py_ssize_t));
-    if (!words || !off) {
+    closed = malloc(PyTuple_GET_SIZE(subs) + PyTuple_GET_SIZE(rels) + 1);
+    if (!words || !off || !closed) {
         PyErr_NoMemory();
         goto done;
     }
@@ -352,7 +365,7 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args)
     tc.parent[0] = 0;
     tc.parent[1] = 1;
 
-    switch (hlt(&tc, words, off, nsub, nwords)) {
+    switch (hlt(&tc, words, off, nsub, nwords, closed)) {
     case CAP:
         PyErr_SetNone(CapExceeded);
         break;
@@ -367,6 +380,7 @@ done:
     free(tc.dead);
     free(words);
     free(off);
+    free(closed);
     Py_XDECREF(subs);
     Py_XDECREF(rels);
     return result;

@@ -24,6 +24,12 @@ class CapExceeded(Exception):
 def enumerate_core(ncols, relators, subgroup_words, cap):
     """Run HLT coset enumeration and standardize the completed table.
 
+    HLT visits the live cosets in order.  At each one a read-only closure
+    pass first walks every relator from it; only the relators that do not
+    return to it are then scanned and filled, in their given order, before
+    its row's empty entries are defined.  A scan of a closed relator would
+    change nothing, so the definitions and merges are those of plain HLT.
+
     ncols: 2 * generator count, positive and even.  relators /
     subgroup_words: sequences of column-index tuples (reversed words), each
     letter an int in [0, ncols).  cap: at most this many cosets (live +
@@ -144,7 +150,19 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
         if find(alpha) != alpha:
             alpha += 1
             continue
+        # closure pass: walk each relator from alpha without writing; an
+        # undefined entry sends the walk to row 0, which is all zeros, so
+        # the walk needs no test.  A relator that returns to alpha is closed
+        # there and stays closed through later merges, and its scan would
+        # change nothing, so only the open ones are scanned.
+        open_relators = []
         for w in relators:
+            f = alpha
+            for x in w:
+                f = table[f * ncols + x]
+            if f != alpha:
+                open_relators.append(w)
+        for w in open_relators:
             scan_and_fill(alpha, w)
             if find(alpha) != alpha:
                 break
@@ -156,7 +174,9 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
         alpha += 1
 
     # standardize: number[c] is the new number of live coset c, order[k]
-    # the old id of new coset k; order grows while the loop walks it
+    # the old id of new coset k; order grows while the loop walks it.  In
+    # the completed table every live row is full and names live cosets only
+    # (a merge clears every entry into the dead row), so no find is needed.
     ngens = ncols // 2
     number = [0] * (ndef + 1)
     number[1] = 1
@@ -170,18 +190,18 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
         # already numbered
         for g in (first, *range(ngens - 1, -1, -1)):
             d = table[c * ncols + 2 * g]
-            if d:
-                d = find(d)
-                if not number[d]:
-                    number[d] = len(order)
-                    order.append(d)
-                    arrival += (k, g)
+            if d and not number[d]:
+                number[d] = len(order)
+                order.append(d)
+                arrival += (k, g)
         k += 1
-    live = sum(parent[c] == c for c in range(1, ndef + 1))
-    if len(order) - 1 != live:  # pragma: no cover - the positive orbit covers all
+    live = [c for c in range(1, ndef + 1) if parent[c] == c]
+    if len(order) - 1 != len(live):  # pragma: no cover - the positive orbit covers all
         raise AssertionError("positive-letter traversal missed cosets")
 
-    rows = [0] * ncols
-    for c in order[1:]:
-        rows += [number[find(d)] if d else 0 for d in table[c * ncols:(c + 1) * ncols]]
+    # in ascending old id, so the table is read front to back
+    rows = [0] * (len(order) * ncols)
+    for c in live:
+        k = number[c] * ncols
+        rows[k:k + ncols] = [number[d] for d in table[c * ncols:(c + 1) * ncols]]
     return array("i", rows), ndef, array("i", parent), array("i", arrival)

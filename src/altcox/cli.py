@@ -13,6 +13,7 @@ are atomic (temp file + rename) and all output is byte-deterministic.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -37,6 +38,8 @@ def _atomic_write(path, text):
     """Write text to path through a temp file and a rename.  An OSError
     names path alone: the temp file's random name would make the message
     differ from run to run."""
+    if not path:  # as open("") fails, before a temp file goes anywhere
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-altcox-")
@@ -53,7 +56,7 @@ def _atomic_write(path, text):
 
 
 def _emit(text, path=None):
-    if path:
+    if path is not None:  # "" is a path that cannot be written, not stdout
         _atomic_write(path, text)
     else:
         sys.stdout.write(text)
@@ -67,7 +70,7 @@ _VARIANTS = ("coxeter", "carmichael", "bourbaki", "edge", "vv",
 
 
 def _matrix_for(args) -> CoxeterMatrix:
-    if args.matrix:
+    if args.matrix is not None:
         with open(args.matrix) as f:
             return CoxeterMatrix.from_json(f.read())
     if not args.family or args.rank is None:
@@ -80,14 +83,18 @@ def _build_presentation(args) -> Presentation:
     if v.endswith("-cover"):
         return presentations.universal_extension(v[:2].upper())
     if v == "vv":
+        if (args.family not in (None, "A", "a") or args.matrix is not None
+                or args.presentation is not None):
+            raise UsageError("vv variant is type A: it takes --rank and no "
+                             "other --family, no --matrix or --presentation")
         if args.rank is None:
             raise UsageError("vv variant needs --rank")
         return presentations.vv_presentation(args.rank)
-    if args.presentation:
+    if args.presentation is not None:
         with open(args.presentation) as f:
             return Presentation.from_json(f.read())
     if (v in ("carmichael", "bourbaki", "edge") and args.family
-            and args.rank is not None and not args.matrix):
+            and args.rank is not None and args.matrix is None):
         return presentations.chain_presentation(args.family, v, args.rank)
     if v == "carmichael":
         raise UsageError("variant 'carmichael' needs --family and --rank; "
@@ -155,11 +162,11 @@ def _table_csv(t):
 def cmd_enumerate(args):
     p = _build_presentation(args)
     t = engine.enumerate(p, _subgroup_words(args, p), args.max_cosets)
-    if args.table:
+    if args.table is not None:
         _atomic_write(args.table, _table_csv(t))
-    if args.dot:
+    if args.dot is not None:
         _atomic_write(args.dot, engine.to_dot(t))
-    if args.reps:
+    if args.reps is not None:
         _atomic_write(args.reps, "\n".join(engine.schreier_texts(t)[1:]) + "\n")
     _emit(f"index {t.index}\n", args.output)
     return EXIT_OK

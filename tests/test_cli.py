@@ -121,8 +121,9 @@ def test_family_without_rank_is_usage_error(capsys, variant):
 
 
 # SHA-256 over the exit code and stdout of every `present` invocation below;
-# a change to the bytes of any built-in presentation changes it
-PRESENT_DIGEST = "e0136d864e7c873e7346736c1fc4fd5b2199f43c6704cbd6b585077403fb558b"
+# a change to the bytes of any built-in presentation changes it.  The vv
+# runs over families B and D exit 2 with no output: vv is type A only
+PRESENT_DIGEST = "7af7f88c57d301ef1718ec7ba717d1b347f5d44aa0f4c70b2fe6852991c77300"
 
 
 def test_present_output_golden(capsys):
@@ -230,6 +231,38 @@ def test_write_error_names_requested_path(tmp_path, capsys, flag):
                      flag, path]) == EXIT_USAGE
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--output", "--table", "--dot", "--reps",
+                                  "--presentation", "--matrix"])
+def test_empty_path_is_file_error(tmp_path, monkeypatch, capsys, flag):
+    """An empty path names no file: it is neither stdout nor "no file"."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["enumerate", "--family", "A", "--rank", "3", flag, ""]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: [Errno 2] No such file or directory: ''\n")
+    # no temp file was made beside the working directory either
+    assert [f.name for f in tmp_path.iterdir()] == ["cwd"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "B"], ["--family", "D"], ["--matrix", "M"], ["--presentation", "P"],
+], ids=["B", "D", "matrix", "presentation"])
+def test_vv_is_type_a_only(tmp_path, capsys, argv):
+    """vv presents the type-A alternating group; it refuses another family
+    or a matrix or presentation file instead of ignoring it."""
+    (tmp_path / "M").write_text(standard_matrix("B", 4).to_json())
+    (tmp_path / "P").write_text(
+        presentations.chain_presentation("B", "edge", 4).to_json())
+    argv = [str(tmp_path / a) if a in ("M", "P") else a for a in argv]
+    assert main(["order", "--rank", "4", "--variant", "vv"] + argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: vv variant is type A")
+    for family in ([], ["--family", "A"], ["--family", "a"]):
+        assert main(["order", "--rank", "4", "--variant", "vv"] + family) == EXIT_OK
+        assert capsys.readouterr().out == "60\n"
 
 
 def test_order(capsys):

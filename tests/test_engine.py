@@ -180,14 +180,26 @@ def golden_cases():
 # taken with the renumbering still in engine.enumerate, before the cores
 # standardized their own tables
 ENUMERATION_DIGEST = "96fc374324ac96181e51816bad13aa97870e00aa7e936a07952d5ac0ead88d94"
+# each run's (ndef, parent): the cosets it defined and the union-find forest
+# of its merges, taken before the cores skipped the relators already closed
+# at a coset; skipping them must not change which cosets are defined or merged
+SEQUENCE_DIGEST = "b3e5a6d65e103d3fa73413f0e69386a55b407492cab7c6759172df18ab6b435a"
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
 def test_enumeration_golden(backend, request, monkeypatch):
     """Rows and arrival trees (hence Schreier words) of both cores, through
-    engine.enumerate, pinned by one SHA-256."""
+    engine.enumerate, pinned by one SHA-256; a second pins the core's ndef
+    and parent on the same runs."""
     core = py_core if backend == "python" else request.getfixturevalue("c_core")
-    monkeypatch.setattr(engine, "_core", core)
+    sequence = hashlib.sha256()
+
+    def recording_core(*args):
+        result = core(*args)
+        sequence.update(repr((result[1], result[2].tolist())).encode())
+        return result
+
+    monkeypatch.setattr(engine, "_core", recording_core)
     h = hashlib.sha256()
     n = 0
     for p, sub in golden_cases():
@@ -196,6 +208,7 @@ def test_enumeration_golden(backend, request, monkeypatch):
         n += 1
     assert n == 296
     assert h.hexdigest() == ENUMERATION_DIGEST
+    assert sequence.hexdigest() == SEQUENCE_DIGEST
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
@@ -338,4 +351,8 @@ def test_bench_enumerate_script_runs():
                        timeout=120)
     assert r.returncode == 0, r.stderr
     header, *cases = r.stdout.splitlines()
-    assert header.startswith("case") and len(cases) == 7
+    assert header.startswith("case") and len(cases) == 8
+    r = subprocess.run([sys.executable, str(root / "benchmarks" / "bench_enumerate.py"),
+                        "--repeat", "0"], capture_output=True, text=True, env=env,
+                       timeout=120)
+    assert r.returncode == 2 and "must be at least 1" in r.stderr, r.stderr
