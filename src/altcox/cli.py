@@ -20,8 +20,7 @@ import sys
 import tempfile
 
 from .words import InputError, Word, Presentation, parse_word, render_word
-from .coxeter import (MAX_RANK, CoxeterMatrix, graph_from_matrix,
-                      connected_extension, standard_matrix)
+from .coxeter import MAX_RANK, CoxeterMatrix, standard_matrix
 from . import engine, oracle, presentations, chains
 
 EXIT_OK = 0
@@ -69,19 +68,18 @@ _VARIANTS = ("coxeter", "carmichael", "bourbaki", "edge", "vv",
              "a5-cover", "a6-cover")
 
 
-def _matrix_for(args) -> CoxeterMatrix:
-    if args.matrix is not None:
-        with open(args.matrix) as f:
-            return CoxeterMatrix.from_json(f.read())
-    if not args.family or args.rank is None:
-        raise UsageError("need --family and --rank, or --matrix")
-    return standard_matrix(args.family, args.rank)
+def _read(path):
+    if path is None:
+        return None
+    with open(path) as f:
+        return f.read()
 
 
 def _build_presentation(args) -> Presentation:
+    """The presentation the input flags name.  Every input flag given is
+    read: the covers take none, --presentation takes no other and only the
+    default --variant, and --matrix takes no --family or --rank."""
     v = args.variant
-    if v.endswith("-cover"):
-        return presentations.universal_extension(v[:2].upper())
     if v == "vv":
         if (args.family not in (None, "A", "a") or args.matrix is not None
                 or args.presentation is not None):
@@ -90,23 +88,40 @@ def _build_presentation(args) -> Presentation:
         if args.rank is None:
             raise UsageError("vv variant needs --rank")
         return presentations.vv_presentation(args.rank)
-    if args.presentation is not None:
-        with open(args.presentation) as f:
-            return Presentation.from_json(f.read())
+    # a file that cannot be read is reported before a clash of flags
+    matrix, presentation = _read(args.matrix), _read(args.presentation)
+    given = [f"--{k}" for k in ("family", "rank", "matrix", "presentation")
+             if getattr(args, k) is not None]
+    if v.endswith("-cover"):
+        if given:
+            raise UsageError(f"variant {v!r} takes no input flag, got "
+                             + " ".join(given))
+        return presentations.universal_extension(v[:2].upper())
+    if presentation is not None:
+        if len(given) > 1 or v != "coxeter":
+            raise UsageError("--presentation takes no other input flag "
+                             "and no --variant")
+        return Presentation.from_json(presentation)
+    if matrix is not None and len(given) > 1:
+        raise UsageError("--matrix takes no --family or --rank")
     if (v in ("carmichael", "bourbaki", "edge") and args.family
-            and args.rank is not None and args.matrix is None):
+            and args.rank is not None):
         return presentations.chain_presentation(args.family, v, args.rank)
     if v == "carmichael":
         raise UsageError("variant 'carmichael' needs --family and --rank; "
                          "it has no matrix form")
-    m = _matrix_for(args)
+    if matrix is not None:
+        m = CoxeterMatrix.from_json(matrix)
+    elif args.family and args.rank is not None:
+        m = standard_matrix(args.family, args.rank)
+    else:
+        raise UsageError("need --family and --rank, or --matrix")
     if v == "coxeter":
         return presentations.coxeter_presentation(m)
     if v == "bourbaki":
         return presentations.bourbaki_presentation(m)
     if v == "edge":
-        return presentations.edge_presentation(connected_extension(
-            graph_from_matrix(m)))[0]
+        return presentations.edge_presentation(m)[0]
     variant = "tilde_prime" if v.startswith("tilde-prime") else "tilde"
     if v in ("tilde", "tilde-prime"):
         return presentations.spinor_presentation(m, variant)
@@ -235,7 +250,7 @@ def _verify_checks():
     def spinor_check(family, rank):
         def run():
             m = standard_matrix(family, rank)
-            plain = engine.order(presentations.edge_presentation_for_matrix(m)[0])
+            plain = engine.order(presentations.edge_presentation(m)[0])
             doubled = engine.order(
                 presentations.spinor_plus_presentation(m, "edge", "tilde"))
             return doubled == 2 * plain

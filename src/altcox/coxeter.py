@@ -1,4 +1,4 @@
-"""Coxeter matrices, graphs, connected extensions and cycle bases.
+"""Coxeter matrices, connected extensions, spanning trees and cycle bases.
 
 Matrix entries are ints: the diagonal is 1, off-diagonal entries are >= 2,
 and 0 marks an infinite label (also in the JSON format).
@@ -13,7 +13,11 @@ from .words import InputError, load_json
 
 INFINITY = 0
 
-MAX_RANK = 400  # the presentation builders take time quadratic in the rank
+# bounds --rank and the size of a --matrix.  The builders take time
+# quadratic in the rank on the sparse A/B/D matrices, but the edge builder
+# lists every simple 3-edge path, n^4 of them on a complete graph: a dense
+# matrix near this bound would take hours
+MAX_RANK = 400
 
 
 class MatrixError(InputError):
@@ -91,90 +95,59 @@ def standard_matrix(family: str, n: int) -> CoxeterMatrix:
 
 
 @dataclass(frozen=True)
-class CoxeterGraph:
-    """Vertices 0..n-1; an edge {i,j} labeled m_ij exists iff m_ij >= 3
-    or m_ij is infinite."""
+class ConnectedExtension:
+    """The Coxeter graph of a matrix (vertices 0..n-1, an edge {i,j}
+    labeled m_ij iff m_ij >= 3 or m_ij is infinite), plus virtual label-2
+    edges chaining one anchor per component."""
 
     matrix: CoxeterMatrix
+    virtual_edges: tuple[tuple[int, int], ...]
 
     @property
     def n(self):
         return self.matrix.n
 
-    def edges(self):
-        """Sorted list of (i, j, label) with i < j."""
+    def all_edges(self):
+        """Sorted (i, j, label, is_virtual) for real and virtual edges, i < j.
+        A virtual edge joins two components, so its matrix label is 2."""
+        virtual = set(self.virtual_edges)
         out = []
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                v = self.matrix.entry(i, j)
-                if v == INFINITY or v >= 3:
-                    out.append((i, j, v))
+                label = self.matrix.entry(i, j)
+                if (i, j) in virtual:
+                    out.append((i, j, 2, True))
+                elif label == INFINITY or label >= 3:
+                    out.append((i, j, label, False))
         return out
 
     def adjacency(self):
         adj = {v: set() for v in range(self.n)}
-        for i, j, _ in self.edges():
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
-    def components(self):
-        """Connected components as sorted vertex lists, ordered by minimum."""
-        adj = self.adjacency()
-        seen = set()
-        comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in sorted(adj[v]):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-
-def graph_from_matrix(m: CoxeterMatrix) -> CoxeterGraph:
-    return CoxeterGraph(m)
-
-
-@dataclass(frozen=True)
-class ConnectedExtension:
-    """A Coxeter graph plus virtual label-2 edges chaining component anchors."""
-
-    graph: CoxeterGraph
-    virtual_edges: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self):
-        return self.graph.n
-
-    def all_edges(self):
-        """Sorted (i, j, label, is_virtual) for real and virtual edges."""
-        out = [(i, j, lab, False) for i, j, lab in self.graph.edges()]
-        out += [(i, j, 2, True) for i, j in self.virtual_edges]
-        out.sort(key=lambda e: (e[0], e[1]))
-        return out
-
-    def adjacency(self):
-        adj = self.graph.adjacency()
-        for i, j in self.virtual_edges:
+        for i, j, _, _ in self.all_edges():
             adj[i].add(j)
             adj[j].add(i)
         return adj
 
 
-def connected_extension(g: CoxeterGraph, anchors=None) -> ConnectedExtension:
-    """Chain one anchor per component with virtual edges (in component order).
+def connected_extension(m: CoxeterMatrix, anchors=None) -> ConnectedExtension:
+    """The Coxeter graph of m with one anchor per connected component,
+    consecutive anchors joined by virtual edges (components ordered by
+    their smallest vertex).
 
     Default anchors are the smallest vertex of each component.
     """
-    comps = g.components()
+    adj = ConnectedExtension(m, ()).adjacency()  # the Coxeter graph alone
+    comps, seen = [], set()
+    for start in range(m.n):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(sorted(comp))
     if anchors is None:
         anchors = [c[0] for c in comps]
     else:
@@ -191,46 +164,44 @@ def connected_extension(g: CoxeterGraph, anchors=None) -> ConnectedExtension:
     virtual = []
     for a, b in zip(anchors, anchors[1:]):
         virtual.append((min(a, b), max(a, b)))
-    return ConnectedExtension(g, tuple(virtual))
+    return ConnectedExtension(m, tuple(virtual))
+
+
+def root_paths(ext: ConnectedExtension):
+    """The path (v, ..., 0) from each vertex v to vertex 0 in one spanning
+    tree of the extension: a stack search from vertex 0 that pushes the
+    unseen neighbours of each popped vertex, lowest index on top, and makes
+    the popped vertex their parent."""
+    adj = ext.adjacency()
+    paths = {0: (0,)}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in sorted(adj[v], reverse=True):
+            if w not in paths:
+                paths[w] = (w,) + paths[v]
+                stack.append(w)
+    return [paths[v] for v in range(ext.n)]
 
 
 def cycle_basis(ext: ConnectedExtension):
-    """Fundamental cycles of the lowest-index DFS spanning tree from vertex 0.
+    """Fundamental cycles of the root_paths spanning tree.
 
     Each cycle is a closed vertex sequence (v0, v1, ..., v0).  Empty when
     the extension is a tree.
     """
-    adj = {v: sorted(ws) for v, ws in ext.adjacency().items()}
-    parent = {0: None}
-    order = []
-    stack = [0]
-    tree_edges = set()
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in reversed(adj[v]):
-            if w not in parent:
-                parent[w] = v
-                tree_edges.add((min(v, w), max(v, w)))
-                stack.append(w)
-
-    def path_to_root(v):
-        out = [v]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
-        return out
-
+    paths = root_paths(ext)
     cycles = []
     for i, j, _, _ in ext.all_edges():
-        if (i, j) in tree_edges:
+        pi, pj = paths[i], paths[j]
+        if pi[1:2] == (j,) or pj[1:2] == (i,):  # a tree edge
             continue
-        pi, pj = path_to_root(i), path_to_root(j)
         common = set(pi) & set(pj)
         # lowest common ancestor = first common vertex on i's root path
         lca = next(v for v in pi if v in common)
         up = pi[: pi.index(lca) + 1]
         down = pj[: pj.index(lca)]
-        cycles.append(_normalize_cycle(up + list(reversed(down))))
+        cycles.append(_normalize_cycle(list(up + down[::-1])))
     return cycles
 
 

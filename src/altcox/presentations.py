@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coxeter import (CoxeterMatrix, ConnectedExtension, INFINITY,
-                      graph_from_matrix, connected_extension, cycle_basis,
+                      connected_extension, cycle_basis, root_paths,
                       standard_matrix)
 from .words import InputError, Word, Presentation, commutator
 from . import engine
@@ -137,10 +137,10 @@ class EdgeGeneratorMap:
         return tuple(f"r{i}_{j}" for i, j in self.edges)
 
 
-def _path_words(ext: ConnectedExtension, length):
+def _path_words(adj, length):
     """Simple paths of the given edge count, first vertex < last vertex,
-    in deterministic order."""
-    adj = {v: sorted(ws) for v, ws in ext.adjacency().items()}
+    in deterministic order, in the graph with adjacency sets adj."""
+    adj = {v: sorted(ws) for v, ws in adj.items()}
     paths = []
 
     def grow(path):
@@ -152,7 +152,7 @@ def _path_words(ext: ConnectedExtension, length):
             if w not in path:
                 grow(path + [w])
 
-    for v in range(ext.n):
+    for v in adj:
         grow([v])
     paths.sort()
     return paths
@@ -162,17 +162,17 @@ def _edge_family(ext: ConnectedExtension):
     """Generator map and relator triples of the edge presentation."""
     all_edges = ext.all_edges()  # virtual edges carry label 2
     emap = EdgeGeneratorMap(tuple((i, j) for i, j, _, _ in all_edges))
-    m = ext.graph.matrix
+    m, adj = ext.matrix, ext.adjacency()
     family = []
     for k, (_, _, lab, _) in enumerate(all_edges):
         if lab != INFINITY:
             family.append((Word.gen(k) ** lab, *_label_twists(lab)))
     for cyc in cycle_basis(ext):
         family.append((emap.path_word(cyc), 0, (len(cyc) - 1) % 2))
-    for path in _path_words(ext, 2) + _path_words(ext, 3):
+    for path in _path_words(adj, 2) + _path_words(adj, 3):
         if m.entry(path[0], path[-1]) == 2:
             family.append((emap.path_word(path) ** 2, 1, 1))
-    adj, edges = ext.adjacency(), emap.edges
+    edges = emap.edges
     for a, (i, j) in enumerate(edges):
         near = adj[i] | adj[j]  # i, j and their neighbours
         for b in range(a + 1, len(edges)):
@@ -181,19 +181,17 @@ def _edge_family(ext: ConnectedExtension):
     return emap, family
 
 
-def edge_presentation(ext: ConnectedExtension):
-    """Edge-generator presentation of the alternating subgroup.
+def edge_presentation(m: CoxeterMatrix, anchors=None):
+    """Edge-generator presentation of the alternating subgroup, over the
+    connected extension of m with the given anchors (default: each
+    component's smallest vertex).
 
     Relator families, in order: edge powers, cycle relators for a
     fundamental cycle basis, squared 2-paths, squared 3-paths, and
     commutators of not-connected generator pairs.
     """
-    emap, family = _edge_family(ext)
+    emap, family = _edge_family(connected_extension(m, anchors))
     return _plain(emap.generator_names(), family), emap
-
-
-def edge_presentation_for_matrix(m: CoxeterMatrix):
-    return edge_presentation(connected_extension(graph_from_matrix(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +207,19 @@ def chain_presentation(family: str, variant: str, n: int) -> Presentation:
     """The displayed A/B/D presentation in the given variant at rank n.
 
     Generators are a1.., R1.., or r1.. (n-1 of them).  The Bourbaki and
-    A/B edge variants are the generic builders renamed; type D's edge
-    display uses its own generator choice.
+    A/B edge variants are the generic builders, the edge generators
+    renamed; type D's edge display uses its own generator choice.
     """
     family = family.upper()
     if family not in CHAIN_BASE or variant not in ("carmichael", "bourbaki", "edge"):
         raise BuildError(f"unsupported chain ({family}, {variant})")
     if n < CHAIN_BASE[family]:
         raise BuildError(f"rank {n} below minimum for ({family}, {variant})")
-    if variant == "bourbaki":
-        return _rename(bourbaki_presentation(standard_matrix(family, n), 0),
-                       tuple(f"R{i}" for i in range(1, n)))
+    if variant == "bourbaki":  # generators R1..R{n-1} already
+        return bourbaki_presentation(standard_matrix(family, n), 0)
     if variant == "edge" and family != "D":
-        return _rename(edge_presentation_for_matrix(standard_matrix(family, n))[0],
-                       tuple(f"r{i}" for i in range(1, n)))
+        p = edge_presentation(standard_matrix(family, n))[0]
+        return Presentation(tuple(f"r{i}" for i in range(1, n)), p.relators)
     g = lambda i, k=1: Word.gen(i - 1, k)  # 1-based generator helper
     rel = [g(i) ** (4 if family == "B" else 3) for i in range(1, n)]
     if variant == "carmichael":
@@ -251,10 +248,6 @@ def chain_presentation(family: str, variant: str, n: int) -> Presentation:
         rel += [commutator(g(i), g(j)) for i in range(2, n)
                 for j in range(i + 3, n)]
     return Presentation(names, tuple(rel))
-
-
-def _rename(p: Presentation, names):
-    return Presentation(names, p.relators, p.central)
 
 
 def vv_presentation(n: int) -> Presentation:
@@ -319,7 +312,7 @@ def spinor_plus_presentation(m: CoxeterMatrix, style: str, variant: str) -> Pres
         return _spinor(*_bourbaki_family(m, 0), variant, zname)
     if style != "edge":
         raise BuildError(f"unknown spinor style {style!r}")
-    emap, family = _edge_family(connected_extension(graph_from_matrix(m)))
+    emap, family = _edge_family(connected_extension(m))
     return _spinor(emap.generator_names(), family, variant, zname)
 
 
@@ -421,9 +414,8 @@ def spinor_iso(m: CoxeterMatrix):
 def bourbaki_edge_homs(m: CoxeterMatrix):
     """The mutually inverse maps phi: edge -> Bourbaki (r_ij -> R_i^-1 R_j,
     with R_0 read as 1) and psi: Bourbaki -> edge (R_i -> product of edge
-    generators along the BFS shortest path from vertex 0)."""
-    ext = connected_extension(graph_from_matrix(m))
-    edge_p, emap = edge_presentation(ext)
+    generators along the root_paths spanning tree path from vertex 0)."""
+    edge_p, emap = edge_presentation(m)
     bour_p = bourbaki_presentation(m, 0)
 
     def R(v):  # word for R_v in the Bourbaki presentation, R_0 = 1
@@ -431,26 +423,6 @@ def bourbaki_edge_homs(m: CoxeterMatrix):
 
     phi_images = tuple(R(i).inverse() * R(j) for i, j in emap.edges)
     phi = GroupHom(edge_p, bour_p, phi_images)
-
-    # BFS shortest paths from 0 in the extension, smallest-vertex tie-break
-    adj = {v: sorted(ws) for v, ws in ext.adjacency().items()}
-    parent = {0: None}
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-
-    def path_word(v):
-        verts = [v]
-        while parent[verts[-1]] is not None:
-            verts.append(parent[verts[-1]])
-        return emap.path_word(verts[::-1])
-
-    psi_images = tuple(path_word(v) for v in range(1, m.n))
-    psi = GroupHom(bour_p, edge_p, psi_images)
+    paths = root_paths(connected_extension(m))[1:]
+    psi = GroupHom(bour_p, edge_p, tuple(emap.path_word(p[::-1]) for p in paths))
     return phi, psi

@@ -16,8 +16,7 @@ from contextlib import contextmanager
 from altcox import chains, engine, oracle
 from altcox import presentations as pres
 from altcox.chains import ChainSpec, chain_subgroup_words
-from altcox.coxeter import (CoxeterMatrix, standard_matrix, graph_from_matrix,
-                            connected_extension)
+from altcox.coxeter import CoxeterMatrix, standard_matrix
 from altcox.words import Word, render_word
 
 from reflection_rep import edge_images, simple_reflections
@@ -93,7 +92,7 @@ def test_criterion_04_spinor_doubling():
         for fam, ranks in cases:
             for n in ranks:
                 m = standard_matrix(fam, n)
-                plain = engine.order(pres.edge_presentation_for_matrix(m)[0])
+                plain = engine.order(pres.edge_presentation(m)[0])
                 doubled = engine.order(
                     pres.spinor_plus_presentation(m, "edge", "tilde"))
                 assert doubled == 2 * plain, (fam, n)
@@ -166,7 +165,7 @@ def test_criterion_08_equivalence_properties():
         # path relators along 50 seeded random walks in the rank-6 group
         rng = random.Random(20260823)
         m6 = standard_matrix("A", 6)
-        p6, emap6 = pres.edge_presentation_for_matrix(m6)
+        p6, emap6 = pres.edge_presentation(m6)
         reg6 = engine.enumerate(p6, ())
         adj6 = {i: sorted({j for j in range(m6.n)
                            if m6.entry(i, j) >= 3}) for i in range(m6.n)}
@@ -177,9 +176,8 @@ def test_criterion_08_equivalence_properties():
             assert engine.word_in_subgroup(reg6, w ** m6.entry(walk[0], walk[-1]))
         # the same property in the disconnected example, checked in the
         # exact reflection representation because the group is infinite
-        ext = connected_extension(graph_from_matrix(EXAMPLE5), (1, 2))
         refs = simple_reflections(EXAMPLE5)
-        emap = pres.edge_presentation(ext)[1]
+        emap = pres.edge_presentation(EXAMPLE5, (1, 2))[1]
         emap_imgs = edge_images(EXAMPLE5, emap)
         adj = {i: sorted({b for a, b in emap.edges if a == i} |
                          {a for a, b in emap.edges if b == i})
@@ -202,8 +200,7 @@ def test_criterion_08_equivalence_properties():
 
 def test_criterion_09_disconnected_example_end_to_end():
     with criterion(9, "worked 5-vertex example: relators and infinitude", 30):
-        ext = connected_extension(graph_from_matrix(EXAMPLE5), (1, 2))
-        p, emap = pres.edge_presentation(ext)
+        p, emap = pres.edge_presentation(EXAMPLE5, (1, 2))
         assert [render_word(w, p) for w in p.relators] == [
             "r0_1^4", "r1_2^2", "r2_3^3", "r2_4^3", "r3_4^3",
             "r2_3 r3_4 r2_4^-1",

@@ -120,10 +120,63 @@ def test_family_without_rank_is_usage_error(capsys, variant):
     assert "--rank" in capsys.readouterr().err
 
 
+INPUT_FLAGS = (("--family", "A"), ("--rank", "3"), ("--matrix", "M"),
+               ("--presentation", "P"))
+
+
+def _input_accepted(variant, flags):
+    """The CLI's input rule: every input flag given is read.  The covers take
+    no input flag; --presentation takes no other and only the default
+    variant; --matrix takes no --family or --rank.  Besides, vv is type A
+    and takes --rank with or without --family, carmichael has no matrix
+    form, and a family needs its rank."""
+    v = variant or "coxeter"
+    if v.endswith("-cover"):
+        return not flags
+    if v == "vv":
+        return flags in ({"--rank"}, {"--family", "--rank"})
+    if "--presentation" in flags:
+        return flags == {"--presentation"} and v == "coxeter"
+    if "--matrix" in flags:
+        return flags == {"--matrix"} and v != "carmichael"
+    return flags == {"--family", "--rank"}
+
+
+INPUT_RUNS = [(v, tuple(f for k, f in enumerate(INPUT_FLAGS) if mask >> k & 1))
+              for v in (None,) + cli._VARIANTS for mask in range(16)]
+
+
+def test_input_rule_accepts_27_runs():
+    assert len(INPUT_RUNS) == 224
+    assert sum(_input_accepted(v, {f for f, _ in flags})
+               for v, flags in INPUT_RUNS) == 27
+
+
+@pytest.mark.parametrize("variant, flags", INPUT_RUNS,
+                         ids=[f"{v}-{'+'.join(f[2:] for f, _ in flags) or 'none'}"
+                              for v, flags in INPUT_RUNS])
+def test_every_input_flag_is_read(tmp_path, capsys, variant, flags):
+    """A run that would ignore an input flag it was given exits 2 with no
+    output."""
+    (tmp_path / "M").write_text(standard_matrix("A", 3).to_json())
+    (tmp_path / "P").write_text(
+        presentations.chain_presentation("A", "edge", 3).to_json())
+    argv = ["present"] + ([] if variant is None else ["--variant", variant])
+    for flag, value in flags:
+        argv += [flag, str(tmp_path / value) if value in ("M", "P") else value]
+    code = main(argv)
+    out = capsys.readouterr().out
+    if _input_accepted(variant, {f for f, _ in flags}):
+        assert code == EXIT_OK and out
+    else:
+        assert (code, out) == (EXIT_USAGE, "")
+
+
 # SHA-256 over the exit code and stdout of every `present` invocation below;
 # a change to the bytes of any built-in presentation changes it.  The vv
-# runs over families B and D exit 2 with no output: vv is type A only
-PRESENT_DIGEST = "7af7f88c57d301ef1718ec7ba717d1b347f5d44aa0f4c70b2fe6852991c77300"
+# runs over families B and D exit 2 with no output: vv is type A only.  So
+# do the a5-cover and a6-cover runs: the covers take no input flag
+PRESENT_DIGEST = "dab657272900c192d514fff2e9360add91ff8de1844f2db8d774438f5005f87e"
 
 
 def test_present_output_golden(capsys):

@@ -2,8 +2,7 @@ import pytest
 
 from altcox import engine, oracle
 from altcox.words import Word, render_word, commutator
-from altcox.coxeter import (CoxeterMatrix, INFINITY, standard_matrix,
-                            graph_from_matrix, connected_extension)
+from altcox.coxeter import CoxeterMatrix, INFINITY, standard_matrix
 from altcox import presentations as pres
 
 from reflection_rep import edge_images, simple_reflections
@@ -47,14 +46,13 @@ def test_bourbaki_leading_powers():
 
 
 def test_edge_single_edge_graph():
-    p, emap = pres.edge_presentation_for_matrix(standard_matrix("A", 2))
+    p, emap = pres.edge_presentation(standard_matrix("A", 2))
     assert p.generators == ("r0_1",) and rendered(p) == ["r0_1^3"]
     assert engine.order(p) == 3
 
 
 def test_edge_presentation_example_verbatim():
-    ext = connected_extension(graph_from_matrix(EXAMPLE5), (1, 2))
-    p, emap = pres.edge_presentation(ext)
+    p, emap = pres.edge_presentation(EXAMPLE5, (1, 2))
     assert p.generators == ("r0_1", "r1_2", "r2_3", "r2_4", "r3_4")
     assert rendered(p) == [
         "r0_1^4", "r1_2^2", "r2_3^3", "r2_4^3", "r3_4^3",
@@ -72,14 +70,12 @@ def test_edge_presentation_example_verbatim():
 
 
 def test_edge_relators_hold_in_reflection_representation():
-    ext = connected_extension(graph_from_matrix(EXAMPLE5), (1, 2))
-    p, emap = pres.edge_presentation(ext)
+    p, emap = pres.edge_presentation(EXAMPLE5, (1, 2))
     assert oracle.verify_hom(p, edge_images(EXAMPLE5, emap))
 
 
 def test_example_group_is_infinite():
-    ext = connected_extension(graph_from_matrix(EXAMPLE5), (1, 2))
-    p, emap = pres.edge_presentation(ext)
+    p, emap = pres.edge_presentation(EXAMPLE5, (1, 2))
     with pytest.raises(engine.CapExceeded):
         engine.enumerate(p, (), cap=20_000)
     # independent witness: r2_3 r2_4 maps to a unipotent matrix that is not
@@ -124,7 +120,7 @@ def test_chain_agrees_with_generic_builders():
             chain_b = pres.chain_presentation(fam, "bourbaki", n)
             assert chain_b.relators == pres.bourbaki_presentation(m).relators
             chain_e = pres.chain_presentation(fam, "edge", n)
-            generic = pres.edge_presentation_for_matrix(m)[0]
+            generic = pres.edge_presentation(m)[0]
             assert chain_e.rank == generic.rank
             if fam != "D":
                 assert chain_e.relators == generic.relators
@@ -132,7 +128,7 @@ def test_chain_agrees_with_generic_builders():
     # relator sets are mutually derivable
     m = standard_matrix("D", 5)
     chain_e = pres.chain_presentation("D", "edge", 5)
-    generic = pres.edge_presentation_for_matrix(m)[0]
+    generic = pres.edge_presentation(m)[0]
     reg_generic = engine.enumerate(generic, ())
     reg_chain = engine.enumerate(chain_e, ())
     for w in chain_e.relators:
@@ -259,7 +255,7 @@ def test_spinor_builders_kill_central_to_plain(m):
     # deleting the central generator from a spinor presentation's relators
     # leaves the plain presentation's relators first, under t-prefixed names
     plain = [pres.coxeter_presentation(m), pres.bourbaki_presentation(m),
-             pres.edge_presentation_for_matrix(m)[0]]
+             pres.edge_presentation(m)[0]]
     cases = []
     for v in ("tilde", "tilde_prime"):
         cases.append((plain[0], "alpha", pres.spinor_presentation(m, v)))
@@ -324,8 +320,37 @@ def test_bourbaki_edge_homs():
     assert pres.is_identity_hom(pres.compose(psi, phi), rb)
 
 
+B2_A2 = CoxeterMatrix(4, ((1, 4, 2, 2), (4, 1, 2, 2), (2, 2, 1, 3), (2, 2, 3, 1)))
+A1_CUBED = CoxeterMatrix(3, ((1, 2, 2), (2, 1, 2), (2, 2, 1)))
+
+
+@pytest.mark.parametrize("m, psi_images", [
+    # a branch at vertex 2
+    (standard_matrix("D", 4), ["r0_2 r1_2^-1", "r0_2", "r0_2 r2_3"]),
+    # a label 4
+    (standard_matrix("B", 4), ["r0_1", "r0_1 r1_2", "r0_1 r1_2 r2_3"]),
+    # one virtual edge, (0, 2)
+    (B2_A2, ["r0_1", "r0_2", "r0_2 r2_3"]),
+    # virtual edges (0, 1) and (1, 2)
+    (A1_CUBED, ["r0_1", "r0_1 r1_2"]),
+], ids=["D4", "B4", "B2+A2", "A1^3"])
+def test_bourbaki_edge_homs_beyond_a_path(m, psi_images):
+    phi, psi = pres.bourbaki_edge_homs(m)
+    # phi(r_ij) = R_i^-1 R_j with R_0 = 1; psi(R_v) runs along the tree to v
+    for k, name in enumerate(phi.source.generators):
+        i, j = map(int, name[1:].split("_"))
+        want = Word.gen(j - 1) if i == 0 else Word.gen(i - 1, -1) * Word.gen(j - 1)
+        assert phi.images[k] == want
+    assert [render_word(w, psi.target) for w in psi.images] == psi_images
+    rb = engine.enumerate(phi.target, ())
+    re_ = engine.enumerate(psi.target, ())
+    assert phi.verify(rb) and psi.verify(re_)
+    assert pres.is_identity_hom(pres.compose(phi, psi), re_)
+    assert pres.is_identity_hom(pres.compose(psi, phi), rb)
+
+
 def test_path_relator_property_a5():
-    p, emap = pres.edge_presentation_for_matrix(standard_matrix("A", 5))
+    p, emap = pres.edge_presentation(standard_matrix("A", 5))
     m = standard_matrix("A", 5)
     reg = engine.enumerate(p, ())
     for i in range(m.n - 1):
