@@ -5,9 +5,9 @@ Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded (by `order`,
 `enumerate`, or any enumeration behind `nf`; ``main`` alone turns the
 engine's CapExceeded into it), 4 verification failure.  A usage error is
 bad input (an argparse error such as a rank above ``coxeter.MAX_RANK``, an
-``InputError`` or a file error) or a --max-cosets that does not fit in
-memory; any other exception is a bug and ends in a traceback.  File writes
-are atomic (temp file + rename) and all output is byte-deterministic.
+``InputError`` or a file error) or running out of memory; any other
+exception is a bug and ends in a traceback.  File writes are atomic (temp
+file + rename) and all output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -385,8 +385,9 @@ def main(argv=None):
     except MemoryError:
         # both cores double their table on demand up to --max-cosets, so a
         # large cap can run out of memory before the cap is reached
-        cap = getattr(args, "max_cosets", engine.DEFAULT_CAP)
-        sys.stderr.write(f"error: not enough memory for --max-cosets {cap}\n")
+        cap = (f" for --max-cosets {args.max_cosets}"
+               if hasattr(args, "max_cosets") else "")
+        sys.stderr.write(f"error: not enough memory{cap}\n")
         return EXIT_USAGE
 
 

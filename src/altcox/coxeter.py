@@ -14,9 +14,8 @@ from .words import InputError, load_json
 INFINITY = 0
 
 # bounds --rank and the size of a --matrix.  The builders take time
-# quadratic in the rank on the sparse A/B/D matrices, but the edge builder
-# lists every simple 3-edge path, n^4 of them on a complete graph: a dense
-# matrix near this bound would take hours
+# quadratic in the rank plus time near the relators they write, which
+# words.MAX_GENERATORS and words.MAX_LETTERS bound for every presentation
 MAX_RANK = 400
 
 

@@ -8,10 +8,11 @@ type A, the spinor extensions (tilde and tilde-prime, Bourbaki and edge
 styles), and the universal central extensions of A5+ and A6+.
 
 The Coxeter, Bourbaki and edge families are each written once, as
-(relator, tilde twist, tilde-prime twist) triples.  The plain builder keeps
-the relators.  Its spinor extension prefixes the generator names with t,
-appends a central involution z (alpha for the full group; z or zp for the
-even subgroup) and multiplies each relator by z^-twist.  The twists are:
+(relator, tilde twist, tilde-prime twist) triples yielded lazily, so that
+Presentation's size rule stops a build at its limit.  The plain builder
+keeps the relators.  Its spinor extension prefixes the generator names with
+t, appends a central involution z (alpha for the full group; z or zp for
+the even subgroup) and multiplies each relator by z^-twist.  The twists are:
 
     relator                     tilde          tilde-prime
     label-m powers and braids   (m-1) mod 2    1
@@ -46,7 +47,7 @@ class BuildError(InputError):
 # relator families, plain and spinor builders
 
 def _plain(names, family) -> Presentation:
-    return Presentation(names, tuple(w for w, _, _ in family))
+    return Presentation(names, (w for w, _, _ in family))
 
 
 def _spinor(names, family, variant: str, zname: str) -> Presentation:
@@ -57,7 +58,7 @@ def _spinor(names, family, variant: str, zname: str) -> Presentation:
     k = 1 if variant == "tilde" else 2
     z = Word.gen(len(names))
     return Presentation.build(tuple("t" + s for s in names) + (zname,),
-                              [t[0] * z ** -t[k] for t in family],
+                              (t[0] * z ** -t[k] for t in family),
                               central=((zname, 2),))
 
 
@@ -67,31 +68,30 @@ def _label_twists(mij):
 
 
 def _coxeter_family(m: CoxeterMatrix):
-    names = tuple(f"s{i}" for i in range(m.n))
-    family = []
-    for i in range(m.n):
-        for j in range(i, m.n):
-            mij = m.entry(i, j)
-            if mij != INFINITY:
-                family.append(((Word.gen(i) * Word.gen(j)) ** mij, *_label_twists(mij)))
-    return names, family
+    def triples():
+        for i in range(m.n):
+            for j in range(i, m.n):
+                mij = m.entry(i, j)
+                if mij != INFINITY:
+                    yield (Word.gen(i) * Word.gen(j)) ** mij, *_label_twists(mij)
+    return tuple(f"s{i}" for i in range(m.n)), triples()
 
 
 def _bourbaki_family(m: CoxeterMatrix, base: int):
     if not 0 <= base < m.n:
         raise BuildError(f"base vertex {base} out of range")
     verts = [i for i in range(m.n) if i != base]
-    family = []
-    for a, v in enumerate(verts):
-        mv = m.entry(base, v)
-        if mv != INFINITY:
-            family.append((Word.gen(a) ** mv, *_label_twists(mv)))
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            mij = m.entry(verts[a], verts[b])
-            if mij != INFINITY:
-                family.append(((Word.gen(a, -1) * Word.gen(b)) ** mij, *_label_twists(mij)))
-    return tuple(f"R{v}" for v in verts), family
+    def triples():
+        for a, v in enumerate(verts):
+            mv = m.entry(base, v)
+            if mv != INFINITY:
+                yield Word.gen(a) ** mv, *_label_twists(mv)
+        for a in range(len(verts)):
+            for b in range(a + 1, len(verts)):
+                mij = m.entry(verts[a], verts[b])
+                if mij != INFINITY:
+                    yield (Word.gen(a, -1) * Word.gen(b)) ** mij, *_label_twists(mij)
+    return tuple(f"R{v}" for v in verts), triples()
 
 
 def coxeter_presentation(m: CoxeterMatrix) -> Presentation:
@@ -128,57 +128,49 @@ class EdgeGeneratorMap:
 
     def path_word(self, verts) -> Word:
         """Product of the symbols r_pq along a vertex sequence."""
-        w = Word()
-        for p, q in zip(verts, verts[1:]):
-            w = w * self.gen_word(p, q)
-        return w
-
-    def generator_names(self):
-        return tuple(f"r{i}_{j}" for i, j in self.edges)
-
-
-def _path_words(adj, length):
-    """Simple paths of the given edge count, first vertex < last vertex,
-    in deterministic order, in the graph with adjacency sets adj."""
-    adj = {v: sorted(ws) for v, ws in adj.items()}
-    paths = []
-
-    def grow(path):
-        if len(path) == length + 1:
-            if path[0] < path[-1]:
-                paths.append(tuple(path))
-            return
-        for w in adj[path[-1]]:
-            if w not in path:
-                grow(path + [w])
-
-    for v in adj:
-        grow([v])
-    paths.sort()
-    return paths
+        return Word(tuple(x for p, q in zip(verts, verts[1:])
+                          for x in self.gen_word(p, q)))
 
 
 def _edge_family(ext: ConnectedExtension):
-    """Generator map and relator triples of the edge presentation."""
+    """Generator names, relator triples and generator map of the edge
+    presentation.
+
+    The squared paths and commutators are found from the far pairs, two
+    vertices distinct and not adjacent in the extension.  A virtual edge
+    lies on no cycle, so the ends of a 2- or 3-path have m = 2 exactly when
+    they are far; two edges are not connected exactly when each end of one
+    is far from both ends of the other.  The search thus follows the
+    relators yielded, and costs O(n^2) on a complete graph, which has none.
+    """
     all_edges = ext.all_edges()  # virtual edges carry label 2
     emap = EdgeGeneratorMap(tuple((i, j) for i, j, _, _ in all_edges))
-    m, adj = ext.matrix, ext.adjacency()
-    family = []
-    for k, (_, _, lab, _) in enumerate(all_edges):
-        if lab != INFINITY:
-            family.append((Word.gen(k) ** lab, *_label_twists(lab)))
-    for cyc in cycle_basis(ext):
-        family.append((emap.path_word(cyc), 0, (len(cyc) - 1) % 2))
-    for path in _path_words(adj, 2) + _path_words(adj, 3):
-        if m.entry(path[0], path[-1]) == 2:
-            family.append((emap.path_word(path) ** 2, 1, 1))
-    edges = emap.edges
-    for a, (i, j) in enumerate(edges):
-        near = adj[i] | adj[j]  # i, j and their neighbours
-        for b in range(a + 1, len(edges)):
-            if near.isdisjoint(edges[b]):  # edges a and b are not connected
-                family.append((commutator(Word.gen(a), Word.gen(b)), 0, 0))
-    return emap, family
+
+    def triples():
+        for k, (_, _, lab, _) in enumerate(all_edges):
+            if lab != INFINITY:
+                yield Word.gen(k) ** lab, *_label_twists(lab)
+        for cyc in cycle_basis(ext):
+            yield emap.path_word(cyc), 0, (len(cyc) - 1) % 2
+        adj = ext.adjacency()
+        far = [[b for b in range(a + 1, ext.n) if b not in adj[a]]
+               for a in range(ext.n)]  # far pairs (a, b), a < b
+        for a, fa in enumerate(far):  # squared 2-paths (a, v, b)
+            for path in sorted((v, b) for b in fa for v in adj[a] & adj[b]):
+                yield emap.path_word((a, *path)) ** 2, 1, 1
+        for a, fa in enumerate(far):  # squared 3-paths (a, u, v, b)
+            for path in sorted((u, v, b) for b in fa for u in adj[a]
+                               for v in adj[u] & adj[b]):
+                yield emap.path_word((a, *path)) ** 2, 1, 1
+        upper = [sorted(w for w in adj[v] if w > v) for v in range(ext.n)]
+        for e, (i, j) in enumerate(emap.edges):  # edges (k, l) after (i, j)
+            near = adj[i] | adj[j]  # i, j and their neighbours
+            for k in far[i]:
+                if k not in near:
+                    for l in upper[k]:
+                        if l not in near:
+                            yield commutator(Word.gen(e), emap.gen_word(k, l)), 0, 0
+    return tuple(f"r{i}_{j}" for i, j in emap.edges), triples(), emap
 
 
 def edge_presentation(m: CoxeterMatrix, anchors=None):
@@ -187,11 +179,14 @@ def edge_presentation(m: CoxeterMatrix, anchors=None):
     component's smallest vertex).
 
     Relator families, in order: edge powers, cycle relators for a
-    fundamental cycle basis, squared 2-paths, squared 3-paths, and
-    commutators of not-connected generator pairs.
+    fundamental cycle basis, squared 2-paths (a, v, b) and squared 3-paths
+    (a, u, v, b) with a < b and m_ab = 2, each in lexicographic order, and
+    commutators of not-connected generator pairs.  Presentation's size
+    rule refuses more than MAX_GENERATORS edges before any relator is
+    built, and stops the build at MAX_LETTERS relator letters.
     """
-    emap, family = _edge_family(connected_extension(m, anchors))
-    return _plain(emap.generator_names(), family), emap
+    names, family, emap = _edge_family(connected_extension(m, anchors))
+    return _plain(names, family), emap
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +213,8 @@ def chain_presentation(family: str, variant: str, n: int) -> Presentation:
     if variant == "bourbaki":  # generators R1..R{n-1} already
         return bourbaki_presentation(standard_matrix(family, n), 0)
     if variant == "edge" and family != "D":
-        p = edge_presentation(standard_matrix(family, n))[0]
-        return Presentation(tuple(f"r{i}" for i in range(1, n)), p.relators)
+        triples = _edge_family(connected_extension(standard_matrix(family, n)))[1]
+        return _plain(tuple(f"r{i}" for i in range(1, n)), triples)
     g = lambda i, k=1: Word.gen(i - 1, k)  # 1-based generator helper
     rel = [g(i) ** (4 if family == "B" else 3) for i in range(1, n)]
     if variant == "carmichael":
@@ -312,8 +307,8 @@ def spinor_plus_presentation(m: CoxeterMatrix, style: str, variant: str) -> Pres
         return _spinor(*_bourbaki_family(m, 0), variant, zname)
     if style != "edge":
         raise BuildError(f"unknown spinor style {style!r}")
-    emap, family = _edge_family(connected_extension(m))
-    return _spinor(emap.generator_names(), family, variant, zname)
+    names, family, _ = _edge_family(connected_extension(m))
+    return _spinor(names, family, variant, zname)
 
 
 def universal_extension(which: str) -> Presentation:

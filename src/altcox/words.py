@@ -7,6 +7,7 @@ enumerator, the oracle) works over these.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -26,7 +27,11 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # longest word parse_word or ** builds: a short exponent expands to |k| letters
 MAX_WORD_LENGTH = 1_000_000
-MAX_GENERATORS = 10_000  # for Presentation.from_json; A/B/D builders write <= 401
+# bounds on every Presentation, read or built.  The largest A/B/D variant at
+# rank 400 has 638,396 letters (B carmichael); the 20x20 grid's edge
+# presentation has 760 generators and 1,167,504 letters
+MAX_GENERATORS = 10_000
+MAX_LETTERS = 4_000_000
 
 
 def _reduce_letters(letters):
@@ -103,8 +108,18 @@ class Presentation:
     _index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        # the size rule: generators before any relator is read, then the
+        # letters as the relators (any iterable) are read
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relators", tuple(self.relators))
+        if len(self.generators) > MAX_GENERATORS:
+            raise InputError(f"more than {MAX_GENERATORS} generators")
+        relators, letters = [], 0
+        for w in self.relators:
+            letters += len(w.letters)
+            if letters > MAX_LETTERS:
+                raise InputError(f"more than {MAX_LETTERS} relator letters")
+            relators.append(w)
+        object.__setattr__(self, "relators", tuple(relators))
         object.__setattr__(self, "central", tuple(tuple(c) for c in self.central))
         object.__setattr__(
             self, "_index", {name: i for i, name in enumerate(self.generators)}
@@ -112,25 +127,17 @@ class Presentation:
 
     @classmethod
     def build(cls, generators, relators, central=()):
-        """Construct, appending power/commutator relators for central gens."""
-        generators = tuple(generators)
-        relators = list(relators)
-        central = tuple(tuple(c) for c in central)
-        index = {name: i for i, name in enumerate(generators)}
-        central_names = [name for name, _ in central]
-        for name, order in central:
-            g = Word.gen(index[name])
-            relators.append(g ** order)
-        for name, _ in central:
-            g = Word.gen(index[name])
-            for other in generators:
-                if other == name:
-                    continue
-                if other in central_names and central_names.index(other) < central_names.index(name):
-                    continue  # [h,g] already added from the earlier central
-                h = Word.gen(index[other])
-                relators.append(commutator(g, h))
-        p = cls(generators, tuple(relators), central)
+        """Construct, appending power/commutator relators for central gens;
+        all relators are read lazily, under the size rule."""
+        p0 = cls(generators, ())
+        names = [name for name, _ in central]
+        powers = (p0.gen(name) ** order for name, order in central)
+        # [g, h] for each central g and each other h, skipping the h central
+        # before g, whose [h, g] is already there
+        commutators = (commutator(p0.gen(name), p0.gen(other))
+                       for k, name in enumerate(names) for other in p0.generators
+                       if other != name and other not in names[:k])
+        p = cls(p0.generators, itertools.chain(relators, powers, commutators), central)
         p.validate()
         return p
 
@@ -186,8 +193,6 @@ class Presentation:
                 and _strings(data.get("relators"))):
             raise InputError('presentation JSON needs "generators" and "relators" '
                              'lists of strings')
-        if len(data["generators"]) > MAX_GENERATORS:
-            raise InputError(f"more than {MAX_GENERATORS} generators")
         central = data.get("central", [])
         if not (isinstance(central, list) and all(
                 isinstance(c, dict) and isinstance(c.get("name"), str)
@@ -196,7 +201,7 @@ class Presentation:
                              '{"name": string, "order": integer}')
         generators = tuple(data["generators"])
         p0 = cls(generators, ())
-        relators = tuple(parse_word(t, p0) for t in data["relators"])
+        relators = (parse_word(t, p0) for t in data["relators"])
         central = tuple((c["name"], c["order"]) for c in central)
         p = cls(generators, relators, central)
         p.validate()

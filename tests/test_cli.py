@@ -11,7 +11,8 @@ import pytest
 from altcox import cli, chains, engine, presentations
 from altcox.cli import main, EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VERIFY
 from altcox.coxeter import MAX_RANK, CoxeterMatrix, standard_matrix
-from altcox.words import Word, parse_word, render_word, MAX_GENERATORS
+from altcox.words import (Presentation, Word, parse_word, render_word,
+                          MAX_GENERATORS, MAX_LETTERS)
 from altcox._tc_py import enumerate_core as py_core
 
 
@@ -198,23 +199,38 @@ def _limit_memory():
 HUGE = 10 ** 20
 
 
-@pytest.mark.parametrize("flag, data, err", [
-    ("--matrix", {"n": 2, "m": [[1, HUGE], [HUGE, 1]]},
+def _full_matrix(n, label):
+    return {"n": n, "m": [[1 if i == j else label for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize("flags, data, err", [
+    (["--matrix"], {"n": 2, "m": [[1, HUGE], [HUGE, 1]]},
      "word longer than 1000000 letters"),
-    ("--matrix", {"n": 2, "m": [[1, 10 ** 9], [10 ** 9, 1]]},
+    (["--matrix"], {"n": 2, "m": [[1, 10 ** 9], [10 ** 9, 1]]},
      "word longer than 1000000 letters"),
-    ("--presentation", {"generators": ["a", "z"], "relators": ["a^2"],
-                        "central": [{"name": "z", "order": HUGE}]},
+    (["--presentation"], {"generators": ["a", "z"], "relators": ["a^2"],
+                          "central": [{"name": "z", "order": HUGE}]},
      "word longer than 1000000 letters"),
-    ("--presentation", {"generators": [f"g{i}" for i in range(MAX_GENERATORS + 1)],
-                        "relators": []}, f"more than {MAX_GENERATORS} generators"),
-], ids=["label-1e20", "label-1e9", "central-order-1e20", "generators"])
-def test_oversized_input_is_usage_error(tmp_path, flag, data, err):
-    # refused before the word or presentation is built: a fresh interpreter
-    # held to 2 GB of address space exits 2 well within the timeout
+    (["--presentation"], {"generators": [f"g{i}" for i in range(MAX_GENERATORS + 1)],
+                          "relators": []}, f"more than {MAX_GENERATORS} generators"),
+    (["--variant", "edge", "--matrix"], _full_matrix(MAX_RANK, 3),
+     f"more than {MAX_GENERATORS} generators"),
+    (["--matrix"], _full_matrix(MAX_RANK, 499_999),
+     f"more than {MAX_LETTERS} relator letters"),
+    (["--variant", "bourbaki", "--matrix"], _full_matrix(MAX_RANK, 499_999),
+     f"more than {MAX_LETTERS} relator letters"),
+    (["--presentation"], {"generators": ["a"], "relators": ["a^999999"] * 400},
+     f"more than {MAX_LETTERS} relator letters"),
+], ids=["label-1e20", "label-1e9", "central-order-1e20", "generators",
+        "complete-graph-edges", "labels-coxeter-letters", "labels-bourbaki-letters",
+        "relators-letters"])
+def test_oversized_input_is_usage_error(tmp_path, flags, data, err):
+    # refused before the word or presentation is built, or as the relators
+    # are built: a fresh interpreter held to 2 GB of address space exits 2
+    # well within the timeout
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))
-    r = subprocess.run([sys.executable, "-m", "altcox.cli", "present", flag, str(path)],
+    r = subprocess.run([sys.executable, "-m", "altcox.cli", "present", *flags, str(path)],
                        capture_output=True, text=True, timeout=60,
                        preexec_fn=_limit_memory)
     assert (r.returncode, r.stderr) == (EXIT_USAGE, f"error: {err}\n")
@@ -365,6 +381,12 @@ def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     assert main(["order", "--family", "A", "--rank", "3",
                  "--max-cosets", "1000"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: not enough memory for --max-cosets 1000\n"
+    # present and verify take no --max-cosets, so their message names none
+    monkeypatch.setattr(Presentation, "to_json", no_memory)
+    for argv in (["present", "--family", "A", "--rank", "3"],
+                 ["verify", "--only", "orders-A4"]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: not enough memory\n")
 
 
 def test_internal_error_is_not_a_usage_error(monkeypatch):

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from altcox import engine, oracle
-from altcox.words import Word, render_word, commutator
-from altcox.coxeter import CoxeterMatrix, INFINITY, standard_matrix
+from altcox.words import Word, Presentation, render_word, commutator
+from altcox.coxeter import (CoxeterMatrix, INFINITY, connected_extension,
+                            cycle_basis, standard_matrix)
 from altcox import presentations as pres
 
 from reflection_rep import edge_images, simple_reflections
@@ -269,6 +273,67 @@ def test_spinor_builders_kill_central_to_plain(m):
         killed = [Word(tuple(x for x in w.letters if abs(x) != z))
                   for w in spinor.relators]
         assert tuple(killed[:len(p.relators)]) == p.relators
+
+
+def _reference_edge_family(m):
+    """The edge presentation's generators (edges) and relator triples
+    (relator, tilde twist, tilde-prime twist), with the squared paths and
+    commutators found by brute force: every simple 2- and 3-path whose ends
+    a < b have m_ab = 2, and every pair of edges with no end of one equal
+    or adjacent to an end of the other."""
+    ext = connected_extension(m)
+    edges = [(i, j) for i, j, _, _ in ext.all_edges()]
+    gen = {e: k for k, e in enumerate(edges)}
+
+    def adjacent(p, q):
+        return (min(p, q), max(p, q)) in gen
+
+    def word(path):
+        w = Word()
+        for p, q in zip(path, path[1:]):
+            w = w * (Word.gen(gen[(p, q)]) if p < q else Word.gen(gen[(q, p)], -1))
+        return w
+
+    triples = [(Word.gen(k) ** lab, (lab - 1) % 2, 1)
+               for k, (_, _, lab, _) in enumerate(ext.all_edges()) if lab != INFINITY]
+    triples += [(word(c), 0, (len(c) - 1) % 2) for c in cycle_basis(ext)]
+    for length in (2, 3):  # permutations come in lexicographic order
+        for path in itertools.permutations(range(m.n), length + 1):
+            if (path[0] < path[-1] and m.entry(path[0], path[-1]) == 2
+                    and all(adjacent(p, q) for p, q in zip(path, path[1:]))):
+                triples.append((word(path) ** 2, 1, 1))
+    for a, b in itertools.combinations(range(len(edges)), 2):
+        if not any(p == q or adjacent(p, q) for p in edges[a] for q in edges[b]):
+            triples.append((commutator(Word.gen(a), Word.gen(b)), 0, 0))
+    return tuple(edges), triples
+
+
+def test_edge_families_match_brute_force():
+    # random density: sparse matrices are mostly disconnected, dense ones
+    # have many cycles and few squared paths or commutators
+    rng = random.Random(7)
+    disconnected = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        density = rng.random()
+        m = _matrix(n, {(i, j): rng.choice([3, 4, 5, 6, INFINITY])
+                        for i in range(n) for j in range(i + 1, n)
+                        if rng.random() < density})
+        edges, triples = _reference_edge_family(m)
+        disconnected += bool(connected_extension(m).virtual_edges)
+        p, emap = pres.edge_presentation(m)
+        assert emap.edges == edges
+        assert p.relators == tuple(w for w, _, _ in triples)
+        z = Word.gen(len(edges))
+        central = [z ** 2] + [commutator(z, Word.gen(k)) for k in range(len(edges))]
+        built = [p]
+        for k, v in ((1, "tilde"), (2, "tilde_prime")):
+            sp = pres.spinor_plus_presentation(m, "edge", v)
+            assert sp.relators == tuple([t[0] * z ** -t[k] for t in triples] + central)
+            built.append(sp)
+        for q in built:
+            assert Presentation.from_json(q.to_json()) == q
+    assert disconnected >= 50
 
 
 def test_spinor_iso_both_ways():

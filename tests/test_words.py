@@ -1,10 +1,12 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from altcox.words import (Word, Presentation, parse_word, render_word,
-                          commutator, WordSyntaxError, MAX_WORD_LENGTH)
+                          commutator, InputError, WordSyntaxError, MAX_WORD_LENGTH,
+                          MAX_GENERATORS, MAX_LETTERS)
 
 P3 = Presentation(("a", "b", "c"), ())
 
@@ -83,6 +85,19 @@ def test_presentation_build_central():
     assert (2, 2) in rel                      # z^2
     assert (2, 1, -2, -1) in rel              # [z, x]
     p.validate()
+
+
+def test_size_rule_reads_relators_lazily():
+    # generators are counted before any relator is read, and relators only
+    # up to the letter bound, so even an endless iterable ends in an error
+    w = Word.gen(0) ** MAX_WORD_LENGTH
+    with pytest.raises(InputError, match=f"^more than {MAX_LETTERS} relator letters$"):
+        Presentation(("a",), itertools.repeat(w))
+    names = [f"g{i}" for i in range(MAX_GENERATORS + 1)]
+    with pytest.raises(InputError, match=f"^more than {MAX_GENERATORS} generators$"):
+        Presentation(names, itertools.repeat(w))
+    with pytest.raises(InputError, match=f"^more than {MAX_LETTERS} relator letters$"):
+        Presentation.build(("a", "z"), itertools.repeat(w), central=(("z", 2),))
 
 
 def test_presentation_json_roundtrip():
