@@ -10,7 +10,6 @@ A cap overrun in any enumeration raises the engine's CapExceeded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .words import InputError, Word, Presentation
 from .presentations import CHAIN_BASE, chain_presentation
@@ -19,31 +18,6 @@ from . import engine
 
 class ChainError(InputError):
     pass
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    family: str
-    variant: str
-    n: int
-    presentation: Presentation = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", self.family.upper())
-        if self.family not in CHAIN_BASE:
-            raise ChainError(f"unknown family {self.family!r}")
-        if self.n < CHAIN_BASE[self.family]:
-            raise ChainError(f"rank {self.n} below chain base")
-        # validates the variant
-        object.__setattr__(self, "presentation",
-                           chain_presentation(self.family, self.variant, self.n))
-
-    @property
-    def base(self):
-        return CHAIN_BASE[self.family]
-
-    def levels(self):
-        return range(self.n, self.base - 1, -1)
 
 
 def _closed_form_a(variant: str, i: int):
@@ -64,53 +38,60 @@ def _closed_form_a(variant: str, i: int):
         out = [Word()] + [run(k) for k in range(i - 1, 0, -1)]
         out.append(g(1) * run(1))
         return out
-    if variant == "edge":
-        # alternating-index runs r_k r_{k+2} ... ending at r_{i-1} or r_{i-1}^2
-        def run(k, last_power):
-            w = Word()
-            for j in range(k, i - 1, 2):
-                w = w * g(j)
-            return w * g(i - 1, last_power)
-        first = [run(k, 1) for k in range(i - 1, 0, -2)]
-        second = [g(i - 1, 2)] + [run(k, 2) for k in range(i - 2, 0, -2)]
-        return [Word()] + first + second
-    raise ChainError(f"unknown variant {variant!r}")
+    # edge: alternating-index runs r_k r_{k+2} ... ending at r_{i-1} or r_{i-1}^2
+    def run(k, last_power):
+        w = Word()
+        for j in range(k, i - 1, 2):
+            w = w * g(j)
+        return w * g(i - 1, last_power)
+    first = [run(k, 1) for k in range(i - 1, 0, -2)]
+    second = [g(i - 1, 2)] + [run(k, 2) for k in range(i - 2, 0, -2)]
+    return [Word()] + first + second
 
 
 class Chain:
-    """Representative sets and membership tables for one ChainSpec.
+    """Representative sets and membership tables for one (family, variant,
+    n) chain.
 
-    The level-i subgroup is generated by the first i-2 generators, or is
-    trivial at the base level.  Membership at level i reads the rank-n
-    table over that subgroup, so every factor word stays over the rank-n
-    alphabet; the B/D representatives at level i are the Schreier words of
-    the rank-i table over the same subgroup.  Each table is enumerated once,
-    on first use.
+    The rank-n presentation is built once, which validates the triple; the
+    rank-i one below it is its restriction to the first i-1 generators and
+    the relators over them, which is the rank-i chain presentation, relators
+    in the same order.  The level-i subgroup is generated by the first i-2
+    generators, or is trivial at the base level.  Membership at level i
+    reads the rank-n table over that subgroup, so every factor word stays
+    over the rank-n alphabet; the B/D representatives at level i are the
+    Schreier words of the rank-i table over the same subgroup.  Each table
+    is enumerated once, on first use.
     """
 
-    def __init__(self, spec: ChainSpec, cap=engine.DEFAULT_CAP):
-        self.spec = spec
+    def __init__(self, family: str, variant: str, n: int, cap=engine.DEFAULT_CAP):
+        self.presentation = chain_presentation(family, variant, n)
+        self.family, self.variant, self.n = family.upper(), variant, n
+        self.base = CHAIN_BASE[self.family]
         self.cap = cap
         self._tables = {}
         self._reps = {}
 
+    def levels(self):
+        return range(self.n, self.base - 1, -1)
+
     def _table(self, rank, i):
         """Coset table of the level-i subgroup inside the rank-`rank` group."""
         if (rank, i) not in self._tables:
-            spec = self.spec
-            p = (spec.presentation if rank == spec.n
-                 else chain_presentation(spec.family, spec.variant, rank))
-            sub = tuple(Word.gen(k) for k in range(i - 2)) if i > spec.base else ()
+            p = self.presentation
+            if rank < self.n:
+                p = Presentation(p.generators[:rank - 1],
+                                 (w for w in p.relators if all(abs(x) < rank for x in w)))
+            sub = tuple(Word.gen(k) for k in range(i - 2)) if i > self.base else ()
             self._tables[rank, i] = engine.enumerate(p, sub, self.cap)
         return self._tables[rank, i]
 
     def rep_set(self, i) -> tuple[Word, ...]:
-        spec = self.spec
-        if not spec.base <= i <= spec.n:
-            raise ChainError(f"level {i} outside [{spec.base}, {spec.n}]")
+        if not self.base <= i <= self.n:
+            raise ChainError(f"level {i} outside [{self.base}, {self.n}]")
         if i not in self._reps:
-            if spec.family == "A" and i > spec.base:
-                self._reps[i] = tuple(_closed_form_a(spec.variant, i))
+            if self.family == "A" and i > self.base:
+                self._reps[i] = tuple(_closed_form_a(self.variant, i))
             else:
                 self._reps[i] = engine.schreier(self._table(i, i))[1:]
         return self._reps[i]
@@ -118,24 +99,21 @@ class Chain:
     def decompose(self, w: Word) -> tuple[Word, ...]:
         """Peel factors u_n, u_{n-1}, ..., u_base from level n down to the
         base block; their product is w.  u^-1 w fixes coset 1 of a level's
-        table (a permutation action) iff u and w move coset 1 alike."""
+        table (a permutation action) iff u and w move coset 1 alike, and
+        the level's representatives cover its cosets."""
         factors = []
-        for i in self.spec.levels():
-            t = self._table(self.spec.n, i)
+        for i in self.levels():
+            t = self._table(self.n, i)
             c = t.trace(1, w)
-            for u in self.rep_set(i):
-                if t.trace(1, u) == c:
-                    factors.append(u)
-                    w = u.inverse() * w
-                    break
-            else:  # pragma: no cover - reps cover all cosets
-                raise ChainError(f"no representative matched at level {i}")
+            u = next(u for u in self.rep_set(i) if t.trace(1, u) == c)
+            factors.append(u)
+            w = u.inverse() * w
         return tuple(factors)
 
     def enumerate_elements(self, scale_cap=100_000):
         """All normal forms, as factor tuples: the Cartesian product of the
         E_i."""
-        sets = [self.rep_set(i) for i in self.spec.levels()]
+        sets = [self.rep_set(i) for i in self.levels()]
         total = 1
         for s in sets:
             total *= len(s)

@@ -194,9 +194,8 @@ def cmd_order(args):
 
 
 def cmd_nf(args):
-    spec = chains.ChainSpec(args.family.upper(), args.variant, args.rank)
-    chain = chains.Chain(spec, args.max_cosets)
-    p = spec.presentation
+    chain = chains.Chain(args.family, args.variant, args.rank, args.max_cosets)
+    p = chain.presentation
     if args.enumerate:
         lines = []
         for d in chain.enumerate_elements():

@@ -77,21 +77,18 @@ def _coxeter_family(m: CoxeterMatrix):
     return tuple(f"s{i}" for i in range(m.n)), triples()
 
 
-def _bourbaki_family(m: CoxeterMatrix, base: int):
-    if not 0 <= base < m.n:
-        raise BuildError(f"base vertex {base} out of range")
-    verts = [i for i in range(m.n) if i != base]
-    def triples():
-        for a, v in enumerate(verts):
-            mv = m.entry(base, v)
+def _bourbaki_family(m: CoxeterMatrix):
+    def triples():  # generator a is R_{a+1}
+        for a in range(m.n - 1):
+            mv = m.entry(0, a + 1)
             if mv != INFINITY:
                 yield Word.gen(a) ** mv, *_label_twists(mv)
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                mij = m.entry(verts[a], verts[b])
+        for a in range(m.n - 1):
+            for b in range(a + 1, m.n - 1):
+                mij = m.entry(a + 1, b + 1)
                 if mij != INFINITY:
                     yield (Word.gen(a, -1) * Word.gen(b)) ** mij, *_label_twists(mij)
-    return tuple(f"R{v}" for v in verts), triples()
+    return tuple(f"R{v}" for v in range(1, m.n)), triples()
 
 
 def coxeter_presentation(m: CoxeterMatrix) -> Presentation:
@@ -100,10 +97,10 @@ def coxeter_presentation(m: CoxeterMatrix) -> Presentation:
     return _plain(*_coxeter_family(m))
 
 
-def bourbaki_presentation(m: CoxeterMatrix, base: int = 0) -> Presentation:
-    """Generators R_i = s_base s_i for i != base; relators R_i^m_{base,i}
-    and (R_i^-1 R_j)^m_ij."""
-    return _plain(*_bourbaki_family(m, base))
+def bourbaki_presentation(m: CoxeterMatrix) -> Presentation:
+    """Generators R_i = s_0 s_i for 1 <= i < n; relators R_i^m_{0,i} and
+    (R_i^-1 R_j)^m_ij for i < j."""
+    return _plain(*_bourbaki_family(m))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +208,7 @@ def chain_presentation(family: str, variant: str, n: int) -> Presentation:
     if n < CHAIN_BASE[family]:
         raise BuildError(f"rank {n} below minimum for ({family}, {variant})")
     if variant == "bourbaki":  # generators R1..R{n-1} already
-        return bourbaki_presentation(standard_matrix(family, n), 0)
+        return bourbaki_presentation(standard_matrix(family, n))
     if variant == "edge" and family != "D":
         triples = _edge_family(connected_extension(standard_matrix(family, n)))[1]
         return _plain(tuple(f"r{i}" for i in range(1, n)), triples)
@@ -304,7 +301,7 @@ def spinor_plus_presentation(m: CoxeterMatrix, style: str, variant: str) -> Pres
     or zp (tilde_prime); Bourbaki or edge style."""
     zname = "z" if variant == "tilde" else "zp"
     if style == "bourbaki":
-        return _spinor(*_bourbaki_family(m, 0), variant, zname)
+        return _spinor(*_bourbaki_family(m), variant, zname)
     if style != "edge":
         raise BuildError(f"unknown spinor style {style!r}")
     names, family, _ = _edge_family(connected_extension(m))
@@ -411,7 +408,7 @@ def bourbaki_edge_homs(m: CoxeterMatrix):
     with R_0 read as 1) and psi: Bourbaki -> edge (R_i -> product of edge
     generators along the root_paths spanning tree path from vertex 0)."""
     edge_p, emap = edge_presentation(m)
-    bour_p = bourbaki_presentation(m, 0)
+    bour_p = bourbaki_presentation(m)
 
     def R(v):  # word for R_v in the Bourbaki presentation, R_0 = 1
         return Word() if v == 0 else Word.gen(v - 1)

@@ -108,13 +108,16 @@ class Presentation:
     _index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # the size rule: generators before any relator is read, then the
-        # letters as the relators (any iterable) are read
+        # the size rule: generators before any relator is read, then each
+        # relator's length and the running letter count as the relators
+        # (any iterable) are read
         object.__setattr__(self, "generators", tuple(self.generators))
         if len(self.generators) > MAX_GENERATORS:
             raise InputError(f"more than {MAX_GENERATORS} generators")
         relators, letters = [], 0
         for w in self.relators:
+            if len(w.letters) > MAX_WORD_LENGTH:
+                raise InputError(f"word longer than {MAX_WORD_LENGTH} letters")
             letters += len(w.letters)
             if letters > MAX_LETTERS:
                 raise InputError(f"more than {MAX_LETTERS} relator letters")

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 from altcox import chains, engine, oracle
 from altcox import presentations as pres
-from altcox.chains import ChainSpec, chain_subgroup_words
+from altcox.chains import chain_subgroup_words
 from altcox.coxeter import CoxeterMatrix, standard_matrix
 from altcox.words import Word, render_word
 
@@ -124,9 +124,9 @@ def test_criterion_07_normal_form_uniqueness():
         cases += [("B", "edge", n) for n in range(2, 5)]
         cases += [("D", "edge", n) for n in range(3, 5)]
         for fam, v, n in cases:
-            spec = ChainSpec(fam, v, n)
-            reg = engine.enumerate(spec.presentation, ())
-            forms = chains.Chain(spec).enumerate_elements()
+            chain = chains.Chain(fam, v, n)
+            reg = engine.enumerate(chain.presentation, ())
+            forms = chain.enumerate_elements()
             assert len(forms) == reg.index == oracle.alternating_order(fam, n)
             cosets = {reg.trace(1, Word(tuple(x for f in d for x in f)))
                       for d in forms}

@@ -1,7 +1,7 @@
 import pytest
 
 from altcox import engine
-from altcox.chains import Chain, ChainSpec, ChainError, chain_subgroup_words
+from altcox.chains import Chain, ChainError, chain_subgroup_words
 from altcox.presentations import chain_presentation, BuildError
 from altcox.words import Word
 
@@ -15,19 +15,32 @@ def product(factors):
 
 
 def test_spec_validation():
-    with pytest.raises(ChainError):
-        ChainSpec("E", "edge", 4)
-    with pytest.raises(ChainError):
-        ChainSpec("D", "edge", 2)
     with pytest.raises(BuildError):
-        ChainSpec("A", "nosuch", 4)
-    spec = ChainSpec("a", "edge", 4)
-    assert spec.family == "A" and spec.base == 2
-    assert list(spec.levels()) == [4, 3, 2]
+        Chain("E", "edge", 4)
+    with pytest.raises(BuildError):
+        Chain("D", "edge", 2)
+    with pytest.raises(BuildError):
+        Chain("A", "nosuch", 4)
+    c = Chain("a", "edge", 4)
+    assert c.family == "A" and c.base == 2
+    assert list(c.levels()) == [4, 3, 2]
+
+
+
+@pytest.mark.parametrize("family", ["A", "B", "D"])
+@pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
+def test_lower_ranks_restrict_the_top_presentation(monkeypatch, family, variant):
+    # the rank-i table enumerates the rank-30 presentation cut down to its
+    # first i-1 generators and the relators over them: generators, relators
+    # in order and central all equal those of the rank-i chain presentation
+    c = Chain(family, variant, 30)
+    monkeypatch.setattr(engine, "enumerate", lambda p, sub, cap: p)
+    for i in range(c.base, 30):
+        assert c._table(i, i) == chain_presentation(family, variant, i), i
 
 
 def test_rep_set_level_bounds():
-    c = Chain(ChainSpec("A", "edge", 4))
+    c = Chain("A", "edge", 4)
     with pytest.raises(ChainError):
         c.rep_set(1)
     with pytest.raises(ChainError):
@@ -35,20 +48,20 @@ def test_rep_set_level_bounds():
 
 
 def test_a_carmichael_rep_words():
-    c = Chain(ChainSpec("A", "carmichael", 4))
+    c = Chain("A", "carmichael", 4)
     # 1, a3, a3^2, a2 a3^2, a1 a3^2
     assert letters(c.rep_set(4)) == [(), (3,), (3, 3), (2, 3, 3), (1, 3, 3)]
     assert letters(c.rep_set(3)) == [(), (2,), (2, 2), (1, 2, 2)]
 
 
 def test_a_bourbaki_rep_words():
-    c = Chain(ChainSpec("A", "bourbaki", 4))
+    c = Chain("A", "bourbaki", 4)
     # 1, R3, R2 R3, R1 R2 R3, R1^2 R2 R3
     assert letters(c.rep_set(4)) == [(), (3,), (2, 3), (1, 2, 3), (1, 1, 2, 3)]
 
 
 def test_a_edge_rep_words_both_parities():
-    c = Chain(ChainSpec("A", "edge", 5))
+    c = Chain("A", "edge", 5)
     # even level: 1, r3, r1 r3, r3^2, r2 r3^2
     assert letters(c.rep_set(4)) == [(), (3,), (1, 3), (3, 3), (2, 3, 3)]
     # odd level: 1, r4, r2 r4, r4^2, r3 r4^2, r1 r3 r4^2
@@ -61,7 +74,7 @@ def test_rep_set_sizes():
                           ("B", 4, {4: 8, 3: 6, 2: 4}),
                           ("D", 5, {5: 10, 4: 8, 3: 12})):
         for variant in ("carmichael", "bourbaki", "edge"):
-            c = Chain(ChainSpec(fam, variant, n))
+            c = Chain(fam, variant, n)
             for i, size in sizes.items():
                 assert len(c.rep_set(i)) == size, (fam, variant, i)
 
@@ -69,10 +82,9 @@ def test_rep_set_sizes():
 def test_reps_hit_distinct_cosets():
     for fam, variant, n in (("A", "edge", 5), ("B", "carmichael", 4),
                             ("D", "bourbaki", 4)):
-        spec = ChainSpec(fam, variant, n)
-        c = Chain(spec)
-        p = spec.presentation
-        for i in range(n, spec.base, -1):
+        c = Chain(fam, variant, n)
+        p = c.presentation
+        for i in range(n, c.base, -1):
             sub = tuple(Word.gen(k) for k in range(i - 2))
             t = engine.enumerate(p, sub)
             seen = {t.trace(1, u) for u in c.rep_set(i)}
@@ -83,9 +95,9 @@ def test_reps_hit_distinct_cosets():
 
 
 def test_base_blocks_are_whole_base_groups():
-    assert len(Chain(ChainSpec("A", "edge", 3)).rep_set(2)) == 3
-    assert len(Chain(ChainSpec("B", "bourbaki", 3)).rep_set(2)) == 4
-    assert len(Chain(ChainSpec("D", "carmichael", 4)).rep_set(3)) == 12
+    assert len(Chain("A", "edge", 3).rep_set(2)) == 3
+    assert len(Chain("B", "bourbaki", 3).rep_set(2)) == 4
+    assert len(Chain("D", "carmichael", 4).rep_set(3)) == 12
 
 
 def test_chain_subgroup_words_generic():
@@ -108,9 +120,8 @@ def test_chain_subgroup_words_d_rank3():
 
 
 def test_decompose_roundtrip_exhaustive():
-    spec = ChainSpec("A", "edge", 4)
-    c = Chain(spec)
-    reg = engine.enumerate(spec.presentation, ())
+    c = Chain("A", "edge", 4)
+    reg = engine.enumerate(c.presentation, ())
     assert reg.index == 60
     seen = set()
     for d in c.enumerate_elements():
@@ -124,15 +135,14 @@ def test_decompose_roundtrip_exhaustive():
 def test_decompose_scrambled_words():
     for fam, variant, n in (("B", "edge", 3), ("D", "carmichael", 4),
                             ("A", "bourbaki", 4)):
-        spec = ChainSpec(fam, variant, n)
-        c = Chain(spec)
-        reg = engine.enumerate(spec.presentation, ())
+        c = Chain(fam, variant, n)
+        reg = engine.enumerate(c.presentation, ())
         words = [Word((1, 2, 1)), Word((2, 1, 2, 2)), Word((-1, 2, -2, 1, 1)),
                  Word(), Word.gen(0) ** 3]
         for w in words:
             d = c.decompose(w)
-            assert len(d) == len(list(spec.levels()))
-            for i, u in zip(spec.levels(), d):
+            assert len(d) == len(list(c.levels()))
+            for i, u in zip(c.levels(), d):
                 assert u in c.rep_set(i)
             assert engine.words_equal(reg, product(d), w)
 
@@ -142,18 +152,18 @@ def test_enumerate_elements_counts():
                                    ("B", "edge", 3, 24),
                                    ("D", "bourbaki", 4, 96),
                                    ("D", "edge", 3, 12)):
-        assert len(Chain(ChainSpec(fam, variant, n)).enumerate_elements()) == order
+        assert len(Chain(fam, variant, n).enumerate_elements()) == order
 
 
 def test_enumerate_elements_scale_cap():
-    c = Chain(ChainSpec("A", "edge", 6))
+    c = Chain("A", "edge", 6)
     with pytest.raises(ChainError):
         c.enumerate_elements(scale_cap=100)
 
 
 def test_module_level_wrappers():
-    spec = ChainSpec("A", "carmichael", 3)
-    assert len(Chain(spec).rep_set(3)) == 4
-    d = Chain(spec).decompose(Word((1, 2)))
-    reg = engine.enumerate(spec.presentation, ())
+    assert len(Chain("A", "carmichael", 3).rep_set(3)) == 4
+    c = Chain("A", "carmichael", 3)
+    d = c.decompose(Word((1, 2)))
+    reg = engine.enumerate(c.presentation, ())
     assert engine.words_equal(reg, product(d), Word((1, 2)))

@@ -236,6 +236,22 @@ def test_oversized_input_is_usage_error(tmp_path, flags, data, err):
     assert (r.returncode, r.stderr) == (EXIT_USAGE, f"error: {err}\n")
 
 
+@pytest.mark.parametrize("variant, code", [("coxeter", EXIT_OK), ("tilde", EXIT_USAGE),
+                                           ("tilde-prime", EXIT_USAGE)])
+def test_built_relator_longer_than_a_word_is_usage_error(tmp_path, capsys, variant, code):
+    # (s0 s1)^500000 has exactly MAX_WORD_LENGTH letters, and each spinor
+    # twist appends one more; present never writes a relator that
+    # --presentation would refuse to read back
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "m": [[1, 500_000], [500_000, 1]]}))
+    assert main(["present", "--variant", variant, "--matrix", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_USAGE:
+        assert (out, err) == ("", "error: word longer than 1000000 letters\n")
+    else:
+        assert [len(r.split()) for r in json.loads(out)["relators"]] == [1, 1_000_000, 1]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()
@@ -401,9 +417,9 @@ def test_nf_decompose(capsys):
     assert main(["nf", "--family", "A", "--variant", "carmichael",
                  "--rank", "3", "--word", "a1 a2"]) == EXIT_OK
     got = capsys.readouterr().out.strip()
-    spec = chains.ChainSpec("A", "carmichael", 3)
-    p = spec.presentation
-    d = chains.Chain(spec).decompose(parse_word("a1 a2", p))
+    chain = chains.Chain("A", "carmichael", 3)
+    p = chain.presentation
+    d = chain.decompose(parse_word("a1 a2", p))
     assert got == " | ".join(render_word(f, p) for f in d)
 
 
@@ -488,9 +504,9 @@ def test_enumerate_artifacts_golden(backend, request, monkeypatch, capsys, tmp_p
 
 
 @pytest.mark.parametrize("family, builds, enumerations",
-                         [("A", 2, 5), ("B", 4, 7), ("D", 3, 5)])
+                         [("A", 1, 5), ("B", 1, 7), ("D", 1, 5)])
 def test_nf_builds_each_table_once(monkeypatch, capsys, family, builds, enumerations):
-    """One presentation per rank and one enumeration per (rank, level) table."""
+    """One presentation per chain and one enumeration per (rank, level) table."""
     calls = {"build": 0, "enumerate": 0}
 
     def counted(name, fn):

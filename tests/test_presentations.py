@@ -45,8 +45,6 @@ def test_bourbaki_leading_powers():
     d = pres.bourbaki_presentation(standard_matrix("D", 4))
     out = rendered(d)
     assert "R2^3" in out and "R1^2" in out
-    with pytest.raises(pres.BuildError):
-        pres.bourbaki_presentation(standard_matrix("A", 3), base=7)
 
 
 def test_edge_single_edge_graph():
