@@ -7,9 +7,8 @@ and 0 marks an infinite label (also in the JSON format).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .words import InputError, load_json
+from .words import InputError, Record, load_json
 
 INFINITY = 0
 
@@ -23,13 +22,12 @@ class MatrixError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    n: int
-    m: tuple[tuple[int, ...], ...]
+class CoxeterMatrix(Record):
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(tuple(row) for row in self.m))
+    def __init__(self, n, m):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", tuple(tuple(row) for row in m))
         self.validate()
 
     def validate(self):
@@ -93,14 +91,16 @@ def standard_matrix(family: str, n: int) -> CoxeterMatrix:
     return CoxeterMatrix(n, tuple(tuple(r) for r in m))
 
 
-@dataclass(frozen=True)
-class ConnectedExtension:
+class ConnectedExtension(Record):
     """The Coxeter graph of a matrix (vertices 0..n-1, an edge {i,j}
     labeled m_ij iff m_ij >= 3 or m_ij is infinite), plus virtual label-2
     edges chaining one anchor per component."""
 
-    matrix: CoxeterMatrix
-    virtual_edges: tuple[tuple[int, int], ...]
+    __slots__ = ("matrix", "virtual_edges")
+
+    def __init__(self, matrix: CoxeterMatrix, virtual_edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "virtual_edges", virtual_edges)
 
     @property
     def n(self):

@@ -17,9 +17,8 @@ matching the composition convention of the oracle module.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
-from .words import InputError, Word, Presentation
+from .words import InputError, Record, Word, Presentation
 from ._tc_py import CapExceeded, MAX_CAP
 
 try:
@@ -38,8 +37,7 @@ def _columns(w: Word):
                  for x in reversed(w.letters))
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Record):
     """Completed, standardized table over live cosets 1..index.
 
     rows and arrival are the core's flat arrays, as specified in
@@ -52,9 +50,12 @@ class CosetTable:
     other generators in decreasing index, positive letters only.
     """
 
-    presentation: Presentation
-    rows: array  # 1-based coset ids, row-major
-    arrival: array
+    __slots__ = ("presentation", "rows", "arrival")
+
+    def __init__(self, presentation: Presentation, rows: array, arrival: array):
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "rows", rows)  # 1-based coset ids, row-major
+        object.__setattr__(self, "arrival", arrival)
 
     @property
     def index(self):

@@ -8,23 +8,20 @@ so (1,2)(2,3) = (1,2,3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import Word
+from .words import Record, Word
 
 
 class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A permutation of {1..N}, stored as the image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+    def __init__(self, images):
+        object.__setattr__(self, "images", tuple(images))
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise OracleError(f"not a bijection: {self.images}")
 
@@ -73,19 +70,18 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(Record):
     """An element (flags, pi) of C2 wr S_n; pi permutes the flag positions.
 
     Product rule: (g, pi) * (h, sigma) = (g + pi.h, pi*sigma), where
     (pi.h)[pi(i)] = h[i] and flags add mod 2.
     """
 
-    flags: tuple[int, ...]
-    perm: Permutation
+    __slots__ = ("flags", "perm")
 
-    def __post_init__(self):
-        object.__setattr__(self, "flags", tuple(f % 2 for f in self.flags))
+    def __init__(self, flags, perm: Permutation):
+        object.__setattr__(self, "flags", tuple(f % 2 for f in flags))
+        object.__setattr__(self, "perm", perm)
         if len(self.flags) != len(self.perm.images):
             raise OracleError("flag vector length != permutation degree")
 

@@ -30,12 +30,10 @@ Displays written by hand, because deriving them would change the bytes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coxeter import (CoxeterMatrix, ConnectedExtension, INFINITY,
                       connected_extension, cycle_basis, root_paths,
                       standard_matrix)
-from .words import InputError, Word, Presentation, commutator
+from .words import InputError, Record, Word, Presentation, commutator
 from . import engine
 
 
@@ -106,15 +104,15 @@ def bourbaki_presentation(m: CoxeterMatrix) -> Presentation:
 # ---------------------------------------------------------------------------
 # edge presentations
 
-@dataclass(frozen=True)
-class EdgeGeneratorMap:
+class EdgeGeneratorMap(Record):
     """Bijection between oriented edges (i<j) of an extension and generators."""
 
-    edges: tuple[tuple[int, int], ...]  # sorted (i, j); generator k is edges[k]
-    _pos: dict = field(default=None, repr=False, compare=False)
+    __slots__ = ("edges", "_pos")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_pos", {e: k for k, e in enumerate(self.edges)})
+    def __init__(self, edges: tuple[tuple[int, int], ...]):
+        # sorted (i, j); generator k is edges[k]
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_pos", {e: k for k, e in enumerate(edges)})
 
     def gen_word(self, p, q) -> Word:
         """Word for the oriented-edge symbol r_pq: the generator if p < q,
@@ -125,8 +123,9 @@ class EdgeGeneratorMap:
 
     def path_word(self, verts) -> Word:
         """Product of the symbols r_pq along a vertex sequence."""
-        return Word(tuple(x for p, q in zip(verts, verts[1:])
-                          for x in self.gen_word(p, q)))
+        pos = self._pos
+        return Word(tuple(pos[p, q] + 1 if p < q else -(pos[q, p] + 1)
+                          for p, q in zip(verts, verts[1:])))
 
 
 def _edge_family(ext: ConnectedExtension):
@@ -350,14 +349,17 @@ def quotient_by_generators(p: Presentation, names) -> Presentation:
 # ---------------------------------------------------------------------------
 # homomorphisms
 
-@dataclass
-class GroupHom:
+class GroupHom(Record):
     """Map between presented groups, given by one target word per source
     generator."""
 
-    source: Presentation
-    target: Presentation
-    images: tuple[Word, ...]  # one target word per source generator
+    __slots__ = ("source", "target", "images")
+
+    def __init__(self, source: Presentation, target: Presentation,
+                 images: tuple[Word, ...]):  # one target word per source generator
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
 
     def apply(self, w: Word) -> Word:
         out = Word()

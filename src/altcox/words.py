@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
 
 
 class InputError(ValueError):
@@ -44,18 +43,56 @@ def _reduce_letters(letters):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Record:
+    """Base of the package's record types.  A subclass names its fields in
+    ``__slots__`` and sets them in ``__init__`` with object.__setattr__;
+    after that, assigning or deleting an attribute raises AttributeError.
+    Equality, hash, repr, copy and pickle read the public fields, so a
+    derived field whose name starts with an underscore (an index map) is
+    left out, and ``__init__`` takes the public fields in slot order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Word(Record):
     """A freely reduced word; the empty word is the identity."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _reduce_letters(self.letters))
+    def __init__(self, letters=()):
+        object.__setattr__(self, "letters", _reduce_letters(letters))
 
     @classmethod
     def _reduced(cls, letters):
-        """Wrap letters known to be freely reduced, skipping __post_init__."""
+        """Wrap a tuple of letters known to be freely reduced."""
         w = object.__new__(cls)
         object.__setattr__(w, "letters", letters)
         return w
@@ -64,10 +101,15 @@ class Word:
     def gen(cls, index, power=1):
         """The word g^power for generator number ``index`` (0-based)."""
         letter = index + 1 if power >= 0 else -(index + 1)
-        return cls((letter,) * abs(power))
+        return cls._reduced((letter,) * abs(power))
 
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        # both operands are reduced, so letters cancel only at the seam
+        a, b = self.letters, other.letters
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return Word._reduced(a[:len(a) - k] + b[k:])
 
     def __pow__(self, k):
         if k < 0:
@@ -77,7 +119,7 @@ class Word:
         return Word(self.letters * k)
 
     def inverse(self):
-        return Word(tuple(-x for x in reversed(self.letters)))
+        return Word._reduced(tuple(-x for x in reversed(self.letters)))
 
     def __len__(self):
         return len(self.letters)
@@ -93,8 +135,7 @@ def commutator(a: Word, b: Word) -> Word:
     return a * b * a.inverse() * b.inverse()
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators, relators, and generators marked central.
 
     ``central`` entries are (name, finite order) pairs; the matching power
@@ -102,31 +143,27 @@ class Presentation:
     have them generated automatically).
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-    central: tuple[tuple[str, int], ...] = ()
-    _index: dict = field(default=None, repr=False, compare=False)
+    __slots__ = ("generators", "relators", "central", "_index")
 
-    def __post_init__(self):
+    def __init__(self, generators, relators, central=()):
         # the size rule: generators before any relator is read, then each
         # relator's length and the running letter count as the relators
         # (any iterable) are read
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if len(self.generators) > MAX_GENERATORS:
+        generators = tuple(generators)
+        if len(generators) > MAX_GENERATORS:
             raise InputError(f"more than {MAX_GENERATORS} generators")
-        relators, letters = [], 0
-        for w in self.relators:
+        kept, letters = [], 0
+        for w in relators:
             if len(w.letters) > MAX_WORD_LENGTH:
                 raise InputError(f"word longer than {MAX_WORD_LENGTH} letters")
             letters += len(w.letters)
             if letters > MAX_LETTERS:
                 raise InputError(f"more than {MAX_LETTERS} relator letters")
-            relators.append(w)
-        object.__setattr__(self, "relators", tuple(relators))
-        object.__setattr__(self, "central", tuple(tuple(c) for c in self.central))
-        object.__setattr__(
-            self, "_index", {name: i for i, name in enumerate(self.generators)}
-        )
+            kept.append(w)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", tuple(kept))
+        object.__setattr__(self, "central", tuple(tuple(c) for c in central))
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(generators)})
 
     @classmethod
     def build(cls, generators, relators, central=()):

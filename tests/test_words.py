@@ -46,6 +46,16 @@ def test_invert_involution(ls):
     assert (w * w.inverse()) == Word()
 
 
+@given(letters, letters)
+def test_product_and_inverse_of_reduced_words(ls, ms):
+    # __mul__ cancels only at the seam and inverse skips the reduction,
+    # so both must agree with reducing the letters from scratch
+    a, b = Word(tuple(ls)), Word(tuple(ms))
+    assert a * b == Word(a.letters + b.letters)
+    assert a.inverse() == Word(tuple(-x for x in reversed(a.letters)))
+    assert (a * b).letters == Word(tuple(ls) + tuple(ms)).letters
+
+
 @given(letters)
 def test_render_parse_roundtrip(ls):
     w = Word(tuple(ls))
