@@ -1,16 +1,21 @@
-"""Compare engine.enumerate on the compiled and pure-Python cores.
+"""Compare engine.enumerate and engine.index on the compiled and
+pure-Python cores.
 
 Run as: python3 benchmarks/bench_enumerate.py [--repeat N]
 Times are in milliseconds, the minimum over N >= 1 runs.  Each time
-covers the whole engine.enumerate call: encoding the words, the core's
-enumeration and its standardization of the table.  The compiled column
-needs the extension built first, for a source checkout with
-``python setup.py build_ext --inplace``.  The last row times the Word
+covers one whole engine call on a fresh copy of the presentation, so
+encoding its words is timed too.  The "table" columns time
+engine.enumerate: the core's enumeration and its standardization of the
+table.  The "index" columns time engine.index, the same enumeration
+counted without a table, which is what ``altcox order`` runs.  The
+compiled columns need the extension built first, for a source checkout
+with ``python setup.py build_ext --inplace``.  The last row times the Word
 layer instead, which no core runs: engine.schreier plus
 engine.schreier_texts on one finished table.
 """
 
 import argparse
+import copy
 import time
 
 from altcox import engine
@@ -40,12 +45,13 @@ CASES = [
 ]
 
 
-def run(core, p, sub, cap=500_000):
-    """Seconds for one engine.enumerate call on the given core."""
+def run(core, call, p, sub, cap=500_000):
+    """Seconds for one engine call, enumerate or index, on the given core."""
+    p = copy.copy(p)  # its relators not yet encoded
     saved, engine._core = engine._core, core
     try:
         t0 = time.perf_counter()
-        engine.enumerate(p, sub, cap)
+        call(p, sub, cap)
         return time.perf_counter() - t0
     finally:
         engine._core = saved
@@ -70,17 +76,22 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=at_least_one, default=3)
     args = ap.parse_args()
-    print(f"{'case':45s} {'python':>11s} {'compiled':>11s} {'speedup':>8s}")
+    cores = [("python", py_core), ("compiled", c_core)]
+    print(f"{'case':45s}" + "".join(f" {name + ' table':>16s} {name + ' index':>16s}"
+                                    for name, _ in cores))
     for name, p, sub in CASES:
-        t_py = min(run(py_core, p, sub) for _ in range(args.repeat))
-        if c_core is None:
-            print(f"{name:45s} {t_py * 1e3:9.3f}ms {'n/a':>11s} {'n/a':>8s}")
-            continue
-        t_c = min(run(c_core, p, sub) for _ in range(args.repeat))
-        print(f"{name:45s} {t_py * 1e3:9.3f}ms {t_c * 1e3:9.3f}ms {t_py / t_c:7.1f}x")
+        cells = []
+        for _, core in cores:
+            for call in (engine.enumerate, engine.index):
+                if core is None:
+                    cells.append(f"{'n/a':>16s}")
+                    continue
+                t = min(run(core, call, p, sub) for _ in range(args.repeat))
+                cells.append(f"{t * 1e3:14.3f}ms")
+        print(f"{name:45s} " + " ".join(cells))
     t = engine.enumerate(chain_presentation("B", "edge", 5), ())
     t_w = min(run_schreier(t) for _ in range(args.repeat))
-    print(f"{'B5 edge regular (1920): schreier + texts':45s} {t_w * 1e3:9.3f}ms")
+    print(f"{'B5 edge regular (1920): schreier + texts':45s} {t_w * 1e3:14.3f}ms")
 
 
 if __name__ == "__main__":

@@ -4,14 +4,15 @@ Same HLT strategy with the same read-only closure pass before the scans at
 each coset, same definition order, same coincidence handling, and the same
 standardizing traversal, which _tc_py.enumerate_core's docstring specifies;
 the test suite asserts that both cores return identical
-(rows, ndef, parent, arrival).  rows, parent and arrival are flat
-array('i') buffers written as C ints, with no Python object per cell,
-row, coset or arrival edge.  Coset ids are C ints, so the wrapper accepts
-caps up to INT_MAX - 2; table indices are computed in size_t.  As in the
-pure core, the table starts with rows 0 and 1 and doubles on demand up to
-the cap, so memory follows the cosets defined, not the cap.  The loop
-holds the GIL and checks for signals every SIGNAL_EVERY rows, so
-Ctrl-C stops it.
+(rows, ndef, parent, arrival), and with table=False identical
+(index, ndef, parent), which skips the standardization and allocates no
+rows or arrival.  rows, parent and arrival are flat array('i') buffers
+written as C ints, with no Python object per cell, row, coset or arrival
+edge.  Coset ids are C ints, so the wrapper accepts caps up to
+INT_MAX - 2; table indices are computed in size_t.  As in the pure core,
+the table starts with rows 0 and 1 and doubles on demand up to the cap,
+so memory follows the cosets defined, not the cap.  The loop holds the
+GIL and checks for signals every SIGNAL_EVERY rows, so Ctrl-C stops it.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -244,36 +245,47 @@ static PyObject *int_array(Py_ssize_t n, Py_buffer *view)
     return a;
 }
 
-/* The standardization of _tc_py.enumerate_core on a completed table:
-   number[c] is the new number of live coset c and order[k] the old id of
-   new coset k, which arrived from coset arrival[2k] by generator
-   arrival[2k+1].  Every live row is full and names live cosets only, so
-   neither the traversal nor the rows need find.  Returns the core's
-   (rows, ndef, parent, arrival), or NULL with an exception set. */
-static PyObject *standardize(TC *tc)
+/* The union-find forest tc->parent[0..ndef] as a new array('i'), or NULL
+   with an exception set. */
+static PyObject *forest(TC *tc)
 {
-    int ngens = tc->ncols / 2, n = 1, live = 0;
-    for (int c = 1; c <= tc->ndef; c++)
-        live += tc->parent[c] == c;
+    Py_buffer pv;
+    PyObject *parent = int_array((Py_ssize_t)tc->ndef + 1, &pv);
+    if (parent) {
+        memcpy(pv.buf, tc->parent, ((size_t)tc->ndef + 1) * sizeof(int));
+        PyBuffer_Release(&pv);
+    }
+    return parent;
+}
+
+/* The standardization of _tc_py.enumerate_core on a completed table of
+   `live` live cosets: number[c] is the new number of live coset c and
+   order[k] the old id of new coset k, which arrived from coset arrival[2k]
+   by generator arrival[2k+1].  Every live row is full and names live
+   cosets only, so neither the traversal nor the rows need find.  Returns
+   the core's (rows, ndef, parent, arrival), or NULL with an exception
+   set. */
+static PyObject *standardize(TC *tc, int live)
+{
+    int ngens = tc->ncols / 2, n = 1;
     size_t size = (size_t)tc->ndef + 1;
     int *number = calloc(2 * size, sizeof(int));  /* zeroed: no coset numbered */
     int *order = number + size;
     int *out, *via;  /* the rows buffer; via[2k], via[2k+1] is k's arrival */
-    Py_buffer rv, pv, av;
+    Py_buffer rv, av;
     PyObject *rows = NULL, *parent = NULL, *arrival = NULL, *result = NULL;
     if (!number) {
         PyErr_NoMemory();
         return NULL;
     }
+    if (!(parent = forest(tc)))
+        goto done;
     if (!(rows = int_array(((Py_ssize_t)live + 1) * tc->ncols, &rv)))
         goto done;
-    if (!(parent = int_array((Py_ssize_t)size, &pv)))
-        goto release_rows;
     if (!(arrival = int_array(2 * ((Py_ssize_t)live + 1), &av)))
-        goto release_parent;
+        goto release_rows;
     out = rv.buf;
     via = av.buf;
-    memcpy(pv.buf, tc->parent, size * sizeof(int));
 
     number[1] = 1;
     order[1] = 1;
@@ -306,8 +318,6 @@ static PyObject *standardize(TC *tc)
     }
 
     PyBuffer_Release(&av);
-release_parent:
-    PyBuffer_Release(&pv);
 release_rows:
     PyBuffer_Release(&rv);
 done:
@@ -318,12 +328,15 @@ done:
     return result;
 }
 
-static PyObject *enumerate_core(PyObject *self, PyObject *args)
+static PyObject *enumerate_core(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    int ncols, cap;
+    static char *kwlist[] = {"ncols", "relators", "subgroup_words", "cap",
+                             "table", NULL};
+    int ncols, cap, table = 1, live = 0;
     PyObject *relators, *subgroup_words;
-    if (!PyArg_ParseTuple(args, "iOOi:enumerate_core", &ncols, &relators,
-                          &subgroup_words, &cap))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOi|p:enumerate_core", kwlist,
+                                     &ncols, &relators, &subgroup_words, &cap,
+                                     &table))
         return NULL;
     if (cap < 1 || cap > INT_MAX - 2)
         return PyErr_Format(PyExc_ValueError,
@@ -370,7 +383,14 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args)
         PyErr_SetNone(CapExceeded);
         break;
     case DONE:
-        result = standardize(&tc);
+        for (int c = 1; c <= tc.ndef; c++)
+            live += tc.parent[c] == c;
+        if (table)
+            result = standardize(&tc, live);
+        else {
+            PyObject *parent = forest(&tc);
+            result = parent ? Py_BuildValue("iiN", live, tc.ndef, parent) : NULL;
+        }
         break;
     }  /* SIGNALLED, NOMEM: the exception is already set */
 
@@ -387,8 +407,10 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"enumerate_core", enumerate_core, METH_VARARGS,
-     "enumerate_core(ncols, relators, subgroup_words, cap) -> (rows, ndef, parent, arrival)\n\n"
+    {"enumerate_core", (PyCFunction)(void (*)(void))enumerate_core,
+     METH_VARARGS | METH_KEYWORDS,
+     "enumerate_core(ncols, relators, subgroup_words, cap, table=True)\n"
+     "-> (rows, ndef, parent, arrival), or (index, ndef, parent) with table=False\n\n"
      "Compiled twin of altcox._tc_py.enumerate_core."},
     {NULL, NULL, 0, NULL},
 };

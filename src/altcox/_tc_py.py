@@ -7,7 +7,8 @@ run left to right.
 
 This is the reference core.  Its compiled twin in ``_tc_core.c`` is a
 line-for-line port; the test suite asserts that both return identical
-``(rows, ndef, parent, arrival)``.
+``(rows, ndef, parent, arrival)``, and identical ``(index, ndef, parent)``
+when the table is not asked for.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ class CapExceeded(Exception):
     """More cosets (live + dead) were defined than the cap allows."""
 
 
-def enumerate_core(ncols, relators, subgroup_words, cap):
-    """Run HLT coset enumeration and standardize the completed table.
+def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
+    """Run HLT coset enumeration and, when table is true, standardize the
+    completed table.
 
     HLT visits the live cosets in order.  At each one a read-only closure
     pass first walks every relator from it; only the relators that do not
@@ -49,6 +51,10 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
     zeros.  ndef is the number of cosets defined and parent, with ndef+1
     entries, the union-find forest over the old ids 0..ndef, with
     parent[c] == c exactly for the live cosets.
+
+    With table false the enumeration is the same, but nothing is renumbered
+    and no rows or arrival are built: the return is (index, ndef, parent),
+    index the number of live cosets and ndef and parent as above.
     """
     if not 1 <= cap <= MAX_CAP:
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
@@ -60,7 +66,7 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
             if not isinstance(x, int) or not 0 <= x < ncols:
                 raise ValueError(f"word letters must be ints in [0, {ncols})")
 
-    table = [0] * (2 * ncols)  # rows 0 and 1; doubled as cosets are defined
+    cells = [0] * (2 * ncols)  # the table: rows 0 and 1, doubled as cosets are defined
     parent = [0, 1]
     ndef = 1
     dead = []
@@ -80,10 +86,10 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
         ndef += 1
         beta = ndef
         parent.append(beta)
-        if len(table) <= beta * ncols:
-            table.extend([0] * min(len(table), (cap + 1) * ncols - len(table)))
-        table[alpha * ncols + x] = beta
-        table[beta * ncols + (x ^ 1)] = alpha
+        if len(cells) <= beta * ncols:
+            cells.extend([0] * min(len(cells), (cap + 1) * ncols - len(cells)))
+        cells[alpha * ncols + x] = beta
+        cells[beta * ncols + (x ^ 1)] = alpha
         return beta
 
     def merge(k, l):
@@ -101,41 +107,41 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
             gamma = dead.pop()
             grow = gamma * ncols
             for x in range(ncols):
-                delta = table[grow + x]
+                delta = cells[grow + x]
                 if not delta:
                     continue
-                table[grow + x] = 0
-                table[delta * ncols + (x ^ 1)] = 0
+                cells[grow + x] = 0
+                cells[delta * ncols + (x ^ 1)] = 0
                 mu, nu = find(gamma), find(delta)
                 murow = mu * ncols
-                if table[murow + x]:
-                    merge(nu, table[murow + x])
-                elif table[nu * ncols + (x ^ 1)]:
-                    merge(mu, table[nu * ncols + (x ^ 1)])
+                if cells[murow + x]:
+                    merge(nu, cells[murow + x])
+                elif cells[nu * ncols + (x ^ 1)]:
+                    merge(mu, cells[nu * ncols + (x ^ 1)])
                 else:
-                    table[murow + x] = nu
-                    table[nu * ncols + (x ^ 1)] = mu
+                    cells[murow + x] = nu
+                    cells[nu * ncols + (x ^ 1)] = mu
 
     def scan_and_fill(alpha, word):
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and table[f * ncols + word[i]]:
-                f = table[f * ncols + word[i]]
+            while i <= j and cells[f * ncols + word[i]]:
+                f = cells[f * ncols + word[i]]
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b * ncols + (word[j] ^ 1)]:
-                b = table[b * ncols + (word[j] ^ 1)]
+            while j >= i and cells[b * ncols + (word[j] ^ 1)]:
+                b = cells[b * ncols + (word[j] ^ 1)]
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f * ncols + word[i]] = b
-                table[b * ncols + (word[i] ^ 1)] = f
+                cells[f * ncols + word[i]] = b
+                cells[b * ncols + (word[i] ^ 1)] = f
                 return
             f = define(f, word[i])
             i += 1
@@ -159,7 +165,7 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
         for w in relators:
             f = alpha
             for x in w:
-                f = table[f * ncols + x]
+                f = cells[f * ncols + x]
             if f != alpha:
                 open_relators.append(w)
         for w in open_relators:
@@ -169,9 +175,13 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
         if find(alpha) == alpha:
             arow = alpha * ncols
             for x in range(ncols):
-                if not table[arow + x]:
+                if not cells[arow + x]:
                     define(alpha, x)
         alpha += 1
+
+    live = [c for c in range(1, ndef + 1) if parent[c] == c]
+    if not table:
+        return len(live), ndef, array("i", parent)
 
     # standardize: number[c] is the new number of live coset c, order[k]
     # the old id of new coset k; order grows while the loop walks it.  In
@@ -189,13 +199,12 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
         # first is tried again in the descending sweep, where its target is
         # already numbered
         for g in (first, *range(ngens - 1, -1, -1)):
-            d = table[c * ncols + 2 * g]
+            d = cells[c * ncols + 2 * g]
             if d and not number[d]:
                 number[d] = len(order)
                 order.append(d)
                 arrival += (k, g)
         k += 1
-    live = [c for c in range(1, ndef + 1) if parent[c] == c]
     if len(order) - 1 != len(live):  # pragma: no cover - the positive orbit covers all
         raise AssertionError("positive-letter traversal missed cosets")
 
@@ -203,5 +212,5 @@ def enumerate_core(ncols, relators, subgroup_words, cap):
     rows = [0] * (len(order) * ncols)
     for c in live:
         k = number[c] * ncols
-        rows[k:k + ncols] = [number[d] for d in table[c * ncols:(c + 1) * ncols]]
+        rows[k:k + ncols] = [number[d] for d in cells[c * ncols:(c + 1) * ncols]]
     return array("i", rows), ndef, array("i", parent), array("i", arrival)

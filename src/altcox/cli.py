@@ -176,7 +176,12 @@ def _table_csv(t):
 
 def cmd_enumerate(args):
     p = _build_presentation(args)
-    t = engine.enumerate(p, _subgroup_words(args, p), args.max_cosets)
+    sub = _subgroup_words(args, p)
+    if args.table is None and args.dot is None and args.reps is None:
+        # no artifact reads the table, so the core only counts the cosets
+        _emit(f"index {engine.index(p, sub, args.max_cosets)}\n", args.output)
+        return EXIT_OK
+    t = engine.enumerate(p, sub, args.max_cosets)
     if args.table is not None:
         _atomic_write(args.table, _table_csv(t))
     if args.dot is not None:
@@ -189,7 +194,7 @@ def cmd_enumerate(args):
 
 def cmd_order(args):
     p = _build_presentation(args)
-    _emit(f"{engine.enumerate(p, (), args.max_cosets).index}\n", args.output)
+    _emit(f"{engine.index(p, (), args.max_cosets)}\n", args.output)
     return EXIT_OK
 
 

@@ -5,10 +5,14 @@ extension (``altcox._tc_core``, built from ``_tc_core.c`` whenever a C
 compiler is present) with the pure-Python reference core
 (``altcox._tc_py``) as the fallback; BACKEND names the one in use.  Both
 return identical ``(rows, ndef, parent, arrival)``, each sequence a flat
-``array('i')``; this module encodes the words, calls the core and wraps
-its rows and arrival tree in a CosetTable.  A run that would define more
-cosets than its cap raises the core's CapExceeded, which ``enumerate``
-lets through to its caller; only ``order`` turns it into None.
+``array('i')``, and with ``table=False`` identical ``(index, ndef,
+parent)``: the same enumeration, counted without renumbering it or
+building its rows.  This module encodes the words, each presentation's
+relators once, and calls the core: ``enumerate`` wraps the rows and
+arrival tree in a CosetTable, while ``index`` and ``order`` take the count
+alone.  A run that would define more cosets than its cap raises the core's
+CapExceeded, which ``enumerate`` and ``index`` let through to their
+caller; only ``order`` turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -35,6 +39,16 @@ def _columns(w: Word):
     """Column indices of a word, reversed for left-action scanning."""
     return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1)
                  for x in reversed(w.letters))
+
+
+def _relator_columns(p: Presentation):
+    """The column words of p's relators, encoded on p's first enumeration
+    and kept on p, so that every table over one presentation shares them."""
+    encoded = p._encoded
+    if encoded is None:
+        encoded = tuple(map(_columns, p.relators))
+        object.__setattr__(p, "_encoded", encoded)
+    return encoded
 
 
 class CosetTable(Record):
@@ -69,6 +83,18 @@ class CosetTable(Record):
         return coset
 
 
+def _run(p: Presentation, subgroup, cap, table):
+    """The core's return for <subgroup> in p, with or without its table, or
+    None when p has no generators: the cores reject a table without
+    columns, and the trivial group has index 1."""
+    if not 1 <= cap <= MAX_CAP:  # any int; the compiled core parses a C int
+        raise InputError(f"cap must be between 1 and {MAX_CAP}")
+    if not p.rank:
+        return None
+    subwords = [_columns(w) for w in subgroup]
+    return _core(2 * p.rank, _relator_columns(p), subwords, cap, table)
+
+
 def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> CosetTable:
     """HLT enumeration of the cosets of <subgroup> in the presented group.
 
@@ -76,14 +102,19 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> CosetTable:
     Raises CapExceeded when the enumeration would define more than cap
     cosets.  A presentation with no generators is the trivial group.
     """
-    if not 1 <= cap <= MAX_CAP:  # any int; the compiled core parses a C int
-        raise InputError(f"cap must be between 1 and {MAX_CAP}")
-    if not p.rank:  # the cores reject a table without columns
+    result = _run(p, subgroup, cap, True)
+    if result is None:
         return CosetTable(p, array("i"), array("i", (0,) * 4))
-    relators = [_columns(w) for w in p.relators]
-    subwords = [_columns(w) for w in subgroup]
-    rows, _, _, arrival = _core(2 * p.rank, relators, subwords, cap)
+    rows, _, _, arrival = result
     return CosetTable(p, rows, arrival)
+
+
+def index(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> int:
+    """The index of <subgroup>: enumerate's enumeration, with its cap and
+    its CapExceeded, counted in the core without standardizing it or
+    building a table."""
+    result = _run(p, subgroup, cap, False)
+    return 1 if result is None else result[0]
 
 
 def order(p: Presentation, cap=DEFAULT_CAP):
@@ -92,7 +123,7 @@ def order(p: Presentation, cap=DEFAULT_CAP):
     Returns the order, or None when the cap was exceeded.
     """
     try:
-        return enumerate(p, (), cap).index
+        return index(p, (), cap)
     except CapExceeded:
         return None
 

@@ -122,10 +122,13 @@ class EdgeGeneratorMap(Record):
         return Word.gen(self._pos[(q, p)], -1)
 
     def path_word(self, verts) -> Word:
-        """Product of the symbols r_pq along a vertex sequence."""
+        """Product of the symbols r_pq along a simple path or cycle."""
         pos = self._pos
-        return Word(tuple(pos[p, q] + 1 if p < q else -(pos[q, p] + 1)
-                          for p, q in zip(verts, verts[1:])))
+        # consecutive edges of a simple path or cycle are distinct
+        # generators, so no letter cancels; the ends of a squared path are a
+        # far pair, so its square cannot cancel at the seam either
+        return Word._reduced(tuple(pos[p, q] + 1 if p < q else -(pos[q, p] + 1)
+                                   for p, q in zip(verts, verts[1:])))
 
 
 def _edge_family(ext: ConnectedExtension):

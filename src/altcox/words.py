@@ -114,9 +114,12 @@ class Word(Record):
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        if len(self.letters) * k > MAX_WORD_LENGTH:
+        a = self.letters
+        if len(a) * k > MAX_WORD_LENGTH:
             raise InputError(f"word longer than {MAX_WORD_LENGTH} letters")
-        return Word(self.letters * k)
+        if not a or a[-1] != -a[0]:  # a is reduced, and no seam can cancel
+            return Word._reduced(a * k)
+        return Word(a * k)
 
     def inverse(self):
         return Word._reduced(tuple(-x for x in reversed(self.letters)))
@@ -143,7 +146,9 @@ class Presentation(Record):
     have them generated automatically).
     """
 
-    __slots__ = ("generators", "relators", "central", "_index")
+    # _encoded: the engine's column encoding of the relators, set on the
+    # first enumeration over the presentation
+    __slots__ = ("generators", "relators", "central", "_index", "_encoded")
 
     def __init__(self, generators, relators, central=()):
         # the size rule: generators before any relator is read, then each
@@ -164,6 +169,7 @@ class Presentation(Record):
         object.__setattr__(self, "relators", tuple(kept))
         object.__setattr__(self, "central", tuple(tuple(c) for c in central))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(generators)})
+        object.__setattr__(self, "_encoded", None)
 
     @classmethod
     def build(cls, generators, relators, central=()):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from altcox import engine
@@ -37,6 +39,36 @@ def test_lower_ranks_restrict_the_top_presentation(monkeypatch, family, variant)
     monkeypatch.setattr(engine, "enumerate", lambda p, sub, cap: p)
     for i in range(c.base, 30):
         assert c._table(i, i) == chain_presentation(family, variant, i), i
+
+
+def test_each_presentation_encoded_once(monkeypatch):
+    """The tables of one chain over one presentation share one encoding of
+    its relators: through a decompose, which enumerates 7 tables over 4
+    presentations, each relator of each presentation is encoded once, and a
+    later index over the top presentation encodes none again."""
+    encoded, presentations = [], {}
+    columns, enumerate_ = engine._columns, engine.enumerate
+
+    def counting_columns(w):
+        encoded.append(id(w))
+        return columns(w)
+
+    def recording_enumerate(p, sub, cap):
+        presentations.setdefault(id(p), p)
+        return enumerate_(p, sub, cap)
+
+    monkeypatch.setattr(engine, "_columns", counting_columns)
+    monkeypatch.setattr(engine, "enumerate", recording_enumerate)
+    c = Chain("B", "carmichael", 5)
+    c.decompose(Word((1, 2, -3, 4, 4, 2, 1)))
+    assert len(c._tables) == 7 and len(presentations) == 4
+    # a relator object a restricted presentation shares with the top one
+    # is encoded once for each
+    want = Counter(id(w) for p in presentations.values() for w in p.relators)
+    assert Counter(k for k in encoded if k in want) == want
+    encoded.clear()
+    assert engine.index(c.presentation) == 1920
+    assert encoded == []
 
 
 def test_rep_set_level_bounds():

@@ -17,6 +17,7 @@ from altcox._tc_py import enumerate_core as py_core
 
 
 INFINITE_MATRIX = CoxeterMatrix(2, ((1, 0), (0, 1)))
+AFFINE_A2 = CoxeterMatrix(3, ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
 
 
 def test_present_stdout(capsys):
@@ -273,6 +274,29 @@ def test_enumerate_index_and_artifacts(tmp_path, capsys):
     assert reps.read_text() == "1\ns2\ns1 s2\ns0 s1 s2\n"
 
 
+@pytest.mark.parametrize("family, rank, variant", [
+    ("A", 5, "edge"), ("B", 4, "bourbaki"), ("D", 4, "carmichael"), ("B", 3, "coxeter")])
+def test_index_path_agrees_with_table(tmp_path, monkeypatch, capsys, family, rank, variant):
+    """order and an enumerate that writes no artifact count the cosets
+    without a table; enumerate --table builds one; they print one index."""
+    tables = []
+    enumerate_ = engine.enumerate
+    monkeypatch.setattr(engine, "enumerate", lambda *a: tables.append(a) or enumerate_(*a))
+    base = ["--family", family, "--rank", str(rank), "--variant", variant]
+    table = ["--table", str(tmp_path / "t.csv")]
+    for sub in ([], ["--subgroup-gens", "2"]):
+        if not sub:
+            assert main(["order"] + base) == EXIT_OK
+        assert main(["enumerate"] + base + sub) == EXIT_OK
+        assert not tables
+        assert main(["enumerate"] + base + sub + table) == EXIT_OK
+        assert len(tables) == 1
+        tables.clear()
+    order, *indices = capsys.readouterr().out.splitlines()
+    assert indices[0] == indices[1] == f"index {order}"
+    assert indices[2] == indices[3] != indices[0]
+
+
 def test_enumerate_subgroup_words(capsys):
     assert main(["enumerate", "--family", "A", "--rank", "3",
                  "--subgroup", "s0", "--subgroup", "s2"]) == EXIT_OK
@@ -368,11 +392,15 @@ def test_order_cover(capsys):
     (["nf", "--family", "D", "--rank", "5", "--variant", "edge", "--word", "r1"], 15),
     # the rank-5 regular table behind the base level
     (["nf", "--family", "B", "--rank", "5", "--variant", "edge", "--word", "r1"], 1000),
-], ids=["order", "nf-D5-level", "nf-B5-regular"])
+    # the index path, which counts the cosets without a table
+    (["order", "--matrix", "AFFINE", "--variant", "edge"], 20000),
+    (["enumerate", "--matrix", "AFFINE", "--subgroup-gens", "1"], 5000),
+], ids=["order", "nf-D5-level", "nf-B5-regular", "order-affine", "enumerate-affine"])
 def test_order_cap_exceeded(tmp_path, capsys, argv, cap):
-    mfile = tmp_path / "inf.json"
-    mfile.write_text(INFINITE_MATRIX.to_json())
-    argv = [str(mfile) if a == "INF" else a for a in argv]
+    files = {"INF": tmp_path / "inf.json", "AFFINE": tmp_path / "affine.json"}
+    files["INF"].write_text(INFINITE_MATRIX.to_json())
+    files["AFFINE"].write_text(AFFINE_A2.to_json())
+    argv = [str(files[a]) if a in files else a for a in argv]
     assert main(argv + ["--max-cosets", str(cap)]) == EXIT_CAP
     err = capsys.readouterr().err
     assert "cap exceeded" in err

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import signal
 import subprocess
@@ -63,6 +64,11 @@ def test_orders():
     assert engine.order(chain_presentation("A", "edge", 4)) == 60
     assert engine.order(chain_presentation("B", "edge", 3)) == 24
     assert engine.order(universal_extension("A5"), cap=500_000) == 2160
+
+
+def test_rank_zero_is_the_trivial_group():
+    p = Presentation((), ())
+    assert engine.index(p) == engine.enumerate(p).index == engine.order(p) == 1
 
 
 def test_cap_exceeded_on_infinite_group():
@@ -190,13 +196,14 @@ SEQUENCE_DIGEST = "b3e5a6d65e103d3fa73413f0e69386a55b407492cab7c6759172df18ab6b4
 def test_enumeration_golden(backend, request, monkeypatch):
     """Rows and arrival trees (hence Schreier words) of both cores, through
     engine.enumerate, pinned by one SHA-256; a second pins the core's ndef
-    and parent on the same runs."""
+    and parent on the same runs, both through engine.enumerate and through
+    engine.index, whose count must be the table's index."""
     core = py_core if backend == "python" else request.getfixturevalue("c_core")
-    sequence = hashlib.sha256()
+    sequences = {True: hashlib.sha256(), False: hashlib.sha256()}  # by table
 
     def recording_core(*args):
         result = core(*args)
-        sequence.update(repr((result[1], result[2].tolist())).encode())
+        sequences[args[4]].update(repr((result[1], result[2].tolist())).encode())
         return result
 
     monkeypatch.setattr(engine, "_core", recording_core)
@@ -205,10 +212,11 @@ def test_enumeration_golden(backend, request, monkeypatch):
     for p, sub in golden_cases():
         t = engine.enumerate(p, sub, cap=500_000)
         h.update(repr(nested(t)).encode())
+        assert engine.index(p, sub, cap=500_000) == t.index
         n += 1
     assert n == 296
     assert h.hexdigest() == ENUMERATION_DIGEST
-    assert sequence.hexdigest() == SEQUENCE_DIGEST
+    assert sequences[True].hexdigest() == sequences[False].hexdigest() == SEQUENCE_DIGEST
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
@@ -263,12 +271,17 @@ def test_backend_equivalence(c_core):
         want = py_core(*args, 50_000)
         assert len(want) == 4  # (rows, ndef, parent, arrival)
         assert want == c_core(*args, 50_000), p.generators
+        rows, ndef, parent, arrival = want
+        counted = (len(arrival) // 2 - 1, ndef, parent)  # (index, ndef, parent)
+        assert py_core(*args, 50_000, table=False) == c_core(*args, 50_000, table=False) \
+            == counted
         # the cap boundary: exactly ndef cosets completes, one fewer does not
-        ndef = want[1]
         assert py_core(*args, ndef) == c_core(*args, ndef) == want
+        assert py_core(*args, ndef, False) == c_core(*args, ndef, False) == counted
         for core in (py_core, c_core):
-            with pytest.raises(CapExceeded):
-                core(*args, ndef - 1)
+            for table in (True, False):
+                with pytest.raises(CapExceeded):
+                    core(*args, ndef - 1, table)
     for core in (py_core, c_core):
         with pytest.raises(CapExceeded):
             core(*columns(coxeter_presentation(AFFINE_A2)), 20_000)
@@ -283,16 +296,16 @@ def test_backend_cap_equivalence(c_core):
 
 def test_cores_reject_bad_input(c_core):
     rel = [(0, 0), (2, 2)]
-    for core in (py_core, c_core):
+    for core, table in itertools.product((py_core, c_core), (True, False)):
         for ncols, words, cap in ((4, rel, 0), (4, rel, 2**31 - 2), (3, rel, 10),
                                   (0, rel, 10), (4, rel + [(0, 4)], 10),
                                   (4, [(0, -1)], 10), (4, [(0, "x")], 10)):
             with pytest.raises(ValueError):
-                core(ncols, words, [], cap)
+                core(ncols, words, [], cap, table=table)
             with pytest.raises(ValueError):
-                core(ncols, [], words, cap)
+                core(ncols, [], words, cap, table=table)
         with pytest.raises(TypeError):
-            core(4, [5], [], 10)
+            core(4, [5], [], 10, table=table)
 
 
 def test_pure_core_memory_follows_cosets_not_cap():

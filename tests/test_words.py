@@ -1,9 +1,12 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from altcox.coxeter import INFINITY, CoxeterMatrix
+from altcox.presentations import edge_presentation
 from altcox.words import (Word, Presentation, parse_word, render_word,
                           commutator, InputError, WordSyntaxError, MAX_WORD_LENGTH,
                           MAX_GENERATORS, MAX_LETTERS)
@@ -54,6 +57,33 @@ def test_product_and_inverse_of_reduced_words(ls, ms):
     assert a * b == Word(a.letters + b.letters)
     assert a.inverse() == Word(tuple(-x for x in reversed(a.letters)))
     assert (a * b).letters == Word(tuple(ls) + tuple(ms)).letters
+
+
+@given(st.one_of(letters, st.tuples(letters, letters).map(
+    lambda t: t[0] + t[1] + [-x for x in reversed(t[0])])),
+    st.integers(min_value=-4, max_value=4))
+def test_power_matches_reducing_the_repeated_letters(ls, k):
+    # ** skips the reduction unless the word's ends can cancel; the second
+    # strategy gives words such as a b a^-1, which are not cyclically reduced
+    w = Word(tuple(ls))
+    repeated = w.letters * k if k >= 0 else w.inverse().letters * -k
+    assert w ** k == Word(repeated)
+
+
+def test_edge_relators_are_reduced():
+    # path_word and ** wrap their letters unreduced: a relator that could
+    # cancel would differ from its own reduction.  Sparse matrices give the
+    # squared paths and commutators, dense ones the cycles
+    rng = random.Random(11)
+    for _ in range(300):
+        n, density = rng.randint(1, 7), rng.random()
+        m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    m[i][j] = m[j][i] = rng.choice([3, 4, 5, 6, INFINITY])
+        for w in edge_presentation(CoxeterMatrix(n, m))[0].relators:
+            assert w == Word(w.letters)
 
 
 @given(letters)
