@@ -8,8 +8,12 @@ encoding its words is timed too.  The "table" columns time
 engine.enumerate: the core's enumeration and its standardization of the
 table.  The "index" columns time engine.index, the same enumeration
 counted without a table, which is what ``altcox order`` runs.  The
-compiled columns need the extension built first, for a source checkout
-with ``python setup.py build_ext --inplace``.  The last row times the Word
+"defined" columns give the cosets each core defines for the case, live
+and dead, which both calls share; a presentation with g^2 relators
+defines fewer than with two columns per generator, as its involutions
+get one self-inverse column each.  The compiled columns need the
+extension built first, for a source checkout with
+``python setup.py build_ext --inplace``.  The last row times the Word
 layer instead, which no core runs: engine.schreier plus
 engine.schreier_texts on one finished table.
 """
@@ -57,6 +61,12 @@ def run(core, call, p, sub, cap=500_000):
         engine._core = saved
 
 
+def defined(core, p, sub, cap=500_000):
+    """Cosets the given core defines for <sub> in p."""
+    subwords = [engine._columns(w) for w in sub]
+    return core(2 * p.rank, engine._relator_columns(p), subwords, cap, False)[1]
+
+
 def run_schreier(t):
     """Seconds for the Schreier words and their texts of table t."""
     t0 = time.perf_counter()
@@ -77,17 +87,19 @@ def main():
     ap.add_argument("--repeat", type=at_least_one, default=3)
     args = ap.parse_args()
     cores = [("python", py_core), ("compiled", c_core)]
-    print(f"{'case':45s}" + "".join(f" {name + ' table':>16s} {name + ' index':>16s}"
-                                    for name, _ in cores))
+    print(f"{'case':45s}" + "".join(
+        f" {name + ' table':>16s} {name + ' index':>16s} {name + ' defined':>16s}"
+        for name, _ in cores))
     for name, p, sub in CASES:
         cells = []
         for _, core in cores:
+            if core is None:
+                cells += [f"{'n/a':>16s}"] * 3
+                continue
             for call in (engine.enumerate, engine.index):
-                if core is None:
-                    cells.append(f"{'n/a':>16s}")
-                    continue
                 t = min(run(core, call, p, sub) for _ in range(args.repeat))
                 cells.append(f"{t * 1e3:14.3f}ms")
+            cells.append(f"{defined(core, p, sub):16d}")
         print(f"{name:45s} " + " ".join(cells))
     t = engine.enumerate(chain_presentation("B", "edge", 5), ())
     t_w = min(run_schreier(t) for _ in range(args.repeat))

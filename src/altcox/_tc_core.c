@@ -2,11 +2,17 @@
 
 Same HLT strategy with the same read-only closure pass before the scans at
 each coset, same definition order, same coincidence handling, and the same
-standardizing traversal, which _tc_py.enumerate_core's docstring specifies;
-the test suite asserts that both cores return identical
-(rows, ndef, parent, arrival), and with table=False identical
-(index, ndef, parent), which skips the standardization and allocates no
-rows or arrival.  rows, parent and arrival are flat array('i') buffers
+standardizing traversal, which _tc_py.enumerate_core's docstring specifies,
+and the same involution rule: a generator g with a relator of two equal
+letters, g^2 or g^-2, gets one self-inverse column 2g.  Both of its letters
+read that column (col[2g+1] == 2g) and it is its own inverse
+(inv[2g] == 2g), so a definition there fills both ends; its two-letter
+relators are dropped, a row's empty entries skip column 2g+1, and the
+standardization copies column 2g into column 2g+1, so rows and arrival are
+those of two columns per generator.  The test suite asserts that both
+cores return identical (rows, ndef, parent, arrival), and with
+table=False identical (index, ndef, parent), which skips the
+standardization and allocates no rows or arrival.  rows, parent and arrival are flat array('i') buffers
 written as C ints, with no Python object per cell, row, coset or arrival
 edge.  Coset ids are C ints, so the wrapper accepts caps up to
 INT_MAX - 2; table indices are computed in size_t.  As in the pure core,
@@ -35,6 +41,8 @@ typedef struct {
     int *table;   /* nrows rows of ncols; 0 is an undefined entry */
     int *parent;  /* union-find forest over coset ids; entry c set when c is defined */
     int *dead;    /* stack of merged-away cosets whose rows await processing */
+    int *col;     /* col[x]: the column letter x reads, 2g for both letters of an involution g */
+    int *inv;     /* inv[x]: the column of letter x's inverse, x ^ 1 or, for an involution, x */
     int ncols, cap, ndef, ndead, nrows;
 } TC;
 
@@ -84,7 +92,7 @@ static int define(TC *tc, int alpha, int x)
         return NOMEM;
     tc->parent[beta] = beta;
     CELL(tc, alpha, x) = beta;
-    CELL(tc, beta, x ^ 1) = alpha;
+    CELL(tc, beta, tc->inv[x]) = alpha;
     return beta;
 }
 
@@ -108,16 +116,17 @@ static void coincidence(TC *tc, int alpha, int beta)
             int delta = CELL(tc, gamma, x);
             if (!delta)
                 continue;
+            int y = tc->inv[x];
             CELL(tc, gamma, x) = 0;
-            CELL(tc, delta, x ^ 1) = 0;
+            CELL(tc, delta, y) = 0;
             int mu = find(tc, gamma), nu = find(tc, delta);
             if (CELL(tc, mu, x))
                 merge(tc, nu, CELL(tc, mu, x));
-            else if (CELL(tc, nu, x ^ 1))
-                merge(tc, mu, CELL(tc, nu, x ^ 1));
+            else if (CELL(tc, nu, y))
+                merge(tc, mu, CELL(tc, nu, y));
             else {
                 CELL(tc, mu, x) = nu;
-                CELL(tc, nu, x ^ 1) = mu;
+                CELL(tc, nu, y) = mu;
             }
         }
     }
@@ -137,8 +146,8 @@ static int scan_and_fill(TC *tc, int alpha, const int *word, Py_ssize_t len)
                 coincidence(tc, f, b);
             return DONE;
         }
-        while (j >= i && CELL(tc, b, word[j] ^ 1)) {
-            b = CELL(tc, b, word[j] ^ 1);
+        while (j >= i && CELL(tc, b, tc->inv[word[j]])) {
+            b = CELL(tc, b, tc->inv[word[j]]);
             j--;
         }
         if (j < i) {
@@ -147,7 +156,7 @@ static int scan_and_fill(TC *tc, int alpha, const int *word, Py_ssize_t len)
         }
         if (j == i) {
             CELL(tc, f, word[i]) = b;
-            CELL(tc, b, word[i] ^ 1) = f;
+            CELL(tc, b, tc->inv[word[i]]) = f;
             return DONE;
         }
         f = define(tc, f, word[i]);
@@ -190,7 +199,8 @@ static int hlt(TC *tc, const int *words, const Py_ssize_t *off,
         }
         if (find(tc, alpha) == alpha)
             for (int x = 0; x < tc->ncols; x++)
-                if (!CELL(tc, alpha, x) && (status = define(tc, alpha, x)) < 0)
+                if (tc->col[x] == x && !CELL(tc, alpha, x)
+                    && (status = define(tc, alpha, x)) < 0)
                     return status;
     }
     return DONE;
@@ -233,6 +243,37 @@ static int pack(PyObject *seq, int ncols, int **words, Py_ssize_t *size,
         off[++*nwords] = at + len;
     }
     return 0;
+}
+
+/* Finds the involutions among the nwords packed words, the first nsub
+   subgroup words and the rest relators, and fills tc->col and tc->inv;
+   rewrites every word through col in place and drops the two-letter
+   relators that made a generator an involution.  Returns the number of
+   words left; off is rewritten to match. */
+static Py_ssize_t involutions(TC *tc, int *words, Py_ssize_t *off,
+                              Py_ssize_t nsub, Py_ssize_t nwords)
+{
+    Py_ssize_t n = 0, to = 0, start = 0;
+    for (int x = 0; x < tc->ncols; x++) {
+        tc->col[x] = x;
+        tc->inv[x] = x ^ 1;
+    }
+    for (Py_ssize_t k = nsub; k < nwords; k++)
+        if (off[k + 1] - off[k] == 2 && words[off[k]] == words[off[k] + 1]) {
+            int x = words[off[k]] & ~1;
+            tc->col[x + 1] = tc->inv[x] = x;
+        }
+    /* n <= k, so off[++n] never overwrites an end not yet read */
+    for (Py_ssize_t k = 0; k < nwords; k++) {
+        Py_ssize_t end = off[k + 1];
+        if (k < nsub || end - start != 2 || words[start] != words[start + 1]) {
+            for (Py_ssize_t i = start; i < end; i++)
+                words[to++] = tc->col[words[i]];
+            off[++n] = to;
+        }
+        start = end;
+    }
+    return n;
 }
 
 /* A new zeroed array('i') of n C ints, its buffer exported to *view for
@@ -312,7 +353,7 @@ static PyObject *standardize(TC *tc, int live)
             if (tc->parent[c] == c) {
                 int *row = out + (size_t)number[c] * tc->ncols;
                 for (int x = 0; x < tc->ncols; x++)
-                    row[x] = number[CELL(tc, c, x)];
+                    row[x] = number[CELL(tc, c, tc->col[x])];
             }
         result = Py_BuildValue("OiOO", rows, tc->ndef, parent, arrival);
     }
@@ -348,7 +389,7 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args, PyObject *kwargs
     PyObject *subs = PySequence_Tuple(subgroup_words);
     PyObject *rels = subs ? PySequence_Tuple(relators) : NULL;
     PyObject *result = NULL;
-    TC tc = {NULL, NULL, NULL, ncols, cap, 1, 0, 2};
+    TC tc = {NULL, NULL, NULL, NULL, NULL, ncols, cap, 1, 0, 2};
     int *words = NULL;
     char *closed = NULL;  /* hlt's closure flags, one per word */
     Py_ssize_t size = 64, nwords = 0, nsub = 0, *off = NULL;
@@ -371,10 +412,13 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args, PyObject *kwargs
     tc.table = calloc(2 * (size_t)ncols, sizeof(int));
     tc.parent = malloc(2 * sizeof(int));
     tc.dead = malloc(2 * sizeof(int));
-    if (!tc.table || !tc.parent || !tc.dead) {
+    tc.col = malloc(2 * (size_t)ncols * sizeof(int));
+    if (!tc.table || !tc.parent || !tc.dead || !tc.col) {
         PyErr_NoMemory();
         goto done;
     }
+    tc.inv = tc.col + ncols;
+    nwords = involutions(&tc, words, off, nsub, nwords);
     tc.parent[0] = 0;
     tc.parent[1] = 1;
 
@@ -398,6 +442,7 @@ done:
     free(tc.table);
     free(tc.parent);
     free(tc.dead);
+    free(tc.col);
     free(words);
     free(off);
     free(closed);

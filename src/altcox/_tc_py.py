@@ -3,7 +3,9 @@
 The table acts on *left* cosets: column ``2*g`` is the action of generator
 g, column ``2*g+1`` of its inverse, and words act rightmost letter first.
 Callers pass relator/subgroup words already reversed so the scan below can
-run left to right.
+run left to right.  A generator with a g^2 or g^-2 relator is an
+involution: it is enumerated in column ``2*g`` alone, and its column
+``2*g+1`` is filled in only when the table is standardized.
 
 This is the reference core.  Its compiled twin in ``_tc_core.c`` is a
 line-for-line port; the test suite asserts that both return identical
@@ -32,6 +34,16 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
     its row's empty entries are defined.  A scan of a closed relator would
     change nothing, so the definitions and merges are those of plain HLT.
 
+    Involutions: generator g is involutory when some relator consists of
+    two equal letters, (2g, 2g) or (2g+1, 2g+1).  Such a g gets one
+    self-inverse column: the letter 2g+1 reads column 2g, in relators and
+    subgroup words alike; defining alpha g = beta also sets beta g = alpha;
+    the two-letter relators that made g involutory are dropped, since they
+    hold by construction; and a row's empty entries skip column 2g+1.  HLT
+    then never defines a coset for alpha g^-1 that a later g^2 scan would
+    merge into alpha g.  A presentation without such a relator is
+    enumerated exactly as without the rule.
+
     ncols: 2 * generator count, positive and even.  relators /
     subgroup_words: sequences of column-index tuples (reversed words), each
     letter an int in [0, ncols).  cap: at most this many cosets (live +
@@ -48,9 +60,11 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
     row 0 is all zeros.  arrival has 2*(index+1) entries: arrival[2k] and
     arrival[2k+1] are k's parent coset p and generator g, with
     rows[p*ncols + 2*g] == k and p < k, for k >= 2; cosets 0 and 1 have
-    zeros.  ndef is the number of cosets defined and parent, with ndef+1
-    entries, the union-find forest over the old ids 0..ndef, with
-    parent[c] == c exactly for the live cosets.
+    zeros.  The renumbering copies column 2g into column 2g+1 of an
+    involutory g, so rows and arrival are those of an enumeration with
+    two columns per generator.  ndef is the number of cosets defined and
+    parent, with ndef+1 entries, the union-find forest over the old ids
+    0..ndef, with parent[c] == c exactly for the live cosets.
 
     With table false the enumeration is the same, but nothing is renumbered
     and no rows or arrival are built: the return is (index, ndef, parent),
@@ -65,6 +79,17 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
         for x in w:
             if not isinstance(x, int) or not 0 <= x < ncols:
                 raise ValueError(f"word letters must be ints in [0, {ncols})")
+    # col[x] is the column letter x reads and inv[x] the column of its
+    # inverse; an involutory g's two letters both read column 2g
+    col, inv = list(range(ncols)), [x ^ 1 for x in range(ncols)]
+    for w in relators:
+        if len(w) == 2 and w[0] == w[1]:
+            x = w[0] & ~1
+            col[x + 1] = inv[x] = x
+    subgroup_words = [[col[x] for x in w] for w in subgroup_words]
+    relators = [[col[x] for x in w] for w in relators
+                if len(w) != 2 or w[0] != w[1]]
+    fill = [x for x in range(ncols) if col[x] == x]  # the columns a row fills
 
     cells = [0] * (2 * ncols)  # the table: rows 0 and 1, doubled as cosets are defined
     parent = [0, 1]
@@ -89,7 +114,7 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
         if len(cells) <= beta * ncols:
             cells.extend([0] * min(len(cells), (cap + 1) * ncols - len(cells)))
         cells[alpha * ncols + x] = beta
-        cells[beta * ncols + (x ^ 1)] = alpha
+        cells[beta * ncols + inv[x]] = alpha
         return beta
 
     def merge(k, l):
@@ -111,16 +136,16 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
                 if not delta:
                     continue
                 cells[grow + x] = 0
-                cells[delta * ncols + (x ^ 1)] = 0
+                cells[delta * ncols + inv[x]] = 0
                 mu, nu = find(gamma), find(delta)
                 murow = mu * ncols
                 if cells[murow + x]:
                     merge(nu, cells[murow + x])
-                elif cells[nu * ncols + (x ^ 1)]:
-                    merge(mu, cells[nu * ncols + (x ^ 1)])
+                elif cells[nu * ncols + inv[x]]:
+                    merge(mu, cells[nu * ncols + inv[x]])
                 else:
                     cells[murow + x] = nu
-                    cells[nu * ncols + (x ^ 1)] = mu
+                    cells[nu * ncols + inv[x]] = mu
 
     def scan_and_fill(alpha, word):
         f, i = alpha, 0
@@ -133,15 +158,15 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and cells[b * ncols + (word[j] ^ 1)]:
-                b = cells[b * ncols + (word[j] ^ 1)]
+            while j >= i and cells[b * ncols + inv[word[j]]]:
+                b = cells[b * ncols + inv[word[j]]]
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
                 cells[f * ncols + word[i]] = b
-                cells[b * ncols + (word[i] ^ 1)] = f
+                cells[b * ncols + inv[word[i]]] = f
                 return
             f = define(f, word[i])
             i += 1
@@ -174,7 +199,7 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
                 break
         if find(alpha) == alpha:
             arow = alpha * ncols
-            for x in range(ncols):
+            for x in fill:
                 if not cells[arow + x]:
                     define(alpha, x)
         alpha += 1
@@ -208,9 +233,10 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
     if len(order) - 1 != len(live):  # pragma: no cover - the positive orbit covers all
         raise AssertionError("positive-letter traversal missed cosets")
 
-    # in ascending old id, so the table is read front to back
+    # in ascending old id, so the table is read front to back; column 2g+1
+    # of an involutory g copies column 2g
     rows = [0] * (len(order) * ncols)
     for c in live:
-        k = number[c] * ncols
-        rows[k:k + ncols] = [number[d] for d in cells[c * ncols:(c + 1) * ncols]]
+        k, row = number[c] * ncols, c * ncols
+        rows[k:k + ncols] = [number[cells[row + x]] for x in col]
     return array("i", rows), ndef, array("i", parent), array("i", arrival)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .words import InputError, Word, Presentation
+from .words import InputError, Word
 from .presentations import CHAIN_BASE, chain_presentation
 from . import engine
 
@@ -56,7 +56,8 @@ class Chain:
     The rank-n presentation is built once, which validates the triple; the
     rank-i one below it is its restriction to the first i-1 generators and
     the relators over them, which is the rank-i chain presentation, relators
-    in the same order.  The level-i subgroup is generated by the first i-2
+    in the same order; it shares the rank-n presentation's encoding of
+    those relators.  The level-i subgroup is generated by the first i-2
     generators, or is trivial at the base level.  Membership at level i
     reads the rank-n table over that subgroup, so every factor word stays
     over the rank-n alphabet; the B/D representatives at level i are the
@@ -80,8 +81,7 @@ class Chain:
         if (rank, i) not in self._tables:
             p = self.presentation
             if rank < self.n:
-                p = Presentation(p.generators[:rank - 1],
-                                 (w for w in p.relators if all(abs(x) < rank for x in w)))
+                p = engine.restrict(p, rank - 1)
             sub = tuple(Word.gen(k) for k in range(i - 2)) if i > self.base else ()
             self._tables[rank, i] = engine.enumerate(p, sub, self.cap)
         return self._tables[rank, i]

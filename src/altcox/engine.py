@@ -7,12 +7,18 @@ compiler is present) with the pure-Python reference core
 return identical ``(rows, ndef, parent, arrival)``, each sequence a flat
 ``array('i')``, and with ``table=False`` identical ``(index, ndef,
 parent)``: the same enumeration, counted without renumbering it or
-building its rows.  This module encodes the words, each presentation's
-relators once, and calls the core: ``enumerate`` wraps the rows and
-arrival tree in a CosetTable, while ``index`` and ``order`` take the count
-alone.  A run that would define more cosets than its cap raises the core's
-CapExceeded, which ``enumerate`` and ``index`` let through to their
-caller; only ``order`` turns it into None.
+building its rows.  A generator with a relator of two equal letters, g^2
+or g^-2, is an involution: the cores give it one self-inverse column, so
+they define no coset for an alpha g^-1 that the g^2 relator would merge
+into alpha g, and at standardization they copy that column into the
+column of g^-1.  The tables are those of two columns per generator; only
+the count of cosets defined, which the cap bounds, falls.  This module
+encodes the words, each presentation's relators once, and calls the
+core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
+while ``index`` and ``order`` take the count alone.  A run that would
+define more cosets than its cap raises the core's CapExceeded, which
+``enumerate`` and ``index`` let through to their caller; only ``order``
+turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -49,6 +55,16 @@ def _relator_columns(p: Presentation):
         encoded = tuple(map(_columns, p.relators))
         object.__setattr__(p, "_encoded", encoded)
     return encoded
+
+
+def restrict(p: Presentation, ngens) -> Presentation:
+    """p cut down to its first ngens generators and the relators over them,
+    in order, sharing p's column words for those relators."""
+    kept = [(w, c) for w, c in zip(p.relators, _relator_columns(p))
+            if all(x < 2 * ngens for x in c)]
+    q = Presentation(p.generators[:ngens], (w for w, _ in kept))
+    object.__setattr__(q, "_encoded", tuple(c for _, c in kept))
+    return q
 
 
 class CosetTable(Record):
@@ -167,12 +183,10 @@ def schreier_texts(t: CosetTable) -> list[str]:
 
 
 def _involutions(p: Presentation):
-    """Generators g with a g^2 relator (rendered undirected in DOT)."""
-    out = set()
-    for w in p.relators:
-        if len(w.letters) == 2 and w.letters[0] == w.letters[1] and w.letters[0] > 0:
-            out.add(w.letters[0] - 1)
-    return out
+    """Generators g with a relator of two equal letters, g^2 or g^-2: the
+    cores' involutions, drawn undirected in DOT."""
+    return {w[0] // 2 for w in _relator_columns(p) if len(w) == 2 and w[0] == w[1]}
+
 
 def to_dot(t: CosetTable) -> str:
     """DOT export of the Schreier graph of t, coset 1 labelled H and every

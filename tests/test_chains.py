@@ -42,10 +42,11 @@ def test_lower_ranks_restrict_the_top_presentation(monkeypatch, family, variant)
 
 
 def test_each_presentation_encoded_once(monkeypatch):
-    """The tables of one chain over one presentation share one encoding of
-    its relators: through a decompose, which enumerates 7 tables over 4
-    presentations, each relator of each presentation is encoded once, and a
-    later index over the top presentation encodes none again."""
+    """The tables of one chain share one encoding of its relators: through
+    a decompose, which enumerates 7 tables over 4 presentations, each
+    relator is encoded once in all, though the restricted presentations
+    hold the top one's relator objects, and a later index over the top
+    presentation encodes none again."""
     encoded, presentations = [], {}
     columns, enumerate_ = engine._columns, engine.enumerate
 
@@ -62,10 +63,8 @@ def test_each_presentation_encoded_once(monkeypatch):
     c = Chain("B", "carmichael", 5)
     c.decompose(Word((1, 2, -3, 4, 4, 2, 1)))
     assert len(c._tables) == 7 and len(presentations) == 4
-    # a relator object a restricted presentation shares with the top one
-    # is encoded once for each
-    want = Counter(id(w) for p in presentations.values() for w in p.relators)
-    assert Counter(k for k in encoded if k in want) == want
+    relators = {id(w) for p in presentations.values() for w in p.relators}
+    assert Counter(k for k in encoded if k in relators) == Counter(relators)
     encoded.clear()
     assert engine.index(c.presentation) == 1920
     assert encoded == []

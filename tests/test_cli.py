@@ -274,6 +274,26 @@ def test_enumerate_index_and_artifacts(tmp_path, capsys):
     assert reps.read_text() == "1\ns2\ns1 s2\ns0 s1 s2\n"
 
 
+def test_inverse_square_relator_is_an_involution(tmp_path, capsys):
+    """a^-2, like a^2, makes a an involution: the two presentations of A4
+    write one table, and the DOT draws a's edges undirected and b's not."""
+    outputs = {}
+    for square in ("a^2", "a^-2"):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"generators": ["a", "b"],
+                                 "relators": [square, "b^3", "a b a b a b"]}))
+        table, dot = tmp_path / f"{square}.csv", tmp_path / f"{square}.dot"
+        assert main(["enumerate", "--presentation", str(p),
+                     "--table", str(table), "--dot", str(dot)]) == EXIT_OK
+        assert capsys.readouterr().out == "index 12\n"
+        outputs[square] = table.read_text(), dot.read_text()
+    assert outputs["a^-2"] == outputs["a^2"]
+    edges = [line.split(" [")[1] for line in outputs["a^-2"][1].splitlines()
+             if " -> " in line]
+    assert sorted(set(edges)) == ['label="a", dir=none];', 'label="b"];']
+    assert edges.count('label="a", dir=none];') == 6 and len(edges) == 18
+
+
 @pytest.mark.parametrize("family, rank, variant", [
     ("A", 5, "edge"), ("B", 4, "bourbaki"), ("D", 4, "carmichael"), ("B", 3, "coxeter")])
 def test_index_path_agrees_with_table(tmp_path, monkeypatch, capsys, family, rank, variant):
