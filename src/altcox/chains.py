@@ -121,23 +121,3 @@ class Chain:
             raise ChainError(f"{total} normal forms exceed scale cap {scale_cap}")
         return list(itertools.product(*sets))
 
-
-def chain_subgroup_words(family: str, variant: str, n: int):
-    """Words generating the rank-(n-1) subgroup inside the rank-n chain
-    presentation.
-
-    Generically the first n-2 generators.  At D rank 3 those generate a
-    C3, not the order-2 rank-2 group, so the generator of the rank-2
-    group is spelled out per variant instead.
-    """
-    family = family.upper()
-    chain_presentation(family, variant, n)  # validates the triple
-    if family == "D" and n == 3:
-        g = lambda k, p=1: Word.gen(k - 1, p)
-        if variant == "carmichael":
-            return (g(1) * g(2, 2) * g(1),)
-        if variant == "bourbaki":
-            return (g(1),)
-        return (g(1) * g(2, 2),)
-    return tuple(Word.gen(k) for k in range(n - 2))
-

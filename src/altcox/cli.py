@@ -314,7 +314,7 @@ def cmd_verify(args):
         failures += not ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
     lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
-    _emit("\n".join(lines) + "\n", getattr(args, "output", None))
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_VERIFY if failures else EXIT_OK
 
 

@@ -107,22 +107,15 @@ class ConnectedExtension(Record):
         return self.matrix.n
 
     def all_edges(self):
-        """Sorted (i, j, label, is_virtual) for real and virtual edges, i < j.
-        A virtual edge joins two components, so its matrix label is 2."""
-        virtual = set(self.virtual_edges)
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                label = self.matrix.entry(i, j)
-                if (i, j) in virtual:
-                    out.append((i, j, 2, True))
-                elif label == INFINITY or label >= 3:
-                    out.append((i, j, label, False))
-        return out
+        """Sorted (i, j, label) for real and virtual edges, i < j.  A
+        virtual edge joins two components, so its matrix label is 2."""
+        virtual, m = set(self.virtual_edges), self.matrix.m
+        return [(i, j, m[i][j]) for i in range(self.n) for j in range(i + 1, self.n)
+                if m[i][j] == INFINITY or m[i][j] >= 3 or (i, j) in virtual]
 
     def adjacency(self):
         adj = {v: set() for v in range(self.n)}
-        for i, j, _, _ in self.all_edges():
+        for i, j, _ in self.all_edges():
             adj[i].add(j)
             adj[j].add(i)
         return adj
@@ -191,7 +184,7 @@ def cycle_basis(ext: ConnectedExtension):
     """
     paths = root_paths(ext)
     cycles = []
-    for i, j, _, _ in ext.all_edges():
+    for i, j, _ in ext.all_edges():
         pi, pj = paths[i], paths[j]
         if pi[1:2] == (j,) or pj[1:2] == (i,):  # a tree edge
             continue
@@ -213,14 +206,3 @@ def _normalize_cycle(verts):
         verts = [verts[0]] + verts[:0:-1]
     return tuple(verts + [verts[0]])
 
-
-def graph_to_dot(ext: ConnectedExtension) -> str:
-    """DOT export of an extension; virtual edges are dashed."""
-    lines = ["graph coxeter {"]
-    for v in range(ext.n):
-        lines.append(f'  {v} [label="{v}"];')
-    for i, j, lab, virtual in ext.all_edges():
-        style = ', style=dashed' if virtual else ''
-        lines.append(f'  {i} -- {j} [label="{lab}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

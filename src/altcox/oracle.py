@@ -1,6 +1,6 @@
 """Independent ground truth: permutations, wreath products C2 wr S_n,
-word evaluation, BFS subgroup orders, and the explicit generator images
-for the A/B/D presentation catalog.
+word evaluation, homomorphism checks, BFS subgroup orders, and the
+explicit generator images for the A/B/D presentation catalog.
 
 Composition convention: in a product p*q the right factor acts first,
 so (1,2)(2,3) = (1,2,3).
@@ -50,21 +50,6 @@ class Permutation(Record):
         for i, v in enumerate(self.images):
             inv[v - 1] = i + 1
         return Permutation(tuple(inv))
-
-    def sign(self):
-        seen = [False] * len(self.images)
-        sign = 1
-        for i in range(len(self.images)):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
 
     def is_identity(self):
         return all(v == i + 1 for i, v in enumerate(self.images))
@@ -117,33 +102,6 @@ class WreathElement(Record):
 
     def is_identity(self):
         return not any(self.flags) and self.perm.is_identity()
-
-
-def epsilon(e) -> int:
-    """Sign of the underlying permutation (of a Permutation or the
-    permutation part of a WreathElement)."""
-    if isinstance(e, WreathElement):
-        return e.perm.sign()
-    return e.sign()
-
-
-def epsilon_c2n(e: WreathElement) -> int:
-    return -1 if sum(e.flags) % 2 else 1
-
-
-def epsilon_0(e: WreathElement) -> int:
-    return e.perm.sign()
-
-
-def subgroup_membership_characters(e: WreathElement, family: str) -> bool:
-    """Defining character condition of B+ / ambient D / D+."""
-    if family == "B+":
-        return epsilon_c2n(e) * epsilon_0(e) == 1
-    if family == "D":
-        return epsilon_c2n(e) == 1
-    if family == "D+":
-        return epsilon_c2n(e) == 1 and epsilon_0(e) == 1
-    raise OracleError(f"unknown family {family!r}")
 
 
 def eval_word(images, w: Word):

@@ -143,10 +143,10 @@ def _edge_family(ext: ConnectedExtension):
     relators yielded, and costs O(n^2) on a complete graph, which has none.
     """
     all_edges = ext.all_edges()  # virtual edges carry label 2
-    emap = EdgeGeneratorMap(tuple((i, j) for i, j, _, _ in all_edges))
+    emap = EdgeGeneratorMap(tuple((i, j) for i, j, _ in all_edges))
 
     def triples():
-        for k, (_, _, lab, _) in enumerate(all_edges):
+        for k, (_, _, lab) in enumerate(all_edges):
             if lab != INFINITY:
                 yield Word.gen(k) ** lab, *_label_twists(lab)
         for cyc in cycle_basis(ext):
@@ -341,12 +341,6 @@ def universal_extension(which: str) -> Presentation:
                 g(2) * g(5) * g(2, -1) * g(5, -1) * zeta.inverse(),
                 g(1) * g(5) * g(1, -1) * g(5, -1) * zeta ** (-2)]
     return Presentation.build(names, rel, central=(("z", 2), ("zeta", 3)))
-
-
-def quotient_by_generators(p: Presentation, names) -> Presentation:
-    """Add relators killing the named generators."""
-    extra = tuple(p.gen(name) for name in names)
-    return Presentation(p.generators, p.relators + extra, p.central)
 
 
 # ---------------------------------------------------------------------------

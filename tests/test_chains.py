@@ -3,9 +3,11 @@ from collections import Counter
 import pytest
 
 from altcox import engine
-from altcox.chains import Chain, ChainError, chain_subgroup_words
+from altcox.chains import Chain, ChainError, _closed_form_a
 from altcox.presentations import chain_presentation, BuildError
 from altcox.words import Word
+
+from subgroups import chain_subgroup_words
 
 
 def letters(rep_set):
@@ -98,6 +100,19 @@ def test_a_edge_rep_words_both_parities():
     # odd level: 1, r4, r2 r4, r4^2, r3 r4^2, r1 r3 r4^2
     assert letters(c.rep_set(5)) == \
         [(), (4,), (2, 4), (4, 4), (3, 4, 4), (1, 3, 4, 4)]
+
+
+@pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
+def test_a_closed_forms_are_schreier_words(variant):
+    # the closed forms stand in for the Schreier words that B and D read;
+    # carmichael and bourbaki list them in the same order, edge does not
+    c = Chain("A", variant, 30)
+    for i in range(3, 31):
+        closed = _closed_form_a(variant, i)
+        schreier = engine.schreier(c._table(i, i))[1:]
+        assert set(closed) == set(schreier), i
+        if variant != "edge":
+            assert tuple(closed) == schreier, i
 
 
 def test_rep_set_sizes():

@@ -2,7 +2,7 @@ import pytest
 
 from altcox.coxeter import (CoxeterMatrix, MatrixError, INFINITY,
                             standard_matrix, connected_extension,
-                            cycle_basis, graph_to_dot)
+                            cycle_basis)
 
 EXAMPLE5 = CoxeterMatrix(5, ((1, 4, 2, 2, 2),
                              (4, 1, 2, 2, 2),
@@ -33,7 +33,7 @@ def test_standard_matrices():
     b3 = standard_matrix("B", 3)
     assert b3.entry(0, 1) == 4 and b3.entry(1, 2) == 3 and b3.entry(0, 2) == 2
     d4 = standard_matrix("D", 4)
-    assert {(i, j) for i, j, _, _ in connected_extension(d4).all_edges()} == \
+    assert {(i, j) for i, j, _ in connected_extension(d4).all_edges()} == \
         {(0, 2), (1, 2), (2, 3)}
     assert d4.entry(0, 1) == 2
     with pytest.raises(MatrixError):
@@ -44,7 +44,7 @@ def test_standard_matrices():
 
 def test_graph_edges_and_components():
     ext = connected_extension(EXAMPLE5)
-    assert [e[:3] for e in ext.all_edges() if not e[3]] == \
+    assert [e for e in ext.all_edges() if e[:2] not in ext.virtual_edges] == \
         [(0, 1, 4), (2, 3, 3), (2, 4, 3), (3, 4, 3)]
     # the components are {0, 1} and {2, 3, 4}: exactly the anchor pairs
     # with one vertex in each are accepted
@@ -95,10 +95,3 @@ def test_cycle_count_matches_betti_number():
         ext = connected_extension(m)
         edges = len(ext.all_edges())
         assert len(cycle_basis(ext)) == edges - m.n + 1
-
-
-def test_dot_export():
-    ext = connected_extension(EXAMPLE5)
-    dot = graph_to_dot(ext)
-    assert "style=dashed" in dot
-    assert dot.count("--") == 5

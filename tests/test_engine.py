@@ -13,10 +13,11 @@ import pytest
 from altcox import engine
 from altcox.words import Word, Presentation, render_word
 from altcox.coxeter import CoxeterMatrix, standard_matrix
-from altcox.chains import chain_subgroup_words
 from altcox.presentations import (coxeter_presentation, chain_presentation,
                                   spinor_plus_presentation, universal_extension)
 from altcox._tc_py import CapExceeded, enumerate_core as py_core
+
+from subgroups import chain_subgroup_words
 
 # affine A2: infinite, so every enumeration of it runs into its cap
 AFFINE_A2 = CoxeterMatrix(3, ((1, 3, 3), (3, 1, 3), (3, 3, 1)))

@@ -10,6 +10,7 @@ from altcox.coxeter import (CoxeterMatrix, INFINITY, connected_extension,
 from altcox import presentations as pres
 
 from reflection_rep import edge_images, simple_reflections
+from subgroups import quotient_by_generators
 
 EXAMPLE5 = CoxeterMatrix(5, ((1, 4, 2, 2, 2),
                              (4, 1, 2, 2, 2),
@@ -280,7 +281,7 @@ def _reference_edge_family(m):
     a < b have m_ab = 2, and every pair of edges with no end of one equal
     or adjacent to an end of the other."""
     ext = connected_extension(m)
-    edges = [(i, j) for i, j, _, _ in ext.all_edges()]
+    edges = [(i, j) for i, j, _ in ext.all_edges()]
     gen = {e: k for k, e in enumerate(edges)}
 
     def adjacent(p, q):
@@ -293,7 +294,7 @@ def _reference_edge_family(m):
         return w
 
     triples = [(Word.gen(k) ** lab, (lab - 1) % 2, 1)
-               for k, (_, _, lab, _) in enumerate(ext.all_edges()) if lab != INFINITY]
+               for k, (_, _, lab) in enumerate(ext.all_edges()) if lab != INFINITY]
     triples += [(word(c), 0, (len(c) - 1) % 2) for c in cycle_basis(ext)]
     for length in (2, 3):  # permutations come in lexicographic order
         for path in itertools.permutations(range(m.n), length + 1):
@@ -348,13 +349,13 @@ def test_universal_extension_a5():
     p = pres.universal_extension("A5")
     assert p.generators == ("tr1", "tr2", "tr3", "tr4", "z", "zeta")
     assert engine.order(p, cap=500_000) == 6 * 360
-    q = pres.quotient_by_generators(p, ("z", "zeta"))
+    q = quotient_by_generators(p, ("z", "zeta"))
     assert engine.order(q) == 360
 
 
 def test_universal_extension_quotient_by_zeta_gives_spinor_order():
     p = pres.universal_extension("A5")
-    assert engine.order(pres.quotient_by_generators(p, ("zeta",)),
+    assert engine.order(quotient_by_generators(p, ("zeta",)),
                         cap=500_000) == 2 * 360
 
 
