@@ -9,6 +9,7 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altcox import engine
 from altcox.words import Word, Presentation, render_word
@@ -354,13 +355,105 @@ def test_cores_reject_bad_input(c_core):
     for core, table in itertools.product((py_core, c_core), (True, False)):
         for ncols, words, cap in ((4, rel, 0), (4, rel, 2**31 - 2), (3, rel, 10),
                                   (0, rel, 10), (4, rel + [(0, 4)], 10),
-                                  (4, [(0, -1)], 10), (4, [(0, "x")], 10)):
+                                  (4, [(0, -1)], 10), (4, [(0, "x")], 10),
+                                  (4, [(0, 2**70)], 10), (4, rel, 2**40)):
             with pytest.raises(ValueError):
                 core(ncols, words, [], cap, table=table)
             with pytest.raises(ValueError):
                 core(ncols, [], words, cap, table=table)
         with pytest.raises(TypeError):
             core(4, [5], [], 10, table=table)
+
+
+def outcome(core, *args):
+    """core(*args), or CapExceeded when it raises that."""
+    try:
+        return core(*args)
+    except CapExceeded:
+        return CapExceeded
+
+
+@st.composite
+def random_presentations(draw):
+    """(ncols, relators, subgroup words, cap): 1-4 generators, 2-12
+    relators of up to 8 letters with g^2 and g^-2 mixed in, 0-2 subgroup
+    words and a cap of at most 20,000."""
+    ncols = 2 * draw(st.integers(1, 4))
+    letter = st.integers(0, ncols - 1)
+    word = st.lists(letter, min_size=1, max_size=8).map(tuple)
+    relators = draw(st.lists(st.one_of(word, letter.map(lambda x: (x, x))),
+                             min_size=2, max_size=12))
+    return ncols, relators, draw(st.lists(word, max_size=2)), draw(st.integers(1, 20_000))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(random_presentations())
+def test_cores_agree_on_random_presentations(c_core, case):
+    """The two cores, with and without the table, return identical results
+    or both raise CapExceeded; the index path counts the table's index;
+    and on the compiled core a run whose cap is exactly its ndef completes
+    while one fewer does not."""
+    ncols, relators, subwords, cap = case
+    args = (ncols, relators, subwords)
+    want = outcome(py_core, *args, cap)
+    assert outcome(c_core, *args, cap) == want
+    counted = outcome(py_core, *args, cap, False)
+    assert outcome(c_core, *args, cap, False) == counted
+    if want is CapExceeded:
+        assert counted is CapExceeded
+        return
+    rows, ndef, parent, arrival = want
+    assert counted == (len(arrival) // 2 - 1, ndef, parent)
+    assert c_core(*args, ndef) == want
+    if ndef > 1:
+        for table in (True, False):
+            with pytest.raises(CapExceeded):
+                c_core(*args, ndef - 1, table)
+
+
+class LongerThanItsLength:
+    """A word whose len() is 1 whatever letters it iterates."""
+
+    def __init__(self, letters):
+        self.letters = letters
+
+    def __len__(self):
+        return 1
+
+    def __iter__(self):
+        return iter(self.letters)
+
+
+def test_cores_read_words_by_iterating(c_core):
+    """A word is the letters it iterates, whatever its len() says: here
+    the relator (s_1 s_2)^201 and the subgroup word (s_2 s_1)^201, both
+    trivial in S3, which leave all six cosets; their first letters alone
+    would leave one."""
+    s3 = [(0, 0), (2, 2), (0, 2) * 3]
+    for table in (True, False):
+        results = [core(4, s3 + [LongerThanItsLength((0, 2) * 201)],
+                        [LongerThanItsLength((2, 0) * 201)], 1_000, table)
+                   for core in (py_core, c_core)]
+        assert results[0] == results[1]
+        index = len(results[0][3]) // 2 - 1 if table else results[0][0]
+        assert index == 6
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_engine_leaves_encoded_relators_alone(backend, request, monkeypatch):
+    """engine.index and engine.enumerate hand the core a presentation's
+    cached column words; with no subgroup the core must not write into
+    them, nor replace them."""
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    monkeypatch.setattr(engine, "_core", core)
+    p = coxeter_presentation(standard_matrix("B", 3))
+    assert engine.index(p) == 48
+    encoded = p._encoded
+    words, letters = list(encoded), [list(w) for w in encoded]
+    assert engine.index(p) == engine.enumerate(p).index == 48
+    assert p._encoded is encoded
+    assert all(a is b for a, b in zip(encoded, words)) and len(encoded) == len(words)
+    assert [list(w) for w in encoded] == letters
 
 
 def test_pure_core_memory_follows_cosets_not_cap():
