@@ -15,6 +15,7 @@ when the table is not asked for.
 
 from __future__ import annotations
 
+import operator
 from array import array
 
 MAX_CAP = 2**31 - 3  # coset ids must fit the compiled core's C int
@@ -47,8 +48,8 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
     ncols: 2 * generator count, positive and even.  relators /
     subgroup_words: sequences of column-index tuples (reversed words), each
     letter an int in [0, ncols).  cap: at most this many cosets (live +
-    dead) are defined, 1 <= cap <= MAX_CAP; more raises CapExceeded.
-    Malformed input raises ValueError.
+    dead) are defined, an int 1 <= cap <= MAX_CAP; more raises CapExceeded.
+    Malformed input raises ValueError; a cap that is not an int, TypeError.
 
     Returns (rows, ndef, parent, arrival), rows, parent and arrival each
     a flat array('i').  The live cosets are renumbered 1..index in the
@@ -70,11 +71,13 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
     and no rows or arrival are built: the return is (index, ndef, parent),
     index the number of live cosets and ndef and parent as above.
     """
-    if not 1 <= cap <= MAX_CAP:
+    if not 1 <= operator.index(cap) <= MAX_CAP:  # a float raises TypeError
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
     if ncols < 2 or ncols % 2:
         raise ValueError("ncols must be a positive even number")
-    subgroup_words, relators = tuple(subgroup_words), tuple(relators)
+    # each word is read once, by iterating it, as the compiled core does
+    subgroup_words = tuple(map(tuple, subgroup_words))
+    relators = tuple(map(tuple, relators))
     for w in subgroup_words + relators:
         for x in w:
             if not isinstance(x, int) or not 0 <= x < ncols:

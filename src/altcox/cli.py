@@ -184,10 +184,12 @@ def cmd_enumerate(args):
     t = engine.enumerate(p, sub, args.max_cosets)
     if args.table is not None:
         _atomic_write(args.table, _table_csv(t))
+    if args.dot is not None or args.reps is not None:
+        texts = engine.schreier_texts(t)  # rendered once for both files
     if args.dot is not None:
-        _atomic_write(args.dot, engine.to_dot(t))
+        _atomic_write(args.dot, engine.to_dot(t, texts))
     if args.reps is not None:
-        _atomic_write(args.reps, "\n".join(engine.schreier_texts(t)[1:]) + "\n")
+        _atomic_write(args.reps, "\n".join(texts[1:]) + "\n")
     _emit(f"index {t.index}\n", args.output)
     return EXIT_OK
 

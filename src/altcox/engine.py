@@ -103,7 +103,7 @@ def _run(p: Presentation, subgroup, cap, table):
     """The core's return for <subgroup> in p, with or without its table, or
     None when p has no generators: the cores reject a table without
     columns, and the trivial group has index 1."""
-    if not 1 <= cap <= MAX_CAP:  # any int; the compiled core parses a C int
+    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:  # a C int in the core
         raise InputError(f"cap must be between 1 and {MAX_CAP}")
     if not p.rank:
         return None
@@ -188,14 +188,13 @@ def _involutions(p: Presentation):
     return {w[0] // 2 for w in _relator_columns(p) if len(w) == 2 and w[0] == w[1]}
 
 
-def to_dot(t: CosetTable) -> str:
+def to_dot(t: CosetTable, texts) -> str:
     """DOT export of the Schreier graph of t, coset 1 labelled H and every
-    other coset by its representative's schreier_texts: self-loops
-    omitted, involution generators drawn as single undirected-styled
-    edges."""
+    other coset c by texts[c], its representative's schreier_texts:
+    self-loops omitted, involution generators drawn as single
+    undirected-styled edges."""
     p = t.presentation
     invol = _involutions(p)
-    texts = schreier_texts(t)
     rank = p.rank
     targets = t.rows[::2].tolist()  # the positive columns, rank per row
     lines = ["digraph schreier {", '  1 [label="H"];']

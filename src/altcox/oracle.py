@@ -1,6 +1,8 @@
 """Independent ground truth: permutations, wreath products C2 wr S_n,
 word evaluation, homomorphism checks, BFS subgroup orders, and the
-explicit generator images for the A/B/D presentation catalog.
+generator images for the A/B/D presentation catalog.  Only the images of
+the Coxeter generators s_i are written out; the chain generators (a_i, R_i,
+r_i) are computed from their words in the s_i, as the paper defines them.
 
 Composition convention: in a product p*q the right factor acts first,
 so (1,2)(2,3) = (1,2,3).
@@ -165,55 +167,53 @@ def generated_order(generators, cap=10 ** 6) -> int:
     return len(seen)
 
 
-def standard_images(family: str, variant: str, rank: int):
-    """The stated wreath/permutation images for (family, variant, rank).
+def chain_generators(family: str, variant: str, n: int, s):
+    """The generators of ``chain_presentation(family, variant, n)`` as
+    products of the Coxeter generators s[0..n-1], words or group elements.
 
-    Returns a list of WreathElement images, one per presentation generator
-    (type A is embedded with trivial flags).  Coxeter variants map the s_i,
-    the alternating variants map a_i / R_i / r_i.
+    carmichael: a_1 = s_0 s_1 and a_i = s_i a_{i-1} s_i for A and B; for D,
+    a_1 = s_0 s_2, a_2 = s_1 a_1 s_1, a_3 = s_3 a_1 s_3, then
+    a_i = s_i a_{i-1} s_i.  bourbaki: R_i = s_0 s_i.  edge: s_i s_j for each
+    edge (i, j) of the Coxeter graph in sorted order, the edge builder's
+    numbering: (i, i+1) for A and B; (0, 2), (1, 2), then (i, i+1) for D.
     """
     family = family.upper()
-    n = rank
-    if family == "A":
-        deg = n + 1
-        perm = lambda *pts: WreathElement.from_perm(Permutation.cycle(deg, *pts))
-        if variant == "coxeter":
-            return [perm(i + 1, i + 2) for i in range(n)]
-        if variant == "carmichael":
-            return [perm(1, 2, i + 2) for i in range(1, n)]
-        if variant == "bourbaki":
-            return [WreathElement.from_perm(
-                Permutation.cycle(deg, 1, 2) * Permutation.cycle(deg, i + 1, i + 2))
-                for i in range(1, n)]
-        if variant == "edge":
-            return [perm(i, i + 1, i + 2) for i in range(1, n)]
-    elif family == "B":
-        g1 = WreathElement.gamma(n, 1)
-        cyc = lambda *pts: WreathElement.from_perm(Permutation.cycle(n, *pts))
-        if variant == "coxeter":
-            return [g1] + [cyc(i, i + 1) for i in range(1, n)]
-        if variant == "carmichael":
-            return [g1 * cyc(1, i + 1) for i in range(1, n)]
-        if variant == "bourbaki":
-            return [g1 * cyc(i, i + 1) for i in range(1, n)]
-        if variant == "edge":
-            return [g1 * cyc(1, 2)] + [cyc(i - 1, i, i + 1) for i in range(2, n)]
+    fork = family == "D"  # s_0 and s_1 both join s_2
+    if (family not in ("A", "B", "D") or n < 2 + fork
+            or variant not in ("carmichael", "bourbaki", "edge")):
+        raise OracleError(f"unsupported chain ({family}, {variant}, {n})")
+    if variant == "bourbaki":
+        return [s[0] * s[i] for i in range(1, n)]
+    if variant == "edge":
+        edges = [(0, 2), (1, 2)] if fork else [(0, 1)]
+        edges += [(i, i + 1) for i in range(1 + fork, n - 1)]
+        return [s[i] * s[j] for i, j in edges]
+    a = [s[0] * s[1 + fork]]
+    for i in (1, *range(3, n)) if fork else range(2, n):
+        a.append(s[i] * a[0 if fork and i <= 3 else -1] * s[i])
+    return a
+
+
+def standard_images(family: str, variant: str, rank: int):
+    """The signed-permutation images, as WreathElements, of the generators
+    of (family, variant, rank).
+
+    The s_i are the data: transpositions (i+1 i+2) on rank+1 points for A
+    (trivial flags); for B, gamma_1 then (i i+1); for D, gamma_12 (1 2) then
+    (i i+1).  The coxeter variant maps the s_i; the chain variants map
+    chain_generators of them.
+    """
+    family = family.upper()
+    if family not in ("A", "B", "D"):
+        raise OracleError(f"unknown family {family!r}")
+    deg = rank + (family == "A")  # the points the s_i permute
+    s = [WreathElement.from_perm(Permutation.cycle(deg, i, i + 1))
+         for i in range(1, deg)]
+    if family == "B":
+        s.insert(0, WreathElement.gamma(rank, 1))
     elif family == "D":
-        g12 = WreathElement.gamma(n, 1, 2)
-        cyc = lambda *pts: WreathElement.from_perm(Permutation.cycle(n, *pts))
-        if variant == "coxeter":
-            return [g12 * cyc(1, 2)] + [cyc(i, i + 1) for i in range(1, n)]
-        if variant == "carmichael":
-            return [g12 * cyc(1, 2, 3), g12 * cyc(1, 3, 2)] + \
-                [g12 * cyc(1, 2, i + 1) for i in range(3, n)]
-        if variant == "bourbaki":
-            return [g12] + [g12 * WreathElement.from_perm(
-                Permutation.cycle(n, 1, 2) * Permutation.cycle(n, i, i + 1))
-                for i in range(2, n)]
-        if variant == "edge":
-            return [cyc(1, 2, 3), g12 * cyc(1, 2, 3)] + \
-                [cyc(i - 1, i, i + 1) for i in range(3, n)]
-    raise OracleError(f"unsupported catalog triple ({family}, {variant}, {rank})")
+        s.insert(0, WreathElement.gamma(rank, 1, 2) * s[0])
+    return s if variant == "coxeter" else chain_generators(family, variant, rank, s)
 
 
 def alternating_order(family: str, n: int) -> int:

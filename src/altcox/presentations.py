@@ -258,34 +258,6 @@ def vv_presentation(n: int) -> Presentation:
     return Presentation(tuple(f"rho{i}" for i in range(1, n)), tuple(rel))
 
 
-def carmichael_generators(family: str, n: int):
-    """Carmichael-style generator words over the Coxeter generators s_i.
-
-    Type A/B: a1 = s0 s1, a_i = s_i a_{i-1} s_i.  Type D (edge (0,2)):
-    a1 = s0 s2, a2 = s1 a1 s1, a3 = s3 a1 s3, a_i = s_i a_{i-1} s_i.
-    """
-    family = family.upper()
-    s = lambda i: Word.gen(i)
-    if family in ("A", "B"):
-        if n < 2:
-            raise BuildError("need rank >= 2")
-        words = [s(0) * s(1)]
-        for i in range(2, n):
-            words.append(s(i) * words[-1] * s(i))
-        return words
-    if family == "D":
-        if n < 3:
-            raise BuildError("type D needs rank >= 3")
-        words = [s(0) * s(2)]
-        words.append(s(1) * words[0] * s(1))
-        if n >= 4:
-            words.append(s(3) * words[0] * s(3))
-        for i in range(4, n):
-            words.append(s(i) * words[-1] * s(i))
-        return words
-    raise BuildError(f"unsupported family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # spinor extensions
 

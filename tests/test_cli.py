@@ -258,15 +258,20 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_enumerate_index_and_artifacts(tmp_path, capsys):
+def test_enumerate_index_and_artifacts(tmp_path, monkeypatch, capsys):
+    """The DOT and reps files share one rendering of the Schreier words."""
     table = tmp_path / "t.csv"
     dot = tmp_path / "g.dot"
     reps = tmp_path / "r.txt"
+    renders = []
+    texts = engine.schreier_texts
+    monkeypatch.setattr(engine, "schreier_texts", lambda t: renders.append(t) or texts(t))
     assert main(["enumerate", "--family", "A", "--rank", "3",
                  "--subgroup-gens", "2",
                  "--table", str(table), "--dot", str(dot),
                  "--reps", str(reps)]) == EXIT_OK
     assert capsys.readouterr().out == "index 4\n"
+    assert len(renders) == 1
     lines = table.read_text().splitlines()
     assert lines[0] == "coset,s0,s1,s2"
     assert len(lines) == 5
@@ -597,6 +602,19 @@ def test_nf_needs_word_or_enumerate(capsys):
     assert main(base + ["--word", "1"]) == EXIT_OK
     first, second = capsys.readouterr().out.splitlines()
     assert first == second == "1 | 1"
+
+
+def test_verify_runs_the_whole_catalog(capsys):
+    """Every check of `altcox verify`, in order, passes."""
+    names = [f"images-{g}-{v}"
+             for g in ("A2", "A3", "A4", "A5", "B2", "B3", "B4", "D3", "D4")
+             for v in ("coxeter", "carmichael", "bourbaki", "edge")]
+    names += ["orders-A4", "orders-B3", "orders-D4", "spinor-A3", "spinor-B3",
+              "spinor-D4", "vv-equivalence", "artin-braid", "spinor-iso-A3",
+              "a5-cover-order"]
+    assert main(["verify"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"PASS {n}" for n in names] + ["46/46 checks passed"]
 
 
 def test_verify_only_filter(capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altcox import engine
-from altcox.words import Word, Presentation, render_word
+from altcox.words import InputError, Word, Presentation, render_word
 from altcox.coxeter import CoxeterMatrix, standard_matrix
 from altcox.presentations import (coxeter_presentation, chain_presentation,
                                   spinor_plus_presentation, universal_extension)
@@ -139,19 +139,19 @@ def test_schreier_index_one():
     t = engine.enumerate(p, ())
     reps = engine.schreier(t)
     assert reps[1:] == (Word(),)
-    dot = engine.to_dot(t)
+    dot = engine.to_dot(t, engine.schreier_texts(t))
     assert "->" not in dot
 
 
 def test_dot_output():
     p = coxeter_presentation(standard_matrix("A", 3))
     t = engine.enumerate(p, s(0, 1))
-    dot = engine.to_dot(t)
+    dot = engine.to_dot(t, engine.schreier_texts(t))
     assert dot.count("dir=none") == 3     # path of 4 nodes, involution edges
     assert 'label="H"' in dot
     d = coxeter_presentation(standard_matrix("D", 4))
     td = engine.enumerate(d, s(0, 1, 2))
-    dotd = engine.to_dot(td)
+    dotd = engine.to_dot(td, engine.schreier_texts(td))
     assert 'label="s0"' in dotd and 'label="s1"' in dotd
 
 
@@ -160,7 +160,8 @@ def test_determinism():
     t1 = engine.enumerate(p, s(0, 1))
     t2 = engine.enumerate(p, s(0, 1))
     assert t1.rows == t2.rows
-    assert engine.to_dot(t1) == engine.to_dot(t2)
+    assert (engine.to_dot(t1, engine.schreier_texts(t1))
+            == engine.to_dot(t2, engine.schreier_texts(t2)))
 
 
 def golden_cases():
@@ -363,6 +364,8 @@ def test_cores_reject_bad_input(c_core):
                 core(ncols, [], words, cap, table=table)
         with pytest.raises(TypeError):
             core(4, [5], [], 10, table=table)
+        with pytest.raises(TypeError):
+            core(4, rel + [(0, 2) * 3], [], 100.0, table=table)
 
 
 def outcome(core, *args):
@@ -411,14 +414,14 @@ def test_cores_agree_on_random_presentations(c_core, case):
                 c_core(*args, ndef - 1, table)
 
 
-class LongerThanItsLength:
-    """A word whose len() is 1 whatever letters it iterates."""
+class IterOnly:
+    """A word that can only be iterated, whatever len() it reports."""
 
-    def __init__(self, letters):
-        self.letters = letters
+    def __init__(self, letters, length):
+        self.letters, self.length = letters, length
 
     def __len__(self):
-        return 1
+        return self.length
 
     def __iter__(self):
         return iter(self.letters)
@@ -427,12 +430,13 @@ class LongerThanItsLength:
 def test_cores_read_words_by_iterating(c_core):
     """A word is the letters it iterates, whatever its len() says: here
     the relator (s_1 s_2)^201 and the subgroup word (s_2 s_1)^201, both
-    trivial in S3, which leave all six cosets; their first letters alone
-    would leave one."""
-    s3 = [(0, 0), (2, 2), (0, 2) * 3]
+    trivial in S3 and of len() 1, which leave all six cosets; their first
+    letters alone would leave one.  The involution s_1^2 is a relator of
+    len() 2 that has no indexing either."""
+    s3 = [IterOnly((0, 0), 2), (2, 2), (0, 2) * 3]
     for table in (True, False):
-        results = [core(4, s3 + [LongerThanItsLength((0, 2) * 201)],
-                        [LongerThanItsLength((2, 0) * 201)], 1_000, table)
+        results = [core(4, s3 + [IterOnly((0, 2) * 201, 1)],
+                        [IterOnly((2, 0) * 201, 1)], 1_000, table)
                    for core in (py_core, c_core)]
         assert results[0] == results[1]
         index = len(results[0][3]) // 2 - 1 if table else results[0][0]
@@ -454,6 +458,18 @@ def test_engine_leaves_encoded_relators_alone(backend, request, monkeypatch):
     assert p._encoded is encoded
     assert all(a is b for a, b in zip(encoded, words)) and len(encoded) == len(words)
     assert [list(w) for w in encoded] == letters
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_engine_rejects_a_non_int_cap(backend, request, monkeypatch):
+    """A float cap is an InputError, as an out-of-range one is, whichever
+    core would run."""
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    monkeypatch.setattr(engine, "_core", core)
+    p = coxeter_presentation(standard_matrix("A", 3))
+    for run in (engine.index, engine.enumerate):
+        with pytest.raises(InputError):
+            run(p, (), cap=100.0)
 
 
 def test_pure_core_memory_follows_cosets_not_cap():

@@ -146,21 +146,34 @@ def test_chain_rank_minimum():
         pres.chain_presentation("D", "carmichael", 2)
 
 
+def coxeter_words(n):
+    """The Coxeter generators s0..s{n-1} as words."""
+    return [Word.gen(i) for i in range(n)]
+
+
 def test_carmichael_generators():
-    ws = pres.carmichael_generators("A", 3)
+    ws = oracle.chain_generators("A", "carmichael", 3, coxeter_words(3))
     assert [w.letters for w in ws] == [(1, 2), (3, 1, 2, 3)]
     sx = oracle.standard_images("D", "coxeter", 3)
-    imgs = [oracle.eval_word(sx, w) for w in pres.carmichael_generators("D", 3)]
+    imgs = [oracle.eval_word(sx, w)
+            for w in oracle.chain_generators("D", "carmichael", 3, coxeter_words(3))]
     assert oracle.generated_order(imgs) == 12
-    with pytest.raises(pres.BuildError):
-        pres.carmichael_generators("D", 2)
+    with pytest.raises(oracle.OracleError):
+        oracle.chain_generators("D", "carmichael", 2, coxeter_words(2))
 
 
-def test_carmichael_words_hit_stated_images():
-    for fam, n in (("A", 5), ("B", 4), ("D", 5)):
-        sx = oracle.standard_images(fam, "coxeter", n)
-        got = [oracle.eval_word(sx, w) for w in pres.carmichael_generators(fam, n)]
-        assert got == oracle.standard_images(fam, "carmichael", n)
+def test_edge_generators_follow_the_edge_builder():
+    """The k-th edge generator is s_i s_j for the k-th edge (i, j) of the
+    builder's extension, so the oracle's images satisfy the generic edge
+    presentation too, not only the chain display."""
+    for fam, base in (("A", 2), ("B", 2), ("D", 3)):
+        for n in range(base, 9):
+            edges = connected_extension(standard_matrix(fam, n)).all_edges()
+            got = oracle.chain_generators(fam, "edge", n, coxeter_words(n))
+            assert got == [Word.gen(i) * Word.gen(j) for i, j, _ in edges], (fam, n)
+            if n <= 5:
+                p = pres.edge_presentation(standard_matrix(fam, n))[0]
+                assert oracle.verify_hom(p, oracle.standard_images(fam, "edge", n))
 
 
 def test_vv_presentation():
