@@ -18,6 +18,7 @@ import functools
 import os
 import sys
 import tempfile
+import time
 
 from .words import InputError, Word, Presentation, parse_word, render_word
 from .coxeter import MAX_RANK, CoxeterMatrix, standard_matrix
@@ -163,15 +164,16 @@ def _subgroup_words(args, p):
 
 
 def _table_csv(t):
-    p = t.presentation
-    header = "coset," + ",".join(p.generators)
-    lines = [header]
-    rank = p.rank
-    targets = t.rows[::2].tolist()  # the positive columns, rank per row
-    for c in range(1, t.index + 1):
-        row = [str(c)] + [str(d) for d in targets[c * rank:(c + 1) * rank]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    """The header, then one line per coset: its number and its entries in
+    the positive columns, laid out in one flat list and formatted at once."""
+    p, index = t.presentation, t.index
+    width, ncols = p.rank + 1, 2 * p.rank
+    cells = [0] * (index * width)
+    cells[::width] = range(1, index + 1)
+    for g in range(p.rank):  # column 2g of rows 1..index
+        cells[g + 1::width] = t.rows[ncols + 2 * g::ncols]
+    lines = ("%d," * p.rank + "%d\n") * index % tuple(cells)
+    return "coset," + ",".join(p.generators) + "\n" + lines
 
 
 def cmd_enumerate(args):
@@ -312,7 +314,10 @@ def cmd_verify(args):
     failures = 0
     lines = []
     for name, thunk in checks:
+        start = time.perf_counter()
         ok = thunk()
+        if args.timings:
+            sys.stderr.write(f"{name} {(time.perf_counter() - start) * 1e3:.3f}\n")
         failures += not ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
     lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
@@ -362,6 +367,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the verification catalog")
     p.add_argument("--only", help="substring filter on check names")
+    p.add_argument("--timings", action="store_true",
+                   help="write each check's wall time in ms to stderr")
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
     return ap

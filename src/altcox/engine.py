@@ -27,6 +27,8 @@ matching the composition convention of the oracle module.
 from __future__ import annotations
 
 from array import array
+from itertools import chain, compress, repeat
+from operator import add, lt, ne
 
 from .words import InputError, Record, Word, Presentation
 from ._tc_py import CapExceeded, MAX_CAP
@@ -192,24 +194,26 @@ def to_dot(t: CosetTable, texts) -> str:
     """DOT export of the Schreier graph of t, coset 1 labelled H and every
     other coset c by texts[c], its representative's schreier_texts:
     self-loops omitted, involution generators drawn as single
-    undirected-styled edges."""
-    p = t.presentation
+    undirected-styled edges.  The edge lines are built a generator column at
+    a time, interleaved row by row, and kept where an edge is drawn."""
+    p, index = t.presentation, t.index
     invol = _involutions(p)
-    rank = p.rank
-    targets = t.rows[::2].tolist()  # the positive columns, rank per row
-    lines = ["digraph schreier {", '  1 [label="H"];']
-    lines += [f'  {c} [label="{texts[c]}"];' for c in range(2, t.index + 1)]
-    for c in range(1, t.index + 1):
-        row = targets[c * rank:(c + 1) * rank]
-        for gen in range(rank):
-            d = row[gen]
-            if d == c:
-                continue
-            name = p.generators[gen]
-            if gen in invol:
-                if c < d:
-                    lines.append(f'  {c} -> {d} [label="{name}", dir=none];')
-            else:
-                lines.append(f'  {c} -> {d} [label="{name}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ncols = 2 * p.rank
+    nums = list(map(str, range(index + 1)))
+    heads = [f"  {c} -> " for c in nums[1:]]
+    cosets = range(1, index + 1)
+    pieces, drawn = [], []  # two per generator: edge heads, edge ends
+    for gen, name in zip(range(p.rank), p.generators):
+        targets = t.rows[ncols + 2 * gen::ncols].tolist()  # rows 1..index
+        if gen in invol:  # drawn once, from its lower end
+            tail, keep = f' [label="{name}", dir=none];\n', lt
+        else:
+            tail, keep = f' [label="{name}"];\n', ne
+        ends = list(map(add, nums, repeat(tail)))
+        pieces += (heads, map(ends.__getitem__, targets))
+        drawn += (map(keep, cosets, targets), map(keep, cosets, targets))
+    nodes = [f'  {c} [label="{texts[c]}"];\n' for c in cosets[1:]]
+    edges = compress(chain.from_iterable(zip(*pieces)),
+                     chain.from_iterable(zip(*drawn)))
+    return "".join(chain(('digraph schreier {\n  1 [label="H"];\n',), nodes,
+                         edges, ("}\n",)))

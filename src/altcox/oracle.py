@@ -10,6 +10,8 @@ so (1,2)(2,3) = (1,2,3).
 
 from __future__ import annotations
 
+from operator import itemgetter, xor
+
 from .words import Record, Word
 
 
@@ -43,9 +45,14 @@ class Permutation(Record):
         return self.images[i - 1]
 
     def __mul__(self, other):
-        # other applied first
-        return Permutation(tuple(self.images[other.images[i] - 1]
-                                 for i in range(len(self.images))))
+        # other applied first; a product of two bijections of one degree is
+        # one, so the result skips the constructor's check
+        if len(self.images) != len(other.images):
+            raise OracleError("permutation degrees differ")
+        p = object.__new__(Permutation)
+        object.__setattr__(p, "images", tuple(
+            map(((0,) + self.images).__getitem__, other.images)))
+        return p
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -89,11 +96,14 @@ class WreathElement(Record):
         return cls(tuple(flags), Permutation.identity(n))
 
     def __mul__(self, other):
-        moved = [0] * len(self.flags)
-        for i in range(1, len(self.flags) + 1):
-            moved[self.perm(i) - 1] = other.flags[i - 1]
-        flags = tuple((a + b) % 2 for a, b in zip(self.flags, moved))
-        return WreathElement(flags, self.perm * other.perm)
+        # (pi.h)[pi(i)] = h[i] lists h sorted by pi's images; the product of
+        # two checked elements has 0/1 flags of one degree: no __init__ check
+        perm = self.perm * other.perm
+        moved = map(itemgetter(1), sorted(zip(self.perm.images, other.flags)))
+        e = object.__new__(WreathElement)
+        object.__setattr__(e, "flags", tuple(map(xor, self.flags, moved)))
+        object.__setattr__(e, "perm", perm)
+        return e
 
     def inverse(self):
         pinv = self.perm.inverse()
@@ -134,30 +144,34 @@ def verify_hom(presentation, images) -> bool:
                for rel in presentation.relators)
 
 
-def _signed(e: WreathElement) -> tuple[int, ...]:
-    """(flags, pi) as signed images: i -> pi(i), negated if pi(i) is flagged."""
-    return tuple(-j if e.flags[j - 1] else j for j in e.perm.images)
-
-
-def _signed_mul(e, g):
-    """e*g of signed permutations, g acting first: x[i] = +-e[|g[i]|-1]."""
-    return tuple(e[j - 1] if j > 0 else -e[-j - 1] for j in g)
+def _points(e: WreathElement) -> tuple[int, ...]:
+    """e as a permutation of the 2n signed points, point 2i standing for
+    +(i+1) and point 2i+1 for -(i+1): +(i+1) goes to +pi(i+1), negated if
+    pi(i+1) is flagged.  e*g encodes as itemgetter(*_points(g))(_points(e))."""
+    images = []
+    for j in e.perm.images:
+        k = 2 * j - 2 + e.flags[j - 1]
+        images += (k, k ^ 1)
+    return tuple(images)
 
 
 def generated_order(generators, cap=10 ** 6) -> int:
     """Order of the subgroup generated by WreathElements, by breadth-first
-    closure over their _signed encodings (which multiply as they do)."""
-    if not generators:
+    closure over their _points encodings, one itemgetter call a product."""
+    if not generators or not generators[0].flags:  # degree 0 is trivial
         return 1
-    gens = [_signed(g) for g in generators]
-    identity = tuple(range(1, len(gens[0]) + 1))
+    encoded = [_points(g) for g in generators]
+    if len(set(map(len, encoded))) != 1:
+        raise OracleError("generator degrees differ")
+    products = [itemgetter(*g) for g in encoded]
+    identity = tuple(range(len(encoded[0])))
     seen = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for e in frontier:
-            for g in gens:
-                x = _signed_mul(e, g)
+            for product in products:
+                x = product(e)
                 if x not in seen:
                     seen.add(x)
                     new.append(x)
@@ -194,6 +208,17 @@ def chain_generators(family: str, variant: str, n: int, s):
     return a
 
 
+def _least_rank(family: str, rank: int) -> str:
+    """The family, upper-cased, once it is known and rank is at least its
+    least rank: 1 for A and B, 2 for D."""
+    family = family.upper()
+    if family not in ("A", "B", "D"):
+        raise OracleError(f"unknown family {family!r}")
+    if rank < 1 + (family == "D"):
+        raise OracleError(f"{family}{rank}: rank below the least for {family}")
+    return family
+
+
 def standard_images(family: str, variant: str, rank: int):
     """The signed-permutation images, as WreathElements, of the generators
     of (family, variant, rank).
@@ -203,9 +228,7 @@ def standard_images(family: str, variant: str, rank: int):
     (i i+1).  The coxeter variant maps the s_i; the chain variants map
     chain_generators of them.
     """
-    family = family.upper()
-    if family not in ("A", "B", "D"):
-        raise OracleError(f"unknown family {family!r}")
+    family = _least_rank(family, rank)
     deg = rank + (family == "A")  # the points the s_i permute
     s = [WreathElement.from_perm(Permutation.cycle(deg, i, i + 1))
          for i in range(1, deg)]
@@ -219,11 +242,9 @@ def standard_images(family: str, variant: str, rank: int):
 def alternating_order(family: str, n: int) -> int:
     """Closed-form |G+|: (n+1)!/2, 2^(n-1) n!, 2^(n-2) n!."""
     import math
-    family = family.upper()
+    family = _least_rank(family, n)
     if family == "A":
         return math.factorial(n + 1) // 2
     if family == "B":
         return 2 ** (n - 1) * math.factorial(n)
-    if family == "D":
-        return 2 ** (n - 2) * math.factorial(n)
-    raise OracleError(f"unknown family {family!r}")
+    return 2 ** (n - 2) * math.factorial(n)

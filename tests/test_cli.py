@@ -299,6 +299,40 @@ def test_inverse_square_relator_is_an_involution(tmp_path, capsys):
     assert edges.count('label="a", dir=none];') == 6 and len(edges) == 18
 
 
+@pytest.mark.parametrize("generators, relators, subgroup, table, dot, reps", [
+    ([], [], [], "coset,\n1\n", "", "1\n"),
+    (["a"], [], ["a"], "coset,a\n1,1\n", "", "1\n"),
+    (["a"], ["a^2"], [], "coset,a\n1,2\n2,1\n",
+     '  2 [label="a"];\n  1 -> 2 [label="a", dir=none];\n', "1\na\n"),
+    (["a"], ["a^-2"], [], "coset,a\n1,2\n2,1\n",
+     '  2 [label="a"];\n  1 -> 2 [label="a", dir=none];\n', "1\na\n"),
+    (["a"], ["a^3"], [], "coset,a\n1,2\n2,3\n3,1\n",
+     '  2 [label="a"];\n  3 [label="a^2"];\n  1 -> 2 [label="a"];\n'
+     '  2 -> 3 [label="a"];\n  3 -> 1 [label="a"];\n', "1\na\na^2\n"),
+    (["a"], ["a^4"], ["a^2"], "coset,a\n1,2\n2,1\n",
+     '  2 [label="a"];\n  1 -> 2 [label="a"];\n  2 -> 1 [label="a"];\n',
+     "1\na\n"),
+], ids=["rank0", "self-loop", "involution", "inverse-square", "a3", "a4-over-a2"])
+def test_artifacts_of_rank_zero_and_one(generators, relators, subgroup, table,
+                                        dot, reps, tmp_path, capsys):
+    """--table, --dot and --reps of presentations with no generator or one,
+    which no golden run reaches: a table without columns, a self-loop, an
+    involution and a plain cycle."""
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"generators": generators, "relators": relators}))
+    files = [tmp_path / name for name in ("t.csv", "g.dot", "r.txt")]
+    argv = ["enumerate", "--presentation", str(p)]
+    argv += [arg for w in subgroup for arg in ("--subgroup", w)]
+    assert main(argv + ["--table", str(files[0]), "--dot", str(files[1]),
+                        "--reps", str(files[2])]) == EXIT_OK
+    index = reps.count("\n")  # one representative per coset
+    assert capsys.readouterr().out == f"index {index}\n"
+    assert files[0].read_text() == table
+    assert files[1].read_text() == ('digraph schreier {\n  1 [label="H"];\n'
+                                    + dot + "}\n")
+    assert files[2].read_text() == reps
+
+
 @pytest.mark.parametrize("family, rank, variant", [
     ("A", 5, "edge"), ("B", 4, "bourbaki"), ("D", 4, "carmichael"), ("B", 3, "coxeter")])
 def test_index_path_agrees_with_table(tmp_path, monkeypatch, capsys, family, rank, variant):
@@ -635,6 +669,21 @@ def test_verify_reports_failure(monkeypatch, capsys):
                         lambda name: presentations.chain_presentation("A", "edge", 3))
     assert main(["verify", "--only", "a5-cover"]) == EXIT_VERIFY
     assert "FAIL a5-cover-order" in capsys.readouterr().out
+
+
+def test_verify_timings_go_to_stderr(capsys):
+    """--timings writes one `<check> <ms>` line per check to stderr and
+    leaves stdout as it is without the flag."""
+    assert main(["verify", "--only", "spinor"]) == EXIT_OK
+    plain = capsys.readouterr()
+    assert main(["verify", "--only", "spinor", "--timings"]) == EXIT_OK
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    names = [line.split()[1] for line in plain.out.splitlines()[:-1]]
+    assert names == ["spinor-A3", "spinor-B3", "spinor-D4", "spinor-iso-A3"]
+    lines = [line.split(" ") for line in timed.err.splitlines()]
+    assert [name for name, _ in lines] == names
+    assert all(float(ms) >= 0 for _, ms in lines)
 
 
 def test_parser_built_once(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -176,9 +178,44 @@ def test_generated_order_matches_wreath_bfs():
 
 @given(wreaths, wreaths)
 def test_signed_encoding_is_faithful_homomorphism(a, b):
-    sa, sb = oracle._signed(a), oracle._signed(b)
-    assert oracle._signed(a * b) == oracle._signed_mul(sa, sb)
-    assert (sa == sb) == (a == b)
+    pa, pb = oracle._points(a), oracle._points(b)
+    assert oracle._points(a * b) == itemgetter(*pb)(pa)
+    assert (pa == pb) == (a == b)
+
+
+@st.composite
+def wreath_pairs(draw):
+    """Two WreathElements of one degree from 1 to 6, built by the checking
+    constructors."""
+    n = draw(st.integers(1, 6))
+    def element():
+        perm = Permutation(draw(st.permutations(range(1, n + 1))))
+        return WreathElement(draw(st.lists(st.integers(0, 1), min_size=n,
+                                           max_size=n)), perm)
+    return element(), element()
+
+
+@given(wreath_pairs())
+def test_unchecked_products_match_checked_ones(pair):
+    """Products skip the constructors' checks; they give the elements the
+    constructors give for the same images and flags, equal and hashing
+    alike, with tuples of ints, also at degree 1."""
+    a, b = pair
+    n = len(a.flags)
+    perm = Permutation([a.perm.images[j - 1] for j in b.perm.images])
+    moved = [0] * n
+    for i, j in enumerate(a.perm.images):
+        moved[j - 1] = b.flags[i]
+    checked = WreathElement([f + m for f, m in zip(a.flags, moved)], perm)
+    for product, want in ((a.perm * b.perm, perm), (a * b, checked)):
+        assert product == want and hash(product) == hash(want)
+        assert product.__class__ is want.__class__
+    product = a * b
+    for field in (product.flags, product.perm.images):
+        assert type(field) is tuple and len(field) == n
+        assert all(type(x) is int for x in field)
+    with pytest.raises(OracleError):
+        a.perm * Permutation.identity(n + 1)
 
 
 def test_images_land_in_character_subgroups():
@@ -201,3 +238,30 @@ def test_alternating_order():
     assert oracle.alternating_order("A", 3) == 12
     assert oracle.alternating_order("B", 3) == 24
     assert oracle.alternating_order("D", 4) == 96
+
+
+@pytest.mark.parametrize("family, rank", [("A", 0), ("B", 0), ("D", 0), ("D", 1),
+                                          ("A", -1)])
+def test_ranks_below_the_least_raise(family, rank):
+    with pytest.raises(OracleError):
+        oracle.standard_images(family, "coxeter", rank)
+    with pytest.raises(OracleError):
+        oracle.alternating_order(family, rank)
+
+
+def test_least_ranks():
+    """A1, B1 and D2: |W+| is 1, 1 and 2, and the images generate W."""
+    for family, rank, order in (("A", 1, 1), ("B", 1, 1), ("D", 2, 2)):
+        assert oracle.alternating_order(family, rank) == order
+        images = oracle.standard_images(family, "coxeter", rank)
+        assert len(images) == rank
+        assert oracle.generated_order(images) == 2 * order
+        assert oracle.generated_order([a * b for a in images
+                                       for b in images]) == order
+
+
+def test_generated_order_degrees():
+    """Degree 0 generates the trivial group; mixed degrees are refused."""
+    assert oracle.generated_order([WreathElement.identity(0)]) == 1
+    with pytest.raises(OracleError):
+        oracle.generated_order([WreathElement.identity(2), WreathElement.identity(3)])
