@@ -1,19 +1,9 @@
-/* Compiled Todd-Coxeter core: a line-for-line port of _tc_py.enumerate_core.
-
-Same HLT strategy with the same read-only closure pass before the scans at
-each coset, same definition order, same coincidence handling, and the same
-standardizing traversal, which _tc_py.enumerate_core's docstring specifies,
-and the same involution rule: a generator g with a relator of two equal
-letters, g^2 or g^-2, gets one self-inverse column 2g.  Both of its letters
-read that column (col[2g+1] == 2g) and it is its own inverse
-(inv[2g] == 2g), so a definition there fills both ends; its two-letter
-relators are dropped, a row's empty entries skip column 2g+1, and the
-standardization copies column 2g into column 2g+1, so rows and arrival are
-those of two columns per generator.  The test suite asserts that both
-cores return identical (rows, ndef, parent, arrival), and with
-table=False identical (index, ndef, parent), which skips the
-standardization and allocates no rows or arrival.  rows, parent and
-arrival are flat array('i') buffers of C ints, with no Python object per
+/* Compiled Todd-Coxeter core: a line-for-line port of _tc_py.enumerate_core,
+whose docstring specifies both cores: the HLT strategy with its read-only
+closure pass, the definition order, the coincidence handling, the
+involution rule, the standardizing traversal and the return shapes.  The
+test suite asserts that both cores return identical results.  rows, parent
+and arrival are flat array('i') buffers of C ints, with no Python object per
 cell, row, coset or arrival edge.  Coset ids are C ints, so the wrapper
 accepts caps up to INT_MAX - 2; table indices are computed in size_t.  The
 loop holds the GIL and checks for signals every SIGNAL_EVERY rows.

@@ -219,90 +219,77 @@ def cmd_nf(args):
     return EXIT_OK
 
 
+def _images(family, variant, rank):
+    if variant == "coxeter":
+        p = presentations.coxeter_presentation(standard_matrix(family, rank))
+    else:
+        p = presentations.chain_presentation(family, variant, rank)
+    images = oracle.standard_images(family, variant, rank)
+    if not oracle.verify_hom(p, images):
+        return False
+    return (oracle.generated_order(images)
+            == (engine.order(p) if variant == "coxeter"
+                else oracle.alternating_order(family, rank)))
+
+
+def _orders(family, rank):
+    want = oracle.alternating_order(family, rank)
+    return all(engine.order(presentations.chain_presentation(family, v, rank))
+               == want for v in ("carmichael", "bourbaki", "edge"))
+
+
+def _spinor(family, rank):
+    m = standard_matrix(family, rank)
+    return (engine.order(presentations.spinor_plus_presentation(m, "edge", "tilde"))
+            == 2 * engine.order(presentations.edge_presentation(m)[0]))
+
+
+def _vv_equivalence():
+    p_vv = presentations.vv_presentation(4)
+    p_edge = presentations.chain_presentation("A", "edge", 4)
+    ident = (Word.gen(0), Word.gen(1), Word.gen(2))
+    return (presentations.GroupHom(p_vv, p_edge, ident).verify()
+            and presentations.GroupHom(p_edge, p_vv, ident).verify())
+
+
+def _artin_braid():
+    for n in range(3, 8):
+        images = oracle.standard_images("A", "edge", n)
+        for i in range(n - 2):
+            r_i = images[i].inverse() if (i + 1) % 2 else images[i]
+            r_j = images[i + 1].inverse() if (i + 2) % 2 else images[i + 1]
+            if r_i * r_j * r_i != r_j * r_i * r_j:
+                return False
+    return True
+
+
+def _spinor_iso():
+    fwd, bwd = presentations.spinor_iso(standard_matrix("A", 3))
+    rt = engine.enumerate(fwd.target, ())
+    rs = engine.enumerate(bwd.target, ())
+    return (fwd.verify(rt) and bwd.verify(rs)
+            and presentations.is_identity_hom(presentations.compose(fwd, bwd), rs))
+
+
+def _a5_cover():
+    # A5+ is the even subgroup of S6, order 360; kernel C2 x C3
+    return engine.order(presentations.universal_extension("A5"),
+                        cap=500_000) == 6 * 360
+
+
 def _verify_checks():
     """(name, thunk) pairs; each thunk returns True on pass."""
-    checks = []
-
-    def image_check(family, variant, rank):
-        def run():
-            if variant == "coxeter":
-                p = presentations.coxeter_presentation(standard_matrix(family, rank))
-            else:
-                p = presentations.chain_presentation(family, variant, rank)
-            images = oracle.standard_images(family, variant, rank)
-            if not oracle.verify_hom(p, images):
-                return False
-            return (oracle.generated_order(images)
-                    == (engine.order(p) if variant == "coxeter"
-                        else oracle.alternating_order(family, rank)))
-        return run
-
-    catalog = [("A", r) for r in range(2, 6)] + \
-              [("B", r) for r in range(2, 5)] + \
-              [("D", r) for r in range(3, 5)]
-    for family, rank in catalog:
-        for variant in ("coxeter", "carmichael", "bourbaki", "edge"):
-            checks.append((f"images-{family}{rank}-{variant}",
-                           image_check(family, rank=rank, variant=variant)))
-
-    def order_check(family, rank):
-        def run():
-            want = oracle.alternating_order(family, rank)
-            return all(engine.order(presentations.chain_presentation(family, v, rank))
-                       == want for v in ("carmichael", "bourbaki", "edge"))
-        return run
-
-    for family, rank in [("A", 4), ("B", 3), ("D", 4)]:
-        checks.append((f"orders-{family}{rank}", order_check(family, rank)))
-
-    def spinor_check(family, rank):
-        def run():
-            m = standard_matrix(family, rank)
-            plain = engine.order(presentations.edge_presentation(m)[0])
-            doubled = engine.order(
-                presentations.spinor_plus_presentation(m, "edge", "tilde"))
-            return doubled == 2 * plain
-        return run
-
-    for family, rank in [("A", 3), ("B", 3), ("D", 4)]:
-        checks.append((f"spinor-{family}{rank}", spinor_check(family, rank)))
-
-    def vv_check():
-        n = 4
-        p_vv = presentations.vv_presentation(n)
-        p_edge = presentations.chain_presentation("A", "edge", n)
-        ident = tuple(Word.gen(k) for k in range(n - 1))
-        fwd = presentations.GroupHom(p_vv, p_edge, ident)
-        bwd = presentations.GroupHom(p_edge, p_vv, ident)
-        return fwd.verify() and bwd.verify()
-    checks.append(("vv-equivalence", vv_check))
-
-    def artin_check():
-        for n in range(3, 8):
-            images = oracle.standard_images("A", "edge", n)
-            for i in range(n - 2):
-                r_i = images[i].inverse() if (i + 1) % 2 else images[i]
-                r_j = images[i + 1].inverse() if (i + 2) % 2 else images[i + 1]
-                if r_i * r_j * r_i != r_j * r_i * r_j:
-                    return False
-        return True
-    checks.append(("artin-braid", artin_check))
-
-    def spinor_iso_check():
-        fwd, bwd = presentations.spinor_iso(standard_matrix("A", 3))
-        rt = engine.enumerate(fwd.target, ())
-        rs = engine.enumerate(bwd.target, ())
-        if not (fwd.verify(rt) and bwd.verify(rs)):
-            return False
-        return presentations.is_identity_hom(presentations.compose(fwd, bwd), rs)
-    checks.append(("spinor-iso-A3", spinor_iso_check))
-
-    def cover_check():
-        # A5+ is the even subgroup of S6, order 360; kernel C2 x C3
-        return engine.order(presentations.universal_extension("A5"),
-                            cap=500_000) == 6 * 360
-    checks.append(("a5-cover-order", cover_check))
-    return checks
+    ranks = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+             ("B", 4), ("D", 3), ("D", 4)]
+    return ([(f"images-{f}{r}-{v}", functools.partial(_images, f, v, r))
+             for f, r in ranks
+             for v in ("coxeter", "carmichael", "bourbaki", "edge")]
+            + [(f"orders-{f}{r}", functools.partial(_orders, f, r))
+               for f, r in (("A", 4), ("B", 3), ("D", 4))]
+            + [(f"spinor-{f}{r}", functools.partial(_spinor, f, r))
+               for f, r in (("A", 3), ("B", 3), ("D", 4))]
+            + [("vv-equivalence", _vv_equivalence), ("artin-braid", _artin_braid),
+               ("spinor-iso-A3", _spinor_iso), ("a5-cover-order", _a5_cover)])
 
 
 def cmd_verify(args):

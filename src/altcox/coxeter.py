@@ -6,8 +6,6 @@ and 0 marks an infinite label (also in the JSON format).
 
 from __future__ import annotations
 
-import json
-
 from .words import InputError, Record, load_json
 
 INFINITY = 0
@@ -46,10 +44,6 @@ class CoxeterMatrix(Record):
 
     def entry(self, i, j):
         return self.m[i][j]
-
-    def to_json(self):
-        return json.dumps({"n": self.n, "m": [list(r) for r in self.m]},
-                          sort_keys=True)
 
     @classmethod
     def from_json(cls, text):

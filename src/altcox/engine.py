@@ -3,16 +3,9 @@
 The enumeration and the standardization of its table run in a core: a C
 extension (``altcox._tc_core``, built from ``_tc_core.c`` whenever a C
 compiler is present) with the pure-Python reference core
-(``altcox._tc_py``) as the fallback; BACKEND names the one in use.  Both
-return identical ``(rows, ndef, parent, arrival)``, each sequence a flat
-``array('i')``, and with ``table=False`` identical ``(index, ndef,
-parent)``: the same enumeration, counted without renumbering it or
-building its rows.  A generator with a relator of two equal letters, g^2
-or g^-2, is an involution: the cores give it one self-inverse column, so
-they define no coset for an alpha g^-1 that the g^2 relator would merge
-into alpha g, and at standardization they copy that column into the
-column of g^-1.  The tables are those of two columns per generator; only
-the count of cosets defined, which the cap bounds, falls.  This module
+(``altcox._tc_py``) as the fallback; BACKEND names the one in use.  The
+docstring of ``_tc_py.enumerate_core`` specifies both cores: the
+involution rule, the renumbering and the return shapes.  This module
 encodes the words, each presentation's relators once, and calls the
 core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
 while ``index`` and ``order`` take the count alone.  A run that would

@@ -174,7 +174,8 @@ class Presentation(Record):
     @classmethod
     def build(cls, generators, relators, central=()):
         """Construct, appending power/commutator relators for central gens;
-        all relators are read lazily, under the size rule."""
+        all relators are read lazily, under the size rule.  The builders
+        pass names and letters of their own, so only from_json validates."""
         p0 = cls(generators, ())
         names = [name for name, _ in central]
         powers = (p0.gen(name) ** order for name, order in central)
@@ -183,9 +184,8 @@ class Presentation(Record):
         commutators = (commutator(p0.gen(name), p0.gen(other))
                        for k, name in enumerate(names) for other in p0.generators
                        if other != name and other not in names[:k])
-        p = cls(p0.generators, itertools.chain(relators, powers, commutators), central)
-        p.validate()
-        return p
+        return cls(p0.generators, itertools.chain(relators, powers, commutators),
+                   central)
 
     @property
     def rank(self):
@@ -295,14 +295,8 @@ def render_word(w: Word, p: Presentation) -> str:
     if not w:
         return "1"
     parts = []
-    run_letter, run = None, 0
-    for x in list(w.letters) + [0]:
-        if x == run_letter:
-            run += 1
-            continue
-        if run_letter is not None:
-            name = p.generators[abs(run_letter) - 1]
-            k = run if run_letter > 0 else -run
-            parts.append(name if k == 1 else f"{name}^{k}")
-        run_letter, run = x, 1
+    for x, run in itertools.groupby(w.letters):
+        name, k = p.generators[abs(x) - 1], len(list(run))
+        k = k if x > 0 else -k
+        parts.append(name if k == 1 else f"{name}^{k}")
     return " ".join(parts)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from altcox import cli, chains, engine, presentations
+from altcox import cli, chains, engine, oracle, presentations
 from altcox.cli import main, EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VERIFY
 from altcox.coxeter import MAX_RANK, CoxeterMatrix, standard_matrix
 from altcox.words import (Presentation, Word, parse_word, render_word,
@@ -18,6 +19,10 @@ from altcox._tc_py import enumerate_core as py_core
 
 INFINITE_MATRIX = CoxeterMatrix(2, ((1, 0), (0, 1)))
 AFFINE_A2 = CoxeterMatrix(3, ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+
+
+def _matrix_json(m):
+    return json.dumps({"n": m.n, "m": [list(r) for r in m.m]})
 
 
 def test_present_stdout(capsys):
@@ -62,6 +67,13 @@ def test_present_malformed_matrix_file(tmp_path, capsys):
     ("--presentation", '{"generators": ["a b"], "relators": []}'),
     ("--presentation", '{"generators": ["x\\"y"], "relators": ["x\\"y^2"]}'),
     ("--matrix", '{"n": 2, "m": [[1, 2], []]}'),
+    # a central entry with no power relator, with a commutator missing, of
+    # a bad shape
+    ("--presentation", '{"generators": ["a", "z"], "relators": ["z a z^-1 a^-1"], '
+                       '"central": [{"name": "z", "order": 2}]}'),
+    ("--presentation", '{"generators": ["a", "b", "z"], "relators": ["z^2", '
+                       '"z a z^-1 a^-1"], "central": [{"name": "z", "order": 2}]}'),
+    ("--presentation", '{"generators": ["a"], "relators": [], "central": [{"name": "a"}]}'),
 ])
 def test_malformed_json_input_is_usage_error(tmp_path, capsys, flag, text):
     f = tmp_path / "in.json"
@@ -160,7 +172,7 @@ def test_input_rule_accepts_27_runs():
 def test_every_input_flag_is_read(tmp_path, capsys, variant, flags):
     """A run that would ignore an input flag it was given exits 2 with no
     output."""
-    (tmp_path / "M").write_text(standard_matrix("A", 3).to_json())
+    (tmp_path / "M").write_text(_matrix_json(standard_matrix("A", 3)))
     (tmp_path / "P").write_text(
         presentations.chain_presentation("A", "edge", 3).to_json())
     argv = ["present"] + ([] if variant is None else ["--variant", variant])
@@ -251,6 +263,14 @@ def test_built_relator_longer_than_a_word_is_usage_error(tmp_path, capsys, varia
         assert (out, err) == ("", "error: word longer than 1000000 letters\n")
     else:
         assert [len(r.split()) for r in json.loads(out)["relators"]] == [1, 1_000_000, 1]
+
+
+def test_power_longer_than_a_word_is_usage_error(tmp_path, capsys):
+    # (s0 s1)^600000 is refused before its 1200000 letters are made
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "m": [[1, 600_000], [600_000, 1]]}))
+    assert main(["order", "--matrix", str(path), "--variant", "coxeter"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: word longer than 1000000 letters\n")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -401,6 +421,17 @@ def test_write_error_names_requested_path(tmp_path, capsys, flag):
     assert errs[0] == errs[1] == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
 
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+    monkeypatch.setattr(os, "replace", refuse)
+    path = str(tmp_path / "x")
+    assert main(["enumerate", "--family", "A", "--rank", "3", "--table", path]) == EXIT_USAGE
+    err = f"error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {path!r}\n"
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--output", "--table", "--dot", "--reps",
                                   "--presentation", "--matrix"])
 def test_empty_path_is_file_error(tmp_path, monkeypatch, capsys, flag):
@@ -421,7 +452,7 @@ def test_empty_path_is_file_error(tmp_path, monkeypatch, capsys, flag):
 def test_vv_is_type_a_only(tmp_path, capsys, argv):
     """vv presents the type-A alternating group; it refuses another family
     or a matrix or presentation file instead of ignoring it."""
-    (tmp_path / "M").write_text(standard_matrix("B", 4).to_json())
+    (tmp_path / "M").write_text(_matrix_json(standard_matrix("B", 4)))
     (tmp_path / "P").write_text(
         presentations.chain_presentation("B", "edge", 4).to_json())
     argv = [str(tmp_path / a) if a in ("M", "P") else a for a in argv]
@@ -457,8 +488,8 @@ def test_order_cover(capsys):
 ], ids=["order", "nf-D5-level", "nf-B5-regular", "order-affine", "enumerate-affine"])
 def test_order_cap_exceeded(tmp_path, capsys, argv, cap):
     files = {"INF": tmp_path / "inf.json", "AFFINE": tmp_path / "affine.json"}
-    files["INF"].write_text(INFINITE_MATRIX.to_json())
-    files["AFFINE"].write_text(AFFINE_A2.to_json())
+    files["INF"].write_text(_matrix_json(INFINITE_MATRIX))
+    files["AFFINE"].write_text(_matrix_json(AFFINE_A2))
     argv = [str(files[a]) if a in files else a for a in argv]
     assert main(argv + ["--max-cosets", str(cap)]) == EXIT_CAP
     err = capsys.readouterr().err
@@ -669,6 +700,29 @@ def test_verify_reports_failure(monkeypatch, capsys):
                         lambda name: presentations.chain_presentation("A", "edge", 3))
     assert main(["verify", "--only", "a5-cover"]) == EXIT_VERIFY
     assert "FAIL a5-cover-order" in capsys.readouterr().out
+
+
+def _one_image(family, variant, rank, standard_images=oracle.standard_images):
+    images = standard_images(family, variant, rank)
+    return [images[0]] * len(images)  # x x^-1 x is not x^-1 x x^-1
+
+
+def _not_called(*args):
+    raise AssertionError("generated_order called")
+
+
+@pytest.mark.parametrize("name, obj, attr, sabotage", [
+    ("images-A3-edge", oracle, "verify_hom", lambda p, images: False),
+    ("artin-braid", oracle, "standard_images", _one_image),
+    ("spinor-iso-A3", presentations.GroupHom, "verify", lambda self, *a: False),
+], ids=["images", "artin-braid", "spinor-iso"])
+def test_verify_reports_each_failure(monkeypatch, capsys, name, obj, attr, sabotage):
+    # a check fails as soon as one part of it does: the images are not
+    # counted once they break a relator
+    monkeypatch.setattr(obj, attr, sabotage)
+    monkeypatch.setattr(oracle, "generated_order", _not_called)
+    assert main(["verify", "--only", name]) == EXIT_VERIFY
+    assert capsys.readouterr().out == f"FAIL {name}\n0/1 checks passed\n"
 
 
 def test_verify_timings_go_to_stderr(capsys):

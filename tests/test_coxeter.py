@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from altcox.coxeter import (CoxeterMatrix, MatrixError, INFINITY,
@@ -22,9 +24,10 @@ def test_matrix_validation():
 
 def test_matrix_json_roundtrip():
     m = standard_matrix("B", 3)
-    assert CoxeterMatrix.from_json(m.to_json()) == m
-    inf = CoxeterMatrix(2, ((1, INFINITY), (INFINITY, 1)))
-    assert CoxeterMatrix.from_json(inf.to_json()).entry(0, 1) == INFINITY
+    text = json.dumps({"n": m.n, "m": [list(r) for r in m.m]})
+    assert CoxeterMatrix.from_json(text) == m
+    text = json.dumps({"n": 2, "m": [[1, INFINITY], [INFINITY, 1]]})
+    assert CoxeterMatrix.from_json(text).entry(0, 1) == INFINITY
 
 
 def test_standard_matrices():

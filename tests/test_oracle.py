@@ -249,6 +249,15 @@ def test_ranks_below_the_least_raise(family, rank):
         oracle.alternating_order(family, rank)
 
 
+def test_unknown_family_and_degree_mismatch_raise():
+    with pytest.raises(OracleError, match="^unknown family 'E'$"):
+        oracle.standard_images("E", "coxeter", 3)
+    with pytest.raises(OracleError, match="^unknown family 'C'$"):
+        oracle.alternating_order("C", 3)
+    with pytest.raises(OracleError, match="flag vector length"):
+        WreathElement((0, 1), Permutation.identity(3))
+
+
 def test_least_ranks():
     """A1, B1 and D2: |W+| is 1, 1 and 2, and the images generate W."""
     for family, rank, order in (("A", 1, 1), ("B", 1, 1), ("D", 2, 2)):

@@ -146,6 +146,21 @@ def test_chain_rank_minimum():
         pres.chain_presentation("D", "carmichael", 2)
 
 
+def test_builders_refuse_unknown_arguments():
+    m = standard_matrix("A", 3)
+    for build, message in (
+            (lambda: pres.spinor_presentation(m, "hat"), "unknown spinor variant 'hat'"),
+            (lambda: pres.spinor_plus_presentation(m, "carmichael", "tilde"),
+             "unknown spinor style 'carmichael'"),
+            (lambda: pres.vv_presentation(1), "vv presentation needs n >= 2"),
+            (lambda: pres.universal_extension("A7"), "unknown extension 'A7'")):
+        with pytest.raises(pres.BuildError, match=f"^{message}$"):
+            build()
+    fwd, _ = pres.spinor_iso(m)  # its target names zp, its source z
+    with pytest.raises(pres.BuildError, match="^homs not composable$"):
+        pres.compose(fwd, fwd)
+
+
 def coxeter_words(n):
     """The Coxeter generators s0..s{n-1} as words."""
     return [Word.gen(i) for i in range(n)]
@@ -342,10 +357,16 @@ def test_edge_families_match_brute_force():
         for k, v in ((1, "tilde"), (2, "tilde_prime")):
             sp = pres.spinor_plus_presentation(m, "edge", v)
             assert sp.relators == tuple([t[0] * z ** -t[k] for t in triples] + central)
-            built.append(sp)
+            built += [sp, pres.spinor_plus_presentation(m, "bourbaki", v),
+                      pres.spinor_presentation(m, v)]
+        # Presentation.build does not validate what it builds, and from_json
+        # validates: every spinor and cover build must pass its checks
         for q in built:
             assert Presentation.from_json(q.to_json()) == q
     assert disconnected >= 50
+    for which in ("A5", "A6"):
+        q = pres.universal_extension(which)
+        assert Presentation.from_json(q.to_json()) == q
 
 
 def test_spinor_iso_both_ways():
