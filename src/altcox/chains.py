@@ -10,10 +10,13 @@ A cap overrun in any enumeration raises the engine's CapExceeded.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .words import InputError, Word
 from .presentations import CHAIN_BASE, chain_presentation
 from . import engine
+
+SCALE_CAP = 100_000  # the most normal forms enumerate_elements lists
 
 
 class ChainError(InputError):
@@ -50,41 +53,38 @@ def _closed_form_a(variant: str, i: int):
 
 
 class Chain:
-    """Representative sets and membership tables for one (family, variant,
-    n) chain.
+    """Representative sets, level tables and sift cosets for one (family,
+    variant, n) chain.
 
     The rank-n presentation is built once, which validates the triple; the
-    rank-i one below it is its restriction to the first i-1 generators and
-    the relators over them, which is the rank-i chain presentation, relators
-    in the same order; it shares the rank-n presentation's encoding of
-    those relators.  The level-i subgroup is generated by the first i-2
-    generators, or is trivial at the base level.  Membership at level i
-    reads the rank-n table over that subgroup, so every factor word stays
-    over the rank-n alphabet; the B/D representatives at level i are the
-    Schreier words of the rank-i table over the same subgroup.  Each table
-    is enumerated once, on first use.
+    rank-i one is its restriction to the first i-1 generators and the
+    relators over them, in order and sharing their encoding.  The level-i
+    subgroup is generated by the first i-2 generators, or is trivial at the
+    base.  _table(i), enumerated on first use, is the rank-i table over it,
+    of index i+1 (A), 2i (B, D) or 12 (D's base); the B/D representatives
+    are its Schreier words.  decompose sifts through the top table alone.
     """
 
     def __init__(self, family: str, variant: str, n: int, cap=engine.DEFAULT_CAP):
         self.presentation = chain_presentation(family, variant, n)
         self.family, self.variant, self.n = family.upper(), variant, n
-        self.base = CHAIN_BASE[self.family]
-        self.cap = cap
-        self._tables = {}
-        self._reps = {}
+        self.base, self.cap = CHAIN_BASE[self.family], cap
+        self._tables, self._reps, self._sifts = {}, {}, []
 
     def levels(self):
         return range(self.n, self.base - 1, -1)
 
-    def _table(self, rank, i):
-        """Coset table of the level-i subgroup inside the rank-`rank` group."""
-        if (rank, i) not in self._tables:
+    def _subgroup_rank(self, i):
+        return i - 2 if i > self.base else 0
+
+    def _table(self, i):
+        """Coset table of the level-i subgroup inside the rank-i group."""
+        if i not in self._tables:
             p = self.presentation
-            if rank < self.n:
-                p = engine.restrict(p, rank - 1)
-            sub = tuple(Word.gen(k) for k in range(i - 2)) if i > self.base else ()
-            self._tables[rank, i] = engine.enumerate(p, sub, self.cap)
-        return self._tables[rank, i]
+            p = p if i == self.n else engine.restrict(p, i - 1)
+            sub = tuple(map(Word.gen, range(self._subgroup_rank(i))))
+            self._tables[i] = engine.enumerate(p, sub, self.cap)
+        return self._tables[i]
 
     def rep_set(self, i) -> tuple[Word, ...]:
         if not self.base <= i <= self.n:
@@ -93,31 +93,41 @@ class Chain:
             if self.family == "A" and i > self.base:
                 self._reps[i] = tuple(_closed_form_a(self.variant, i))
             else:
-                self._reps[i] = engine.schreier(self._table(i, i))[1:]
+                self._reps[i] = engine.schreier(self._table(i))[1:]
         return self._reps[i]
 
+    def _sift(self):
+        """Per level, from the top: its sift cosets, the top table's cosets that
+        its generators move and its subgroup fixes, and its reps by their images."""
+        if not self._sifts:
+            t = self._table(self.n)
+            rows, rank = t.rows, t.presentation.rank
+            first = [next((g for g in range(rank) if rows[2 * (c * rank + g)] != c),
+                          rank) for c in range(t.index + 1)]  # lowest mover of c
+            for i in self.levels():
+                cosets = [c for c in range(1, t.index + 1)
+                          if self._subgroup_rank(i) <= first[c] < i - 1]
+                self._sifts.append((cosets, {tuple(t.trace(c, u) for c in cosets): u
+                                             for u in self.rep_set(i)}))
+        return self._sifts
+
     def decompose(self, w: Word) -> tuple[Word, ...]:
-        """Peel factors u_n, u_{n-1}, ..., u_base from level n down to the
-        base block; their product is w.  u^-1 w fixes coset 1 of a level's
-        table (a permutation action) iff u and w move coset 1 alike, and
-        the level's representatives cover its cosets."""
-        factors = []
-        for i in self.levels():
-            t = self._table(self.n, i)
-            c = t.trace(1, w)
-            u = next(u for u in self.rep_set(i) if t.trace(1, u) == c)
+        """Peel factors u_n, u_{n-1}, ..., u_base, whose product is w: u_i
+        sends level i's sift cosets where w does.  The level's subgroup fixes
+        them and its representatives send them to distinct tuples, so by
+        orbit-stabilizer that subgroup is their stabilizer in the level."""
+        factors, t = [], self._table(self.n)
+        for cosets, reps in self._sift():
+            u = reps[tuple(t.trace(c, w) for c in cosets)]
             factors.append(u)
             w = u.inverse() * w
         return tuple(factors)
 
-    def enumerate_elements(self, scale_cap=100_000):
+    def enumerate_elements(self):
         """All normal forms, as factor tuples: the Cartesian product of the
-        E_i."""
+        E_i, refused past SCALE_CAP of them."""
         sets = [self.rep_set(i) for i in self.levels()]
-        total = 1
-        for s in sets:
-            total *= len(s)
-        if total > scale_cap:
-            raise ChainError(f"{total} normal forms exceed scale cap {scale_cap}")
+        total = math.prod(map(len, sets))
+        if total > SCALE_CAP:
+            raise ChainError(f"{total} normal forms exceed scale cap {SCALE_CAP}")
         return list(itertools.product(*sets))
-

@@ -16,6 +16,7 @@ the even subgroup) and multiplies each relator by z^-twist.  The twists are:
 
     relator                     tilde          tilde-prime
     label-m powers and braids   (m-1) mod 2    1
+    Bourbaki (R_i^-1 R_j)^m     (m-1) mod 2    (m-1) mod 2
     fundamental cycles          0              (edge count) mod 2
     squared 2- and 3-paths      1              1
     commutators                 0              0
@@ -84,8 +85,9 @@ def _bourbaki_family(m: CoxeterMatrix):
         for a in range(m.n - 1):
             for b in range(a + 1, m.n - 1):
                 mij = m.entry(a + 1, b + 1)
-                if mij != INFINITY:
-                    yield (Word.gen(a, -1) * Word.gen(b)) ** mij, *_label_twists(mij)
+                if mij != INFINITY:  # tilde_prime's ts_i^-1 is alpha ts_i
+                    twist = (mij - 1) % 2
+                    yield (Word.gen(a, -1) * Word.gen(b)) ** mij, twist, twist
     return tuple(f"R{v}" for v in range(1, m.n)), triples()
 
 

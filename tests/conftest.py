@@ -7,8 +7,14 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "altcox" / "_tc_core.c"
+
+# every property test draws the same examples on every run, and keeps no
+# example database between runs
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
+import random
 from collections import Counter
 
 import pytest
 
-from altcox import engine
+from altcox import engine, oracle
 from altcox.chains import Chain, ChainError, _closed_form_a
-from altcox.presentations import chain_presentation, BuildError
-from altcox.words import Word
+from altcox.cli import EXIT_OK, EXIT_USAGE, main
+from altcox.presentations import CHAIN_BASE, chain_presentation, BuildError
+from altcox.words import Word, parse_word, render_word
 
 from subgroups import chain_subgroup_words
 
@@ -16,6 +18,20 @@ def letters(rep_set):
 
 def product(factors):
     return Word(tuple(x for f in factors for x in f))
+
+
+@pytest.fixture
+def indices(monkeypatch):
+    """The index of each table engine.enumerate builds in the test."""
+    out, enumerate_ = [], engine.enumerate
+
+    def recording_enumerate(*args):
+        t = enumerate_(*args)
+        out.append(t.index)
+        return t
+
+    monkeypatch.setattr(engine, "enumerate", recording_enumerate)
+    return out
 
 
 def test_spec_validation():
@@ -34,18 +50,18 @@ def test_spec_validation():
 @pytest.mark.parametrize("family", ["A", "B", "D"])
 @pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
 def test_lower_ranks_restrict_the_top_presentation(monkeypatch, family, variant):
-    # the rank-i table enumerates the rank-30 presentation cut down to its
+    # the level-i table enumerates the rank-30 presentation cut down to its
     # first i-1 generators and the relators over them: generators, relators
     # in order and central all equal those of the rank-i chain presentation
     c = Chain(family, variant, 30)
     monkeypatch.setattr(engine, "enumerate", lambda p, sub, cap: p)
-    for i in range(c.base, 30):
-        assert c._table(i, i) == chain_presentation(family, variant, i), i
+    for i in c.levels():
+        assert c._table(i) == chain_presentation(family, variant, i), i
 
 
 def test_each_presentation_encoded_once(monkeypatch):
     """The tables of one chain share one encoding of its relators: through
-    a decompose, which enumerates 7 tables over 4 presentations, each
+    a decompose, which enumerates 4 tables over 4 presentations, each
     relator is encoded once in all, though the restricted presentations
     hold the top one's relator objects, and a later index over the top
     presentation encodes none again."""
@@ -64,12 +80,49 @@ def test_each_presentation_encoded_once(monkeypatch):
     monkeypatch.setattr(engine, "enumerate", recording_enumerate)
     c = Chain("B", "carmichael", 5)
     c.decompose(Word((1, 2, -3, 4, 4, 2, 1)))
-    assert len(c._tables) == 7 and len(presentations) == 4
+    assert len(c._tables) == 4 and len(presentations) == 4
     relators = {id(w) for p in presentations.values() for w in p.relators}
     assert Counter(k for k in encoded if k in relators) == Counter(relators)
     encoded.clear()
     assert engine.index(c.presentation) == 1920
     assert encoded == []
+
+
+@pytest.mark.parametrize("family, n", [("A", 8), ("B", 7), ("D", 7),
+                                       ("A", 30), ("B", 30), ("D", 30),
+                                       ("A", 40), ("B", 40), ("D", 40)])
+@pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
+def test_nf_at_high_rank(indices, capsys, family, n, variant):
+    """nf at the default cap, past A8, B7 and D7, where the rank-n group's
+    regular table would exceed it: the largest table behind it has at most
+    max(2n, 12) cosets, and the factors multiply back to the word in the
+    oracle's signed permutations."""
+    p = chain_presentation(family, variant, n)
+    rng = random.Random(n)
+    w = Word(tuple(rng.choice((1, -1)) * rng.randint(1, p.rank) for _ in range(20)))
+    assert main(["nf", "--family", family, "--variant", variant, "--rank", str(n),
+                 "--word", render_word(w, p)]) == EXIT_OK
+    factors = capsys.readouterr().out.rstrip("\n").split(" | ")
+    assert len(factors) == n - CHAIN_BASE[family] + 1
+    images = oracle.standard_images(family, variant, n)
+    assert oracle.eval_word(images, product(parse_word(f, p) for f in factors)) \
+        == oracle.eval_word(images, w)
+    assert max(indices) <= max(2 * n, 12)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "D"])
+@pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
+def test_sift_cosets_separate_each_levels_reps(family, variant):
+    """decompose relies, unchecked, on each level's sift cosets existing and
+    its representatives sending them to distinct tuples; checked here for
+    every top rank up to 30.  A level's table and reps do not depend on the
+    top rank, so every chain reads those of the rank-30 chain."""
+    top = Chain(family, variant, 30)
+    for n in range(top.base, 31):
+        c = Chain(family, variant, n)
+        c._tables, c._reps = top._tables, top._reps
+        for i, (cosets, reps) in zip(c.levels(), c._sift()):
+            assert cosets and len(reps) == len(c.rep_set(i)), (n, i)
 
 
 def test_rep_set_level_bounds():
@@ -109,7 +162,7 @@ def test_a_closed_forms_are_schreier_words(variant):
     c = Chain("A", variant, 30)
     for i in range(3, 31):
         closed = _closed_form_a(variant, i)
-        schreier = engine.schreier(c._table(i, i))[1:]
+        schreier = engine.schreier(c._table(i))[1:]
         assert set(closed) == set(schreier), i
         if variant != "edge":
             assert tuple(closed) == schreier, i
@@ -126,18 +179,17 @@ def test_rep_set_sizes():
 
 
 def test_reps_hit_distinct_cosets():
+    # each level's reps are a transversal of its table, and send its sift
+    # cosets of the top table to distinct tuples
     for fam, variant, n in (("A", "edge", 5), ("B", "carmichael", 4),
                             ("D", "bourbaki", 4)):
         c = Chain(fam, variant, n)
-        p = c.presentation
-        for i in range(n, c.base, -1):
-            sub = tuple(Word.gen(k) for k in range(i - 2))
-            t = engine.enumerate(p, sub)
-            seen = {t.trace(1, u) for u in c.rep_set(i)}
-            assert len(seen) == len(c.rep_set(i))
-            if i == n:
-                # top-level reps cover every coset of the full group
-                assert len(seen) == t.index
+        top = c._table(n)
+        for i, (cosets, _) in zip(c.levels(), c._sift()):
+            t, reps = c._table(i), c.rep_set(i)
+            assert sorted(t.trace(1, u) for u in reps) == list(range(1, t.index + 1))
+            assert len({tuple(top.trace(x, u) for x in cosets) for u in reps}) \
+                == len(reps)
 
 
 def test_base_blocks_are_whole_base_groups():
@@ -201,10 +253,14 @@ def test_enumerate_elements_counts():
         assert len(Chain(fam, variant, n).enumerate_elements()) == order
 
 
-def test_enumerate_elements_scale_cap():
-    c = Chain("A", "edge", 6)
-    with pytest.raises(ChainError):
-        c.enumerate_elements(scale_cap=100)
+def test_enumerate_elements_scale_cap(indices, capsys):
+    # A8+ has 181,440 normal forms, past SCALE_CAP; the closed forms leave
+    # the 3-coset base table the only one enumerated
+    assert main(["nf", "--family", "A", "--rank", "8", "--variant", "edge",
+                 "--enumerate"]) == EXIT_USAGE
+    assert capsys.readouterr() == \
+        ("", "error: 181440 normal forms exceed scale cap 100000\n")
+    assert indices == [3]
 
 
 def test_module_level_wrappers():

@@ -187,16 +187,18 @@ def golden_cases():
 
 
 # taken with the renumbering still in engine.enumerate, before the cores
-# standardized their own tables
-ENUMERATION_DIGEST = "96fc374324ac96181e51816bad13aa97870e00aa7e936a07952d5ac0ead88d94"
+# standardized their own tables.  This digest and the next were re-taken
+# when the Bourbaki tilde_prime braids (R_i^-1 R_j)^m took twist (m-1) mod 2,
+# which changed only the 8 Bourbaki tilde_prime runs of rank 3 and up
+ENUMERATION_DIGEST = "dc89a0fd23c2a7fdd9357769ddefc2c5006179279cd6ae441206c17b63f0f96b"
 # each run's (ndef, parent): the cosets it defined and the union-find forest
 # of its merges, with one self-inverse column per involutory generator.
 # Against the two-column enumeration, the 166 runs without a g^2 relator
 # define and merge the same cosets, and 91 of the other 130 define fewer
-# (529,734 cosets in all before, 449,983 now).  Skipping the relators
-# already closed at a coset must not change which cosets are defined or
-# merged.
-SEQUENCE_DIGEST = "11380ced5f02a9a94d30aeb27ba01ddde8f81cd8fd67068c2bf27903c46eb50a"
+# (529,734 cosets in all before, 449,983 after, and 450,472 with the twist
+# above).  Skipping the relators already closed at a coset must not change
+# which cosets are defined or merged.
+SEQUENCE_DIGEST = "a9a0aec6b18a01f3de90fe33972d6a7df2874f5b799c7f7d615271cff7e823bd"
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
@@ -389,7 +391,7 @@ def random_presentations(draw):
     return ncols, relators, draw(st.lists(word, max_size=2)), draw(st.integers(1, 20_000))
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(random_presentations())
 def test_cores_agree_on_random_presentations(c_core, case):
     """The two cores, with and without the table, return identical results

@@ -260,6 +260,24 @@ def test_spinor_plus_orders():
                     == 2 * plain
 
 
+@pytest.mark.parametrize("fam, n", [("A", 3), ("A", 4), ("B", 3), ("D", 4)])
+@pytest.mark.parametrize("variant", ["tilde", "tilde_prime"])
+@pytest.mark.parametrize("style", ["bourbaki", "edge"])
+def test_spinor_plus_lifts_into_spinor(fam, n, variant, style):
+    # each spinor-plus generator names an element of the spinor group of
+    # the same variant, R_i = ts_0 ts_i or r_ij = ts_i ts_j, and z or zp is
+    # its alpha: every relator holds there
+    m = standard_matrix(fam, n)
+    if style == "bourbaki":
+        pairs = [(0, i) for i in range(1, n)]
+    else:
+        pairs = [(i, j) for i, j, _ in connected_extension(m).all_edges()]
+    images = tuple(Word.gen(i) * Word.gen(j) for i, j in pairs) + (Word.gen(n),)
+    lift = pres.GroupHom(pres.spinor_plus_presentation(m, style, variant),
+                         pres.spinor_presentation(m, variant), images)
+    assert lift.verify()
+
+
 def _matrix(n, labels):
     """Coxeter matrix with the given {(i, j): m_ij} labels, 2 elsewhere."""
     m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
