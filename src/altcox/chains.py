@@ -52,23 +52,33 @@ def _closed_form_a(variant: str, i: int):
     return [Word()] + first + second
 
 
+def _walk(rows, ncols, coset, cols):
+    """The coset that column word cols sends coset to, in a table of rows."""
+    for col in cols:
+        coset = rows[coset * ncols + col]
+    return coset
+
+
 class Chain:
     """Representative sets, level tables and sift cosets for one (family,
     variant, n) chain.
 
     The rank-n presentation is built once, which validates the triple; the
     rank-i one is its restriction to the first i-1 generators and the
-    relators over them, in order and sharing their encoding.  The level-i
-    subgroup is generated by the first i-2 generators, or is trivial at the
-    base.  _table(i), enumerated on first use, is the rank-i table over it,
-    of index i+1 (A), 2i (B, D) or 12 (D's base); the B/D representatives
-    are its Schreier words.  decompose sifts through the top table alone.
+    relators over them, in order and sharing their encoding, cut from the
+    nearest level above that holds one: level i+1 when the levels are
+    walked down.  The level-i subgroup is generated by the first i-2
+    generators, or is trivial at the base.  _table(i), enumerated on first
+    use, is the rank-i table over it, of index i+1 (A), 2i (B, D) or 12
+    (D's base); the B/D representatives are its Schreier words.
+    decompose sifts through the top table alone.
     """
 
     def __init__(self, family: str, variant: str, n: int, cap=engine.DEFAULT_CAP):
         self.presentation = chain_presentation(family, variant, n)
         self.family, self.variant, self.n = family.upper(), variant, n
         self.base, self.cap = CHAIN_BASE[self.family], cap
+        self._presentations = {n: self.presentation}
         self._tables, self._reps, self._sifts = {}, {}, []
 
     def levels(self):
@@ -80,8 +90,10 @@ class Chain:
     def _table(self, i):
         """Coset table of the level-i subgroup inside the rank-i group."""
         if i not in self._tables:
-            p = self.presentation
-            p = p if i == self.n else engine.restrict(p, i - 1)
+            above = min(k for k in self._presentations if k >= i)
+            p = self._presentations[above]
+            if above > i:
+                p = self._presentations[i] = engine.restrict(p, i - 1)
             sub = tuple(map(Word.gen, range(self._subgroup_rank(i))))
             self._tables[i] = engine.enumerate(p, sub, self.cap)
         return self._tables[i]
@@ -98,7 +110,8 @@ class Chain:
 
     def _sift(self):
         """Per level, from the top: its sift cosets, the top table's cosets that
-        its generators move and its subgroup fixes, and its reps by their images."""
+        its generators move and its subgroup fixes, and its reps by their
+        images, each with its columns."""
         if not self._sifts:
             t = self._table(self.n)
             rows, rank = t.rows, t.presentation.rank
@@ -107,20 +120,28 @@ class Chain:
             for i in self.levels():
                 cosets = [c for c in range(1, t.index + 1)
                           if self._subgroup_rank(i) <= first[c] < i - 1]
-                self._sifts.append((cosets, {tuple(t.trace(c, u) for c in cosets): u
-                                             for u in self.rep_set(i)}))
+                reps = {}
+                for u in self.rep_set(i):
+                    cols = engine._columns(u)
+                    reps[tuple(_walk(rows, 2 * rank, c, cols) for c in cosets)] = u, cols
+                self._sifts.append((cosets, reps))
         return self._sifts
 
     def decompose(self, w: Word) -> tuple[Word, ...]:
         """Peel factors u_n, u_{n-1}, ..., u_base, whose product is w: u_i
         sends level i's sift cosets where w does.  The level's subgroup fixes
         them and its representatives send them to distinct tuples, so by
-        orbit-stabilizer that subgroup is their stabilizer in the level."""
-        factors, t = [], self._table(self.n)
+        orbit-stabilizer that subgroup is their stabilizer in the level.
+        w is encoded once.  Each factor u is peeled by appending the columns
+        of u^-1, u's own reversed and flipped: the completed table sends a
+        word and its free reduction to one coset."""
+        t = self._table(self.n)
+        rows, ncols = t.rows, 2 * t.presentation.rank
+        factors, cols = [], list(engine._columns(w))
         for cosets, reps in self._sift():
-            u = reps[tuple(t.trace(c, w) for c in cosets)]
+            u, ucols = reps[tuple(_walk(rows, ncols, c, cols) for c in cosets)]
             factors.append(u)
-            w = u.inverse() * w
+            cols += [col ^ 1 for col in reversed(ucols)]
         return tuple(factors)
 
     def enumerate_elements(self):

@@ -203,6 +203,8 @@ def cmd_order(args):
 
 
 def cmd_nf(args):
+    if args.enumerate and args.word is not None:  # the word would go unread
+        raise UsageError("nf takes --word or --enumerate, not both")
     chain = chains.Chain(args.family, args.variant, args.rank, args.max_cosets)
     p = chain.presentation
     if args.enumerate:
@@ -358,6 +360,7 @@ def build_parser():
                    help="write each check's wall time in ms to stderr")
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
+    ap.commands = sub.choices  # name -> parser, for _parse
     return ap
 
 
@@ -366,11 +369,26 @@ def _parser():
     return build_parser()
 
 
+def _parse(argv):
+    """The arguments of argv, read once.  A command reads argv[1:] with its
+    own parser, as the full parser would hand it over; when argv[0] names no
+    command or arguments are left over, the full parser reads argv, so that
+    help, usage, errors and exit codes are that parser's own."""
+    ap = _parser()
+    command = ap.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return ap.parse_args(argv)
+
+
 def main(argv=None):
     """Run one command and return its exit code.  The parser is built on
     the first call, not at import, and reused for the life of the process."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

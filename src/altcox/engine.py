@@ -55,10 +55,10 @@ def _relator_columns(p: Presentation):
 def restrict(p: Presentation, ngens) -> Presentation:
     """p cut down to its first ngens generators and the relators over them,
     in order, sharing p's column words for those relators."""
-    kept = [(w, c) for w, c in zip(p.relators, _relator_columns(p))
-            if all(x < 2 * ngens for x in c)]
-    q = Presentation(p.generators[:ngens], (w for w, _ in kept))
-    object.__setattr__(q, "_encoded", tuple(c for _, c in kept))
+    columns, limit = _relator_columns(p), 2 * ngens
+    keep = [not c or max(c) < limit for c in columns]  # one C call a relator
+    q = Presentation(p.generators[:ngens], compress(p.relators, keep))
+    object.__setattr__(q, "_encoded", tuple(compress(columns, keep)))
     return q
 
 

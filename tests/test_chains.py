@@ -63,9 +63,11 @@ def test_each_presentation_encoded_once(monkeypatch):
     """The tables of one chain share one encoding of its relators: through
     a decompose, which enumerates 4 tables over 4 presentations, each
     relator is encoded once in all, though the restricted presentations
-    hold the top one's relator objects, and a later index over the top
-    presentation encodes none again."""
-    encoded, presentations = [], {}
+    hold the top one's relator objects, and so are the word and each
+    representative, beside each table's subgroup generators; a second
+    decompose encodes its word alone, and a later index over the top
+    presentation encodes nothing."""
+    encoded, presentations, subgroups = [], {}, []
     columns, enumerate_ = engine._columns, engine.enumerate
 
     def counting_columns(w):
@@ -74,18 +76,54 @@ def test_each_presentation_encoded_once(monkeypatch):
 
     def recording_enumerate(p, sub, cap):
         presentations.setdefault(id(p), p)
+        subgroups.extend(sub)  # kept alive, so that no id is reused
         return enumerate_(p, sub, cap)
 
     monkeypatch.setattr(engine, "_columns", counting_columns)
     monkeypatch.setattr(engine, "enumerate", recording_enumerate)
     c = Chain("B", "carmichael", 5)
-    c.decompose(Word((1, 2, -3, 4, 4, 2, 1)))
+    w = Word((1, 2, -3, 4, 4, 2, 1))
+    c.decompose(w)
     assert len(c._tables) == 4 and len(presentations) == 4
     relators = {id(w) for p in presentations.values() for w in p.relators}
-    assert Counter(k for k in encoded if k in relators) == Counter(relators)
+    reps = [id(u) for i in c.levels() for u in c.rep_set(i)]
+    assert len(reps) == 10 + 8 + 6 + 4
+    assert len(subgroups) == 3 + 2 + 1
+    assert Counter(encoded) == (Counter(relators) + Counter(reps) + Counter([id(w)])
+                                + Counter(map(id, subgroups)))
+    encoded.clear()
+    v = Word((-4, 3, 3))
+    assert product(c.decompose(v)) != v  # a new word, sifted
+    assert encoded == [id(v)]
     encoded.clear()
     assert engine.index(c.presentation) == 1920
     assert encoded == []
+
+
+@pytest.mark.parametrize("family", ["A", "B", "D"])
+@pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
+def test_each_level_restricts_the_level_above(monkeypatch, family, variant):
+    """Walked down, level i's presentation is cut from level i+1's: its
+    relators are level i+1's relators over the first i-1 generators, in
+    order.  A level reached with no level between it and the top held is
+    cut from the top."""
+    restricted, restrict = [], engine.restrict
+
+    def recording_restrict(p, ngens):
+        restricted.append((p.rank, ngens))
+        return restrict(p, ngens)
+
+    monkeypatch.setattr(engine, "restrict", recording_restrict)
+    monkeypatch.setattr(engine, "enumerate", lambda p, sub, cap: p)
+    c = Chain(family, variant, 12)
+    levels = [c._table(i) for i in c.levels()]
+    for upper, lower in zip(levels, levels[1:]):
+        assert lower.relators == tuple(w for w in upper.relators
+                                       if max(map(abs, w.letters)) <= lower.rank)
+    assert restricted == [(i, i - 1) for i in c.levels()][1:]
+    restricted.clear()
+    Chain(family, variant, 12)._table(c.base)
+    assert restricted == [(11, c.base - 1)]
 
 
 @pytest.mark.parametrize("family, n", [("A", 8), ("B", 7), ("D", 7),

@@ -662,6 +662,15 @@ def test_nf_enumerate_lists_all_normal_forms(capsys):
     assert all(line.count(" | ") == 1 for line in lines)
 
 
+@pytest.mark.parametrize("word", ["r1 junk^x", "r1", ""])
+def test_nf_word_with_enumerate_is_usage_error(capsys, word):
+    # every flag given is read: --enumerate would leave the word unread
+    assert main(["nf", "--family", "A", "--variant", "edge", "--rank", "3",
+                 "--enumerate", "--word", word]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: nf takes --word or --enumerate, "
+                                       "not both\n")
+
+
 def test_nf_needs_word_or_enumerate(capsys):
     base = ["nf", "--family", "A", "--variant", "edge", "--rank", "3"]
     assert main(base) == EXIT_USAGE
@@ -761,6 +770,67 @@ def test_parser_built_once(monkeypatch, capsys):
         cli._parser.cache_clear()
     assert capsys.readouterr().out == "24\n" * 3
     assert len(built) == 1
+
+
+# argument lists read by a command's own parser and by the full parser:
+# help, unknown and abbreviated commands, options before the command,
+# abbreviated and attached options, "--", extras and missing values
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help"], ["frobnicate"], ["ord", "--family", "A", "--rank", "3"],
+    ["-x", "order"], ["order", "-h"], ["nf", "--help"],
+    ["order", "--family", "A", "--rank", "3"],
+    ["order", "--family", "A", "--rank", "3", "--bogus"],
+    ["order", "--family", "A", "--rank", "3", "extra"],
+    ["order", "--fam", "A", "--ra", "3"],
+    ["order", "--family=A", "--rank=3"],
+    ["order", "--family", "A", "--rank", "401"],
+    ["nf", "--family", "A", "--variant", "edge", "--rank", "3", "--word=-1"],
+    ["nf", "--family", "A", "--variant", "edge", "--rank", "3", "--word", "-1"],
+    ["nf", "--family", "A", "--variant", "edge", "--rank", "3", "--word=r1 r2"],
+    ["nf", "--family", "A", "--variant", "edge", "--word", "r1"],
+    ["--", "order", "--family", "A", "--rank", "3"],
+    ["order", "--", "--family", "A", "--rank", "3"],
+    ["order", "--family", "A", "--rank", "3", "--"],
+    ["order", "--family", "A", "--rank"],
+    ["enumerate", "--family", "B", "--rank", "3", "--subgroup", "s0", "--subgroup", "s1"],
+    ["present", "--family", "D", "--rank", "4", "--variant", "edge"],
+    ["verify", "--only", "artin"],
+]
+
+
+def _full_parser(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=repr)
+def test_dispatch_matches_full_parser(monkeypatch, capsys, argv):
+    """main reads each argv as the full parser does: the same exit code,
+    stdout and stderr."""
+    got = (main(argv),) + tuple(capsys.readouterr())
+    monkeypatch.setattr(cli, "_parse", _full_parser)
+    assert (main(argv),) + tuple(capsys.readouterr()) == got
+
+
+def test_valid_argv_is_parsed_once(monkeypatch, capsys):
+    """A valid argv is read by its command's parser alone; the full parser
+    reads only what that parser leaves over, or an argv naming no command."""
+    ap = cli._parser()
+    calls, parse_args = [], ap.parse_args
+    monkeypatch.setattr(ap, "parse_args", lambda argv: calls.append(argv) or parse_args(argv))
+    read_once = 0
+    for argv in DISPATCH_ARGVS:
+        if main(argv) == EXIT_OK and argv[0] in ap.commands:
+            assert calls == [], argv
+            read_once += 1
+            if not {"-h", "--help"} & set(argv):
+                assert cli._parse(argv) == _full_parser(argv), argv
+        calls.clear()
+    assert read_once >= 9  # the table's valid argvs, help among them
+    for argv in (["ord"], ["order", "--family", "A", "--rank", "3", "x"]):
+        assert main(argv) == EXIT_USAGE
+        assert calls == [argv]
+        calls.clear()
+    capsys.readouterr()
 
 
 def test_parser_reuse_carries_no_state(capsys):

@@ -94,11 +94,12 @@ def argvs(draw):
         variant = draw(mostly(CHAIN_VARIANTS, "vv"))
         argv += ["--family", draw(FAMILIES), "--variant", variant, "--rank",
                  draw(mostly(st.integers(2, 40).map(str), "-2", "0", "1", "401", "x"))]
-        mode = draw(mostly(st.sampled_from(["word", "word", "enumerate"]), "none"))
-        if mode == "word":
+        mode = draw(mostly(st.sampled_from(["word", "word", "enumerate",
+                                            "word+enumerate"]), "none"))
+        if "word" in mode:
             prefix = {"carmichael": "a", "bourbaki": "R"}.get(variant, "r")
             argv += ["--word", draw(words(prefix))]
-        elif mode == "enumerate":
+        if "enumerate" in mode:
             argv += ["--enumerate"]
         return argv + ["--max-cosets", draw(CAPS)]
     if command == "verify":
