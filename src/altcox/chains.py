@@ -52,13 +52,6 @@ def _closed_form_a(variant: str, i: int):
     return [Word()] + first + second
 
 
-def _walk(rows, ncols, coset, cols):
-    """The coset that column word cols sends coset to, in a table of rows."""
-    for col in cols:
-        coset = rows[coset * ncols + col]
-    return coset
-
-
 class Chain:
     """Representative sets, level tables and sift cosets for one (family,
     variant, n) chain.
@@ -66,8 +59,8 @@ class Chain:
     The rank-n presentation is built once, which validates the triple; the
     rank-i one is its restriction to the first i-1 generators and the
     relators over them, in order and sharing their encoding, cut from the
-    nearest level above that holds one: level i+1 when the levels are
-    walked down.  The level-i subgroup is generated by the first i-2
+    presentation of the nearest level above whose table is held, or from
+    the rank-n one: level i+1 when the levels are walked down.  The level-i subgroup is generated by the first i-2
     generators, or is trivial at the base.  _table(i), enumerated on first
     use, is the rank-i table over it, of index i+1 (A), 2i (B, D) or 12
     (D's base); the B/D representatives are its Schreier words.
@@ -78,7 +71,6 @@ class Chain:
         self.presentation = chain_presentation(family, variant, n)
         self.family, self.variant, self.n = family.upper(), variant, n
         self.base, self.cap = CHAIN_BASE[self.family], cap
-        self._presentations = {n: self.presentation}
         self._tables, self._reps, self._sifts = {}, {}, []
 
     def levels(self):
@@ -90,10 +82,10 @@ class Chain:
     def _table(self, i):
         """Coset table of the level-i subgroup inside the rank-i group."""
         if i not in self._tables:
-            above = min(k for k in self._presentations if k >= i)
-            p = self._presentations[above]
-            if above > i:
-                p = self._presentations[i] = engine.restrict(p, i - 1)
+            above = min((k for k in self._tables if k > i), default=None)
+            p = self.presentation if above is None else self._tables[above].presentation
+            if i < self.n:
+                p = engine.restrict(p, i - 1)
             sub = tuple(map(Word.gen, range(self._subgroup_rank(i))))
             self._tables[i] = engine.enumerate(p, sub, self.cap)
         return self._tables[i]
@@ -111,7 +103,7 @@ class Chain:
     def _sift(self):
         """Per level, from the top: its sift cosets, the top table's cosets that
         its generators move and its subgroup fixes, and its reps by their
-        images, each with its columns."""
+        images."""
         if not self._sifts:
             t = self._table(self.n)
             rows, rank = t.rows, t.presentation.rank
@@ -123,7 +115,7 @@ class Chain:
                 reps = {}
                 for u in self.rep_set(i):
                     cols = engine._columns(u)
-                    reps[tuple(_walk(rows, 2 * rank, c, cols) for c in cosets)] = u, cols
+                    reps[tuple(t.walk(c, cols) for c in cosets)] = u
                 self._sifts.append((cosets, reps))
         return self._sifts
 
@@ -132,16 +124,15 @@ class Chain:
         sends level i's sift cosets where w does.  The level's subgroup fixes
         them and its representatives send them to distinct tuples, so by
         orbit-stabilizer that subgroup is their stabilizer in the level.
-        w is encoded once.  Each factor u is peeled by appending the columns
-        of u^-1, u's own reversed and flipped: the completed table sends a
-        word and its free reduction to one coset."""
+        w is encoded once, and so is each factor u, which is peeled by
+        appending the columns of u^-1, u's own reversed and flipped: the
+        completed table sends a word and its free reduction to one coset."""
         t = self._table(self.n)
-        rows, ncols = t.rows, 2 * t.presentation.rank
         factors, cols = [], list(engine._columns(w))
         for cosets, reps in self._sift():
-            u, ucols = reps[tuple(_walk(rows, ncols, c, cols) for c in cosets)]
+            u = reps[tuple(t.walk(c, cols) for c in cosets)]
             factors.append(u)
-            cols += [col ^ 1 for col in reversed(ucols)]
+            cols += [col ^ 1 for col in reversed(engine._columns(u))]
         return tuple(factors)
 
     def enumerate_elements(self):

@@ -88,8 +88,13 @@ class CosetTable(Record):
 
     def trace(self, coset, w: Word):
         """Apply word w to a coset (rightmost letter acts first)."""
+        return self.walk(coset, _columns(w))
+
+    def walk(self, coset, cols):
+        """The coset that a word's column indices, as _columns gives them,
+        send coset to."""
         rows, ncols = self.rows, 2 * self.presentation.rank
-        for col in _columns(w):
+        for col in cols:
             coset = rows[coset * ncols + col]
         return coset
 

@@ -61,3 +61,12 @@ def test_changes_set_each_metric_beside_its_bound(bench_record, results):
                                        "better) WORSE THAN BOUND")
     assert lines["requests_per_s"] == "2500 -> 3000 1/s +20.0% (bound 20%, higher is better)"
     assert lines["setup_s"].endswith("+0.0% (bound 25%, lower is better)")
+
+
+def test_changes_compare_nothing_across_environments(bench_record, results):
+    bench = bench_record.record(json.loads(results.read_text()), "abc123", False)
+    previous = json.loads(json.dumps(bench))
+    previous.update(seed=1, nproc=4, measured_s=9.0)
+    previous["metrics"]["requests_per_s"] = 1000.0
+    assert bench_record.changes(bench, previous) == [
+        "chain: not compared with the committed BENCH_chain.json: seed 1 -> 7, nproc 4 -> 2"]

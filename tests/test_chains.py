@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,6 +48,11 @@ def test_spec_validation():
 
 
 
+def _untabled(p, sub, cap):
+    """A stand-in for engine.enumerate that holds p and enumerates nothing."""
+    return SimpleNamespace(presentation=p)
+
+
 @pytest.mark.parametrize("family", ["A", "B", "D"])
 @pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
 def test_lower_ranks_restrict_the_top_presentation(monkeypatch, family, variant):
@@ -54,19 +60,19 @@ def test_lower_ranks_restrict_the_top_presentation(monkeypatch, family, variant)
     # first i-1 generators and the relators over them: generators, relators
     # in order and central all equal those of the rank-i chain presentation
     c = Chain(family, variant, 30)
-    monkeypatch.setattr(engine, "enumerate", lambda p, sub, cap: p)
+    monkeypatch.setattr(engine, "enumerate", _untabled)
     for i in c.levels():
-        assert c._table(i) == chain_presentation(family, variant, i), i
+        assert c._table(i).presentation == chain_presentation(family, variant, i), i
 
 
 def test_each_presentation_encoded_once(monkeypatch):
     """The tables of one chain share one encoding of its relators: through
     a decompose, which enumerates 4 tables over 4 presentations, each
     relator is encoded once in all, though the restricted presentations
-    hold the top one's relator objects, and so are the word and each
-    representative, beside each table's subgroup generators; a second
-    decompose encodes its word alone, and a later index over the top
-    presentation encodes nothing."""
+    hold the top one's relator objects, and so are the word, each
+    representative and each factor picked, beside each table's subgroup
+    generators; a second decompose encodes its word and its factors alone,
+    and a later index over the top presentation encodes nothing."""
     encoded, presentations, subgroups = [], {}, []
     columns, enumerate_ = engine._columns, engine.enumerate
 
@@ -83,18 +89,18 @@ def test_each_presentation_encoded_once(monkeypatch):
     monkeypatch.setattr(engine, "enumerate", recording_enumerate)
     c = Chain("B", "carmichael", 5)
     word = Word((1, 2, -3, 4, 4, 2, 1))
-    c.decompose(word)
+    factors = c.decompose(word)
     assert len(c._tables) == 4 and len(presentations) == 4
     relators = {id(w) for p in presentations.values() for w in p.relators}
     reps = [id(u) for i in c.levels() for u in c.rep_set(i)]
     assert len(reps) == 10 + 8 + 6 + 4
     assert len(subgroups) == 3 + 2 + 1
     assert Counter(encoded) == (Counter(relators) + Counter(reps) + Counter([id(word)])
-                                + Counter(map(id, subgroups)))
+                                + Counter(map(id, factors)) + Counter(map(id, subgroups)))
     encoded.clear()
     word = Word((-4, 3, 3))
-    c.decompose(word)
-    assert encoded == [id(word)]
+    factors = c.decompose(word)
+    assert encoded == [id(word)] + [id(u) for u in factors]
     encoded.clear()
     assert engine.index(c.presentation) == 1920
     assert encoded == []
@@ -114,9 +120,9 @@ def test_each_level_restricts_the_level_above(monkeypatch, family, variant):
         return restrict(p, ngens)
 
     monkeypatch.setattr(engine, "restrict", recording_restrict)
-    monkeypatch.setattr(engine, "enumerate", lambda p, sub, cap: p)
+    monkeypatch.setattr(engine, "enumerate", _untabled)
     c = Chain(family, variant, 12)
-    levels = [c._table(i) for i in c.levels()]
+    levels = [c._table(i).presentation for i in c.levels()]
     for upper, lower in zip(levels, levels[1:]):
         assert lower.relators == tuple(w for w in upper.relators
                                        if max(map(abs, w.letters)) <= lower.rank)

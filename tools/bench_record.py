@@ -1,18 +1,20 @@
 """Record the benchmark's end-to-end metrics in BENCH_<workload>.json files.
 
-    python tools/bench_record.py [--workload NAME]... [--seed N] [--seconds S]
+    python tools/bench_record.py
 
-For each workload (by default every one that BENCHMARK.json declares) it
-runs ``perfbench/run.py --workload NAME --seed N --seconds S`` in a fresh
-process and reads the results file that run writes under
+For each workload that BENCHMARK.json declares it runs ``perfbench/run.py
+--workload NAME`` in a fresh process, at seed 1 and BENCHMARK.json's run
+length, and reads the results file that run writes under
 .bench_build/perfbench/results/.  From it, it writes BENCH_<workload>.json
 at the repository root: the scaled and raw metrics, the request counts,
 the git revision (and whether the source differs from it), the seed, the
 run length, the backend, the number of CPUs and the Python version.  It
 prints each metric's change from the BENCH_<workload>.json committed at
 HEAD, beside that metric's bound in BENCHMARK.json, and marks a change
-worse than its bound.  A run that fails, or whose outputs are not all
-correct, writes no file and makes the script exit 1.
+worse than its bound; when the committed file was run with another seed,
+run length, backend, CPU count or Python, it names those and compares
+nothing.  A run that fails, or whose outputs are not all correct, writes
+no file and makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ RESULTS = ROOT / ".bench_build" / "perfbench" / "results"
 # the files whose changes change what the benchmark measures
 SOURCE = ("src", "perfbench", "setup.py", "pyproject.toml", "BENCHMARK.json")
 ENVIRONMENT = ("seed", "run_seconds", "measured_s", "backend", "nproc", "python")
+# the fields that two runs must share for their metrics to be compared
+COMPARABLE = ("seed", "run_seconds", "backend", "nproc", "python")
+SEED = 1
 
 
 def _git(*args):
@@ -62,10 +67,16 @@ def committed(name):
 
 def changes(bench, previous):
     """One line per end-to-end metric: its value, its change from previous
-    and its bound, marked when the change is worse than the bound."""
+    and its bound, marked when the change is worse than the bound; or one
+    line naming the fields in which the two runs' environments differ."""
     name = bench["workload"]
     if previous is None:
         return [f"{name}: no committed BENCH_{name}.json to compare with"]
+    differ = [f"{k} {previous[k]} -> {bench[k]}" for k in COMPARABLE
+              if previous[k] != bench[k]]
+    if differ:
+        return [f"{name}: not compared with the committed BENCH_{name}.json: "
+                + ", ".join(differ)]
     lines = []
     for spec in SPEC["end_to_end"]:
         m, bound = spec["name"], spec["bound"]
@@ -79,19 +90,13 @@ def changes(bench, previous):
 
 
 def main(argv=None):
-    names = [w["name"] for w in SPEC["workloads"]]
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", action="append", choices=names,
-                    help="a workload to run (repeatable; default all)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    args = ap.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     status = 0
-    for name in args.workload or names:
+    for name in (w["name"] for w in SPEC["workloads"]):
         r = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
-                            "--workload", name, "--seed", str(args.seed),
-                            "--seconds", str(args.seconds)], cwd=ROOT)
-        results = RESULTS / f"{name}-seed{args.seed}-trace0.json"
+                            "--workload", name, "--seed", str(SEED),
+                            "--seconds", str(SPEC["run_seconds"])], cwd=ROOT)
+        results = RESULTS / f"{name}-seed{SEED}-trace0.json"
         if r.returncode != 0 or not results.exists():
             print(f"{name}: perfbench/run.py exited {r.returncode}")
             status = 1
