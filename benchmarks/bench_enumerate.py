@@ -13,9 +13,10 @@ and dead, which both calls share; a presentation with g^2 relators
 defines fewer than with two columns per generator, as its involutions
 get one self-inverse column each.  The compiled columns need the
 extension built first, for a source checkout with
-``python setup.py build_ext --inplace``.  The last row times the Word
-layer instead, which no core runs: engine.schreier plus
-engine.schreier_texts on one finished table.
+``python setup.py build_ext --inplace``.  The last row times a layer
+that no core runs: engine.schreier_texts on one finished table, the
+representative strings that ``altcox enumerate --reps`` and ``--dot``
+write.
 """
 
 import argparse
@@ -67,10 +68,9 @@ def defined(core, p, sub, cap=500_000):
     return core(2 * p.rank, engine._relator_columns(p), subwords, cap, False)[1]
 
 
-def run_schreier(t):
-    """Seconds for the Schreier words and their texts of table t."""
+def run_schreier_texts(t):
+    """Seconds for the Schreier words' texts of table t."""
     t0 = time.perf_counter()
-    engine.schreier(t)
     engine.schreier_texts(t)
     return time.perf_counter() - t0
 
@@ -102,8 +102,8 @@ def main():
             cells.append(f"{defined(core, p, sub):16d}")
         print(f"{name:45s} " + " ".join(cells))
     t = engine.enumerate(chain_presentation("B", "edge", 5), ())
-    t_w = min(run_schreier(t) for _ in range(args.repeat))
-    print(f"{'B5 edge regular (1920): schreier + texts':45s} {t_w * 1e3:14.3f}ms")
+    t_w = min(run_schreier_texts(t) for _ in range(args.repeat))
+    print(f"{'B5 edge regular (1920): schreier texts':45s} {t_w * 1e3:14.3f}ms")
 
 
 if __name__ == "__main__":

@@ -1,16 +1,17 @@
 """Chain normal forms for the A/B/D towers in every presentation variant.
 
 An element of the rank-n group factors uniquely as u_n u_{n-1} ... u_base
-with u_i drawn from a level-i representative set E_i.  For type A the sets
-are explicit closed-form lists; for B and D they are the engine's Schreier
-representatives of the level-i enumeration over the level-(i-1) subgroup.
-A cap overrun in any enumeration raises the engine's CapExceeded.
+with u_i drawn from a level-i representative set E_i.  For type A above its
+base the sets are explicit closed-form lists; the others are Schreier words
+read off the one table a chain enumerates, whose cap overrun raises the
+engine's CapExceeded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import ne
 
 from .words import InputError, Word
 from .presentations import CHAIN_BASE, chain_presentation
@@ -52,26 +53,36 @@ def _closed_form_a(variant: str, i: int):
     return [Word()] + first + second
 
 
-class Chain:
-    """Representative sets, level tables and sift cosets for one (family,
-    variant, n) chain.
+def _schreier_word(arrival, k):
+    """Orbit point k's Schreier word: its arrival generator times its
+    parent's word, all letters positive, so nothing cancels."""
+    letters = []
+    while k > 1:
+        letters.append(arrival[2 * k + 1] + 1)
+        k = arrival[2 * k]
+    return Word._reduced(tuple(letters))
 
-    The rank-n presentation is built once, which validates the triple; the
-    rank-i one is its restriction to the first i-1 generators and the
-    relators over them, in order and sharing their encoding, cut from the
-    presentation of the nearest level above whose table is held, or from
-    the rank-n one: level i+1 when the levels are walked down.  The level-i subgroup is generated by the first i-2
-    generators, or is trivial at the base.  _table(i), enumerated on first
-    use, is the rank-i table over it, of index i+1 (A), 2i (B, D) or 12
-    (D's base); the B/D representatives are its Schreier words.
-    decompose sifts through the top table alone.
+
+class Chain:
+    """Representative sets and sift cosets for one (family, variant, n)
+    chain, read off one coset table.
+
+    The rank-n presentation is built once, which validates the triple.  The
+    level-i subgroup is generated by the first i-2 generators, or is trivial
+    at the base.  _table(), enumerated on first use, is the top table: the
+    rank-n group over the level-n subgroup, of index n+1 (A) or 2n (B, D).
+    Level i's sift cosets are its cosets that the level's generators move
+    and its subgroup fixes, which is their stabilizer (see decompose); so
+    their tuple's orbit is the level-i table as a pointed set, and the
+    Schreier words of its standardized numbering are the level's
+    representatives (A's closed forms above its base are the same words).
     """
 
     def __init__(self, family: str, variant: str, n: int, cap=engine.DEFAULT_CAP):
         self.presentation = chain_presentation(family, variant, n)
         self.family, self.variant, self.n = family.upper(), variant, n
         self.base, self.cap = CHAIN_BASE[self.family], cap
-        self._tables, self._reps, self._sifts = {}, {}, []
+        self._top, self._reps, self._sifts = None, {}, []
 
     def levels(self):
         return range(self.n, self.base - 1, -1)
@@ -79,16 +90,12 @@ class Chain:
     def _subgroup_rank(self, i):
         return i - 2 if i > self.base else 0
 
-    def _table(self, i):
-        """Coset table of the level-i subgroup inside the rank-i group."""
-        if i not in self._tables:
-            above = min((k for k in self._tables if k > i), default=None)
-            p = self.presentation if above is None else self._tables[above].presentation
-            if i < self.n:
-                p = engine.restrict(p, i - 1)
-            sub = tuple(map(Word.gen, range(self._subgroup_rank(i))))
-            self._tables[i] = engine.enumerate(p, sub, self.cap)
-        return self._tables[i]
+    def _table(self):
+        """The top table: the rank-n group over the level-n subgroup."""
+        if self._top is None:
+            sub = tuple(map(Word.gen, range(self._subgroup_rank(self.n))))
+            self._top = engine.enumerate(self.presentation, sub, self.cap)
+        return self._top
 
     def rep_set(self, i) -> tuple[Word, ...]:
         if not self.base <= i <= self.n:
@@ -97,26 +104,38 @@ class Chain:
             if self.family == "A" and i > self.base:
                 self._reps[i] = tuple(_closed_form_a(self.variant, i))
             else:
-                self._reps[i] = engine.schreier(self._table(i))[1:]
+                _, number, arrival = self._sift()[self.n - i]
+                self._reps[i] = tuple(_schreier_word(arrival, k) for k in number.values())
         return self._reps[i]
 
     def _sift(self):
-        """Per level, from the top: its sift cosets, the top table's cosets that
-        its generators move and its subgroup fixes, and its reps by their
-        images."""
+        """Per level, from the top: its sift cosets, and the traversal of
+        their tuple's orbit under the level's generators that standardizes a
+        table, as a map from orbit tuples to numbers and a CosetTable's
+        arrival list.  A point tries its arrival generator, then those that
+        move it in decreasing index, skipping those that fix it."""
         if not self._sifts:
-            t = self._table(self.n)
-            rows, rank = t.rows, t.presentation.rank
-            first = [next((g for g in range(rank) if rows[2 * (c * rank + g)] != c),
-                          rank) for c in range(t.index + 1)]  # lowest mover of c
+            t = self._table()
+            rows, ncols, cosets = t.rows, 2 * t.presentation.rank, range(t.index + 1)
+            movers = [[] for _ in cosets]  # the generators moving each coset
+            for g in range(t.presentation.rank):
+                for c in itertools.compress(cosets, map(ne, rows[2 * g::ncols], cosets)):
+                    movers[c].append(g)
             for i in self.levels():
-                cosets = [c for c in range(1, t.index + 1)
-                          if self._subgroup_rank(i) <= first[c] < i - 1]
-                reps = {}
-                for u in self.rep_set(i):
-                    cols = engine._columns(u)
-                    reps[tuple(t.walk(c, cols) for c in cosets)] = u
-                self._sifts.append((cosets, reps))
+                sub, ngens = self._subgroup_rank(i), i - 1
+                order = [tuple(c for c in cosets if sub <= min(movers[c], default=ngens) < ngens)]
+                number, arrival = {order[0]: 1}, [0, 0, 0, 0]
+                for k, point in enumerate(order, 1):
+                    gens = sorted({g for c in point for g in movers[c] if g < ngens},
+                                  reverse=True)
+                    first = arrival[2 * k + 1] if k > 1 else ngens - 1
+                    for g in (first, *gens):
+                        image = tuple(rows[c * ncols + 2 * g] for c in point)
+                        if image not in number:
+                            number[image] = len(order) + 1
+                            order.append(image)
+                            arrival += (k, g)
+                self._sifts.append((order[0], number, arrival))
         return self._sifts
 
     def decompose(self, w: Word) -> tuple[Word, ...]:
@@ -124,15 +143,15 @@ class Chain:
         sends level i's sift cosets where w does.  The level's subgroup fixes
         them and its representatives send them to distinct tuples, so by
         orbit-stabilizer that subgroup is their stabilizer in the level.
-        w is encoded once, and so is each factor u, which is peeled by
-        appending the columns of u^-1, u's own reversed and flipped: the
-        completed table sends a word and its free reduction to one coset."""
-        t = self._table(self.n)
+        w is encoded once; each factor u is peeled by appending the columns
+        of u^-1, read off u's letters, all positive: the completed table
+        sends a word and its free reduction to one coset."""
+        t = self._table()
         factors, cols = [], list(engine._columns(w))
-        for cosets, reps in self._sift():
-            u = reps[tuple(t.walk(c, cols) for c in cosets)]
+        for cosets, number, arrival in self._sift():
+            u = _schreier_word(arrival, number[tuple(t.walk(c, cols) for c in cosets)])
             factors.append(u)
-            cols += [col ^ 1 for col in reversed(engine._columns(u))]
+            cols += [2 * x - 1 for x in u.letters]
         return tuple(factors)
 
     def enumerate_elements(self):

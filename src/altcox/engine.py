@@ -44,22 +44,12 @@ def _columns(w: Word):
 
 def _relator_columns(p: Presentation):
     """The column words of p's relators, encoded on p's first enumeration
-    and kept on p, so that every table over one presentation shares them."""
+    and kept on p, so that every enumeration over it shares them."""
     encoded = p._encoded
     if encoded is None:
         encoded = tuple(map(_columns, p.relators))
         object.__setattr__(p, "_encoded", encoded)
     return encoded
-
-
-def restrict(p: Presentation, ngens) -> Presentation:
-    """p cut down to its first ngens generators and the relators over them,
-    in order, sharing p's column words for those relators."""
-    columns, limit = _relator_columns(p), 2 * ngens
-    keep = [not c or max(c) < limit for c in columns]  # one C call a relator
-    q = Presentation(p.generators[:ngens], compress(p.relators, keep))
-    object.__setattr__(q, "_encoded", tuple(compress(columns, keep)))
-    return q
 
 
 class CosetTable(Record):
@@ -154,19 +144,9 @@ def words_equal(t: CosetTable, a: Word, b: Word) -> bool:
     return word_in_subgroup(t, a * b.inverse())
 
 
-def schreier(t: CosetTable) -> tuple[Word, ...]:
-    """Representative words along the arrival tree of the standardizing
-    traversal: coset c's word is its arrival generator times its parent's
-    word.  Index 0 is unused."""
-    letters = [(), ()]
-    for parent, g in zip(t.arrival[4::2], t.arrival[5::2]):
-        letters.append((g + 1,) + letters[parent])
-    # arrival letters are all positive, so no product cancels
-    return tuple(map(Word._reduced, letters))
-
-
 def schreier_texts(t: CosetTable) -> list[str]:
-    """render_word of each Schreier word, built along the arrival tree: c's
+    """render_word of each Schreier word, built along the arrival tree
+    (coset c's word is its arrival generator times its parent's): c's
     text is its generator's token, merged into the parent's leading run when
     it repeats (r1 r1 r2 -> r1^2 r2), then the parent's text.  Index 0 unused."""
     names = t.presentation.generators

@@ -1,5 +1,5 @@
-"""Subgroup words and quotients that the tests enumerate over; no
-command needs them."""
+"""Subgroup words, quotients and Schreier words that the tests enumerate
+over or read off tables; no command needs them."""
 
 from altcox.presentations import chain_presentation
 from altcox.words import Presentation, Word
@@ -29,3 +29,15 @@ def quotient_by_generators(p: Presentation, names) -> Presentation:
     """Add relators killing the named generators."""
     extra = tuple(p.gen(name) for name in names)
     return Presentation(p.generators, p.relators + extra, p.central)
+
+
+def schreier_words(t):
+    """Representative words along the arrival tree of a CosetTable's
+    standardizing traversal: coset c's word is its arrival generator times
+    its parent's word.  Index 0 is unused.  A chain's level tables read
+    this way are the oracle for Chain.rep_set."""
+    letters = [(), ()]
+    for parent, g in zip(t.arrival[4::2], t.arrival[5::2]):
+        letters.append((g + 1,) + letters[parent])
+    # arrival letters are all positive, so no product cancels
+    return tuple(map(Word._reduced, letters))

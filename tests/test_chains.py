@@ -1,6 +1,6 @@
+import functools
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -8,9 +8,9 @@ from altcox import engine, oracle
 from altcox.chains import Chain, ChainError, _closed_form_a
 from altcox.cli import EXIT_OK, EXIT_USAGE, main
 from altcox.presentations import CHAIN_BASE, chain_presentation, BuildError
-from altcox.words import Word, parse_word, render_word
+from altcox.words import Presentation, Word, parse_word, render_word
 
-from subgroups import chain_subgroup_words
+from subgroups import chain_subgroup_words, schreier_words
 
 
 def letters(rep_set):
@@ -19,6 +19,16 @@ def letters(rep_set):
 
 def product(factors):
     return Word(tuple(x for f in factors for x in f))
+
+
+@functools.lru_cache(maxsize=None)
+def level_table(family, variant, i):
+    """The level-i table that Chain no longer builds: the rank-i chain
+    presentation over its first i-2 generators, or over none at the base.
+    Its Schreier words are the oracle for level i's representatives."""
+    sub = i - 2 if i > CHAIN_BASE[family] else 0
+    return engine.enumerate(chain_presentation(family, variant, i),
+                            tuple(map(Word.gen, range(sub))))
 
 
 @pytest.fixture
@@ -48,31 +58,27 @@ def test_spec_validation():
 
 
 
-def _untabled(p, sub, cap):
-    """A stand-in for engine.enumerate that holds p and enumerates nothing."""
-    return SimpleNamespace(presentation=p)
-
-
 @pytest.mark.parametrize("family", ["A", "B", "D"])
 @pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
-def test_lower_ranks_restrict_the_top_presentation(monkeypatch, family, variant):
-    # the level-i table enumerates the rank-30 presentation cut down to its
-    # first i-1 generators and the relators over them: generators, relators
-    # in order and central all equal those of the rank-i chain presentation
-    c = Chain(family, variant, 30)
-    monkeypatch.setattr(engine, "enumerate", _untabled)
-    for i in c.levels():
-        assert c._table(i).presentation == chain_presentation(family, variant, i), i
+def test_lower_ranks_restrict_the_top_presentation(family, variant):
+    """The rank-30 presentation cut down to its first i-1 generators and
+    the relators over them, in order, is the rank-i chain presentation, so
+    a level table's Schreier words, the oracle for rep_set(i), are words
+    in the same generators as the chain's."""
+    top = chain_presentation(family, variant, 30)
+    for i in range(CHAIN_BASE[family], 31):
+        relators = [w for w in top.relators if max(map(abs, w.letters)) < i]
+        assert Presentation(top.generators[:i - 1], relators) \
+            == chain_presentation(family, variant, i), i
 
 
 def test_each_presentation_encoded_once(monkeypatch):
-    """The tables of one chain share one encoding of its relators: through
-    a decompose, which enumerates 4 tables over 4 presentations, each
-    relator is encoded once in all, though the restricted presentations
-    hold the top one's relator objects, and so are the word, each
-    representative and each factor picked, beside each table's subgroup
-    generators; a second decompose encodes its word and its factors alone,
-    and a later index over the top presentation encodes nothing."""
+    """A chain enumerates one table, over its one presentation: through a
+    decompose, each relator is encoded once, and so are the word and the
+    table's subgroup generators.  No representative is encoded, not even a
+    factor picked, whose inverse's columns are read off its letters; a
+    second decompose encodes its word alone, and a later index over the
+    presentation encodes nothing."""
     encoded, presentations, subgroups = [], {}, []
     columns, enumerate_ = engine._columns, engine.enumerate
 
@@ -89,47 +95,18 @@ def test_each_presentation_encoded_once(monkeypatch):
     monkeypatch.setattr(engine, "enumerate", recording_enumerate)
     c = Chain("B", "carmichael", 5)
     word = Word((1, 2, -3, 4, 4, 2, 1))
-    factors = c.decompose(word)
-    assert len(c._tables) == 4 and len(presentations) == 4
-    relators = {id(w) for p in presentations.values() for w in p.relators}
-    reps = [id(u) for i in c.levels() for u in c.rep_set(i)]
-    assert len(reps) == 10 + 8 + 6 + 4
-    assert len(subgroups) == 3 + 2 + 1
-    assert Counter(encoded) == (Counter(relators) + Counter(reps) + Counter([id(word)])
-                                + Counter(map(id, factors)) + Counter(map(id, subgroups)))
+    c.decompose(word)
+    assert list(presentations.values()) == [c.presentation] and len(subgroups) == 3
+    assert Counter(encoded) == Counter([id(w) for w in c.presentation.relators]
+                                       + [id(word)] + list(map(id, subgroups)))
     encoded.clear()
+    assert sum(len(c.rep_set(i)) for i in c.levels()) == 10 + 8 + 6 + 4
     word = Word((-4, 3, 3))
-    factors = c.decompose(word)
-    assert encoded == [id(word)] + [id(u) for u in factors]
+    c.decompose(word)
+    assert encoded == [id(word)]
     encoded.clear()
     assert engine.index(c.presentation) == 1920
     assert encoded == []
-
-
-@pytest.mark.parametrize("family", ["A", "B", "D"])
-@pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
-def test_each_level_restricts_the_level_above(monkeypatch, family, variant):
-    """Walked down, level i's presentation is cut from level i+1's: its
-    relators are level i+1's relators over the first i-1 generators, in
-    order.  A level reached with no level between it and the top held is
-    cut from the top."""
-    restricted, restrict = [], engine.restrict
-
-    def recording_restrict(p, ngens):
-        restricted.append((p.rank, ngens))
-        return restrict(p, ngens)
-
-    monkeypatch.setattr(engine, "restrict", recording_restrict)
-    monkeypatch.setattr(engine, "enumerate", _untabled)
-    c = Chain(family, variant, 12)
-    levels = [c._table(i).presentation for i in c.levels()]
-    for upper, lower in zip(levels, levels[1:]):
-        assert lower.relators == tuple(w for w in upper.relators
-                                       if max(map(abs, w.letters)) <= lower.rank)
-    assert restricted == [(i, i - 1) for i in c.levels()][1:]
-    restricted.clear()
-    Chain(family, variant, 12)._table(c.base)
-    assert restricted == [(11, c.base - 1)]
 
 
 @pytest.mark.parametrize("family, n", [("A", 8), ("B", 7), ("D", 7),
@@ -138,9 +115,9 @@ def test_each_level_restricts_the_level_above(monkeypatch, family, variant):
 @pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
 def test_nf_at_high_rank(indices, capsys, family, n, variant):
     """nf at the default cap, past A8, B7 and D7, where the rank-n group's
-    regular table would exceed it: the largest table behind it has at most
-    max(2n, 12) cosets, and the factors multiply back to the word in the
-    oracle's signed permutations."""
+    regular table would exceed it: the one table behind it is the top one,
+    of index n+1 (A) or 2n (B, D), and the factors multiply back to the
+    word in the oracle's signed permutations."""
     p = chain_presentation(family, variant, n)
     rng = random.Random(n)
     w = Word(tuple(rng.choice((1, -1)) * rng.randint(1, p.rank) for _ in range(20)))
@@ -151,22 +128,37 @@ def test_nf_at_high_rank(indices, capsys, family, n, variant):
     images = oracle.standard_images(family, variant, n)
     assert oracle.eval_word(images, product(parse_word(f, p) for f in factors)) \
         == oracle.eval_word(images, w)
-    assert max(indices) <= max(2 * n, 12)
+    assert indices == [n + 1 if family == "A" else 2 * n]
+
+
+@pytest.mark.parametrize("family", ["A", "B", "D"])
+@pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
+def test_rep_sets_are_level_table_schreier_words(family, variant):
+    """Every orbit traversal numbers its level as the level table's
+    standardization does: rep_set(i) is the level table's Schreier words,
+    in order, at every level of the rank-30 chain (for A, at its base; the
+    closed forms above it are checked below)."""
+    c = Chain(family, variant, 30)
+    for i in c.levels():
+        if family != "A" or i == c.base:
+            assert c.rep_set(i) == schreier_words(level_table(family, variant, i))[1:], i
 
 
 @pytest.mark.parametrize("family", ["A", "B", "D"])
 @pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
 def test_sift_cosets_separate_each_levels_reps(family, variant):
     """decompose relies, unchecked, on each level's sift cosets existing and
-    its representatives sending them to distinct tuples; checked here for
-    every top rank up to 30.  A level's table and reps do not depend on the
-    top rank, so every chain reads those of the rank-30 chain."""
-    top = Chain(family, variant, 30)
-    for n in range(top.base, 31):
+    its representatives sending them to distinct tuples, which make up the
+    orbit the chain traverses; checked here with the level tables'
+    Schreier words for every top rank up to 30."""
+    for n in range(CHAIN_BASE[family], 31):
         c = Chain(family, variant, n)
-        c._tables, c._reps = top._tables, top._reps
-        for i, (cosets, reps) in zip(c.levels(), c._sift()):
-            assert cosets and len(reps) == len(c.rep_set(i)), (n, i)
+        t = c._table()
+        for i, (cosets, number, _) in zip(c.levels(), c._sift()):
+            reps = schreier_words(level_table(family, variant, i))[1:]
+            images = {tuple(t.trace(x, u) for x in cosets) for u in reps}
+            assert cosets and len(images) == len(reps), (n, i)
+            assert images == number.keys(), (n, i)
 
 
 def test_rep_set_level_bounds():
@@ -203,10 +195,9 @@ def test_a_edge_rep_words_both_parities():
 def test_a_closed_forms_are_schreier_words(variant):
     # the closed forms stand in for the Schreier words that B and D read;
     # carmichael and bourbaki list them in the same order, edge does not
-    c = Chain("A", variant, 30)
     for i in range(3, 31):
         closed = _closed_form_a(variant, i)
-        schreier = engine.schreier(c._table(i))[1:]
+        schreier = schreier_words(level_table("A", variant, i))[1:]
         assert set(closed) == set(schreier), i
         if variant != "edge":
             assert tuple(closed) == schreier, i
@@ -228,9 +219,9 @@ def test_reps_hit_distinct_cosets():
     for fam, variant, n in (("A", "edge", 5), ("B", "carmichael", 4),
                             ("D", "bourbaki", 4)):
         c = Chain(fam, variant, n)
-        top = c._table(n)
-        for i, (cosets, _) in zip(c.levels(), c._sift()):
-            t, reps = c._table(i), c.rep_set(i)
+        top = c._table()
+        for i, (cosets, _, _) in zip(c.levels(), c._sift()):
+            t, reps = level_table(fam, variant, i), c.rep_set(i)
             assert sorted(t.trace(1, u) for u in reps) == list(range(1, t.index + 1))
             assert len({tuple(top.trace(x, u) for x in cosets) for u in reps}) \
                 == len(reps)
@@ -298,13 +289,13 @@ def test_enumerate_elements_counts():
 
 
 def test_enumerate_elements_scale_cap(indices, capsys):
-    # A8+ has 181,440 normal forms, past SCALE_CAP; the closed forms leave
-    # the 3-coset base table the only one enumerated
+    # A8+ has 181,440 normal forms, past SCALE_CAP; the base block, read
+    # off the 9-coset top table, is the only one counted before the refusal
     assert main(["nf", "--family", "A", "--rank", "8", "--variant", "edge",
                  "--enumerate"]) == EXIT_USAGE
     assert capsys.readouterr() == \
         ("", "error: 181440 normal forms exceed scale cap 100000\n")
-    assert indices == [3]
+    assert indices == [9]
 
 
 def test_module_level_wrappers():

@@ -18,7 +18,7 @@ from altcox.presentations import (coxeter_presentation, chain_presentation,
                                   spinor_plus_presentation, universal_extension)
 from altcox._tc_py import CapExceeded, enumerate_core as py_core
 
-from subgroups import chain_subgroup_words
+from subgroups import chain_subgroup_words, schreier_words
 
 # affine A2: infinite, so every enumeration of it runs into its cap
 AFFINE_A2 = CoxeterMatrix(3, ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
@@ -111,7 +111,7 @@ def test_word_problem():
 def test_schreier_representatives_a():
     p = coxeter_presentation(standard_matrix("A", 4))
     t = engine.enumerate(p, s(0, 1, 2))
-    reps = engine.schreier(t)
+    reps = schreier_words(t)
     words = [w.letters for w in reps[1:]]
     assert words == [(), (4,), (3, 4), (2, 3, 4), (1, 2, 3, 4)]
     for c, w in enumerate(reps[1:], start=1):
@@ -127,7 +127,7 @@ def test_schreier_representatives_a():
 def test_schreier_representatives_b():
     n = 3
     p = coxeter_presentation(standard_matrix("B", n))
-    reps = engine.schreier(engine.enumerate(p, s(*range(n - 1))))
+    reps = schreier_words(engine.enumerate(p, s(*range(n - 1))))
     assert len(reps) - 1 == 2 * n
     # doubled-back chain: longest representative walks down through s0 and up
     longest = max(reps[1:], key=len)
@@ -137,7 +137,7 @@ def test_schreier_representatives_b():
 def test_schreier_index_one():
     p = Presentation(("g",), (Word.gen(0),))
     t = engine.enumerate(p, ())
-    reps = engine.schreier(t)
+    reps = schreier_words(t)
     assert reps[1:] == (Word(),)
     dot = engine.to_dot(t, engine.schreier_texts(t))
     assert "->" not in dot
@@ -306,7 +306,7 @@ def test_schreier_words_reduced_and_texts_rendered():
     word is freely reduced and schreier_texts is render_word of it."""
     for p, sub in golden_cases():
         t = engine.enumerate(p, sub, cap=500_000)
-        reps, texts = engine.schreier(t), engine.schreier_texts(t)
+        reps, texts = schreier_words(t), engine.schreier_texts(t)
         assert len(reps) == len(texts) == t.index + 1
         for c in range(1, t.index + 1):
             assert reps[c] == Word(reps[c].letters)

@@ -1,5 +1,6 @@
 """Every public function and class in the package has a caller in the
-package: code that only tests use lives under tests/."""
+package: code that only tests use lives under tests/.  Every name a
+module imports, it uses."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,24 @@ def unused_definitions(sources):
     return sorted(d for d in defs.keys() - live if not d.startswith("_"))
 
 
+def unused_imports(text):
+    """Names that a module's module-level imports bind (those nested in a
+    module-level try or if too, but none of a __future__ import) and that
+    the module never reads."""
+    tree = ast.parse(text)
+    bound = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, (ast.Import, ast.ImportFrom)) \
+                    and getattr(n, "module", None) != "__future__":
+                bound |= {a.asname or a.name.partition(".")[0] for a in n.names}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
 def test_every_public_definition_has_a_caller():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unused_definitions(sources) == []
@@ -62,3 +81,23 @@ def test_unused_definitions_follow_the_callers():
            "class _Private: pass\n"
            "used()\n")
     assert unused_definitions([src]) == ["dead", "dead_only"]
+
+
+def test_every_import_is_used():
+    for path in sorted(SRC.glob("*.py")):
+        assert unused_imports(path.read_text()) == [], path.name
+
+
+def test_unused_imports_follow_the_reads():
+    src = ("from __future__ import annotations\n"
+           "import os, os.path as osp\n"
+           "import json.decoder\n"
+           "from x import used, unused as alias\n"
+           "try:\n"
+           "    import fast\n"
+           "except ImportError:\n"
+           "    fast = None\n"
+           "def f(a: used):\n"
+           "    import local\n"
+           "    return json.loads(a)\n")
+    assert unused_imports(src) == ["alias", "fast", "os", "osp"]
