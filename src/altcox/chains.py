@@ -1,10 +1,9 @@
 """Chain normal forms for the A/B/D towers in every presentation variant.
 
 An element of the rank-n group factors uniquely as u_n u_{n-1} ... u_base
-with u_i drawn from a level-i representative set E_i.  For type A above its
-base the sets are explicit closed-form lists; the others are Schreier words
-read off the one table a chain enumerates, whose cap overrun raises the
-engine's CapExceeded.
+with u_i drawn from a level-i representative set E_i: closed-form lists for
+type A above its base, else Schreier words read off the one table a chain
+enumerates, whose cap overrun raises the engine's CapExceeded.
 """
 
 from __future__ import annotations
@@ -70,12 +69,13 @@ class Chain:
     The rank-n presentation is built once, which validates the triple.  The
     level-i subgroup is generated by the first i-2 generators, or is trivial
     at the base.  _table(), enumerated on first use, is the top table: the
-    rank-n group over the level-n subgroup, of index n+1 (A) or 2n (B, D).
-    Level i's sift cosets are its cosets that the level's generators move
-    and its subgroup fixes, which is their stabilizer (see decompose); so
-    their tuple's orbit is the level-i table as a pointed set, and the
-    Schreier words of its standardized numbering are the level's
-    representatives (A's closed forms above its base are the same words).
+    rank-n group over the level-n subgroup, of index n+1 (A), 2n (B, D) or
+    12 (D3).  Level i's sift cosets are its cosets that the level's
+    generators move and its subgroup fixes, which is their stabilizer (see
+    decompose); so their tuple's orbit is the level-i table as a pointed
+    set, and the Schreier words of its standardized numbering are the
+    level's representatives (A's closed forms above its base are the same
+    words).
     """
 
     def __init__(self, family: str, variant: str, n: int, cap=engine.DEFAULT_CAP):
@@ -117,14 +117,14 @@ class Chain:
         if not self._sifts:
             t = self._table()
             rows, ncols, cosets = t.rows, 2 * t.presentation.rank, range(t.index + 1)
-            movers = [[] for _ in cosets]  # the generators moving each coset
+            movers = [[] for _ in cosets]  # the generators moving each coset, ascending
             for g in range(t.presentation.rank):
                 for c in itertools.compress(cosets, map(ne, rows[2 * g::ncols], cosets)):
                     movers[c].append(g)
             for i in self.levels():
                 sub, ngens = self._subgroup_rank(i), i - 1
-                order = [tuple(c for c in cosets if sub <= min(movers[c], default=ngens) < ngens)]
-                number, arrival = {order[0]: 1}, [0, 0, 0, 0]
+                start = tuple(c for c, m in enumerate(movers) if m and sub <= m[0] < ngens)
+                number, order, arrival = {start: 1}, [start], [0, 0, 0, 0]
                 for k, point in enumerate(order, 1):
                     gens = sorted({g for c in point for g in movers[c] if g < ngens},
                                   reverse=True)
@@ -135,7 +135,7 @@ class Chain:
                             number[image] = len(order) + 1
                             order.append(image)
                             arrival += (k, g)
-                self._sifts.append((order[0], number, arrival))
+                self._sifts.append((start, number, arrival))
         return self._sifts
 
     def decompose(self, w: Word) -> tuple[Word, ...]:

@@ -2,7 +2,7 @@
 chain normal forms, and the verification catalog.
 
 Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded (by `order`,
-`enumerate`, or any enumeration behind `nf`; ``main`` alone turns the
+`enumerate`, or the one enumeration behind `nf`; ``main`` alone turns the
 engine's CapExceeded into it), 4 verification failure.  A usage error is
 bad input (an argparse error such as a rank above ``coxeter.MAX_RANK``, an
 ``InputError`` or a file error) or running out of memory; any other

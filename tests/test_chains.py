@@ -23,9 +23,10 @@ def product(factors):
 
 @functools.lru_cache(maxsize=None)
 def level_table(family, variant, i):
-    """The level-i table that Chain no longer builds: the rank-i chain
-    presentation over its first i-2 generators, or over none at the base.
-    Its Schreier words are the oracle for level i's representatives."""
+    """The level-i table: the rank-i chain presentation over its first i-2
+    generators, or over none at the base.  Its Schreier words are the
+    oracle for level i's representatives, which Chain reads off the top
+    table instead."""
     sub = i - 2 if i > CHAIN_BASE[family] else 0
     return engine.enumerate(chain_presentation(family, variant, i),
                             tuple(map(Word.gen, range(sub))))

@@ -500,8 +500,8 @@ def test_order_cap_exceeded(tmp_path, capsys, argv, cap):
 
 
 def test_nf_cap_bounds_the_top_table_alone(capsys):
-    # the D4 edge top table defines 8 cosets; a level-3 table, which nf no
-    # longer enumerates, would define 15
+    # the D4 edge top table defines 8 cosets; its level-3 table, which nf
+    # does not enumerate, would define 15
     argv = ["nf", "--family", "D", "--rank", "4", "--variant", "edge", "--word", "r1 r3"]
     assert main(argv + ["--max-cosets", "8"]) == EXIT_OK
     assert capsys.readouterr().out == "r3^2 | r1^2\n"
