@@ -1,13 +1,15 @@
 """Command-line front end: presentation builders, coset enumeration,
 chain normal forms, and the verification catalog.
 
-Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded (by `order`,
-`enumerate`, or the one enumeration behind `nf`; ``main`` alone turns the
-engine's CapExceeded into it), 4 verification failure.  A usage error is
-bad input (an argparse error such as a rank above ``coxeter.MAX_RANK``, an
-``InputError`` or a file error) or running out of memory; any other
-exception is a bug and ends in a traceback.  File writes are atomic (temp
-file + rename) and all output is byte-deterministic.
+Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded (by `enumerate`,
+the one enumeration behind `nf`, or either of the two behind `order`: over
+a cyclic subgroup and, when its order is not certified, over the trivial
+one; ``main`` alone turns the engine's CapExceeded into it), 4
+verification failure.  A usage error is bad input (an argparse error such
+as a rank above ``coxeter.MAX_RANK``, an ``InputError`` or a file error)
+or running out of memory; any other exception is a bug and ends in a
+traceback.  File writes are atomic (temp file + rename) and all output
+is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ def cmd_enumerate(args):
 
 def cmd_order(args):
     p = _build_presentation(args)
-    _emit(f"{engine.index(p, (), args.max_cosets)}\n", args.output)
+    _emit(f"{engine._order(p, args.max_cosets)}\n", args.output)
     return EXIT_OK
 
 
@@ -337,7 +339,7 @@ def build_parser():
     p.add_argument("--reps", help="write representative words here")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("order", help="group order by full enumeration")
+    p = sub.add_parser("order", help="group order by coset enumeration")
     _input_flags(p)
     p.add_argument("--max-cosets", type=int, default=engine.DEFAULT_CAP)
     p.set_defaults(func=cmd_order)

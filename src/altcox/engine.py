@@ -8,10 +8,12 @@ docstring of ``_tc_py.enumerate_core`` specifies both cores: the
 involution rule, the renumbering and the return shapes.  This module
 encodes the words, each presentation's relators once, and calls the
 core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
-while ``index`` and ``order`` take the count alone.  A run that would
-define more cosets than its cap raises the core's CapExceeded, which
-``enumerate`` and ``index`` let through to their caller; only ``order``
-turns it into None.
+while ``index`` takes the count alone.  ``order`` (and ``altcox order``,
+through ``_order``) enumerates a cyclic subgroup <g> whose order k its
+table certifies and returns k * [G:<g>], else the index of the trivial
+subgroup.  A run that would define more cosets than its cap raises the
+core's CapExceeded, which ``enumerate``, ``index`` and ``_order`` let
+through to their caller; only ``order`` turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -123,13 +125,71 @@ def index(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> int:
     return 1 if result is None else result[0]
 
 
-def order(p: Presentation, cap=DEFAULT_CAP):
-    """Group order via enumeration over the trivial subgroup.
+def _cyclic_candidate(p: Presentation):
+    """(g, k) for the generator g outside p.central with a relator g^k or
+    g^-k, k >= 2, of the largest k, then the lowest g; None when no
+    generator has one.  A central g is left out: <g> is then normal, acts
+    trivially on its own cosets, and its order could not be certified."""
+    central = {p.gen_index(name) for name, _ in p.central}
+    powers = ((abs(w.letters[0]) - 1, len(w)) for w in p.relators
+              if len(w) >= 2 and w.letters.count(w.letters[0]) == len(w))
+    return max((gk for gk in powers if gk[0] not in central),
+               key=lambda gk: (gk[1], -gk[0]), default=None)
 
-    Returns the order, or None when the cap was exceeded.
+
+def _primes(k):
+    """The distinct prime divisors of k >= 2."""
+    q = 2
+    while q * q <= k:
+        if k % q == 0:
+            yield q
+            while k % q == 0:
+                k //= q
+        q += 1
+    if k > 1:
+        yield k
+
+
+def _power(perm, e):
+    """perm^e for e >= 1, perm a list mapping 0..n into itself, by repeated
+    squaring: each product is one map over the list, no Python loop."""
+    result = None
+    while True:
+        if e & 1:
+            result = perm if result is None else list(map(result.__getitem__, perm))
+        e >>= 1
+        if not e:
+            return result
+        perm = list(map(perm.__getitem__, perm))
+
+
+def _order(p: Presentation, cap):
+    """|G| = k * [G:<g>] for the generator g and exponent k that
+    _cyclic_candidate picks, when the table of <g> certifies that g has
+    order exactly k: the relator gives g^k = 1, and the completed table is
+    an action of G in which g^(k/q) moves some coset for every prime q | k.
+    Otherwise the index of the trivial subgroup.  Each enumeration has the
+    cap; the CapExceeded of the one over <g> is raised, not fallen back from.
+    """
+    found = _cyclic_candidate(p)
+    if found is not None:
+        g, k = found
+        t = enumerate(p, (Word.gen(g),), cap)
+        perm = t.rows[2 * g::2 * p.rank].tolist()  # g's column, rows 0..index
+        identity = list(range(len(perm)))
+        if all(_power(perm, k // q) != identity for q in _primes(k)):
+            return k * t.index
+    return index(p, (), cap)
+
+
+def order(p: Presentation, cap=DEFAULT_CAP):
+    """The group order, through a cyclic subgroup where its order is
+    certified (see _order), else through the trivial subgroup.
+
+    Returns the order, or None when an enumeration exceeded the cap.
     """
     try:
-        return index(p, (), cap)
+        return _order(p, cap)
     except CapExceeded:
         return None
 

@@ -358,21 +358,24 @@ def test_artifacts_of_rank_zero_and_one(generators, relators, subgroup, table,
 @pytest.mark.parametrize("family, rank, variant", [
     ("A", 5, "edge"), ("B", 4, "bourbaki"), ("D", 4, "carmichael"), ("B", 3, "coxeter")])
 def test_index_path_agrees_with_table(tmp_path, monkeypatch, capsys, family, rank, variant):
-    """order and an enumerate that writes no artifact count the cosets
+    """order builds one table, over a single generator, and never
+    enumerates the trivial subgroup when that generator's order is
+    certified; an enumerate that writes no artifact counts the cosets
     without a table; enumerate --table builds one; they print one index."""
-    tables = []
-    enumerate_ = engine.enumerate
-    monkeypatch.setattr(engine, "enumerate", lambda *a: tables.append(a) or enumerate_(*a))
+    runs = []  # (subgroup column words, table wanted) of each core call
+    core = engine._core
+    monkeypatch.setattr(engine, "_core", lambda *a: runs.append((a[2], a[4])) or core(*a))
     base = ["--family", family, "--rank", str(rank), "--variant", variant]
     table = ["--table", str(tmp_path / "t.csv")]
+    assert main(["order"] + base) == EXIT_OK
+    [(words, built)] = runs
+    assert built and len(words) == 1 and len(words[0]) == 1  # <g>, g one letter
     for sub in ([], ["--subgroup-gens", "2"]):
-        if not sub:
-            assert main(["order"] + base) == EXIT_OK
+        runs.clear()
         assert main(["enumerate"] + base + sub) == EXIT_OK
-        assert not tables
+        assert [built for _, built in runs] == [False]
         assert main(["enumerate"] + base + sub + table) == EXIT_OK
-        assert len(tables) == 1
-        tables.clear()
+        assert [built for _, built in runs] == [False, True]
     order, *indices = capsys.readouterr().out.splitlines()
     assert indices[0] == indices[1] == f"index {order}"
     assert indices[2] == indices[3] != indices[0]
@@ -484,7 +487,7 @@ def test_order_cover(capsys):
     (["nf", "--family", "D", "--rank", "5", "--variant", "edge", "--word", "r1"], 15),
     # the largest table behind a B5 nf, its top level's, defines 21 cosets
     (["nf", "--family", "B", "--rank", "5", "--variant", "edge", "--word", "r1"], 20),
-    # the index path, which counts the cosets without a table
+    # the enumeration over <r1>, of infinite index
     (["order", "--matrix", "AFFINE", "--variant", "edge"], 20000),
     (["enumerate", "--matrix", "AFFINE", "--subgroup-gens", "1"], 5000),
 ], ids=["order", "nf-D5-level", "nf-B5-regular", "order-affine", "enumerate-affine"])
@@ -497,6 +500,25 @@ def test_order_cap_exceeded(tmp_path, capsys, argv, cap):
     err = capsys.readouterr().err
     assert "cap exceeded" in err
     assert err == f"cap exceeded at {cap} cosets\n"
+
+
+def test_order_cap_bounds_each_enumeration(tmp_path, monkeypatch, capsys):
+    # the A5 edge order enumerates <r1>, which defines 166 cosets; the
+    # regular enumeration it replaces defined 470
+    argv = ["order", "--family", "A", "--rank", "5", "--variant", "edge"]
+    assert main(argv + ["--max-cosets", "166"]) == EXIT_OK
+    assert capsys.readouterr().out == "360\n"
+    assert main(argv + ["--max-cosets", "165"]) == EXIT_CAP
+    assert capsys.readouterr() == ("", "cap exceeded at 165 cosets\n")
+    # a capped order of affine A2 runs one enumeration, over <s0>, and does
+    # not go on to the trivial subgroup
+    runs = []
+    core = engine._core
+    monkeypatch.setattr(engine, "_core", lambda *a: runs.append(a[2]) or core(*a))
+    (tmp_path / "affine.json").write_text(_matrix_json(AFFINE_A2))
+    assert main(["order", "--matrix", str(tmp_path / "affine.json"),
+                 "--max-cosets", "20000"]) == EXIT_CAP
+    assert [list(words) for words in runs] == [[(0,)]]
 
 
 def test_nf_cap_bounds_the_top_table_alone(capsys):

@@ -3,9 +3,10 @@
 Every `cli.main` call ends in exit 0, 2 or 3; a usage error (2) writes
 nothing to stdout and one `error:` line, or argparse's usage and error
 lines, to stderr; a cap overrun (3) writes nothing to stdout; and the same
-call made twice prints the same stdout.  Most values drawn are valid, so
-that most calls get past the parser, and caps stay small, so that the whole
-run takes a few seconds.
+call made twice prints the same stdout.  An `order` that completes prints
+the index that `enumerate` counts over the trivial subgroup.  Most values
+drawn are valid, so that most calls get past the parser, and caps stay
+small, so that the whole run takes a few seconds.
 """
 
 import contextlib
@@ -59,7 +60,7 @@ def presentations(draw):
     gens = draw(st.lists(st.sampled_from(["x", "y", "x", "y", "1x", ""]),
                          min_size=1, max_size=2, unique=True))
     rels = draw(st.lists(st.sampled_from(["x^2", "y^3", "x y x^-1 y^-1", "(x y)^2",
-                                          "x y", "w", "", "y x^4"]), max_size=4))
+                                          "x y", "w", "", "y x^4", "x^4"]), max_size=4))
     text = json.dumps({"generators": gens, "relators": rels})
     return draw(mostly(st.just(text), '{"generators": ["x"]}', "{}", JUNK))
 
@@ -135,18 +136,25 @@ def _one_error(err):
     return len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_every_call_ends_in_a_documented_exit(tmp_path_factory, argv):
+def _concrete(argv, tmp_path_factory):
+    """argv with each (file name, its JSON text or None) replaced by a path
+    in a scratch directory, the text written there."""
     files = tmp_path_factory.getbasetemp() / "fuzz"
     files.mkdir(exist_ok=True)
     concrete = []
     for a in argv:
-        if isinstance(a, tuple):  # (file name, its JSON text or None)
+        if isinstance(a, tuple):
             if a[1] is not None:
                 (files / a[0]).write_text(a[1])
             a = str(files / a[0])
         concrete.append(a)
+    return concrete
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_every_call_ends_in_a_documented_exit(tmp_path_factory, argv):
+    concrete = _concrete(argv, tmp_path_factory)
     code, out, err = _run(concrete)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_CAP), (concrete, code, err)
     if code == cli.EXIT_USAGE:
@@ -154,3 +162,18 @@ def test_every_call_ends_in_a_documented_exit(tmp_path_factory, argv):
     elif code == cli.EXIT_CAP:
         assert out == "" and err.startswith("cap exceeded at "), (concrete, err)
     assert _run(concrete)[:2] == (code, out), concrete
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(input_flags(), presentations().map(
+    lambda text: ["--presentation", ("presentation.json", text)])), CAPS)
+def test_order_is_the_index_of_the_trivial_subgroup(tmp_path_factory, flags, cap):
+    """An order that completes, through a cyclic subgroup or the trivial
+    one, prints the index that enumerate counts over the trivial subgroup
+    at the default cap, which the groups drawn here stay under.  Half the
+    inputs are presentation files, whose pure powers x^2, x^4 and y^3
+    need not be their generators' orders."""
+    flags = _concrete(flags, tmp_path_factory)
+    code, out, _ = _run(["order"] + flags + ["--max-cosets", cap])
+    if code == cli.EXIT_OK:
+        assert _run(["enumerate"] + flags)[:2] == (cli.EXIT_OK, f"index {out}"), flags

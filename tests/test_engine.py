@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import signal
 import subprocess
@@ -15,6 +16,7 @@ from altcox import engine
 from altcox.words import InputError, Word, Presentation, render_word
 from altcox.coxeter import CoxeterMatrix, standard_matrix
 from altcox.presentations import (coxeter_presentation, chain_presentation,
+                                  edge_presentation, spinor_presentation,
                                   spinor_plus_presentation, universal_extension)
 from altcox._tc_py import CapExceeded, enumerate_core as py_core
 
@@ -78,6 +80,81 @@ def test_cap_exceeded_on_infinite_group():
     with pytest.raises(CapExceeded):
         engine.enumerate(coxeter_presentation(inf), (), cap=10_000)
     assert engine.order(coxeter_presentation(inf), cap=10_000) is None
+
+
+def counting_core(monkeypatch, core=None):
+    """Route engine's core calls through a recorder; returns the list of
+    each call's subgroup column words."""
+    runs, core = [], core or engine._core
+    monkeypatch.setattr(engine, "_core", lambda *a: runs.append(list(a[2])) or core(*a))
+    return runs
+
+
+def presented(generators, *relators):
+    return Presentation.from_json(json.dumps({"generators": generators,
+                                              "relators": list(relators)}))
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("p, want, subgroups", [
+    # <x> is the whole group, and x^2 moves no coset: x^4 = 1 is not x's
+    # order, and k * [G:<x>] would say 4
+    (presented(["x"], "x^4", "x^2"), 2, [[(0,)], []]),
+    # S3: x moves <x>'s three cosets, but x^2 = x^(4/2), or x^(6/3), moves none
+    (presented(["x", "y"], "x^4", "x^2", "y^3", "x y x y"), 6, [[(0,)], []]),
+    (presented(["x", "y"], "x^6", "x^2", "y^3", "x y x y"), 6, [[(0,)], []]),
+    # <x> is normal, so it fixes every coset of its own
+    (presented(["x", "y"], "x^6", "y^2", "x y x^-1 y^-1"), 12, [[(0,)], []]),
+    # A4: x of order 3 (given as x^-3) certified on <x>'s four cosets
+    (presented(["x", "y"], "x^-3", "y^2", "y x y x y x"), 12, [[(0,)]]),
+    # the largest power, then the lowest generator
+    (presented(["x", "y"], "x^2", "y^3", "x y x y x y"), 12, [[(2,)]]),
+    (presented(["x", "y"], "x^3", "y^3", "x y x y"), 12, [[(0,)]]),
+    # S4: s0, the first of three involutions, certified on twelve cosets
+    (coxeter_presentation(standard_matrix("A", 3)), 24, [[(0,)]]),
+    # the only pure power is alpha^2, and alpha is central
+    (spinor_presentation(standard_matrix("A", 3), "tilde_prime"), 48, [[]]),
+], ids=["cyclic", "square-below-k", "order-below-k", "normal", "certified",
+        "largest-k", "lowest-g", "coxeter", "central-only"])
+def test_order_through_a_cyclic_subgroup(backend, request, monkeypatch, p, want,
+                                         subgroups):
+    """engine.order's enumerations: the subgroup of each, the certificate's
+    fallback to the trivial subgroup, and the order it returns."""
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    runs = counting_core(monkeypatch, core)
+    assert engine.order(p) == want
+    assert runs == subgroups
+
+
+def regular_cases():
+    """The golden corpus's trivial-subgroup enumerations, all of finite
+    groups, and the A6 cover."""
+    for p, sub in golden_cases():
+        if not sub:
+            yield p
+    yield universal_extension("A6")
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_order_agrees_with_the_regular_index(backend, request, monkeypatch):
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    monkeypatch.setattr(engine, "_core", core)
+    n = 0
+    for p in regular_cases():
+        assert engine.order(p, cap=500_000) == engine.index(p, (), cap=500_000)
+        n += 1
+    assert n == 108
+
+
+@pytest.mark.parametrize("variant", ["coxeter", "edge"])
+def test_capped_order_runs_one_enumeration(monkeypatch, variant):
+    # <g> of affine A2 has infinite index: its enumeration meets the cap,
+    # and order does not fall back to the trivial subgroup
+    p = (coxeter_presentation(AFFINE_A2) if variant == "coxeter"
+         else edge_presentation(AFFINE_A2)[0])
+    runs = counting_core(monkeypatch)
+    assert engine.order(p, cap=20_000) is None
+    assert runs == [[(0,)]]
 
 
 def test_table_consistency_invariant():
