@@ -152,7 +152,8 @@ def _primes(k):
 
 def _power(perm, e):
     """perm^e for e >= 1, perm a list mapping 0..n into itself, by repeated
-    squaring: each product is one map over the list, no Python loop."""
+    squaring: each product is one map over the list, with no Python loop
+    over its entries."""
     result = None
     while True:
         if e & 1:
