@@ -2,9 +2,10 @@
 chain normal forms, and the verification catalog.
 
 Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded (by `enumerate`,
-the one enumeration behind `nf`, or either of the two behind `order`: over
-a cyclic subgroup and, when its order is not certified, over the trivial
-one; ``main`` alone turns the engine's CapExceeded into it), 4
+the one enumeration behind `nf`, or any of those behind `order`: over a
+two-generator subgroup, a cyclic one and the trivial one, each run when
+the one before certifies no order; ``main`` alone turns the engine's
+CapExceeded into it), 4
 verification failure.  A usage error is bad input (an argparse error such
 as a rank above ``coxeter.MAX_RANK``, an ``InputError`` or a file error)
 or running out of memory; any other exception is a bug and ends in a
@@ -37,16 +38,20 @@ class UsageError(InputError):
 
 
 def _atomic_write(path, text):
-    """Write text to path through a temp file and a rename.  An OSError
-    names path alone: the temp file's random name would make the message
-    differ from run to run."""
+    """Write text to path through a temp file and a rename.  The file gets
+    the mode open() would give it, 0o666 less the umask, in place of the
+    temp file's 0o600.  An OSError names path alone: the temp file's random
+    name would make the message differ from run to run."""
     if not path:  # as open("") fails, before a temp file goes anywhere
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     d = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # read by setting it; os.umask is the only reader
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-altcox-")
         try:
             with os.fdopen(fd, "w") as f:
+                os.fchmod(f.fileno(), 0o666 & ~umask)
                 f.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -339,7 +344,8 @@ def build_parser():
     p.add_argument("--reps", help="write representative words here")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("order", help="group order by coset enumeration")
+    p = sub.add_parser("order", help="group order by coset enumeration over a "
+                                     "subgroup whose order its table certifies")
     _input_flags(p)
     p.add_argument("--max-cosets", type=int, default=engine.DEFAULT_CAP)
     p.set_defaults(func=cmd_order)

@@ -9,10 +9,10 @@ involution rule, the renumbering and the return shapes.  This module
 encodes the words, each presentation's relators once, and calls the
 core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
 while ``index`` takes the count alone.  ``order`` (and ``altcox order``,
-through ``_order``) enumerates a cyclic subgroup <g> whose order k its
-table certifies and returns k * [G:<g>], else the index of the trivial
-subgroup.  A run that would define more cosets than its cap raises the
-core's CapExceeded, which ``enumerate``, ``index`` and ``_order`` let
+through ``_order``) returns |H| * [G:H] for the first of a two-generator
+subgroup <g, h>, a cyclic one <g> and the trivial one whose order its
+table certifies.  A run that would define more cosets than its cap raises
+the core's CapExceeded, which ``enumerate``, ``index`` and ``_order`` let
 through to their caller; only ``order`` turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain, compress, repeat
+from math import lcm
 from operator import add, lt, ne
 
 from .words import InputError, Record, Word, Presentation
@@ -36,6 +37,8 @@ except ImportError:
     BACKEND = "python"
 
 DEFAULT_CAP = 200_000
+# the most cosets a pair's group <g, h> may take to count (see _order)
+PAIR_BOUND = 1000
 
 
 def _columns(w: Word):
@@ -91,12 +94,16 @@ class CosetTable(Record):
         return coset
 
 
+def _check_cap(cap):
+    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:  # a C int in the core
+        raise InputError(f"cap must be between 1 and {MAX_CAP}")
+
+
 def _run(p: Presentation, subgroup, cap, table):
     """The core's return for <subgroup> in p, with or without its table, or
     None when p has no generators: the cores reject a table without
     columns, and the trivial group has index 1."""
-    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:  # a C int in the core
-        raise InputError(f"cap must be between 1 and {MAX_CAP}")
+    _check_cap(cap)
     if not p.rank:
         return None
     subwords = [_columns(w) for w in subgroup]
@@ -125,67 +132,103 @@ def index(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> int:
     return 1 if result is None else result[0]
 
 
-def _cyclic_candidate(p: Presentation):
-    """(g, k) for the generator g outside p.central with a relator g^k or
-    g^-k, k >= 2, of the largest k, then the lowest g; None when no
-    generator has one.  A central g is left out: <g> is then normal, acts
-    trivially on its own cosets, and its order could not be certified."""
-    central = {p.gen_index(name) for name, _ in p.central}
+def _cyclic_candidate(p: Presentation, central):
+    """(g, k) for the generator g outside central, the indices of
+    p.central, with a relator g^k or g^-k, k >= 2, of the largest k, then
+    the lowest g; None when no generator has one.  A central g is left
+    out: <g> is then normal, acts trivially on its own cosets, and its
+    order could not be certified."""
     powers = ((abs(w.letters[0]) - 1, len(w)) for w in p.relators
               if len(w) >= 2 and w.letters.count(w.letters[0]) == len(w))
     return max((gk for gk in powers if gk[0] not in central),
                key=lambda gk: (gk[1], -gk[0]), default=None)
 
 
-def _primes(k):
-    """The distinct prime divisors of k >= 2."""
-    q = 2
-    while q * q <= k:
-        if k % q == 0:
-            yield q
-            while k % q == 0:
-                k //= q
-        q += 1
-    if k > 1:
-        yield k
+def _pair_candidate(p: Presentation, central, g, k, cap):
+    """(h, d) for the lowest generator h, other than g and outside
+    central, such that some relator has exactly the letters g and h and
+    d = |<g, h | the relators in g and h alone>| > k; None when there is
+    none, or when p has rank below 3, where <g, h> would be all of G.
+    Each d is counted by the core on those relators re-encoded to four
+    columns, g's first, to at most min(cap, PAIR_BOUND) cosets; an h whose
+    count reaches that bound is passed over."""
+    if p.rank < 3:
+        return None
+    encoded = _relator_columns(p)
+    letters = [{x >> 1 for x in w} for w in encoded]
+    others = sorted({h for s in letters if len(s) == 2 and g in s
+                     for h in s} - central - {g})
+    for h in others:
+        pair, recode = {g, h}, {2 * g: 0, 2 * g + 1: 1, 2 * h: 2, 2 * h + 1: 3}
+        words = [tuple(map(recode.__getitem__, w))
+                 for w, s in zip(encoded, letters) if s <= pair]
+        try:
+            d = _core(4, words, (), min(cap, PAIR_BOUND), False)[0]
+        except CapExceeded:
+            continue
+        if d > k:
+            return h, d
+    return None
 
 
-def _power(perm, e):
-    """perm^e for e >= 1, perm a list mapping 0..n into itself, by repeated
-    squaring: each product is one map over the list, with no Python loop
-    over its entries."""
-    result = None
-    while True:
-        if e & 1:
-            result = perm if result is None else list(map(result.__getitem__, perm))
-        e >>= 1
-        if not e:
-            return result
-        perm = list(map(perm.__getitem__, perm))
+def _orbits_certify(t: CosetTable, gens, n):
+    """Whether the lcm of the orbit sizes of <gens> on t's cosets is n.
+    <gens> acts on the completed table, so each orbit size divides its
+    order; when that order divides n, the lcm reaching n proves it is n.
+    The walk stops at the first orbit that brings the lcm to n."""
+    ncols = 2 * t.presentation.rank
+    images = [t.rows[2 * g::ncols].tolist() for g in gens]  # rows 0..index
+    seen = bytearray(len(images[0]))
+    reached = 1
+    for c in range(1, len(seen)):
+        if seen[c]:
+            continue
+        seen[c] = 1
+        orbit = [c]
+        for a in orbit:  # grows as the walk reaches new cosets
+            for image in images:
+                b = image[a]
+                if not seen[b]:
+                    seen[b] = 1
+                    orbit.append(b)
+        reached = lcm(reached, len(orbit))
+        if reached == n:
+            return True
+    return False
 
 
 def _order(p: Presentation, cap):
-    """|G| = k * [G:<g>] for the generator g and exponent k that
-    _cyclic_candidate picks, when the table of <g> certifies that g has
-    order exactly k: the relator gives g^k = 1, and the completed table is
-    an action of G in which g^(k/q) moves some coset for every prime q | k.
-    Otherwise the index of the trivial subgroup.  Each enumeration has the
-    cap; the CapExceeded of the one over <g> is raised, not fallen back from.
+    """|G| = |H| * [G:H] for the first subgroup H whose table certifies
+    its order: the pair <g, h> that _pair_candidate picks, then <g> for
+    the generator g and exponent k that _cyclic_candidate picks, then the
+    trivial subgroup.  The relators in g and h alone present a group of
+    order d of which <g, h> in G is a quotient, and g^k = 1, so |H|
+    divides d, or k, and the table certifies |H| when the orbit sizes of
+    H on it have that lcm (_orbits_certify).  Each enumeration has the
+    cap; the CapExceeded of one over <g, h> or <g> is raised, not fallen
+    back from, and a pair's count that reaches its bound drops the pair.
     """
-    found = _cyclic_candidate(p)
-    if found is not None:
-        g, k = found
-        t = enumerate(p, (Word.gen(g),), cap)
-        perm = t.rows[2 * g::2 * p.rank].tolist()  # g's column, rows 0..index
-        identity = list(range(len(perm)))
-        if all(_power(perm, k // q) != identity for q in _primes(k)):
-            return k * t.index
+    _check_cap(cap)
+    central = {p.gen_index(name) for name, _ in p.central}
+    found = _cyclic_candidate(p, central)
+    if found is None:
+        return index(p, (), cap)
+    g, k = found
+    pair = _pair_candidate(p, central, g, k, cap)
+    if pair is not None:
+        h, d = pair
+        t = enumerate(p, (Word.gen(g), Word.gen(h)), cap)
+        if _orbits_certify(t, (g, h), d):
+            return d * t.index
+    t = enumerate(p, (Word.gen(g),), cap)
+    if _orbits_certify(t, (g,), k):
+        return k * t.index
     return index(p, (), cap)
 
 
 def order(p: Presentation, cap=DEFAULT_CAP):
-    """The group order, through a cyclic subgroup where its order is
-    certified (see _order), else through the trivial subgroup.
+    """The group order, through a two-generator or cyclic subgroup where
+    its order is certified (see _order), else through the trivial subgroup.
 
     Returns the order, or None when an enumeration exceeded the cap.
     """

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import resource
+import stat
 import subprocess
 import sys
 
@@ -355,27 +356,36 @@ def test_artifacts_of_rank_zero_and_one(generators, relators, subgroup, table,
     assert files[2].read_text() == reps
 
 
-@pytest.mark.parametrize("family, rank, variant", [
-    ("A", 5, "edge"), ("B", 4, "bourbaki"), ("D", 4, "carmichael"), ("B", 3, "coxeter")])
-def test_index_path_agrees_with_table(tmp_path, monkeypatch, capsys, family, rank, variant):
-    """order builds one table, over a single generator, and never
-    enumerates the trivial subgroup when that generator's order is
-    certified; an enumerate that writes no artifact counts the cosets
-    without a table; enumerate --table builds one; they print one index."""
-    runs = []  # (subgroup column words, table wanted) of each core call
+@pytest.mark.parametrize("family, rank, variant, tables", [
+    ("A", 5, "edge", [[(0,), (2,)]]),
+    ("B", 4, "bourbaki", [[(0,), (2,)], [(0,)]]),
+    ("D", 4, "carmichael", [[(0,), (2,)], [(0,)]]),
+    ("B", 3, "coxeter", [[(0,), (2,)], [(0,)]])],
+    ids=["A-5-edge", "B-4-bourbaki", "D-4-carmichael", "B-3-coxeter"])
+def test_index_path_agrees_with_table(tmp_path, monkeypatch, capsys, family, rank,
+                                      variant, tables):
+    """order counts its pair's group without a table, then builds the
+    tables of <g, h> and, when that one certifies nothing, of <g>, and
+    never enumerates the trivial subgroup when one of them certifies; an
+    enumerate that writes no artifact counts the cosets without a table;
+    enumerate --table builds one; they print one index."""
+    runs = []  # (column count, subgroup column words, table wanted) of each core call
     core = engine._core
-    monkeypatch.setattr(engine, "_core", lambda *a: runs.append((a[2], a[4])) or core(*a))
+    monkeypatch.setattr(engine, "_core",
+                        lambda *a: runs.append((a[0], list(a[2]), a[4])) or core(*a))
     base = ["--family", family, "--rank", str(rank), "--variant", variant]
     table = ["--table", str(tmp_path / "t.csv")]
     assert main(["order"] + base) == EXIT_OK
-    [(words, built)] = runs
-    assert built and len(words) == 1 and len(words[0]) == 1  # <g>, g one letter
+    count, *made = runs
+    ncols = made[0][0]
+    assert count == (4, [], False) and ncols > 4
+    assert made == [(ncols, words, True) for words in tables]
     for sub in ([], ["--subgroup-gens", "2"]):
         runs.clear()
         assert main(["enumerate"] + base + sub) == EXIT_OK
-        assert [built for _, built in runs] == [False]
+        assert [built for _, _, built in runs] == [False]
         assert main(["enumerate"] + base + sub + table) == EXIT_OK
-        assert [built for _, built in runs] == [False, True]
+        assert [built for _, _, built in runs] == [False, True]
     order, *indices = capsys.readouterr().out.splitlines()
     assert indices[0] == indices[1] == f"index {order}"
     assert indices[2] == indices[3] != indices[0]
@@ -424,6 +434,20 @@ def test_write_error_names_requested_path(tmp_path, capsys, flag):
                      flag, path]) == EXIT_USAGE
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_written_files_take_the_umask(tmp_path, capsys, umask, mode):
+    """A file written through a temp file gets the mode open() would give
+    it, 0o666 less the umask, not the temp file's 0o600."""
+    out, table = tmp_path / "out.txt", tmp_path / "t.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["enumerate", "--family", "A", "--rank", "3", "--output", str(out),
+                     "--table", str(table)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(f.stat().st_mode) for f in (out, table)] == [mode, mode]
 
 
 def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
@@ -503,22 +527,23 @@ def test_order_cap_exceeded(tmp_path, capsys, argv, cap):
 
 
 def test_order_cap_bounds_each_enumeration(tmp_path, monkeypatch, capsys):
-    # the A5 edge order enumerates <r1>, which defines 166 cosets; the
-    # regular enumeration it replaces defined 470
+    # the A5 edge order enumerates <r1, r2>, which defines 51 cosets; the
+    # one over <r1> that it replaces defined 166, and a regular one 470
     argv = ["order", "--family", "A", "--rank", "5", "--variant", "edge"]
-    assert main(argv + ["--max-cosets", "166"]) == EXIT_OK
+    assert main(argv + ["--max-cosets", "51"]) == EXIT_OK
     assert capsys.readouterr().out == "360\n"
-    assert main(argv + ["--max-cosets", "165"]) == EXIT_CAP
-    assert capsys.readouterr() == ("", "cap exceeded at 165 cosets\n")
-    # a capped order of affine A2 runs one enumeration, over <s0>, and does
-    # not go on to the trivial subgroup
+    assert main(argv + ["--max-cosets", "50"]) == EXIT_CAP
+    assert capsys.readouterr() == ("", "cap exceeded at 50 cosets\n")
+    # a capped order of affine A2 counts <s0, s1> = S3, runs one
+    # enumeration, over <s0, s1>, and goes on neither to <s0> nor to the
+    # trivial subgroup
     runs = []
     core = engine._core
-    monkeypatch.setattr(engine, "_core", lambda *a: runs.append(a[2]) or core(*a))
+    monkeypatch.setattr(engine, "_core", lambda *a: runs.append((a[0], list(a[2]))) or core(*a))
     (tmp_path / "affine.json").write_text(_matrix_json(AFFINE_A2))
     assert main(["order", "--matrix", str(tmp_path / "affine.json"),
                  "--max-cosets", "20000"]) == EXIT_CAP
-    assert [list(words) for words in runs] == [[(0,)]]
+    assert runs == [(4, []), (6, [(0,), (2,)])]
 
 
 def test_nf_cap_bounds_the_top_table_alone(capsys):

@@ -56,11 +56,14 @@ def matrices(draw):
 
 @st.composite
 def presentations(draw):
-    """Presentation JSON over x and y, or a wrong shape, or malformed text."""
-    gens = draw(st.lists(st.sampled_from(["x", "y", "x", "y", "1x", ""]),
-                         min_size=1, max_size=2, unique=True))
+    """Presentation JSON over x, y and z, or a wrong shape, or malformed
+    text.  With all three generators, a pure power and a relator in two of
+    them, order tries a pair <g, h>."""
+    gens = draw(st.lists(st.sampled_from(["x", "y", "z", "x", "y", "z", "1x", ""]),
+                         min_size=1, max_size=3, unique=True))
     rels = draw(st.lists(st.sampled_from(["x^2", "y^3", "x y x^-1 y^-1", "(x y)^2",
-                                          "x y", "w", "", "y x^4", "x^4"]), max_size=4))
+                                          "x y", "w", "", "y x^4", "x^4", "z^3",
+                                          "x z y^-1", "x z x z"]), max_size=4))
     text = json.dumps({"generators": gens, "relators": rels})
     return draw(mostly(st.just(text), '{"generators": ["x"]}', "{}", JUNK))
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -77,9 +78,10 @@ def test_rank_zero_is_the_trivial_group():
 
 def counting_core(monkeypatch, core=None):
     """Route engine's core calls through a recorder; returns the list of
-    each call's subgroup column words."""
+    each call's column count and subgroup column words."""
     runs, core = [], core or engine._core
-    monkeypatch.setattr(engine, "_core", lambda *a: runs.append(list(a[2])) or core(*a))
+    monkeypatch.setattr(engine, "_core",
+                        lambda *a: runs.append((a[0], list(a[2]))) or core(*a))
     return runs
 
 
@@ -91,12 +93,13 @@ def test_cap_exceeded_on_infinite_group(monkeypatch):
     # it does not go on to the trivial subgroup
     runs = counting_core(monkeypatch)
     assert engine.order(coxeter_presentation(inf), cap=10_000) is None
-    assert runs == [[(0,)]]
+    assert runs == [(4, [(0,)])]
 
 
-def presented(generators, *relators):
-    return Presentation.from_json(json.dumps({"generators": generators,
-                                              "relators": list(relators)}))
+def presented(generators, *relators, central=()):
+    return Presentation.from_json(json.dumps({
+        "generators": generators, "relators": list(relators),
+        "central": [{"name": name, "order": k} for name, k in central]}))
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
@@ -114,20 +117,68 @@ def presented(generators, *relators):
     # the largest power, then the lowest generator
     (presented(["x", "y"], "x^2", "y^3", "x y x y x y"), 12, [[(2,)]]),
     (presented(["x", "y"], "x^3", "y^3", "x y x y"), 12, [[(0,)]]),
-    # S4: s0, the first of three involutions, certified on twelve cosets
-    (coxeter_presentation(standard_matrix("A", 3)), 24, [[(0,)]]),
     # the only pure power is alpha^2, and alpha is central
     (spinor_presentation(standard_matrix("A", 3), "tilde_prime"), 48, [[]]),
 ], ids=["cyclic", "square-below-k", "order-below-k", "normal", "certified",
-        "largest-k", "lowest-g", "coxeter", "central-only"])
+        "largest-k", "lowest-g", "central-only"])
 def test_order_through_a_cyclic_subgroup(backend, request, monkeypatch, p, want,
                                          subgroups):
-    """engine.order's enumerations: the subgroup of each, the certificate's
-    fallback to the trivial subgroup, and the order it returns."""
+    """engine.order's enumerations at rank 2, where no pair is tried: the
+    subgroup of each, the certificate's fallback to the trivial subgroup,
+    and the order it returns."""
     core = py_core if backend == "python" else request.getfixturevalue("c_core")
     runs = counting_core(monkeypatch, core)
     assert engine.order(p) == want
-    assert runs == subgroups
+    assert runs == [(2 * p.rank, words) for words in subgroups]
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("p, want, bound, runs", [
+    # S5: <s0, s1> = S3 counted (6), certified on its twenty cosets
+    (coxeter_presentation(standard_matrix("A", 4)), 120, 1000,
+     [(4, []), (8, [(0,), (2,)])]),
+    # S3 x S3 on a = z, b = w, c = z x, e = w^-1 y: <y, x> is the diagonal
+    # S3, whose orbits on its six cosets have sizes 1, 3 and 2, none 6
+    (presented(["x", "y", "z", "w"], "x^2", "y^3", "x y x y", "z^2", "w^3",
+               "z w z w", "z x z x", "w^-1 y w^-1 y w^-1 y", "z x w^-1 y z x w^-1 y",
+               "z x z^-1 x^-1", "z w^-1 y z^-1 y^-1 w", "w z x w^-1 x^-1 z^-1",
+               "y w^-1 y^-1 w"), 36, 1000, [(4, []), (8, [(2,), (0,)])]),
+    # S4: <s0, s1> fixes each of its four cosets, too few for an orbit of
+    # six, so s0 is certified on the twelve cosets of <s0>
+    (coxeter_presentation(standard_matrix("A", 3)), 24, 1000,
+     [(4, []), (6, [(0,), (2,)]), (6, [(0,)])]),
+    # x = y through w = 1, so G is trivial, not A4: neither <x, y> (12)
+    # nor <x> (3) is certified on one coset, and the trivial subgroup is
+    (presented(["x", "y", "w"], "x^3", "y^3", "x y x y", "w", "x w y^-1"), 1, 1000,
+     [(4, []), (6, [(0,), (2,)]), (6, [(0,)]), (6, [])]),
+    # <y, x> presents the infinite triangle group (2, 3, 8): its count
+    # reaches the bound, and the pair is dropped for <y> in G = S4
+    (presented(["x", "y", "z"], "x^2", "y^3", "x y x y x y x y x y x y x y x y",
+               "z^2", "x y x y z^-1"), 24, 1000, [(4, []), (6, [(2,)])]),
+    # at a bound of 5 cosets <s0, s1> = S3 is dropped, and the next h
+    # gives <s0, s2> = C2 x C2, counted and certified
+    (coxeter_presentation(standard_matrix("A", 4)), 120, 5,
+     [(4, []), (4, []), (8, [(0,), (4,)])]),
+    # <x, y> = <x> has order 3, no more than x's, so y is passed over for
+    # z; in G = S3, <x, z> has index 1 and <x> is normal
+    (presented(["x", "y", "z"], "x^3", "x y", "z^2", "x z x z"), 6, 1000,
+     [(4, []), (4, []), (6, [(0,), (4,)]), (6, [(0,)]), (6, [])]),
+    # c is the lowest generator with a two-letter relator in y, but
+    # central; <y, x> = A4 has index 2 and fixes both cosets
+    (presented(["c", "x", "y"], "x^2", "y^3", "x y x y x y", "c^2",
+               "c x c^-1 x^-1", "c y c^-1 y^-1", central=[("c", 2)]), 24, 1000,
+     [(4, []), (6, [(4,), (2,)]), (6, [(4,)])]),
+], ids=["certified", "orbit-lcm", "fallback", "collapsed", "bounded", "bound",
+        "not-above-k", "central"])
+def test_order_through_a_pair(backend, request, monkeypatch, p, want, bound, runs):
+    """engine.order's core calls at rank 3 and above: the count of the
+    pair's group, with four columns and no subgroup, then the tables over
+    <g, h> and <g>, then the trivial subgroup, until one certifies."""
+    core = py_core if backend == "python" else request.getfixturevalue("c_core")
+    monkeypatch.setattr(engine, "PAIR_BOUND", bound)
+    calls = counting_core(monkeypatch, core)
+    assert engine.order(p) == want
+    assert calls == runs
 
 
 def regular_cases():
@@ -141,13 +192,20 @@ def regular_cases():
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
 def test_order_agrees_with_the_regular_index(backend, request, monkeypatch):
+    """order is the regular index on every corpus case, through the paths
+    pinned here: each is the sizes of the subgroups order enumerates, in
+    turn, with the pair's counts left out."""
     core = py_core if backend == "python" else request.getfixturevalue("c_core")
-    monkeypatch.setattr(engine, "_core", core)
-    n = 0
+    runs = counting_core(monkeypatch, core)
+    paths = Counter()
     for p in regular_cases():
+        runs.clear()
         assert engine.order(p, cap=500_000) == engine.index(p, (), cap=500_000)
-        n += 1
-    assert n == 108
+        runs.pop()  # the index's
+        paths[tuple(len(w) for ncols, w in runs if ncols == 2 * p.rank)] += 1
+    # the pair certified, the pair then <g>, <g>, <g> then the trivial
+    # subgroup, the trivial subgroup alone
+    assert paths == {(2,): 28, (2, 1): 11, (1,): 25, (1, 0): 15, (0,): 29}
 
 
 def test_table_consistency_invariant():
@@ -535,13 +593,17 @@ def test_engine_leaves_encoded_relators_alone(backend, request, monkeypatch):
 @pytest.mark.parametrize("backend", ["python", "compiled"])
 def test_engine_rejects_a_non_int_cap(backend, request, monkeypatch):
     """A float cap is an InputError, as an out-of-range one is, whichever
-    core would run."""
+    core would run; order raises it before its pair's count, whose bound
+    min(cap, PAIR_BOUND) the core would reject otherwise."""
     core = py_core if backend == "python" else request.getfixturevalue("c_core")
     monkeypatch.setattr(engine, "_core", core)
     p = coxeter_presentation(standard_matrix("A", 3))
-    for run in (engine.index, engine.enumerate):
+    for cap in (100.0, 0):
+        for run in (engine.index, engine.enumerate):
+            with pytest.raises(InputError):
+                run(p, (), cap=cap)
         with pytest.raises(InputError):
-            run(p, (), cap=100.0)
+            engine.order(p, cap=cap)
 
 
 def test_pure_core_memory_follows_cosets_not_cap():
