@@ -171,11 +171,11 @@ def test_every_call_ends_in_a_documented_exit(tmp_path_factory, argv):
 @given(st.one_of(input_flags(), presentations().map(
     lambda text: ["--presentation", ("presentation.json", text)])), CAPS)
 def test_order_is_the_index_of_the_trivial_subgroup(tmp_path_factory, flags, cap):
-    """An order that completes, through a cyclic subgroup or the trivial
-    one, prints the index that enumerate counts over the trivial subgroup
-    at the default cap, which the groups drawn here stay under.  Half the
-    inputs are presentation files, whose pure powers x^2, x^4 and y^3
-    need not be their generators' orders."""
+    """An order that completes, through a pair of generators, a cyclic
+    subgroup or the trivial one, prints the index that enumerate counts
+    over the trivial subgroup at the default cap, which the groups drawn
+    here stay under.  Half the inputs are presentation files, whose pure
+    powers x^2, x^4, y^3 and z^3 need not be their generators' orders."""
     flags = _concrete(flags, tmp_path_factory)
     code, out, _ = _run(["order"] + flags + ["--max-cosets", cap])
     if code == cli.EXIT_OK:
