@@ -94,16 +94,12 @@ class CosetTable(Record):
         return coset
 
 
-def _check_cap(cap):
-    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:  # a C int in the core
-        raise InputError(f"cap must be between 1 and {MAX_CAP}")
-
-
 def _run(p: Presentation, subgroup, cap, table):
     """The core's return for <subgroup> in p, with or without its table, or
     None when p has no generators: the cores reject a table without
     columns, and the trivial group has index 1."""
-    _check_cap(cap)
+    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:  # a C int in the core
+        raise InputError(f"cap must be between 1 and {MAX_CAP}")
     if not p.rank:
         return None
     subwords = [_columns(w) for w in subgroup]
@@ -208,7 +204,10 @@ def _order(p: Presentation, cap):
     cap; the CapExceeded of one over <g, h> or <g> is raised, not fallen
     back from, and a pair's count that reaches its bound drops the pair.
     """
-    _check_cap(cap)
+    # _run's check, made before the pair's count, whose bound
+    # min(cap, PAIR_BOUND) the core would reject as a ValueError or TypeError
+    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:
+        raise InputError(f"cap must be between 1 and {MAX_CAP}")
     central = {p.gen_index(name) for name, _ in p.central}
     found = _cyclic_candidate(p, central)
     if found is None:
