@@ -1,9 +1,9 @@
 """Chain normal forms for the A/B/D towers in every presentation variant.
 
 An element of the rank-n group factors uniquely as u_n u_{n-1} ... u_base
-with u_i drawn from a level-i representative set E_i: closed-form lists for
-type A above its base, else Schreier words read off the one table a chain
-enumerates, whose cap overrun raises the engine's CapExceeded.
+with u_i drawn from a level-i representative set E_i: Schreier words read
+off the one table a chain enumerates, whose cap overrun raises the engine's
+CapExceeded.
 """
 
 from __future__ import annotations
@@ -21,35 +21,6 @@ SCALE_CAP = 100_000  # the most normal forms enumerate_elements lists
 
 class ChainError(InputError):
     pass
-
-
-def _closed_form_a(variant: str, i: int):
-    """Closed-form E_i lists for the three type-A variants (1-based g)."""
-    g = lambda k, p=1: Word.gen(k - 1, p)
-    if variant == "carmichael":
-        # 1, a_{i-1}, a_{i-1}^2, a_{i-2} a_{i-1}^2, ..., a_1 a_{i-1}^2
-        out = [Word(), g(i - 1), g(i - 1, 2)]
-        out += [g(k) * g(i - 1, 2) for k in range(i - 2, 0, -1)]
-        return out
-    if variant == "bourbaki":
-        # 1, R_{i-1}, R_{i-2} R_{i-1}, ..., R_1...R_{i-1}, R_1^2 R_2...R_{i-1}
-        def run(k):
-            w = Word()
-            for j in range(k, i):
-                w = w * g(j)
-            return w
-        out = [Word()] + [run(k) for k in range(i - 1, 0, -1)]
-        out.append(g(1) * run(1))
-        return out
-    # edge: alternating-index runs r_k r_{k+2} ... ending at r_{i-1} or r_{i-1}^2
-    def run(k, last_power):
-        w = Word()
-        for j in range(k, i - 1, 2):
-            w = w * g(j)
-        return w * g(i - 1, last_power)
-    first = [run(k, 1) for k in range(i - 1, 0, -2)]
-    second = [g(i - 1, 2)] + [run(k, 2) for k in range(i - 2, 0, -2)]
-    return [Word()] + first + second
 
 
 def _schreier_word(arrival, k):
@@ -74,13 +45,12 @@ class Chain:
     generators move and its subgroup fixes, which is their stabilizer (see
     decompose); so their tuple's orbit is the level-i table as a pointed
     set, and the Schreier words of its standardized numbering are the
-    level's representatives (A's closed forms above its base are the same
-    words).
+    level's representatives.
     """
 
     def __init__(self, family: str, variant: str, n: int, cap=engine.DEFAULT_CAP):
         self.presentation = chain_presentation(family, variant, n)
-        self.family, self.variant, self.n = family.upper(), variant, n
+        self.family, self.n = family.upper(), n
         self.base, self.cap = CHAIN_BASE[self.family], cap
         self._top, self._reps, self._sifts = None, {}, []
 
@@ -101,11 +71,8 @@ class Chain:
         if not self.base <= i <= self.n:
             raise ChainError(f"level {i} outside [{self.base}, {self.n}]")
         if i not in self._reps:
-            if self.family == "A" and i > self.base:
-                self._reps[i] = tuple(_closed_form_a(self.variant, i))
-            else:
-                _, number, arrival = self._sift()[self.n - i]
-                self._reps[i] = tuple(_schreier_word(arrival, k) for k in number.values())
+            _, number, arrival = self._sift()[self.n - i]
+            self._reps[i] = tuple(_schreier_word(arrival, k) for k in number.values())
         return self._reps[i]
 
     def _sift(self):

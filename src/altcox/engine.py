@@ -9,11 +9,12 @@ involution rule, the renumbering and the return shapes.  This module
 encodes the words, each presentation's relators once, and calls the
 core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
 while ``index`` takes the count alone.  ``order`` (and ``altcox order``,
-through ``_order``) returns |H| * [G:H] for the first of a two-generator
-subgroup <g, h>, a cyclic one <g> and the trivial one whose order its
-table certifies.  A run that would define more cosets than its cap raises
-the core's CapExceeded, which ``enumerate``, ``index`` and ``_order`` let
-through to their caller; only ``order`` turns it into None.
+through ``_order``) returns |H| * [G:H] for the first subgroup H whose
+order its table certifies: the two-generator <g, h>, then the cyclic <g>
+that ``_subgroups`` makes, else the trivial one.  A run that would define
+more cosets than its cap raises the core's CapExceeded, which
+``enumerate``, ``index`` and ``_order`` let through to their caller; only
+``order`` turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -128,29 +129,29 @@ def index(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> int:
     return 1 if result is None else result[0]
 
 
-def _cyclic_candidate(p: Presentation, central):
-    """(g, k) for the generator g outside central, the indices of
-    p.central, with a relator g^k or g^-k, k >= 2, of the largest k, then
-    the lowest g; None when no generator has one.  A central g is left
-    out: <g> is then normal, acts trivially on its own cosets, and its
-    order could not be certified."""
+def _subgroups(p: Presentation, cap):
+    """The subgroups H whose orders _order tries to certify, made lazily, as
+    (H's generators, a multiple d of |H|): ((g, h), d), then ((g,), k).
+    g is the generator outside central, the indices of p.central, with a
+    relator g^k or g^-k, k >= 2, of the largest k, then the lowest g; none
+    is made when no generator has one.  A central g is left out: <g> is
+    then normal, acts trivially on its own cosets, and its order could not
+    be certified.  h is the lowest generator, other than g and outside
+    central, such that some relator has exactly the letters g and h and
+    d = |<g, h | the relators in g and h alone>| > k; at rank below 3 no h
+    is tried, as <g, h> would be all of G.  Each d is counted by the core
+    on those relators re-encoded to four columns, g's first, to at most
+    min(cap, PAIR_BOUND) cosets; an h whose count reaches that bound is
+    passed over."""
+    central = {p.gen_index(name) for name, _ in p.central}
     powers = ((abs(w.letters[0]) - 1, len(w)) for w in p.relators
               if len(w) >= 2 and w.letters.count(w.letters[0]) == len(w))
-    return max((gk for gk in powers if gk[0] not in central),
-               key=lambda gk: (gk[1], -gk[0]), default=None)
-
-
-def _pair_candidate(p: Presentation, central, g, k, cap):
-    """(h, d) for the lowest generator h, other than g and outside
-    central, such that some relator has exactly the letters g and h and
-    d = |<g, h | the relators in g and h alone>| > k; None when there is
-    none, or when p has rank below 3, where <g, h> would be all of G.
-    Each d is counted by the core on those relators re-encoded to four
-    columns, g's first, to at most min(cap, PAIR_BOUND) cosets; an h whose
-    count reaches that bound is passed over."""
-    if p.rank < 3:
-        return None
-    encoded = _relator_columns(p)
+    found = max((gk for gk in powers if gk[0] not in central),
+                key=lambda gk: (gk[1], -gk[0]), default=None)
+    if found is None:
+        return
+    g, k = found
+    encoded = _relator_columns(p) if p.rank >= 3 else ()
     letters = [{x >> 1 for x in w} for w in encoded]
     others = sorted({h for s in letters if len(s) == 2 and g in s
                      for h in s} - central - {g})
@@ -163,8 +164,9 @@ def _pair_candidate(p: Presentation, central, g, k, cap):
         except CapExceeded:
             continue
         if d > k:
-            return h, d
-    return None
+            yield (g, h), d
+            break
+    yield (g,), k
 
 
 def _orbits_certify(t: CosetTable, gens, n):
@@ -194,34 +196,22 @@ def _orbits_certify(t: CosetTable, gens, n):
 
 
 def _order(p: Presentation, cap):
-    """|G| = |H| * [G:H] for the first subgroup H whose table certifies
-    its order: the pair <g, h> that _pair_candidate picks, then <g> for
-    the generator g and exponent k that _cyclic_candidate picks, then the
-    trivial subgroup.  The relators in g and h alone present a group of
-    order d of which <g, h> in G is a quotient, and g^k = 1, so |H|
-    divides d, or k, and the table certifies |H| when the orbit sizes of
-    H on it have that lcm (_orbits_certify).  Each enumeration has the
-    cap; the CapExceeded of one over <g, h> or <g> is raised, not fallen
-    back from, and a pair's count that reaches its bound drops the pair.
+    """|G| = |H| * [G:H] for the first subgroup H that _subgroups makes
+    whose table certifies its order, else for the trivial subgroup.  The
+    relators in g and h alone present a group of order d of which <g, h>
+    in G is a quotient, and g^k = 1, so |H| divides d, or k, and the table
+    certifies |H| when the orbit sizes of H on it have that lcm
+    (_orbits_certify).  Each enumeration has the cap; the CapExceeded of
+    one over <g, h> or <g> is raised, not fallen back from.
     """
     # _run's check, made before the pair's count, whose bound
     # min(cap, PAIR_BOUND) the core would reject as a ValueError or TypeError
     if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:
         raise InputError(f"cap must be between 1 and {MAX_CAP}")
-    central = {p.gen_index(name) for name, _ in p.central}
-    found = _cyclic_candidate(p, central)
-    if found is None:
-        return index(p, (), cap)
-    g, k = found
-    pair = _pair_candidate(p, central, g, k, cap)
-    if pair is not None:
-        h, d = pair
-        t = enumerate(p, (Word.gen(g), Word.gen(h)), cap)
-        if _orbits_certify(t, (g, h), d):
+    for gens, d in _subgroups(p, cap):
+        t = enumerate(p, tuple(map(Word.gen, gens)), cap)
+        if _orbits_certify(t, gens, d):
             return d * t.index
-    t = enumerate(p, (Word.gen(g),), cap)
-    if _orbits_certify(t, (g,), k):
-        return k * t.index
     return index(p, (), cap)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from altcox import engine, oracle
-from altcox.chains import Chain, ChainError, _closed_form_a
+from altcox.chains import Chain, ChainError
 from altcox.cli import EXIT_OK, EXIT_USAGE, main
 from altcox.presentations import CHAIN_BASE, chain_presentation, BuildError
 from altcox.words import Presentation, Word, parse_word, render_word
@@ -30,6 +30,24 @@ def level_table(family, variant, i):
     sub = i - 2 if i > CHAIN_BASE[family] else 0
     return engine.enumerate(chain_presentation(family, variant, i),
                             tuple(map(Word.gen, range(sub))))
+
+
+def displayed_reps(variant, i):
+    """The paper's displayed E_i lists for the three type-A variants, at
+    level i >= 3, in the generators' 1-based names."""
+    g = lambda k, p=1: Word.gen(k - 1, p)
+    if variant == "carmichael":
+        # 1, a_{i-1}, a_{i-1}^2, a_{i-2} a_{i-1}^2, ..., a_1 a_{i-1}^2
+        return [Word(), g(i - 1), g(i - 1, 2)] \
+            + [g(k) * g(i - 1, 2) for k in range(i - 2, 0, -1)]
+    if variant == "bourbaki":
+        # 1, R_{i-1}, R_{i-2} R_{i-1}, ..., R_1...R_{i-1}, R_1^2 R_2...R_{i-1}
+        run = lambda k: product(g(j) for j in range(k, i))
+        return [Word()] + [run(k) for k in range(i - 1, 0, -1)] + [g(1) * run(1)]
+    # edge: alternating-index runs r_k r_{k+2} ... ending at r_{i-1} or r_{i-1}^2
+    run = lambda k, last: product(g(j) for j in range(k, i - 1, 2)) * g(i - 1, last)
+    return [Word()] + [run(k, 1) for k in range(i - 1, 0, -2)] \
+        + [g(i - 1, 2)] + [run(k, 2) for k in range(i - 2, 0, -2)]
 
 
 @pytest.fixture
@@ -137,12 +155,10 @@ def test_nf_at_high_rank(indices, capsys, family, n, variant):
 def test_rep_sets_are_level_table_schreier_words(family, variant):
     """Every orbit traversal numbers its level as the level table's
     standardization does: rep_set(i) is the level table's Schreier words,
-    in order, at every level of the rank-30 chain (for A, at its base; the
-    closed forms above it are checked below)."""
+    in order, at every level of the rank-30 chain."""
     c = Chain(family, variant, 30)
     for i in c.levels():
-        if family != "A" or i == c.base:
-            assert c.rep_set(i) == schreier_words(level_table(family, variant, i))[1:], i
+        assert c.rep_set(i) == schreier_words(level_table(family, variant, i))[1:], i
 
 
 @pytest.mark.parametrize("family", ["A", "B", "D"])
@@ -185,23 +201,23 @@ def test_a_bourbaki_rep_words():
 
 def test_a_edge_rep_words_both_parities():
     c = Chain("A", "edge", 5)
-    # even level: 1, r3, r1 r3, r3^2, r2 r3^2
-    assert letters(c.rep_set(4)) == [(), (3,), (1, 3), (3, 3), (2, 3, 3)]
-    # odd level: 1, r4, r2 r4, r4^2, r3 r4^2, r1 r3 r4^2
+    # even level, in the sift's order: 1, r3, r3^2, r1 r3, r2 r3^2
+    assert letters(c.rep_set(4)) == [(), (3,), (3, 3), (1, 3), (2, 3, 3)]
+    # odd level: 1, r4, r4^2, r2 r4, r3 r4^2, r1 r3 r4^2
     assert letters(c.rep_set(5)) == \
-        [(), (4,), (2, 4), (4, 4), (3, 4, 4), (1, 3, 4, 4)]
+        [(), (4,), (4, 4), (2, 4), (3, 4, 4), (1, 3, 4, 4)]
 
 
 @pytest.mark.parametrize("variant", ["carmichael", "bourbaki", "edge"])
-def test_a_closed_forms_are_schreier_words(variant):
-    # the closed forms stand in for the Schreier words that B and D read;
-    # carmichael and bourbaki list them in the same order, edge does not
+def test_a_rep_sets_are_the_displayed_lists(variant):
+    # at every A level above the base the sift gives the paper's displayed
+    # E_i as a set; carmichael and bourbaki in the same order, edge not
+    c = Chain("A", variant, 30)
     for i in range(3, 31):
-        closed = _closed_form_a(variant, i)
-        schreier = schreier_words(level_table("A", variant, i))[1:]
-        assert set(closed) == set(schreier), i
+        displayed = displayed_reps(variant, i)
+        assert set(c.rep_set(i)) == set(displayed), i
         if variant != "edge":
-            assert tuple(closed) == schreier, i
+            assert c.rep_set(i) == tuple(displayed), i
 
 
 def test_rep_set_sizes():

@@ -1,6 +1,6 @@
-"""Every public function and class in the package has a caller in the
-package: code that only tests use lives under tests/.  Every name a
-module imports, it uses."""
+"""Every module-level function and class in the package, public or
+private, has a caller in the package: code that only tests use lives
+under tests/.  Every name a module imports, it uses."""
 
 import ast
 from pathlib import Path
@@ -27,11 +27,12 @@ def _names(node):
 
 
 def unused_definitions(sources):
-    """Public module-level functions and classes that no live code refers
-    to.  Live code is every module-level statement that is not a function
-    or class definition, the exempt definitions, and every definition some
-    live code refers to (apart from its own body), to a fixed point; so a
-    name used only by an unused definition is unused too."""
+    """Module-level functions and classes, private ones too, that no live
+    code refers to.  Live code is every module-level statement that is not
+    a function or class definition, the exempt definitions, and every
+    definition some live code refers to (apart from its own body), to a
+    fixed point; so a name used only by an unused definition is unused
+    too."""
     defs, roots = {}, set()
     for text in sources:
         for node in ast.parse(text).body:
@@ -46,7 +47,7 @@ def unused_definitions(sources):
         if grown == live:
             break
         live = grown
-    return sorted(d for d in defs.keys() - live if not d.startswith("_"))
+    return sorted(defs.keys() - live)
 
 
 def unused_imports(text):
@@ -80,7 +81,7 @@ def test_unused_definitions_follow_the_callers():
            "def dead_only(): pass\n"
            "class _Private: pass\n"
            "used()\n")
-    assert unused_definitions([src]) == ["dead", "dead_only"]
+    assert unused_definitions([src]) == ["_Private", "dead", "dead_only"]
 
 
 def test_every_import_is_used():
