@@ -52,7 +52,7 @@ class Chain:
         self.presentation = chain_presentation(family, variant, n)
         self.family, self.n = family.upper(), n
         self.base, self.cap = CHAIN_BASE[self.family], cap
-        self._top, self._reps, self._sifts = None, {}, []
+        self._top, self._sifts = None, []
 
     def levels(self):
         return range(self.n, self.base - 1, -1)
@@ -70,17 +70,16 @@ class Chain:
     def rep_set(self, i) -> tuple[Word, ...]:
         if not self.base <= i <= self.n:
             raise ChainError(f"level {i} outside [{self.base}, {self.n}]")
-        if i not in self._reps:
-            _, number, arrival = self._sift()[self.n - i]
-            self._reps[i] = tuple(_schreier_word(arrival, k) for k in number.values())
-        return self._reps[i]
+        _, number, arrival = self._sift()[self.n - i]
+        return tuple(_schreier_word(arrival, k) for k in number.values())
 
     def _sift(self):
         """Per level, from the top: its sift cosets, and the traversal of
         their tuple's orbit under the level's generators that standardizes a
         table, as a map from orbit tuples to numbers and a CosetTable's
         arrival list.  A point tries its arrival generator, then those that
-        move it in decreasing index, skipping those that fix it."""
+        move it in decreasing index, skipping those that fix it.  The levels
+        are kept all at once, so that a sift cut short keeps none."""
         if not self._sifts:
             t = self._table()
             rows, ncols, cosets = t.rows, 2 * t.presentation.rank, range(t.index + 1)
@@ -88,6 +87,7 @@ class Chain:
             for g in range(t.presentation.rank):
                 for c in itertools.compress(cosets, map(ne, rows[2 * g::ncols], cosets)):
                     movers[c].append(g)
+            sifts = []
             for i in self.levels():
                 sub, ngens = self._subgroup_rank(i), i - 1
                 start = tuple(c for c, m in enumerate(movers) if m and sub <= m[0] < ngens)
@@ -102,8 +102,16 @@ class Chain:
                             number[image] = len(order) + 1
                             order.append(image)
                             arrival += (k, g)
-                self._sifts.append((start, number, arrival))
+                sifts.append((start, number, arrival))
+            self._sifts = sifts
         return self._sifts
+
+    def weight(self):
+        """The cells of the top table and the points of the sift, the cosets
+        in its orbit tuples: what the chain holds beside its presentation
+        once a decompose or rep_set has run."""
+        cells = len(self._top.rows) if self._top is not None else 0
+        return cells + sum(len(start) * len(number) for start, number, _ in self._sifts)
 
     def decompose(self, w: Word) -> tuple[Word, ...]:
         """Peel factors u_n, u_{n-1}, ..., u_base, whose product is w: u_i

@@ -11,6 +11,18 @@ as a rank above ``coxeter.MAX_RANK``, an ``InputError`` or a file error)
 or running out of memory; any other exception is a bug and ends in a
 traceback.  File writes are atomic (temp file + rename) and all output
 is byte-deterministic.
+
+One process may run many commands through ``main``, which keeps a memo
+of what they build for a catalog group: the presentation of each
+(variant, family, rank) that --variant, --family and --rank name, or a
+cover variant alone, with its engine encoding; and the `nf` Chain of each
+(family, variant, rank, cap), with its top table and sift.  It keeps them
+in least recently used order while their weights, in relator letters,
+table cells and sift points, sum to at most MEMO_BUDGET (2^16, 2 to 4 MB);
+a command that fails, or a group heavier than that, keeps nothing.  It
+never keeps a --matrix or --presentation input, which is read on every
+command, a table over a subgroup, an order, or anything of `verify`.  No
+output depends on what the memo holds.
 """
 
 from __future__ import annotations
@@ -20,7 +32,6 @@ import errno
 import functools
 import os
 import sys
-import tempfile
 import time
 
 from .words import InputError, Word, Presentation, parse_word, render_word
@@ -38,20 +49,24 @@ class UsageError(InputError):
 
 
 def _atomic_write(path, text):
-    """Write text to path through a temp file and a rename.  The file gets
-    the mode open() would give it, 0o666 less the umask, in place of the
-    temp file's 0o600.  An OSError names path alone: the temp file's random
-    name would make the message differ from run to run."""
+    """Write text to path through a temp file and a rename.  The temp file
+    is made beside path under a random name, with mode 0o666, which the
+    umask reduces as it does for open().  An OSError names path alone: the
+    temp file's random name would make the message differ from run to run."""
     if not path:  # as open("") fails, before a temp file goes anywhere
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     d = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)  # read by setting it; os.umask is the only reader
-    os.umask(umask)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-altcox-")
+        while True:
+            tmp = os.path.join(d, f".tmp-altcox-{os.urandom(6).hex()}")
+            try:
+                fd = os.open(tmp, flags, 0o666)
+                break
+            except FileExistsError:
+                continue
         try:
             with os.fdopen(fd, "w") as f:
-                os.fchmod(f.fileno(), 0o666 & ~umask)
                 f.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -83,10 +98,53 @@ def _read(path):
         return f.read()
 
 
+# the most weight the memo keeps, at 30 to 65 bytes a unit: 9 times that
+# of the 147 presentations of the benchmark's session mix, and less than a
+# rank-400 presentation's
+MEMO_BUDGET = 1 << 16
+_memo = {}   # key -> (weight, value), the least recently used first
+_built = []  # (key, value) for each value the running request built
+
+
+def _memoized(key, build):
+    """The value kept under key, now the most recently used, else build()'s,
+    which _keep may keep when the request ends."""
+    entry = _memo.pop(key, None)
+    if entry is None:
+        value = build()
+        _built.append((key, value))
+        return value
+    _memo[key] = entry
+    return entry[1]
+
+
+def _weight(value):
+    """A presentation's relator letters, and a chain's plus its table
+    cells and sift points."""
+    if isinstance(value, chains.Chain):
+        return _weight(value.presentation) + value.weight()
+    return sum(map(len, value.relators))
+
+
+def _keep():
+    """Keep each value the request built that weighs at most MEMO_BUDGET,
+    then drop the least recently used until the weights sum to at most
+    MEMO_BUDGET."""
+    for key, value in _built:
+        weight = _weight(value)
+        if weight <= MEMO_BUDGET:
+            _memo[key] = (weight, value)
+            total = sum(w for w, _ in _memo.values())
+            while total > MEMO_BUDGET:
+                total -= _memo.pop(next(iter(_memo)))[0]
+
+
 def _build_presentation(args) -> Presentation:
     """The presentation the input flags name.  Every input flag given is
     read: the covers take none, --presentation takes no other and only the
-    default --variant, and --matrix takes no --family or --rank."""
+    default --variant, and --matrix takes no --family or --rank.  A
+    catalog group, named by the variant and any --family and --rank, goes
+    through the memo; a file is read on every call."""
     v = args.variant
     if v == "vv":
         if (args.family not in (None, "A", "a") or args.matrix is not None
@@ -95,7 +153,8 @@ def _build_presentation(args) -> Presentation:
                              "other --family, no --matrix or --presentation")
         if args.rank is None:
             raise UsageError("vv variant needs --rank")
-        return presentations.vv_presentation(args.rank)
+        return _memoized((v, "A", args.rank),
+                         lambda: presentations.vv_presentation(args.rank))
     # a file that cannot be read is reported before a clash of flags
     matrix, presentation = _read(args.matrix), _read(args.presentation)
     given = [f"--{k}" for k in ("family", "rank", "matrix", "presentation")
@@ -104,26 +163,36 @@ def _build_presentation(args) -> Presentation:
         if given:
             raise UsageError(f"variant {v!r} takes no input flag, got "
                              + " ".join(given))
-        return presentations.universal_extension(v[:2].upper())
+        return _memoized((v, None, None),
+                         lambda: presentations.universal_extension(v[:2].upper()))
     if presentation is not None:
         if len(given) > 1 or v != "coxeter":
             raise UsageError("--presentation takes no other input flag "
                              "and no --variant")
         return Presentation.from_json(presentation)
-    if matrix is not None and len(given) > 1:
-        raise UsageError("--matrix takes no --family or --rank")
-    if (v in ("carmichael", "bourbaki", "edge") and args.family
-            and args.rank is not None):
-        return presentations.chain_presentation(args.family, v, args.rank)
+    if matrix is not None:
+        if len(given) > 1:
+            raise UsageError("--matrix takes no --family or --rank")
+    elif args.family and args.rank is not None:
+        family = args.family.upper()
+        return _memoized((v, family, args.rank),
+                         lambda: _catalog_presentation(v, family, args.rank))
     if v == "carmichael":
         raise UsageError("variant 'carmichael' needs --family and --rank; "
                          "it has no matrix form")
-    if matrix is not None:
-        m = CoxeterMatrix.from_json(matrix)
-    elif args.family and args.rank is not None:
-        m = standard_matrix(args.family, args.rank)
-    else:
+    if matrix is None:
         raise UsageError("need --family and --rank, or --matrix")
+    return _matrix_presentation(v, CoxeterMatrix.from_json(matrix))
+
+
+def _catalog_presentation(v, family, rank):
+    if v in ("carmichael", "bourbaki", "edge"):
+        return presentations.chain_presentation(family, v, rank)
+    return _matrix_presentation(v, standard_matrix(family, rank))
+
+
+def _matrix_presentation(v, m):
+    """Variant v of the presentations over Coxeter matrix m."""
     if v == "coxeter":
         return presentations.coxeter_presentation(m)
     if v == "bourbaki":
@@ -212,7 +281,10 @@ def cmd_order(args):
 def cmd_nf(args):
     if args.enumerate and args.word is not None:  # the word would go unread
         raise UsageError("nf takes --word or --enumerate, not both")
-    chain = chains.Chain(args.family, args.variant, args.rank, args.max_cosets)
+    # the key's length, four, is no presentation's
+    chain = _memoized((args.family.upper(), args.variant, args.rank, args.max_cosets),
+                      lambda: chains.Chain(args.family, args.variant, args.rank,
+                                           args.max_cosets))
     p = chain.presentation
     if args.enumerate:
         lines = []
@@ -394,13 +466,17 @@ def _parse(argv):
 
 def main(argv=None):
     """Run one command and return its exit code.  The parser is built on
-    the first call, not at import, and reused for the life of the process."""
+    the first call, not at import, and reused for the life of the process,
+    as is the memo.  What a command built goes into the memo when the
+    command returns; one that fails raises, and keeps nothing."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        _keep()
+        return code
     except engine.CapExceeded:
         cap = getattr(args, "max_cosets", engine.DEFAULT_CAP)
         sys.stderr.write(f"cap exceeded at {cap} cosets\n")
@@ -415,6 +491,8 @@ def main(argv=None):
                if hasattr(args, "max_cosets") else "")
         sys.stderr.write(f"error: not enough memory{cap}\n")
         return EXIT_USAGE
+    finally:
+        _built.clear()
 
 
 if __name__ == "__main__":

@@ -9,12 +9,20 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from altcox import cli
+
 C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "altcox" / "_tc_core.c"
 
 # every property test draws the same examples on every run, and keeps no
 # example database between runs
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts with nothing kept from the requests of another."""
+    cli._memo.clear()
 
 
 @pytest.fixture(scope="session")

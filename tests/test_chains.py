@@ -297,6 +297,29 @@ def test_decompose_scrambled_words():
             assert engine.words_equal(reg, product(d), w)
 
 
+def test_a_sift_cut_short_keeps_no_level(monkeypatch):
+    """A sift that raises at its second level keeps none, so the next
+    decompose sifts again and returns every factor."""
+    c = Chain("B", "edge", 5)
+    c._table()
+    levels, subgroup_rank = [], Chain._subgroup_rank
+
+    def failing(self, i):
+        levels.append(i)
+        if len(levels) == 2:
+            raise MemoryError
+        return subgroup_rank(self, i)
+
+    monkeypatch.setattr(Chain, "_subgroup_rank", failing)
+    with pytest.raises(MemoryError):
+        c.decompose(Word((1, 2)))
+    assert levels == [5, 4] and c._sifts == []
+    w = Word((1, -2, 3, 4, 4))
+    d = c.decompose(w)
+    assert len(d) == len(c.levels()) == 4
+    assert engine.words_equal(engine.enumerate(c.presentation, ()), product(d), w)
+
+
 def test_enumerate_elements_counts():
     for fam, variant, n, order in (("A", "carmichael", 4, 60),
                                    ("B", "edge", 3, 24),
@@ -308,11 +331,22 @@ def test_enumerate_elements_counts():
 def test_enumerate_elements_scale_cap(indices, capsys):
     # A8+ has 181,440 normal forms, past SCALE_CAP; the base block, read
     # off the 9-coset top table, is the only one counted before the refusal
-    assert main(["nf", "--family", "A", "--rank", "8", "--variant", "edge",
-                 "--enumerate"]) == EXIT_USAGE
-    assert capsys.readouterr() == \
-        ("", "error: 181440 normal forms exceed scale cap 100000\n")
+    argv = ["nf", "--family", "A", "--rank", "8", "--variant", "edge", "--enumerate"]
+    refused = ("", "error: 181440 normal forms exceed scale cap 100000\n")
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == refused
     assert indices == [9]
+    # a refused request keeps nothing, so the same one enumerates again;
+    # after an nf over the chain exits 0, it is refused from the memo
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == refused
+    assert indices == [9, 9]
+    assert main(argv[:-1] + ["--word", "r1 r7"]) == EXIT_OK
+    assert indices == [9, 9, 9]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == refused
+    assert indices == [9, 9, 9]
 
 
 def test_module_level_wrappers():

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import resource
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -450,6 +452,39 @@ def test_written_files_take_the_umask(tmp_path, capsys, umask, mode):
     assert [stat.S_IMODE(f.stat().st_mode) for f in (out, table)] == [mode, mode]
 
 
+def test_umask_is_never_read(tmp_path, monkeypatch, capsys):
+    """The kernel applies the umask as the temp file is made, so a write
+    neither reads nor sets it, and a process whose os.umask fails still
+    writes files of mode 0o666 less its umask."""
+    set_umask = os.umask
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+    old = set_umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", refuse)
+        out = tmp_path / "out.txt"
+        assert main(["present", "--family", "A", "--rank", "2",
+                     "--output", str(out)]) == EXIT_OK
+    finally:
+        set_umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_taken_temp_name_is_drawn_again(tmp_path, monkeypatch, capsys):
+    """A temp name that already exists is left alone, and a new one drawn."""
+    draws, urandom = iter([bytes(6), bytes([1] * 6)]), os.urandom
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws, None) or urandom(n))
+    taken = tmp_path / f".tmp-altcox-{bytes(6).hex()}"
+    taken.write_text("not ours")
+    out = tmp_path / "out.txt"
+    assert main(["present", "--family", "A", "--rank", "2",
+                 "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["generators"] == ["s0", "s1"]
+    assert taken.read_text() == "not ours"
+    assert sorted(f.name for f in tmp_path.iterdir()) == [taken.name, "out.txt"]
+
+
 def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     def refuse(src, dst):
         raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
@@ -695,7 +730,8 @@ def test_enumerate_artifacts_golden(backend, request, monkeypatch, capsys, tmp_p
 def test_nf_builds_each_table_once(monkeypatch, capsys, family):
     """One presentation per chain and one enumeration, of the top table:
     the sift reads it, and every level's representatives are read off its
-    orbits."""
+    orbits.  The same request again takes the chain from the memo, and
+    builds and enumerates nothing."""
     calls = {"build": 0, "enumerate": 0}
 
     def counted(name, fn):
@@ -706,9 +742,14 @@ def test_nf_builds_each_table_once(monkeypatch, capsys, family):
     monkeypatch.setattr(chains, "chain_presentation",
                         counted("build", chains.chain_presentation))
     monkeypatch.setattr(engine, "enumerate", counted("enumerate", engine.enumerate))
-    assert main(["nf", "--family", family, "--variant", "edge", "--rank", "5",
-                 "--word", "r1 r2^-1 r3 r4"]) == EXIT_OK
-    assert capsys.readouterr().out.count(" | ") == (2 if family == "D" else 3)
+    argv = ["nf", "--family", family, "--variant", "edge", "--rank", "5",
+            "--word", "r1 r2^-1 r3 r4"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count(" | ") == (2 if family == "D" else 3)
+    assert calls == {"build": 1, "enumerate": 1}
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == out
     assert calls == {"build": 1, "enumerate": 1}
 
 
@@ -821,11 +862,11 @@ def test_verify_timings_go_to_stderr(capsys):
 
 
 def test_parser_built_once(monkeypatch, capsys):
-    # importing the module builds no parser
+    # importing the module builds no parser and keeps nothing in the memo
     r = subprocess.run([sys.executable, "-c", "import altcox.cli as c; "
-                        "print(c._parser.cache_info().currsize)"],
+                        "print(c._parser.cache_info().currsize, len(c._memo))"],
                        capture_output=True, text=True)
-    assert (r.returncode, r.stdout) == (0, "0\n")
+    assert (r.returncode, r.stdout) == (0, "0 0\n")
     built = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
@@ -837,6 +878,88 @@ def test_parser_built_once(monkeypatch, capsys):
         cli._parser.cache_clear()
     assert capsys.readouterr().out == "24\n" * 3
     assert len(built) == 1
+
+
+def test_memo_is_bounded_least_recently_used(monkeypatch, capsys):
+    """With a budget that any two of three groups fit but not all three:
+    the kept weight never exceeds it, the least recently used group goes
+    first, a group heavier than the budget is served as from an empty memo
+    and not kept, and a request that exits 2 or 3 keeps nothing."""
+    keys = [("coxeter", "A", 2), ("coxeter", "A", 3), ("coxeter", "B", 3)]
+    weights = [cli._weight(presentations.coxeter_presentation(standard_matrix(f, r)))
+               for _, f, r in keys]
+    monkeypatch.setattr(cli, "MEMO_BUDGET", sum(weights) - 1)
+
+    def present(family, rank):
+        assert main(["present", "--family", family, "--rank", str(rank)]) == EXIT_OK
+        assert sum(weight for weight, _ in cli._memo.values()) <= cli.MEMO_BUDGET
+        return capsys.readouterr().out
+
+    first = [present("A", 2), present("A", 3)]
+    assert list(cli._memo) == keys[:2]
+    assert present("A", 2) == first[0]  # now the most recently used
+    assert list(cli._memo) == [keys[1], keys[0]]
+    present("B", 3)
+    assert list(cli._memo) == [keys[0], keys[2]]
+    assert present("A", 3) == first[1]
+    assert list(cli._memo) == [keys[2], keys[1]]
+
+    heavy = present("A", 6)  # 82 letters
+    assert list(cli._memo) == [keys[2], keys[1]]
+    cli._memo.clear()
+    monkeypatch.setattr(cli, "MEMO_BUDGET", 1 << 16)
+    assert present("A", 6) == heavy
+    assert list(cli._memo) == [("coxeter", "A", 6)]
+
+    kept = dict(cli._memo)
+    for argv, code in [
+            (["enumerate", "--family", "A", "--rank", "4", "--subgroup-gens", "9"], EXIT_USAGE),
+            (["nf", "--family", "A", "--rank", "4", "--variant", "edge"], EXIT_USAGE),
+            (["order", "--family", "A", "--rank", "4", "--max-cosets", "1"], EXIT_CAP),
+            (["nf", "--family", "A", "--rank", "4", "--variant", "edge", "--word", "r1",
+              "--max-cosets", "1"], EXIT_CAP)]:
+        assert main(argv) == code
+        assert cli._memo == kept and cli._built == []
+    capsys.readouterr()
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.mark.parametrize("mix", ["regular", "chain", "session"])
+def test_memo_changes_no_benchmark_output(tmp_path, monkeypatch, capsys, mix):
+    """Every request of the benchmark's mixes at seed 1 gives the same exit
+    code, stdout, stderr and files with the memo emptied before it, as in a
+    fresh process, in a pass from an empty memo, and in a pass after that;
+    in the last, only a request that fails builds a group."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    requests = workloads.build(mix, 1, tmp_path)
+    built, memoized = [], cli._memoized
+    monkeypatch.setattr(cli, "_memoized",
+                        lambda key, build: memoized(key, lambda: built.append(key) or build()))
+
+    def run(req):
+        for path in req.outputs:
+            path.unlink(missing_ok=True)
+        code = main(list(req.argv))
+        return (code, *capsys.readouterr(),
+                [p.read_bytes() if p.exists() else None for p in req.outputs])
+
+    fresh = []
+    for req in requests:
+        cli._memo.clear()
+        fresh.append(run(req))
+    cli._memo.clear()
+    assert [run(req) for req in requests] == fresh
+    warm = []
+    for req in requests:
+        built.clear()
+        warm.append(run(req))
+        assert warm[-1][0] != EXIT_OK or built == [], req.argv
+    assert warm == fresh
 
 
 # argument lists read by a command's own parser and by the full parser:

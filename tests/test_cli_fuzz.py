@@ -3,7 +3,8 @@
 Every `cli.main` call ends in exit 0, 2 or 3; a usage error (2) writes
 nothing to stdout and one `error:` line, or argparse's usage and error
 lines, to stderr; a cap overrun (3) writes nothing to stdout; and the same
-call made twice prints the same stdout.  An `order` that completes prints
+call made twice, the second time with what the first kept in the memo,
+prints the same stdout and stderr.  An `order` that completes prints
 the index that `enumerate` counts over the trivial subgroup.  Most values
 drawn are valid, so that most calls get past the parser, and caps stay
 small, so that the whole run takes a few seconds.
@@ -164,7 +165,8 @@ def test_every_call_ends_in_a_documented_exit(tmp_path_factory, argv):
         assert out == "" and _one_error(err), (concrete, out, err)
     elif code == cli.EXIT_CAP:
         assert out == "" and err.startswith("cap exceeded at "), (concrete, err)
-    assert _run(concrete)[:2] == (code, out), concrete
+    # the second call finds in the memo whatever the first kept
+    assert _run(concrete) == (code, out, err), concrete
 
 
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
