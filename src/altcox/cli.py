@@ -22,7 +22,8 @@ table cells and sift points, sum to at most MEMO_BUDGET (2^16, 2 to 4 MB);
 a command that fails, or a group heavier than that, keeps nothing.  It
 never keeps a --matrix or --presentation input, which is read on every
 command, a table over a subgroup, an order, or anything of `verify`.  No
-output depends on what the memo holds.
+output depends on what the memo holds.  The memo has no lock: ``main``
+runs one command at a time.
 """
 
 from __future__ import annotations
