@@ -3,6 +3,11 @@
 A letter is a nonzero int: ``+(k+1)`` is generator ``k``, ``-(k+1)`` its
 inverse.  Words are immutable; everything downstream (builders, the
 enumerator, the oracle) works over these.
+
+A word's text is whitespace-separated tokens ``name`` and ``name^k``, with
+k an optional sign followed by ASCII digits (``parse_word``, ``render_word``).
+``Presentation.to_json`` gives the bytes of ``json.dumps(data,
+sort_keys=True, indent=2)``, laid out by hand for speed.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ class WordSyntaxError(InputError):
 # generator names are identifiers, so that words round-trip through
 # whitespace-separated text and names can be quoted in DOT labels
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# the exponent k of a token name^k
+_EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 # longest word parse_word or ** builds: a short exponent expands to |k| letters
 MAX_WORD_LENGTH = 1_000_000
@@ -225,12 +232,17 @@ class Presentation(Record):
                     raise InputError(f"missing commutator [{name},{other}]")
 
     def to_json(self) -> str:
-        data = {
-            "central": [{"name": n, "order": k} for n, k in self.central],
-            "generators": list(self.generators),
-            "relators": [render_word(w, self) for w in self.relators],
-        }
-        return json.dumps(data, sort_keys=True, indent=2)
+        """``json.dumps`` of {"central": [{"name", "order"}...], "generators",
+        "relators"} with ``sort_keys=True, indent=2``, laid out by hand for
+        speed: ``indent`` selects json's pure-Python encoder, so only each
+        name and relator goes through json's C string encoder."""
+        central = (f'{{\n      "name": {_quote(n)},\n      "order": {json.dumps(k)}\n    }}'
+                   for n, k in self.central)
+        generators = map(_quote, self.generators)
+        relators = (_quote(render_word(w, self)) for w in self.relators)
+        return (f'{{\n  "central": {_json_list(central)},\n'
+                f'  "generators": {_json_list(generators)},\n'
+                f'  "relators": {_json_list(relators)}\n}}')
 
     @classmethod
     def from_json(cls, text: str) -> "Presentation":
@@ -261,12 +273,23 @@ def load_json(text):
         raise InputError(str(e)) from None
 
 
+# the JSON text of a string, as json.dumps gives it
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_list(items):
+    """A list of JSON texts as the value of a top-level key, at indent=2."""
+    body = ",\n    ".join(items)
+    return f"[\n    {body}\n  ]" if body else "[]"
+
+
 def _strings(x):
     return isinstance(x, list) and all(isinstance(s, str) for s in x)
 
 
 def parse_word(text: str, p: Presentation) -> Word:
-    """Parse whitespace-separated tokens ``name``, ``name^k`` (k integer).
+    """Parse whitespace-separated tokens ``name`` and ``name^k``, where k is
+    an optional sign followed by ASCII digits.
 
     The token ``1`` denotes the identity.  A word of more than
     MAX_WORD_LENGTH letters raises WordSyntaxError before it is built.
@@ -277,8 +300,10 @@ def parse_word(text: str, p: Presentation) -> Word:
             continue
         name, sep, exp = token.partition("^")
         if sep:
-            try:
-                k = int(exp)
+            try:  # int() alone would also read "1_0" and non-ASCII digits
+                if not _EXPONENT.fullmatch(exp):
+                    raise ValueError
+                k = int(exp)  # raises past int's digit limit as well
             except ValueError:
                 raise WordSyntaxError(f"malformed exponent in {token!r}") from None
         else:
@@ -286,17 +311,26 @@ def parse_word(text: str, p: Presentation) -> Word:
         idx = p.gen_index(name)
         if len(letters) + abs(k) > MAX_WORD_LENGTH:
             raise WordSyntaxError(f"word longer than {MAX_WORD_LENGTH} letters")
-        letters.extend(Word.gen(idx, k).letters)
+        letters += (idx + 1 if k >= 0 else -idx - 1,) * abs(k)
     return Word(tuple(letters))
 
 
 def render_word(w: Word, p: Presentation) -> str:
     """Inverse of parse_word on reduced words; runs re-compress to ^k."""
-    if not w:
+    letters = w.letters
+    if not letters:
         return "1"
-    parts = []
-    for x, run in itertools.groupby(w.letters):
-        name, k = p.generators[abs(x) - 1], len(list(run))
-        k = k if x > 0 else -k
-        parts.append(name if k == 1 else f"{name}^{k}")
+    names, parts = p.generators, []
+    run, k = letters[0], 0
+    for x in letters + (None,):  # the sentinel ends the last run
+        if x == run:
+            k += 1
+        else:
+            if run < 0:
+                parts.append(f"{names[-run - 1]}^-{k}")
+            elif k == 1:
+                parts.append(names[run - 1])
+            else:
+                parts.append(f"{names[run - 1]}^{k}")
+            run, k = x, 1
     return " ".join(parts)

@@ -18,7 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from altcox import cli
 
-JUNK = st.text("r12 ^-x!\t\n", max_size=8)
+# "_" and the Arabic-Indic digit three are not exponent digits, though int()
+# reads "1_0" and "\u0663"
+JUNK = st.text("r12 ^-x!\t\n_\u0663", max_size=8)
 
 
 def mostly(valid, *invalid):
@@ -31,7 +33,7 @@ def mostly(valid, *invalid):
 FAMILIES = mostly(st.sampled_from("ABD"), "a", "E", "")
 CAPS = mostly(st.integers(1, 2000).map(str), "0", "-5", "x", "3000000000")
 CHAIN_VARIANTS = st.sampled_from(["carmichael", "bourbaki", "edge"])
-EXPONENTS = st.sampled_from(["", "", "^2", "^-1", "^3", "^-2"])
+EXPONENTS = st.sampled_from(["", "", "^2", "^-1", "^3", "^-2", "^1_0", "^\u0663"])
 
 
 def words(prefix):
