@@ -9,8 +9,16 @@ CapExceeded into it), 4
 verification failure.  A usage error is bad input (an argparse error such
 as a rank above ``coxeter.MAX_RANK``, an ``InputError`` or a file error)
 or running out of memory; any other exception is a bug and ends in a
-traceback.  File writes are atomic (temp file + rename) and all output
-is byte-deterministic.
+traceback.  A file write is atomic (temp file + rename), except to a path
+that exists and is not a regular file, such as a device or a FIFO, or a
+symlink to one, which is opened and written in place; all output is
+byte-deterministic.
+
+An argv whose first token names a command is read straight from that
+command's declared actions when it is well formed: each option written
+exactly, each value present and not beginning with "-" and passing the
+option's type and choices, and each required option given.  Argparse reads
+any other argv whole, so help, usage, errors and exit codes are its own.
 
 One process may run many commands through ``main``, which keeps a memo
 of what they build for a catalog group: the presentation of each
@@ -32,6 +40,7 @@ import argparse
 import errno
 import functools
 import os
+import stat
 import sys
 import time
 
@@ -50,15 +59,26 @@ class UsageError(InputError):
 
 
 def _atomic_write(path, text):
-    """Write text to path through a temp file and a rename.  The temp file
-    is made beside path under a random name, with mode 0o666, which the
-    umask reduces as it does for open().  An OSError names path alone: the
-    temp file's random name would make the message differ from run to run."""
+    """Write text to path through a temp file and a rename, or in place
+    when path exists and is not a regular file: a device or a FIFO, or a
+    symlink to one, which a rename would replace with a regular file.  The
+    temp file is made beside path under a random name, with mode 0o666,
+    which the umask reduces as it does for open().  An OSError names path
+    alone: the temp file's random name would make the message differ from
+    run to run."""
     if not path:  # as open("") fails, before a temp file goes anywhere
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # a new path, or an error the temp file or rename reports
+        in_place = False
     d = os.path.dirname(os.path.abspath(path))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
     try:
+        if in_place:
+            with open(path, "w") as f:
+                f.write(text)
+            return
         while True:
             tmp = os.path.join(d, f".tmp-altcox-{os.urandom(6).hex()}")
             try:
@@ -441,8 +461,63 @@ def build_parser():
                    help="write each check's wall time in ms to stderr")
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
-    ap.commands = sub.choices  # name -> parser, for _parse
+    # name -> the reader of that command's arguments, for _parse
+    ap.readers = {name: _reader(name, p) for name, p in sub.choices.items()}
     return ap
+
+
+def _reader(name, command):
+    """A reader of the arguments after name that command declares: a
+    function from them to the Namespace the full parser would return, or
+    to None where it declines to read them.  It takes each token as an
+    exact option string of a store or append action, followed by a value
+    that does not begin with "-", which it runs through the action's type
+    and choices, or of a store-const action, such as --enumerate, which
+    takes no value.  The actions' defaults, then command's set_defaults,
+    fill the rest, and each required action must appear.  It declines
+    anything else: -h, an unknown or abbreviated option, --flag=value,
+    "--", a missing value, a value the type or choices refuse, or a
+    required option left out."""
+    options, defaults = {}, {"command": name}
+    for a in command._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            defaults[a.dest] = a.default
+        one_value = (type(a) in (argparse._StoreAction, argparse._AppendAction)
+                     and a.nargs is None)
+        if one_value or isinstance(a, argparse._StoreConstAction):
+            options.update(dict.fromkeys(a.option_strings, a))
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    required = {a for a in command._actions if a.required}
+
+    def read(tokens):
+        args, seen = argparse.Namespace(), set()
+        values = vars(args)
+        values.update(defaults)
+        tokens = iter(tokens)
+        for token in tokens:
+            a = options.get(token)
+            if a is None:
+                return None
+            seen.add(a)
+            if a.nargs == 0:
+                values[a.dest] = a.const
+                continue
+            value = next(tokens, "-")  # a missing value declines as "-" does
+            if value.startswith("-"):
+                return None
+            if a.type is not None:
+                try:
+                    value = a.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if a.choices is not None and value not in a.choices:
+                return None
+            if type(a) is argparse._AppendAction:
+                value = [*(values[a.dest] or ()), value]
+            values[a.dest] = value
+        return args if required <= seen else None
+    return read
 
 
 @functools.cache
@@ -451,25 +526,22 @@ def _parser():
 
 
 def _parse(argv):
-    """The arguments of argv, read once.  A command reads argv[1:] with its
-    own parser, as the full parser would hand it over; when argv[0] names no
-    command or arguments are left over, the full parser reads argv, so that
-    help, usage, errors and exit codes are that parser's own."""
+    """The arguments of argv, read once.  When argv[0] names a command, its
+    reader reads the rest straight from the command's declared actions;
+    when it names none, or the reader declines, argparse reads all of argv,
+    so that help, usage, errors and exit codes are argparse's own."""
     ap = _parser()
-    command = ap.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return ap.parse_args(argv)
+    read = ap.readers.get(argv[0]) if argv else None
+    args = read(argv[1:]) if read is not None else None
+    return ap.parse_args(argv) if args is None else args
 
 
 def main(argv=None):
-    """Run one command and return its exit code.  The parser is built on
-    the first call, not at import, and reused for the life of the process,
-    as is the memo.  What a command built goes into the memo when the
-    command returns; one that fails raises, and keeps nothing."""
+    """Run one command and return its exit code.  The parser and its
+    readers are built on the first call, not at import, and reused for
+    the life of the process, as is the memo.  What a command built goes
+    into the memo when the command returns; one that fails raises, and
+    keeps nothing."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:

@@ -1,6 +1,9 @@
+import argparse
+import contextlib
 import errno
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -8,9 +11,11 @@ import resource
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altcox import cli, chains, engine, oracle, presentations
 from altcox.cli import main, EXIT_OK, EXIT_USAGE, EXIT_CAP, EXIT_VERIFY
@@ -496,6 +501,42 @@ def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("through_symlink", [False, True], ids=["fifo", "symlink"])
+def test_non_regular_target_is_written_in_place(tmp_path, capsys, through_symlink):
+    """A path that exists and is not a regular file, here a FIFO or a
+    symlink to one, is opened and written, not replaced by a renamed temp
+    file: the FIFO's reader gets the output, and the path keeps its kind."""
+    argv = ["present", "--family", "A", "--rank", "3", "--variant", "edge"]
+    assert main(argv) == EXIT_OK
+    want = capsys.readouterr().out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    path = fifo
+    if through_symlink:
+        path = tmp_path / "link"
+        path.symlink_to(fifo)
+    # a writer held open, so that the reader's open() returns and its read
+    # ends only when this test closes it, whether or not main wrote
+    held = os.open(fifo, os.O_RDWR)
+    got, opened = [], threading.Event()
+
+    def read():
+        with open(fifo) as f:
+            opened.set()
+            got.append(f.read())
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        assert opened.wait(10)
+        assert main(argv + ["--output", str(path)]) == EXIT_OK
+    finally:
+        os.close(held)
+    reader.join(10)
+    assert not reader.is_alive() and got == [want]
+    assert stat.S_ISFIFO(os.stat(path).st_mode) and path.is_symlink() == through_symlink
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted({"fifo", path.name})
+
+
 @pytest.mark.parametrize("flag", ["--output", "--table", "--dot", "--reps",
                                   "--presentation", "--matrix"])
 def test_empty_path_is_file_error(tmp_path, monkeypatch, capsys, flag):
@@ -926,17 +967,22 @@ def test_memo_is_bounded_least_recently_used(monkeypatch, capsys):
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
+def _benchmark_requests(monkeypatch, mix, workdir):
+    """The requests of one of the benchmark's mixes at seed 1."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return workloads.build(mix, 1, workdir)
+
+
 @pytest.mark.parametrize("mix", ["regular", "chain", "session"])
 def test_memo_changes_no_benchmark_output(tmp_path, monkeypatch, capsys, mix):
     """Every request of the benchmark's mixes at seed 1 gives the same exit
     code, stdout, stderr and files with the memo emptied before it, as in a
     fresh process, in a pass from an empty memo, and in a pass after that;
     in the last, only a request that fails builds a group."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
-    spec.loader.exec_module(workloads)
-    requests = workloads.build(mix, 1, tmp_path)
+    requests = _benchmark_requests(monkeypatch, mix, tmp_path)
     built, memoized = [], cli._memoized
     monkeypatch.setattr(cli, "_memoized",
                         lambda key, build: memoized(key, lambda: built.append(key) or build()))
@@ -988,8 +1034,11 @@ DISPATCH_ARGVS = [
 ]
 
 
+FULL = cli.build_parser()
+
+
 def _full_parser(argv):
-    return cli.build_parser().parse_args(argv)
+    return FULL.parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=repr)
@@ -1001,26 +1050,128 @@ def test_dispatch_matches_full_parser(monkeypatch, capsys, argv):
     assert (main(argv),) + tuple(capsys.readouterr()) == got
 
 
+COMMANDS = next(a for a in FULL._actions
+                if isinstance(a, argparse._SubParsersAction)).choices  # name -> parser
+# values that are empty, that begin with "-", or that a type or choices refuse
+ODD = ["", "-1", "-", "--", "-h", "--rank", "x", "401"]
+
+
+def _taken(action):
+    """Values that action takes."""
+    if action.choices is not None:
+        return list(action.choices)
+    return ["2", "3", "6"] if action.type is not None else ["s1", "r1 r2^-1", "out.txt"]
+
+
+@st.composite
+def parser_argvs(draw):
+    """A command, or another first token, then options of that command,
+    half the time all of its required ones first, each written exactly and
+    given a value it takes; then, two times in three, one change: an option
+    abbreviated, written --flag=value, left without its value or given one
+    more, a value of ODD, or "--", -h, an unknown option or a stray token
+    put in."""
+    name = draw(st.sampled_from(sorted(COMMANDS) * 2 + ["ord", "-h", "--"]))
+    actions = [a for a in COMMANDS.get(name, COMMANDS["nf"])._actions
+               if a.dest is not argparse.SUPPRESS]  # all but -h
+    chosen = [a for a in actions if a.required] if draw(st.booleans()) else []
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=5))
+    options = [[max(a.option_strings, key=len)]
+               + ([draw(st.sampled_from(_taken(a)))] if a.nargs != 0 else [])
+               for a in chosen]
+    change = draw(st.sampled_from([None] * 12 + ["abbreviated", "equals", "missing",
+                                                "extra", "inserted"] * 4 + ["odd"] * 8))
+    if options and change not in (None, "inserted"):
+        option = draw(st.sampled_from(options))
+        flag, odd = option[0], draw(st.sampled_from(ODD))
+        if change == "abbreviated":
+            option[0] = flag[:draw(st.integers(3, len(flag) - 1))]
+        elif change == "equals":
+            option[:] = [f"{flag}={option[1] if len(option) > 1 else odd}"]
+        elif change == "missing":
+            del option[1:]
+        elif change == "extra":
+            option.append(draw(st.sampled_from(ODD + ["s1"])))
+        else:
+            option[1:] = [odd]
+    argv = [name] + [token for option in options for token in option]
+    if change == "inserted":
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["--", "-h", "--bogus", "extra"])))
+    return argv
+
+
+def _outcome(parse, argv):
+    """What parse makes of argv: a Namespace, or the exit code, stdout and
+    stderr of argparse's exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(parser_argvs())
+def test_parse_matches_argparse(argv):
+    """cli._parse reads every argv to what argparse's full parser makes of
+    it: the same Namespace, or the same exit code, stdout and stderr."""
+    assert _outcome(cli._parse, argv) == _outcome(_full_parser, argv), argv
+
+
 def test_valid_argv_is_parsed_once(monkeypatch, capsys):
-    """A valid argv is read by its command's parser alone; the full parser
-    reads only what that parser leaves over, or an argv naming no command."""
+    """A well-formed argv is read by its command's reader alone, to what the
+    full parser returns; the full parser reads all of an argv that names no
+    command or that the reader declines: help, "--", and every argv that
+    fails to parse."""
     ap = cli._parser()
     calls, parse_args = [], ap.parse_args
     monkeypatch.setattr(ap, "parse_args", lambda argv: calls.append(argv) or parse_args(argv))
-    read_once = 0
+    read = []
     for argv in DISPATCH_ARGVS:
-        if main(argv) == EXIT_OK and argv[0] in ap.commands:
-            assert calls == [], argv
-            read_once += 1
-            if not {"-h", "--help"} & set(argv):
-                assert cli._parse(argv) == _full_parser(argv), argv
+        main(argv)
+        if calls == []:
+            assert cli._parse(argv) == _full_parser(argv), argv
+            read.append(argv)
+        else:
+            assert calls == [argv], argv
         calls.clear()
-    assert read_once >= 9  # the table's valid argvs, help among them
+    # the table's valid argvs less those written with help, "--", an
+    # abbreviated option or --flag=value
+    assert read == [
+        ["order", "--family", "A", "--rank", "3"],
+        ["enumerate", "--family", "B", "--rank", "3", "--subgroup", "s0", "--subgroup", "s1"],
+        ["present", "--family", "D", "--rank", "4", "--variant", "edge"],
+        ["verify", "--only", "artin"]]
     for argv in (["ord"], ["order", "--family", "A", "--rank", "3", "x"]):
         assert main(argv) == EXIT_USAGE
         assert calls == [argv]
         calls.clear()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mix", ["regular", "chain", "session"])
+def test_benchmark_argvs_are_read_without_argparse(tmp_path, monkeypatch, mix):
+    """Every argv of the benchmark's mixes at seed 1 is read by its command's
+    reader, to what the full parser returns, except the session's two that
+    argparse refuses: a --family and a --max-cosets value of junk."""
+    ap = cli._parser()
+    declined = []
+    for req in _benchmark_requests(monkeypatch, mix, tmp_path):
+        argv = list(req.argv)
+        args = ap.readers[argv[0]](argv[1:])
+        if args is None:
+            declined.append(argv)
+        else:
+            assert args == _full_parser(argv), argv
+    assert len(declined) == (2 if mix == "session" else 0)
+    for argv, refusal in zip(declined, ["argument --family: invalid choice",
+                                        "argument --max-cosets: invalid int value"]):
+        err = io.StringIO()
+        with pytest.raises(SystemExit) as e, contextlib.redirect_stderr(err):
+            _full_parser(argv)
+        assert e.value.code == EXIT_USAGE and refusal in err.getvalue(), argv
 
 
 def test_parser_reuse_carries_no_state(capsys):

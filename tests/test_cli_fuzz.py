@@ -1,6 +1,7 @@
 """A derandomized fuzz harness over `altcox` argument lists and JSON inputs.
 
-Every `cli.main` call ends in exit 0, 2 or 3; a usage error (2) writes
+Every `cli.main` call ends in exit 0, 2 or 3, whether the command's own
+reader or argparse reads its arguments; a usage error (2) writes
 nothing to stdout and one `error:` line, or argparse's usage and error
 lines, to stderr; a cap overrun (3) writes nothing to stdout; and the same
 call made twice, the second time with what the first kept in the memo,
@@ -91,7 +92,7 @@ def input_flags(draw):
 
 
 @st.composite
-def argvs(draw):
+def plain_argvs(draw):
     """One argument list: mostly nf (ranks 2-40), else present, order,
     enumerate, verify or an unknown command."""
     command = draw(st.sampled_from(["nf"] * 4 + ["present", "order", "enumerate",
@@ -124,6 +125,34 @@ def argvs(draw):
         for flag in draw(st.lists(st.sampled_from(["--table", "--dot", "--reps"]),
                                   max_size=2, unique=True)):
             argv += [flag, (flag[2:] + ".out", None)]
+    return argv
+
+
+@st.composite
+def argvs(draw):
+    """plain_argvs, one time in three with one option and its value
+    reshaped: written --flag=value, the flag abbreviated or the value led
+    by "-", which argparse reads in place of the command's own reader, or
+    the option given again at the end, which that reader reads."""
+    argv = draw(plain_argvs())
+    # options followed by a value, not by a file or another option
+    options = [i for i in range(1, len(argv) - 1)
+               if all(isinstance(a, str) for a in argv[i:i + 2])
+               and argv[i].startswith("--") and not argv[i + 1].startswith("--")]
+    change = draw(st.sampled_from([None] * 8 + ["equals", "abbreviated", "repeated",
+                                                "dash"]))
+    if not options or change is None:
+        return argv
+    i = draw(st.sampled_from(options))
+    flag, value = argv[i:i + 2]
+    if change == "equals":
+        argv[i:i + 2] = [f"{flag}={value}"]
+    elif change == "abbreviated":
+        argv[i] = flag[:draw(st.integers(3, len(flag) - 1))]
+    elif change == "repeated":
+        argv += [flag, value]
+    else:
+        argv[i + 1] = "-" + value
     return argv
 
 
