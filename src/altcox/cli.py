@@ -9,10 +9,10 @@ CapExceeded into it), 4
 verification failure.  A usage error is bad input (an argparse error such
 as a rank above ``coxeter.MAX_RANK``, an ``InputError`` or a file error)
 or running out of memory; any other exception is a bug and ends in a
-traceback.  A file write is atomic (temp file + rename), except to a path
-that exists and is not a regular file, such as a device or a FIFO, or a
-symlink to one, which is opened and written in place; all output is
-byte-deterministic.
+traceback.  A file write is atomic (temp file + rename, over a symlink's
+target), except to a path that exists and is not a regular file, such as
+a device or a FIFO, or a symlink to one, which is opened and written in
+place; all output is byte-deterministic.
 
 An argv whose first token names a command is read straight from that
 command's declared actions when it is well formed: each option written
@@ -23,15 +23,15 @@ any other argv whole, so help, usage, errors and exit codes are its own.
 One process may run many commands through ``main``, which keeps a memo
 of what they build for a catalog group: the presentation of each
 (variant, family, rank) that --variant, --family and --rank name, or a
-cover variant alone, with its engine encoding; and the `nf` Chain of each
-(family, variant, rank, cap), with its top table and sift.  It keeps them
-in least recently used order while their weights, in relator letters,
-table cells and sift points, sum to at most MEMO_BUDGET (2^16, 2 to 4 MB);
-a command that fails, or a group heavier than that, keeps nothing.  It
-never keeps a --matrix or --presentation input, which is read on every
-command, a table over a subgroup, an order, or anything of `verify`.  No
-output depends on what the memo holds.  The memo has no lock: ``main``
-runs one command at a time.
+cover variant alone, with its engine encoding and order plan; and the `nf`
+Chain of each (family, variant, rank, cap), with its top table and sift.
+It keeps them in least recently used order while their weights, in
+relator letters, table cells and sift points, sum to at most MEMO_BUDGET
+(2^16, 2 to 4 MB); a command that fails, or a group heavier than that,
+keeps nothing.  It never keeps a --matrix or --presentation input, which
+is read on every command, a table over a subgroup, an order, or anything
+of `verify`.  No output depends on what the memo holds.  The memo has no
+lock: ``main`` runs one command at a time.
 """
 
 from __future__ import annotations
@@ -62,25 +62,35 @@ def _atomic_write(path, text):
     """Write text to path through a temp file and a rename, or in place
     when path exists and is not a regular file: a device or a FIFO, or a
     symlink to one, which a rename would replace with a regular file.  The
-    temp file is made beside path under a random name, with mode 0o666,
-    which the umask reduces as it does for open().  An OSError names path
-    alone: the temp file's random name would make the message differ from
-    run to run."""
+    rename goes over os.path.realpath(path), so a symlink to a regular file
+    is written through and kept, and a dangling one creates its target, as
+    open() would; a symlink loop raises ELOOP.  The temp file is made beside
+    that path under a random name, with mode 0o666, which the umask reduces
+    as it does for open().  An OSError names path alone: the temp file's
+    random name would make the message differ from run to run."""
     if not path:  # as open("") fails, before a temp file goes anywhere
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    target, linked = path, False
     try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:  # a new path, or an error the temp file or rename reports
-        in_place = False
-    d = os.path.dirname(os.path.abspath(path))
+        st = os.lstat(path)
+        linked = stat.S_ISLNK(st.st_mode)
+        if linked:
+            target = os.path.realpath(path)
+            st = os.stat(target)
+        in_place = not stat.S_ISREG(st.st_mode)
+    except OSError:  # a new path or a dangling link, or an error the temp
+        in_place = False  # file or rename reports
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
     try:
         if in_place:
             with open(path, "w") as f:
                 f.write(text)
             return
+        if linked and os.path.islink(target):  # realpath stops in a loop
+            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
         while True:
-            tmp = os.path.join(d, f".tmp-altcox-{os.urandom(6).hex()}")
+            tmp = os.path.join(os.path.dirname(target),
+                               f".tmp-altcox-{os.urandom(6).hex()}")
             try:
                 fd = os.open(tmp, flags, 0o666)
                 break
@@ -89,7 +99,7 @@ def _atomic_write(path, text):
         try:
             with os.fdopen(fd, "w") as f:
                 f.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -141,7 +151,9 @@ def _memoized(key, build):
 
 def _weight(value):
     """A presentation's relator letters, and a chain's plus its table
-    cells and sift points."""
+    cells and sift points.  What the engine keeps on a presentation counts
+    with its letters: the column encoding has as many, and the order plan
+    (engine._order_plan) no more on any catalog group."""
     if isinstance(value, chains.Chain):
         return _weight(value.presentation) + value.weight()
     return sum(map(len, value.relators))

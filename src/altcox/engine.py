@@ -11,7 +11,13 @@ core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
 while ``index`` takes the count alone.  ``order`` (and ``altcox order``,
 through ``_order``) returns |H| * [G:H] for the first subgroup H whose
 order its table certifies: the two-generator <g, h>, then the cyclic <g>
-that ``_subgroups`` makes, else the trivial one.  A run that would define
+that ``_subgroups`` makes, else the trivial one.  Which g, k and candidate
+h to try, and each pair's relators in four columns, are worked out on a
+presentation's first order and kept on it, beside its encoded relators
+(``_order_plan``); each order still counts the pair's group in the core.
+The certificate (``_orbits_certify``) walks H's orbits from the last coset
+down, reading only the table entries of the orbits it visits, until the
+lcm of their sizes reaches H's order bound.  A run that would define
 more cosets than its cap raises the core's CapExceeded, which
 ``enumerate``, ``index`` and ``_order`` let through to their caller; only
 ``order`` turns it into None.
@@ -23,7 +29,7 @@ matching the composition convention of the oracle module.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from math import lcm
 from operator import add, lt, ne
 
@@ -129,36 +135,62 @@ def index(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> int:
     return 1 if result is None else result[0]
 
 
-def _subgroups(p: Presentation, cap):
-    """The subgroups H whose orders _order tries to certify, made lazily, as
-    (H's generators, a multiple d of |H|): ((g, h), d), then ((g,), k).
-    g is the generator outside central, the indices of p.central, with a
-    relator g^k or g^-k, k >= 2, of the largest k, then the lowest g; none
-    is made when no generator has one.  A central g is left out: <g> is
-    then normal, acts trivially on its own cosets, and its order could not
-    be certified.  h is the lowest generator, other than g and outside
-    central, such that some relator has exactly the letters g and h and
-    d = |<g, h | the relators in g and h alone>| > k; at rank below 3 no h
-    is tried, as <g, h> would be all of G.  Each d is counted by the core
-    on those relators re-encoded to four columns, g's first, to at most
-    min(cap, PAIR_BOUND) cosets; an h whose count reaches that bound is
-    passed over."""
+def _order_plan(p: Presentation):
+    """The subgroups that _subgroups tries on p, worked out on p's first
+    order and kept on p: (g, k, pairs), or () when no g is made, with
+    pairs the (h, words) of each candidate h in increasing order.  g is the
+    generator outside central, the indices of p.central, with a relator
+    g^k or g^-k, k >= 2, of the largest k, then the lowest g; none is made
+    when no generator has one.  A central g is left out: <g> is then
+    normal, acts trivially on its own cosets, and its order could not be
+    certified.  A candidate h is a generator, other than g and outside
+    central, such that some relator has exactly the letters g and h; at
+    rank below 3 there is none, as <g, h> would be all of G.  Its words
+    are the relators in g and h alone, in relator order, re-encoded to
+    four columns, g's first.  Each relator is read once: the ones in at
+    most one letter, or in g and one other, are grouped by their letters,
+    with their positions, and each h's words are merged from its groups."""
+    plan = p._order_plan
+    if plan is not None:
+        return plan
     central = {p.gen_index(name) for name, _ in p.central}
     powers = ((abs(w.letters[0]) - 1, len(w)) for w in p.relators
               if len(w) >= 2 and w.letters.count(w.letters[0]) == len(w))
     found = max((gk for gk in powers if gk[0] not in central),
                 key=lambda gk: (gk[1], -gk[0]), default=None)
-    if found is None:
+    plan = ()
+    if found is not None:
+        g, k = found
+        groups = {}  # a relator's letters -> [(its position, its columns)]
+        for i, w in zip(count(), _relator_columns(p) if p.rank >= 3 else ()):
+            s = frozenset(x >> 1 for x in w)
+            if len(s) <= 1 or len(s) == 2 and g in s:
+                groups.setdefault(s, []).append((i, w))
+        shared = groups.get(frozenset(), []) + groups.get(frozenset((g,)), [])
+        pairs = []
+        for h in sorted({h for s in groups if len(s) == 2 for h in s}
+                        - central - {g}):
+            recode = {2 * g: 0, 2 * g + 1: 1, 2 * h: 2, 2 * h + 1: 3}.__getitem__
+            words = sorted(shared + groups.get(frozenset((h,)), [])
+                           + groups[frozenset((g, h))])
+            pairs.append((h, tuple(tuple(map(recode, w)) for _, w in words)))
+        plan = (g, k, tuple(pairs))
+    object.__setattr__(p, "_order_plan", plan)
+    return plan
+
+
+def _subgroups(p: Presentation, cap):
+    """The subgroups H whose orders _order tries to certify, made lazily, as
+    (H's generators, a multiple d of |H|): ((g, h), d) for the first
+    candidate h of _order_plan with d = |<g, h | the relators in g and h
+    alone>| > k, then ((g,), k).  Each d is counted by the core on h's
+    words, to at most min(cap, PAIR_BOUND) cosets; an h whose count
+    reaches that bound is passed over."""
+    plan = _order_plan(p)
+    if not plan:
         return
-    g, k = found
-    encoded = _relator_columns(p) if p.rank >= 3 else ()
-    letters = [{x >> 1 for x in w} for w in encoded]
-    others = sorted({h for s in letters if len(s) == 2 and g in s
-                     for h in s} - central - {g})
-    for h in others:
-        pair, recode = {g, h}, {2 * g: 0, 2 * g + 1: 1, 2 * h: 2, 2 * h + 1: 3}
-        words = [tuple(map(recode.__getitem__, w))
-                 for w, s in zip(encoded, letters) if s <= pair]
+    g, k, pairs = plan
+    for h, words in pairs:
         try:
             d = _core(4, words, (), min(cap, PAIR_BOUND), False)[0]
         except CapExceeded:
@@ -172,20 +204,24 @@ def _subgroups(p: Presentation, cap):
 def _orbits_certify(t: CosetTable, gens, n):
     """Whether the lcm of the orbit sizes of <gens> on t's cosets is n.
     <gens> acts on the completed table, so each orbit size divides its
-    order; when that order divides n, the lcm reaching n proves it is n.
-    The walk stops at the first orbit that brings the lcm to n."""
-    ncols = 2 * t.presentation.rank
-    images = [t.rows[2 * g::ncols].tolist() for g in gens]  # rows 0..index
-    seen = bytearray(len(images[0]))
+    order; when that order divides n, the lcm reaching n proves it is n,
+    and the lcm of any set of orbits reaching n is the same answer.  The
+    walk reads the table entries of the orbits it visits, from the last
+    coset down, as the cosets far from coset 1 tend to lie in regular
+    orbits, and it stops at the first orbit that brings the lcm to n."""
+    rows, ncols = t.rows, 2 * t.presentation.rank
+    cols = [2 * g for g in gens]
+    seen = bytearray(t.index + 1)
     reached = 1
-    for c in range(1, len(seen)):
+    for c in range(t.index, 0, -1):
         if seen[c]:
             continue
         seen[c] = 1
         orbit = [c]
         for a in orbit:  # grows as the walk reaches new cosets
-            for image in images:
-                b = image[a]
+            row = a * ncols
+            for col in cols:
+                b = rows[row + col]
                 if not seen[b]:
                     seen[b] = 1
                     orbit.append(b)

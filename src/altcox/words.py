@@ -154,8 +154,10 @@ class Presentation(Record):
     """
 
     # _encoded: the engine's column encoding of the relators, set on the
-    # first enumeration over the presentation
-    __slots__ = ("generators", "relators", "central", "_index", "_encoded")
+    # first enumeration over the presentation; _order_plan: the subgroups
+    # engine.order tries, set on the first order of the presentation
+    __slots__ = ("generators", "relators", "central", "_index", "_encoded",
+                 "_order_plan")
 
     def __init__(self, generators, relators, central=()):
         # the size rule: generators before any relator is read, then each
@@ -177,6 +179,7 @@ class Presentation(Record):
         object.__setattr__(self, "central", tuple(tuple(c) for c in central))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(generators)})
         object.__setattr__(self, "_encoded", None)
+        object.__setattr__(self, "_order_plan", None)
 
     @classmethod
     def build(cls, generators, relators, central=()):

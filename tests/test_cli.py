@@ -537,6 +537,38 @@ def test_non_regular_target_is_written_in_place(tmp_path, capsys, through_symlin
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted({"fifo", path.name})
 
 
+@pytest.mark.parametrize("link_to", ["target.txt", "new.txt"], ids=["file", "dangling"])
+def test_symlink_to_a_regular_file_is_written_through(tmp_path, capsys, link_to):
+    """A symlink to a regular file, or a dangling one, keeps its link: the
+    temp file is renamed over the link's target, which gets the output, as
+    open() would write it, and a dangling link creates its target."""
+    argv = ["present", "--family", "A", "--rank", "3", "--variant", "edge"]
+    assert main(argv) == EXIT_OK
+    want = capsys.readouterr().out
+    (tmp_path / "target.txt").write_text("old\n")
+    link = tmp_path / "link"
+    link.symlink_to(link_to)
+    assert main(argv + ["--output", str(link)]) == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == link_to
+    assert (tmp_path / link_to).read_text() == want
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        {"link", "target.txt", link_to})
+
+
+def test_symlink_loop_is_a_file_error(tmp_path, capsys):
+    """A symlink loop is refused as open() refuses it, naming the path,
+    and neither link is replaced."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.symlink_to("b")
+    b.symlink_to("a")
+    assert main(["present", "--family", "A", "--rank", "2",
+                 "--output", str(a)]) == EXIT_USAGE
+    err = f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: {str(a)!r}\n"
+    assert capsys.readouterr() == ("", err)
+    assert a.is_symlink() and b.is_symlink()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["a", "b"]
+
+
 @pytest.mark.parametrize("flag", ["--output", "--table", "--dot", "--reps",
                                   "--presentation", "--matrix"])
 def test_empty_path_is_file_error(tmp_path, monkeypatch, capsys, flag):

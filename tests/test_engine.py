@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altcox import engine
+from altcox import cli, engine
 from altcox.words import InputError, Word, Presentation, render_word
 from altcox.coxeter import CoxeterMatrix, standard_matrix
 from altcox.presentations import (coxeter_presentation, chain_presentation,
@@ -206,6 +208,142 @@ def test_order_agrees_with_the_regular_index(backend, request, monkeypatch):
     # the pair certified, the pair then <g>, <g>, <g> then the trivial
     # subgroup, the trivial subgroup alone
     assert paths == {(2,): 28, (2, 1): 11, (1,): 25, (1, 0): 15, (0,): 29}
+
+
+def orbit_lcm(t, gens):
+    """The lcm of the sizes of all the orbits of <gens> on t's cosets."""
+    ncols, seen, sizes = 2 * t.presentation.rank, set(), []
+    for c in range(1, t.index + 1):
+        if c not in seen:
+            orbit, todo = {c}, [c]
+            while todo:
+                a = todo.pop()
+                for g in gens:
+                    b = t.rows[a * ncols + 2 * g]
+                    if b not in orbit:
+                        orbit.add(b)
+                        todo.append(b)
+            seen |= orbit
+            sizes.append(len(orbit))
+    return math.lcm(*sizes)
+
+
+# the orbit-lcm fixture of test_order_through_a_pair: S3 x S3, whose
+# diagonal S3 <y, x> has orbits of sizes 1, 3 and 2 on its six cosets
+S3_BY_S3 = presented(["x", "y", "z", "w"], "x^2", "y^3", "x y x y", "z^2", "w^3",
+                     "z w z w", "z x z x", "w^-1 y w^-1 y w^-1 y",
+                     "z x w^-1 y z x w^-1 y", "z x z^-1 x^-1", "z w^-1 y z^-1 y^-1 w",
+                     "w z x w^-1 x^-1 z^-1", "y w^-1 y^-1 w")
+
+
+def test_orbits_certify_is_the_lcm_of_every_orbit():
+    """The certificate's answer is whether the lcm of all of H's orbit sizes
+    is d, whichever orbits it walks, on every subgroup that _subgroups makes
+    over the corpus, S3 x S3 (certified by no single orbit) and A3 (whose
+    pair is not certified)."""
+    answers = Counter()
+    for p in [*regular_cases(), S3_BY_S3, coxeter_presentation(standard_matrix("A", 3))]:
+        for gens, d in engine._subgroups(p, 500_000):
+            t = engine.enumerate(p, tuple(map(Word.gen, gens)), 500_000)
+            certified = engine._orbits_certify(t, gens, d)
+            assert certified == (orbit_lcm(t, gens) == d), (p, gens)
+            answers[len(gens), certified] += 1
+    # False on the 11 corpus pairs and 15 cyclic subgroups that order passes
+    # over, and on A3's pair, in the corpus and again as a fixture
+    assert answers == {(2, True): 29, (2, False): 12, (1, True): 66, (1, False): 15}
+
+
+class CountingRows:
+    """A table's rows that count the entries read, one per index and the
+    length of each slice."""
+
+    def __init__(self, rows):
+        self.rows, self.reads = rows, 0
+
+    def __getitem__(self, i):
+        got = self.rows[i]
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+
+REGULAR_ARGVS = [
+    *(["--family", f, "--rank", str(r), "--variant", v]
+      for f, r in (("A", 6), ("A", 7), ("D", 6), ("B", 5))
+      for v in ("carmichael", "bourbaki", "edge")),
+    ["--family", "A", "--rank", "6", "--variant", "coxeter"],
+    ["--family", "A", "--rank", "5", "--variant", "tilde-plus-edge"],
+    ["--family", "D", "--rank", "5", "--variant", "tilde-plus-edge"],
+    ["--family", "D", "--rank", "5", "--variant", "tilde"],
+    ["--family", "D", "--rank", "5", "--variant", "tilde-prime"],
+    ["--variant", "a5-cover"], ["--variant", "a6-cover"]]
+
+
+def test_certificate_reads_the_orbits_it_needs():
+    """On the 19 presentations of the benchmark's regular workload, the
+    certificates of order's path read 1,025 table entries in all, where
+    copying whole generator columns reads 27,133."""
+    reads = 0
+    for argv in REGULAR_ARGVS:
+        p = cli._build_presentation(cli._parse(["order", *argv]))
+        for gens, d in engine._subgroups(p, 500_000):
+            t = engine.enumerate(p, tuple(map(Word.gen, gens)), 500_000)
+            counted = engine.CosetTable(p, CountingRows(t.rows), t.arrival)
+            certified = engine._orbits_certify(counted, gens, d)
+            reads += counted.rows.reads
+            if certified:
+                break
+    assert reads == 1025
+
+
+def test_order_plan_is_worked_out_once(monkeypatch):
+    """A second order of a presentation makes the same core calls, with the
+    same relators, from the plan kept on it, without reading its relators."""
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("relators read again")
+
+    calls, core = [], engine._core
+    monkeypatch.setattr(engine, "_core", lambda *a: calls.append(
+        (a[0], [tuple(w) for w in a[1]], list(a[2]), a[3], a[4])) or core(*a))
+    for p in (coxeter_presentation(standard_matrix("A", 4)), S3_BY_S3,
+              coxeter_presentation(standard_matrix("A", 3)),
+              spinor_presentation(standard_matrix("A", 3), "tilde_prime"),
+              universal_extension("A5")):
+        calls.clear()
+        want = engine.order(p, cap=500_000)
+        first = list(calls)
+        object.__setattr__(p, "relators", Unread())
+        calls.clear()
+        assert engine.order(p, cap=500_000) == want
+        assert calls == first
+
+
+def test_presentations_ignore_the_order_plan():
+    """Equality, hash, repr and pickle of a presentation read its public
+    fields only: an order's plan is neither compared nor copied."""
+    p, q = (coxeter_presentation(standard_matrix("A", 4)) for _ in range(2))
+    assert engine.order(p) == 120
+    assert p._order_plan and q._order_plan is None
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    r = pickle.loads(pickle.dumps(p))
+    assert r == p and r._order_plan is None
+
+
+def test_order_plan_is_no_heavier_than_the_relators():
+    """The plan's recoded words hold no more letters than the relators of
+    any catalog group, which is what cli._weight counts a memo entry by."""
+    for v in cli._VARIANTS:
+        if v.endswith("-cover"):
+            argvs = [["--variant", v]]
+        else:
+            argvs = [["--family", f, "--rank", str(r), "--variant", v]
+                     for f in (("A",) if v == "vv" else ("A", "B", "D"))
+                     for r in (3, 4, 5, 6, 8, 12, 20)]
+        for argv in argvs:
+            p = cli._build_presentation(cli._parse(["order", *argv]))
+            plan = engine._order_plan(p)
+            letters = sum(len(w) for _, words in plan[2] for w in words) if plan else 0
+            assert letters <= cli._weight(p), argv
 
 
 def test_table_consistency_invariant():
