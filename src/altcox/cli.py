@@ -61,33 +61,37 @@ class UsageError(InputError):
 def _atomic_write(path, text):
     """Write text to path through a temp file and a rename, or in place
     when path exists and is not a regular file: a device or a FIFO, or a
-    symlink to one, which a rename would replace with a regular file.  The
-    rename goes over os.path.realpath(path), so a symlink to a regular file
-    is written through and kept, and a dangling one creates its target, as
-    open() would; a symlink loop raises ELOOP.  The temp file is made beside
-    that path under a random name, with mode 0o666, which the umask reduces
-    as it does for open().  An OSError names path alone: the temp file's
-    random name would make the message differ from run to run."""
+    symlink to one, which a rename would replace with a regular file.  A
+    symlink is followed by os.stat(path), as open() follows it, so
+    /dev/stdout on a pipe is written in place.  Any other symlink is
+    renamed over at os.path.realpath(path), so a link to a regular file is
+    written through and kept, and a dangling one creates its target, as
+    open() would; a symlink loop raises ELOOP.  The temp file is made
+    beside that path under a random name, with mode 0o666, which the umask
+    reduces as it does for open().  An OSError names path alone: the temp
+    file's random name would make the message differ from run to run."""
     if not path:  # as open("") fails, before a temp file goes anywhere
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    target, linked = path, False
+    linked = False
     try:
         st = os.lstat(path)
         linked = stat.S_ISLNK(st.st_mode)
         if linked:
-            target = os.path.realpath(path)
-            st = os.stat(target)
+            st = os.stat(path)
         in_place = not stat.S_ISREG(st.st_mode)
-    except OSError:  # a new path or a dangling link, or an error the temp
-        in_place = False  # file or rename reports
+    except OSError:  # a new path, a dangling link or a loop, or an error
+        in_place = False  # the temp file or rename reports
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
     try:
         if in_place:
             with open(path, "w") as f:
                 f.write(text)
             return
-        if linked and os.path.islink(target):  # realpath stops in a loop
-            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
+        target = path
+        if linked:
+            target = os.path.realpath(path)
+            if os.path.islink(target):  # realpath stops in a loop
+                raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
         while True:
             tmp = os.path.join(os.path.dirname(target),
                                f".tmp-altcox-{os.urandom(6).hex()}")
@@ -129,9 +133,11 @@ def _read(path):
         return f.read()
 
 
-# the most weight the memo keeps, at 30 to 65 bytes a unit: 9 times that
-# of the 147 presentations of the benchmark's session mix, and less than a
-# rank-400 presentation's
+# the most weight the memo keeps: 9 times that of the 147 presentations
+# of the benchmark's session mix, and less than a rank-400 presentation's.
+# A presentation of weight 200 or more holds 37 to 76 bytes a unit once an
+# order has left its encoding and plan on it, so a memo of catalog groups
+# that fills the budget holds about 3.6 MB (tracemalloc)
 MEMO_BUDGET = 1 << 16
 _memo = {}   # key -> (weight, value), the least recently used first
 _built = []  # (key, value) for each value the running request built

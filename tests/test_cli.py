@@ -537,7 +537,30 @@ def test_non_regular_target_is_written_in_place(tmp_path, capsys, through_symlin
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted({"fifo", path.name})
 
 
-@pytest.mark.parametrize("link_to", ["target.txt", "new.txt"], ids=["file", "dangling"])
+def test_anonymous_pipe_is_written_in_place(capsys):
+    """/dev/fd/N of an anonymous pipe, as /dev/stdout is on a shell pipe,
+    is written in place: its link names no path a rename could go over."""
+    argv = ["present", "--family", "A", "--rank", "3", "--variant", "edge"]
+    assert main(argv) == EXIT_OK
+    want = capsys.readouterr().out
+    r, w = os.pipe()
+    got = []
+
+    def read():
+        with open(r) as f:
+            got.append(f.read())
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        assert main(argv + ["--output", f"/dev/fd/{w}"]) == EXIT_OK
+    finally:
+        os.close(w)
+    reader.join(10)
+    assert not reader.is_alive() and got == [want]
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("link_to",["target.txt", "new.txt"], ids=["file", "dangling"])
 def test_symlink_to_a_regular_file_is_written_through(tmp_path, capsys, link_to):
     """A symlink to a regular file, or a dangling one, keeps its link: the
     temp file is renamed over the link's target, which gets the output, as
