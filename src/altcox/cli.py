@@ -4,7 +4,8 @@ chain normal forms, and the verification catalog.
 Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded (by `enumerate`,
 the one enumeration behind `nf`, or any of those behind `order`: over a
 two-generator subgroup, a cyclic one and the trivial one, each run when
-the one before certifies no order; ``main`` alone turns the engine's
+the one before certifies no order, and for a catalog spinor cover first
+those of its central quotient; ``main`` alone turns the engine's
 CapExceeded into it), 4
 verification failure.  A usage error is bad input (an argparse error such
 as a rank above ``coxeter.MAX_RANK``, an ``InputError`` or a file error)
@@ -23,7 +24,8 @@ any other argv whole, so help, usage, errors and exit codes are its own.
 One process may run many commands through ``main``, which keeps a memo
 of what they build for a catalog group: the presentation of each
 (variant, family, rank) that --variant, --family and --rank name, or a
-cover variant alone, with its engine encoding and order plan; and the `nf`
+cover variant alone, with its engine encoding and order plan, and a spinor
+cover's proved central quotient (see `_certificate`); and the `nf`
 Chain of each (family, variant, rank, cap), with its top table and sift.
 It keeps them in least recently used order while their weights, in
 relator letters, table cells and sift points, sum to at most MEMO_BUDGET
@@ -156,13 +158,17 @@ def _memoized(key, build):
 
 
 def _weight(value):
-    """A presentation's relator letters, and a chain's plus its table
-    cells and sift points.  What the engine keeps on a presentation counts
-    with its letters: the column encoding has as many, and the order plan
-    (engine._order_plan) no more on any catalog group."""
+    """A presentation's relator letters, twice over when it has a central
+    generator, and a chain's plus its table cells and sift points.  What
+    the engine keeps on a presentation counts with its letters: the column
+    encoding has as many, and the order plan (engine._order_plan) no more
+    on any catalog group.  An order of a cover may keep its central
+    quotient too (engine._order), with fewer letters and an encoding and a
+    plan of its own; that counts before an order keeps it, as a
+    presentation kept by `present` may be ordered later."""
     if isinstance(value, chains.Chain):
         return _weight(value.presentation) + value.weight()
-    return sum(map(len, value.relators))
+    return sum(map(len, value.relators)) * (2 if value.central else 1)
 
 
 def _keep():
@@ -311,9 +317,21 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
+def _certificate(args):
+    """For a catalog spinor cover, named by a tilde variant with --family
+    and --rank, a function of no arguments giving its Clifford images
+    (oracle.clifford_images), which certify that its central generator is
+    not 1; else None.  _build_presentation has refused any other input
+    flag beside --family and --rank."""
+    if args.variant.startswith("tilde") and args.family and args.rank is not None:
+        return functools.partial(oracle.clifford_images, args.family.upper(),
+                                 args.variant, args.rank)
+    return None
+
+
 def cmd_order(args):
     p = _build_presentation(args)
-    _emit(f"{engine._order(p, args.max_cosets)}\n", args.output)
+    _emit(f"{engine._order(p, args.max_cosets, _certificate(args))}\n", args.output)
     return EXIT_OK
 
 

@@ -17,10 +17,15 @@ presentation's first order and kept on it, beside its encoded relators
 (``_order_plan``); each order still counts the pair's group in the core.
 The certificate (``_orbits_certify``) walks H's orbits from the last coset
 down, reading only the table entries of the orbits it visits, until the
-lcm of their sizes reaches H's order bound.  A run that would define
-more cosets than its cap raises the core's CapExceeded, which
-``enumerate``, ``index`` and ``_order`` let through to their caller; only
-``order`` turns it into None.
+lcm of their sizes reaches H's order bound.  A spinor cover G, with a
+central z of order 2, is counted as 2 |G/<z>| through its central
+quotient when ``_order`` is given images of its generators in which z is
+not 1 (``_certifies``; ``altcox order`` passes oracle.clifford_images for
+a catalog cover), and the quotient's order fits in the cap; the proved
+quotient is kept on G.  A run that would define more cosets than its cap
+raises the core's CapExceeded, which ``enumerate``, ``index`` and
+``_order`` let through to their caller (those of a cover's quotient are
+caught, and G's own path runs); only ``order`` turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -34,6 +39,7 @@ from math import lcm
 from operator import add, lt, ne
 
 from .words import InputError, Record, Word, Presentation
+from .oracle import verify_hom
 from ._tc_py import CapExceeded, MAX_CAP
 
 try:
@@ -196,6 +202,33 @@ def _subgroups(p: Presentation, cap):
     yield (g,), k
 
 
+def _central_quotient(p: Presentation):
+    """p over its central generator z, when p.central is z alone, of order
+    2, else None: z's letters deleted from every relator, each word freely
+    reduced and the empty ones dropped, which drops z^2 and z's
+    commutators (a Tietze move), and z's name deleted from the
+    generators."""
+    if len(p.central) != 1 or p.central[0][1] != 2:
+        return None
+    z = p.gen_index(p.central[0][0]) + 1
+    # the letters of the generators after z move down by one
+    words = (Word([x - 1 if x > z else x + 1 if x < -z else x
+                   for x in w.letters if abs(x) != z]) for w in p.relators)
+    return Presentation(p.generators[:z - 1] + p.generators[z:],
+                        (w for w in words if w))
+
+
+def _certifies(p: Presentation, images):
+    """Whether images, one per generator of p, elements kept up to a
+    positive scalar as oracle.clifford_images gives them, send every
+    relator of p to the identity and p's central generator z elsewhere
+    (to -1).  They then define a homomorphism in which z is not 1, so z,
+    central with z^2 = 1 as p.central promises, spans a normal subgroup of
+    order 2, and |p| = 2 |_central_quotient(p)|."""
+    z = p.gen_index(p.central[0][0])
+    return verify_hom(p, images) and not images[z].is_identity()
+
+
 def _orbits_certify(t: CosetTable, gens, n):
     """Whether the lcm of the orbit sizes of <gens> on t's cosets is n.
     <gens> acts on the completed table, so each orbit size divides its
@@ -204,7 +237,7 @@ def _orbits_certify(t: CosetTable, gens, n):
     walk reads the table entries of the orbits it visits, from the last
     coset down, and it stops at the first orbit that brings the lcm to n.
     On the 19 presentations of the benchmark's regular workload, order's
-    certificates read 1,025 entries this way and 1,743 walking up from
+    certificates read 1,106 entries this way and 1,840 walking up from
     coset 1, as the cosets far from coset 1 more often lie in orbits
     that settle the lcm."""
     rows, ncols = t.rows, 2 * t.presentation.rank
@@ -229,12 +262,23 @@ def _orbits_certify(t: CosetTable, gens, n):
     return False
 
 
-def _order(p: Presentation, cap):
-    """|G| = |H| * [G:H] for the first subgroup H that _subgroups makes
-    whose table certifies its order, else for the trivial subgroup.  The
-    relators in g and h alone present a group of order d of which <g, h>
-    in G is a quotient, and g^k = 1, so |H| divides d, or k, and the table
-    certifies |H| when the orbit sizes of H on it have that lcm
+def _order(p: Presentation, cap, certificate=None):
+    """|G| = 2 |G/<z>| for a cover whose central quotient G/<z> is proved
+    (_certifies) and whose order fits in the cap; else |G| = |H| * [G:H]
+    for the first subgroup H that _subgroups makes whose table certifies
+    its order, else for the trivial subgroup.
+
+    The quotient is proved by certificate, a function of no arguments that
+    returns images of p's generators, read after the quotient's order,
+    when that order is first counted: a quotient whose order meets the cap
+    needs no proof.  p keeps the proved quotient (p._quotient), which keeps
+    its own plan, so the certificate is read once.  When the quotient's
+    order meets the cap, p's own subgroups, which may fit in it, are
+    tried, as they are without a certificate or when it fails.
+
+    The relators in g and h alone present a group of order d of which
+    <g, h> in G is a quotient, and g^k = 1, so |H| divides d, or k, and the
+    table certifies |H| when the orbit sizes of H on it have that lcm
     (_orbits_certify).  Each enumeration has the cap; the CapExceeded of
     one over <g, h> or <g> is raised, not fallen back from.
     """
@@ -242,6 +286,19 @@ def _order(p: Presentation, cap):
     # min(cap, PAIR_BOUND) the core would reject as a ValueError or TypeError
     if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:
         raise InputError(f"cap must be between 1 and {MAX_CAP}")
+    quotient = p._quotient
+    if quotient is None and certificate is not None:
+        quotient = _central_quotient(p)
+    if quotient is not None:
+        try:
+            n = _order(quotient, cap)
+        except CapExceeded:
+            n = None
+        # a quotient that p keeps was proved when p kept it
+        if n is not None and (quotient is p._quotient
+                              or _certifies(p, certificate())):
+            object.__setattr__(p, "_quotient", quotient)
+            return 2 * n
     for gens, d in _subgroups(p, cap):
         t = enumerate(p, tuple(map(Word.gen, gens)), cap)
         if _orbits_certify(t, gens, d):

@@ -1,8 +1,10 @@
 """Independent ground truth: permutations, wreath products C2 wr S_n,
-word evaluation, homomorphism checks, BFS subgroup orders, and the
-generator images for the A/B/D presentation catalog.  Only the images of
-the Coxeter generators s_i are written out; the chain generators (a_i, R_i,
-r_i) are computed from their words in the s_i, as the paper defines them.
+word evaluation, homomorphism checks, BFS subgroup orders, the generator
+images for the A/B/D presentation catalog, and the images of its spinor
+covers in a Clifford algebra.  Only the images of the Coxeter generators
+s_i are written out; the chain generators (a_i, R_i, r_i) are computed
+from their words in the s_i, as the paper defines them, and the covers'
+from the simple roots of the s_i.
 
 Composition convention: in a product p*q the right factor acts first,
 so (1,2)(2,3) = (1,2,3).
@@ -10,7 +12,8 @@ so (1,2)(2,3) = (1,2,3).
 
 from __future__ import annotations
 
-from operator import itemgetter, xor
+import math
+from operator import itemgetter, mul, xor
 
 from .words import Record, Word
 
@@ -239,9 +242,108 @@ def standard_images(family: str, variant: str, rank: int):
     return s if variant == "coxeter" else chain_generators(family, variant, rank, s)
 
 
+def _blade_sign(a: int, b: int, square: int) -> int:
+    """The sign of the product of blades a and b, bitmasks of basis
+    vectors: one factor -1 for each pair of a vector of a after a vector of
+    b, which must swap, and one factor square for each shared vector."""
+    swaps = (a & b).bit_count() if square < 0 else 0
+    while b:
+        low = b & -b
+        swaps += (a & -(low << 1)).bit_count()  # a's vectors after low's
+        b ^= low
+    return -1 if swaps & 1 else 1
+
+
+class CliffordElement(Record):
+    """An element of the Clifford algebra Cl(R^n) with e_k^2 = square,
+    +1 or -1, kept up to a positive scalar: its (blade, coefficient) terms
+    in blade order, with integer coefficients of gcd 1, so that products
+    are exact.  The identity is then every positive scalar, and -1 every
+    negative one."""
+
+    __slots__ = ("terms", "square")
+
+    def __init__(self, terms, square):
+        terms = {b: c for b, c in dict(terms).items() if c}
+        g = math.gcd(*terms.values())
+        object.__setattr__(self, "terms",
+                           tuple(sorted((b, c // g) for b, c in terms.items())))
+        object.__setattr__(self, "square", square)
+
+    @classmethod
+    def vector(cls, coords, square):
+        """sum_k coords[k] e_k."""
+        return cls({1 << k: c for k, c in enumerate(coords)}, square)
+
+    def __mul__(self, other):
+        square, terms = self.square, {}
+        for a, c in self.terms:
+            for b, d in other.terms:
+                terms[a ^ b] = (terms.get(a ^ b, 0)
+                                + _blade_sign(a, b, square) * c * d)
+        return CliffordElement(terms, square)
+
+    def inverse(self):
+        """x^-1 is x's reverse over x times it, which is a nonzero scalar
+        for the products of vectors that the images are."""
+        rev = CliffordElement({b: (-1) ** (b.bit_count() // 2 % 2) * c
+                               for b, c in self.terms}, self.square)
+        norm = self * rev
+        if len(norm.terms) != 1 or norm.terms[0][0]:
+            raise OracleError("not a product of invertible vectors")
+        return CliffordElement({b: norm.terms[0][1] * c for b, c in rev.terms},
+                               self.square)
+
+    def is_identity(self):
+        return self.terms == ((0, 1),)
+
+
+def _simple_roots(family: str, rank: int):
+    """The simple roots of the s_i of standard_images, as integer vectors:
+    e_k - s_i(e_k) for the first basis vector e_k that s_i moves, divided
+    by its gcd, and negated where it is acute to the root of a later s_j,
+    so that the roots of joined s_i are obtuse, as a simple system's are.
+    Each s_i has at most one later neighbour, so one sign serves.  Only the
+    roots of s_0 change: D's e1 + e2 becomes -e1 - e2, obtuse to s_2's
+    e2 - e3, and B's e1 becomes -e1."""
+    roots = []
+    for s in reversed(standard_images(family, "coxeter", rank)):
+        v = [0] * len(s.flags)
+        k = next(k for k, j in enumerate(s.perm.images)
+                 if j != k + 1 or s.flags[k])
+        j = s.perm.images[k]
+        v[k] += 1
+        v[j - 1] -= (-1) ** s.flags[j - 1]
+        g = math.gcd(*v)
+        if any(sum(map(mul, v, u)) > 0 for u in roots):
+            g = -g
+        roots.append([x // g for x in v])
+    return roots[::-1]
+
+
+def clifford_images(family: str, variant: str, rank: int):
+    """The images in Cl(R^deg) of the generators of a catalog spinor cover,
+    variant one of tilde, tilde-prime and their plus-bourbaki and plus-edge
+    styles, the central generator (alpha, z or zp) last: e_k^2 = +1 for the
+    tilde variants and -1 for tilde-prime, each ts_i the simple root of
+    s_i, the plus variants' generators chain_generators of those roots, and
+    the central generator -1.  Every relator maps to a positive scalar, so
+    the images define a homomorphism in which the central generator is not
+    1 (Atiyah, Bott and Shapiro, "Clifford modules", 1964)."""
+    if variant not in ("tilde", "tilde-prime", "tilde-plus-bourbaki",
+                       "tilde-plus-edge", "tilde-prime-plus-bourbaki",
+                       "tilde-prime-plus-edge"):
+        raise OracleError(f"no Clifford images for variant {variant!r}")
+    square = -1 if variant.startswith("tilde-prime") else 1
+    s = [CliffordElement.vector(v, square) for v in _simple_roots(family, rank)]
+    if "-plus-" in variant:  # A1's plus variants have no generator but z
+        style = variant.rsplit("-", 1)[1]
+        s = chain_generators(family, style, rank, s) if rank > 1 else []
+    return [*s, CliffordElement({0: -1}, square)]
+
+
 def alternating_order(family: str, n: int) -> int:
     """Closed-form |G+|: (n+1)!/2, 2^(n-1) n!, 2^(n-2) n!."""
-    import math
     family = _least_rank(family, n)
     if family == "A":
         return math.factorial(n + 1) // 2

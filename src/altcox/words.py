@@ -155,9 +155,11 @@ class Presentation(Record):
 
     # _encoded: the engine's column encoding of the relators, set on the
     # first enumeration over the presentation; _order_plan: the subgroups
-    # engine.order tries, set on the first order of the presentation
+    # engine.order tries, set on the first order of the presentation that
+    # tries them; _quotient: the central quotient by which engine.order
+    # counts a cover, set once a certificate proves it
     __slots__ = ("generators", "relators", "central", "_index", "_encoded",
-                 "_order_plan")
+                 "_order_plan", "_quotient")
 
     def __init__(self, generators, relators, central=()):
         # the size rule: generators before any relator is read, then each
@@ -180,6 +182,7 @@ class Presentation(Record):
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(generators)})
         object.__setattr__(self, "_encoded", None)
         object.__setattr__(self, "_order_plan", None)
+        object.__setattr__(self, "_quotient", None)
 
     @classmethod
     def build(cls, generators, relators, central=()):

@@ -70,3 +70,18 @@ def test_changes_compare_nothing_across_environments(bench_record, results):
     previous["metrics"]["requests_per_s"] = 1000.0
     assert bench_record.changes(bench, previous) == [
         "chain: not compared with the committed BENCH_chain.json: seed 1 -> 7, nproc 4 -> 2"]
+
+
+def test_reach_records_the_highest_rank_that_exits_0(bench_record):
+    """The A3 and A4 Coxeter groups and tilde-prime covers are ordered at
+    the default cap, so both reach rank 4; D2 is no catalog group, so
+    altcox order exits 2 there and D Bourbaki reaches no rank of
+    range(2, 3)."""
+    table = bench_record.reach("A", ("coxeter", "tilde-prime"), range(3, 5))
+    assert {v: row["rank"] for v, row in table["A"].items()} == {
+        "coxeter": 4, "tilde-prime": 4}
+    for row in table["A"].values():
+        assert row["wall_s"] > 0 and row["peak_rss_mb"] > 0
+    # D2 is no catalog group: altcox order exits 2
+    assert bench_record.reach("D", ("bourbaki",), range(2, 3)) == {
+        "D": {"bourbaki": {"rank": None, "wall_s": None, "peak_rss_mb": None}}}

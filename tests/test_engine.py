@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altcox import cli, engine
+from altcox import cli, engine, oracle
 from altcox.words import InputError, Word, Presentation, render_word
 from altcox.coxeter import CoxeterMatrix, standard_matrix
 from altcox.presentations import (coxeter_presentation, chain_presentation,
@@ -280,11 +280,15 @@ REGULAR_ARGVS = [
 
 def test_certificate_reads_the_orbits_it_needs():
     """On the 19 presentations of the benchmark's regular workload, the
-    certificates of order's path read 1,025 table entries in all, where
-    copying whole generator columns reads 27,133."""
+    certificates of order's path, through the central quotient of each of
+    the four spinor covers, read 1,106 table entries in all, where copying
+    whole generator columns reads 27,133."""
     reads = 0
     for argv in REGULAR_ARGVS:
-        p = cli._build_presentation(cli._parse(["order", *argv]))
+        args = cli._parse(["order", *argv])
+        p = cli._build_presentation(args)
+        assert engine._order(p, 500_000, cli._certificate(args))
+        p = p._quotient or p
         for gens, d in engine._subgroups(p, 500_000):
             t = engine.enumerate(p, tuple(map(Word.gen, gens)), 500_000)
             counted = engine.CosetTable(p, CountingRows(t.rows), t.arrival)
@@ -292,7 +296,7 @@ def test_certificate_reads_the_orbits_it_needs():
             reads += counted.rows.reads
             if certified:
                 break
-    assert reads == 1025
+    assert reads == 1106
 
 
 def test_order_plan_is_worked_out_once(monkeypatch):
@@ -329,9 +333,21 @@ def test_presentations_ignore_the_order_plan():
     assert r == p and r._order_plan is None
 
 
+def letters(p):
+    return sum(map(len, p.relators))
+
+
+def plan_letters(p):
+    plan = engine._order_plan(p)
+    return sum(len(w) for _, words in plan[2] for w in words) if plan else 0
+
+
 def test_order_plan_is_no_heavier_than_the_relators():
     """The plan's recoded words hold no more letters than the relators of
-    any catalog group, which is what cli._weight counts a memo entry by."""
+    any catalog group, which is what cli._weight counts a memo entry by.
+    A cover's central quotient has fewer letters, and its plan no more
+    than it, so the cover's letters and its quotient's, with their
+    encodings and plans, make at most the cover's weight."""
     for v in cli._VARIANTS:
         if v.endswith("-cover"):
             argvs = [["--variant", v]]
@@ -341,9 +357,102 @@ def test_order_plan_is_no_heavier_than_the_relators():
                      for r in (3, 4, 5, 6, 8, 12, 20)]
         for argv in argvs:
             p = cli._build_presentation(cli._parse(["order", *argv]))
-            plan = engine._order_plan(p)
-            letters = sum(len(w) for _, words in plan[2] for w in words) if plan else 0
-            assert letters <= cli._weight(p), argv
+            assert plan_letters(p) <= letters(p), argv
+            q = engine._central_quotient(p) if v.startswith("tilde") else None
+            if q is not None:
+                assert plan_letters(q) <= letters(q) < letters(p), argv
+            assert letters(p) + (q and letters(q) or 0) <= cli._weight(p), argv
+
+
+COVERS = ("tilde", "tilde-prime", "tilde-plus-bourbaki", "tilde-plus-edge",
+          "tilde-prime-plus-bourbaki", "tilde-prime-plus-edge")
+
+
+@pytest.mark.parametrize("argv, want", [
+    *((argv, want) for argv, want in zip(REGULAR_ARGVS[13:17],
+                                         (720, 1920, 3840, 3840))),
+    # exit 3 without the quotient, at the default cap
+    (["--family", "A", "--rank", "7", "--variant", "tilde-prime"], 80640),
+    (["--family", "B", "--rank", "6", "--variant", "tilde-prime"], 92160),
+    (["--family", "D", "--rank", "7", "--variant", "tilde-prime"], 645120),
+], ids=["A5-tilde-plus-edge", "D5-tilde-plus-edge", "D5-tilde", "D5-tilde-prime",
+        "A7-tilde-prime", "B6-tilde-prime", "D7-tilde-prime"])
+def test_a_catalog_cover_is_counted_through_its_quotient(monkeypatch, capsys,
+                                                         argv, want):
+    """altcox order on a catalog spinor cover makes its core calls at its
+    central quotient's width, or four columns for a pair's count, never at
+    its own; it builds the Clifford images once, and the second order
+    reads the quotient the cover keeps."""
+    built = []
+    images = oracle.clifford_images
+    monkeypatch.setattr(oracle, "clifford_images",
+                        lambda *a: built.append(a) or images(*a))
+    runs = counting_core(monkeypatch)
+    for _ in range(2):
+        assert cli.main(["order", *argv]) == 0
+        assert capsys.readouterr().out == f"{want}\n"
+    p = cli._build_presentation(cli._parse(["order", *argv]))
+    assert p._quotient.generators == p.generators[:-1]
+    assert {ncols for ncols, _ in runs} == {4, 2 * p._quotient.rank}
+    assert built == [(argv[1], argv[-1], int(argv[3]))]
+
+
+def test_a_cover_whose_quotient_meets_the_cap_takes_its_own_path(capsys):
+    """At a cap of 10 cosets A3 tilde's quotient S4 is not counted, as the
+    twelve cosets of <s0> exceed it, but the cover's own path fits, and
+    order prints what it prints without the quotient."""
+    argv = ["order", "--family", "A", "--rank", "3", "--variant", "tilde",
+            "--max-cosets", "10"]
+    assert cli.main(argv) == 0 and capsys.readouterr().out == "48\n"
+    assert cli._build_presentation(cli._parse(argv))._quotient is None
+
+
+def test_a_tampered_cover_fails_the_certificate(monkeypatch):
+    """A D4 tilde relator with its alpha dropped maps to -1 under the
+    Clifford images, so the certificate fails: after its quotient's count,
+    _order takes the path of an order without a certificate, with its
+    answer, and keeps no quotient."""
+    def tampered():
+        p = spinor_presentation(standard_matrix("D", 4), "tilde")
+        k = next(k for k, w in enumerate(p.relators) if w.letters[-1] == -p.rank)
+        relators = list(p.relators)
+        relators[k] = Word(relators[k].letters[:-1])
+        return Presentation(p.generators, relators, p.central)
+
+    images = oracle.clifford_images("D", "tilde", 4)
+    p = tampered()
+    assert engine._central_quotient(p) is not None
+    assert not engine._certifies(p, images)
+    runs = counting_core(monkeypatch)
+    want = engine.order(tampered())
+    path = list(runs)
+    runs.clear()
+    assert engine._order(p, engine.DEFAULT_CAP, lambda: images) == want
+    assert runs[-len(path):] == path and p._quotient is None
+
+
+def test_central_quotients_halve_the_covers():
+    """2 |G/<z>| is the regular index of each of the 44 spinor covers of the
+    corpus; the A5 and A6 covers, with two central generators, have no
+    central quotient."""
+    covers = 0
+    for p in regular_cases():
+        q = engine._central_quotient(p)
+        assert (q is None) == (len(p.central) != 1)
+        if q is not None:
+            assert 2 * engine.order(q, cap=500_000) == engine.index(p, (), cap=500_000)
+            covers += 1
+    assert covers == 44
+
+
+def test_order_prints_the_regular_orders(capsys):
+    """The bytes altcox order printed before covers were counted through
+    their quotients, on the 19 requests of the regular workload."""
+    want = [2520] * 3 + [20160] * 3 + [11520] * 3 + [1920] * 3 + [
+        5040, 720, 1920, 3840, 3840, 2160, 15120]
+    for argv, n in zip(REGULAR_ARGVS, want, strict=True):
+        assert cli.main(["order", *argv]) == 0
+        assert capsys.readouterr() == (f"{n}\n", "")
 
 
 def test_table_consistency_invariant():

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 from altcox import oracle
 from altcox.oracle import Permutation, WreathElement, OracleError
 from altcox.words import Word
-from altcox.presentations import chain_presentation, coxeter_presentation
+from altcox.presentations import (chain_presentation, coxeter_presentation,
+                                  spinor_presentation)
+from altcox.cli import _catalog_presentation
 from altcox.coxeter import standard_matrix
 
 
@@ -274,3 +276,43 @@ def test_generated_order_degrees():
     assert oracle.generated_order([WreathElement.identity(0)]) == 1
     with pytest.raises(OracleError):
         oracle.generated_order([WreathElement.identity(2), WreathElement.identity(3)])
+
+
+COVERS = ("tilde", "tilde-prime", "tilde-plus-bourbaki", "tilde-plus-edge",
+          "tilde-prime-plus-bourbaki", "tilde-prime-plus-edge")
+
+
+def test_clifford_images_present_every_catalog_cover():
+    """On the 90 catalog covers of A, B and D at ranks 3 to 7, and on those
+    of A1, A2 and B2, every relator maps to a positive scalar and the
+    central generator, last, to -1."""
+    minus_one = oracle.CliffordElement({0: -1}, 1)
+    groups = [(f, r) for f in "ABD" for r in range(3, 8)]
+    for family, rank in groups + [("A", 1), ("A", 2), ("B", 2)]:
+        for variant in COVERS:
+            p = _catalog_presentation(variant, family, rank)
+            images = oracle.clifford_images(family, variant, rank)
+            assert len(images) == p.rank and oracle.verify_hom(p, images)
+            assert images[-1].terms == minus_one.terms
+            assert not images[-1].is_identity()
+
+
+def test_clifford_images_need_obtuse_roots():
+    """With D's s_0 sent to e1 + e2, acute to s_2's root, the relators of
+    D4 tilde with an odd count of ts0, the label-3 (ts0 ts2)^3, map to -1;
+    the images' -e1 - e2 sends them to 1.  Products are exact: ts0 has
+    norm 2, and x x^-1 is 1."""
+    p = spinor_presentation(standard_matrix("D", 4), "tilde")
+    images = oracle.clifford_images("D", "tilde", 4)
+    assert images[0] == oracle.CliffordElement.vector([-1, -1, 0, 0], 1)
+    acute = [oracle.CliffordElement.vector([1, 1, 0, 0], 1), *images[1:]]
+    failing = [w for w in p.relators if not oracle.eval_word(acute, w).is_identity()]
+    assert failing == [w for w in p.relators if sum(abs(x) == 1 for x in w) % 2]
+    assert failing == [Word((1, 3) * 3)]
+    for x in images:
+        assert (x * x.inverse()).is_identity() and (x.inverse() * x).is_identity()
+
+
+def test_clifford_images_refuse_other_variants():
+    with pytest.raises(OracleError, match="no Clifford images"):
+        oracle.clifford_images("A", "coxeter", 3)

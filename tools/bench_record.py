@@ -1,6 +1,7 @@
 """Record the benchmark's end-to-end metrics in BENCH_<workload>.json files.
 
     python tools/bench_record.py
+    python tools/bench_record.py --reach
 
 For each workload that BENCHMARK.json declares it runs ``perfbench/run.py
 --workload NAME`` in a fresh process, at seed 1 and BENCHMARK.json's run
@@ -15,14 +16,25 @@ worse than its bound; when the committed file was run with another seed,
 run length, backend, CPU count or Python, it names those and compares
 nothing.  A run that fails, or whose outputs are not all correct, writes
 no file and makes the script exit 1.
+
+With --reach it runs no workload.  It writes BENCH_reach.json instead:
+how far ``altcox order`` reaches at its default cap.  For each family A,
+B and D and each variant of REACH_VARIANTS it runs ``altcox order`` in a
+fresh interpreter at every rank from 3 to 11, and records the highest
+rank that exits 0, with that run's wall time (the interpreter's start
+included) and peak RSS, or a rank of null when none does.  It prints
+each rank beside the one in the BENCH_reach.json committed at HEAD.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +46,12 @@ ENVIRONMENT = ("seed", "run_seconds", "measured_s", "backend", "nproc", "python"
 # the fields that two runs must share for their metrics to be compared
 COMPARABLE = ("seed", "run_seconds", "backend", "nproc", "python")
 SEED = 1
+# the variants whose reach --reach records: the --variant values that name
+# an A, a B and a D group by --family and --rank (vv is type A only)
+REACH_VARIANTS = ("coxeter", "carmichael", "bourbaki", "edge", "tilde", "tilde-prime",
+                  "tilde-plus-bourbaki", "tilde-plus-edge",
+                  "tilde-prime-plus-bourbaki", "tilde-prime-plus-edge")
+REACH_RANKS = range(3, 12)
 
 
 def _git(*args):
@@ -89,8 +107,65 @@ def changes(bench, previous):
     return lines
 
 
+def _altcox(*args):
+    """The exit code, wall time in s and peak RSS in MB of one altcox
+    command in a fresh interpreter, over the source in this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "altcox.cli", *args], cwd=ROOT,
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, wall, usage.ru_maxrss / 1024
+
+
+def reach(families="ABD", variants=REACH_VARIANTS, ranks=REACH_RANKS):
+    """{family: {variant: {"rank", "wall_s", "peak_rss_mb"}}} for the
+    highest rank at which ``altcox order`` exits 0, every rank tried."""
+    table = {}
+    for family in families:
+        for variant in variants:
+            best = {"rank": None, "wall_s": None, "peak_rss_mb": None}
+            for rank in ranks:
+                code, wall, rss = _altcox("order", "--family", family,
+                                          "--rank", str(rank), "--variant", variant)
+                if code == 0:
+                    best = {"rank": rank, "wall_s": round(wall, 3),
+                            "peak_rss_mb": round(rss, 1)}
+            table.setdefault(family, {})[variant] = best
+    return table
+
+
+def record_reach():
+    """BENCH_reach.json's contents, and one line per family and variant."""
+    backend = subprocess.run(
+        [sys.executable, "-c", "from altcox import engine; print(engine.BACKEND)"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True).stdout.strip()
+    head, modified = revision()
+    table = reach()
+    bench = {"workload": "reach", "revision": head, "source_modified": modified,
+             "backend": backend, "nproc": os.cpu_count(),
+             "python": platform.python_version(),
+             "ranks": [REACH_RANKS.start, REACH_RANKS.stop - 1], "reach": table}
+    previous = (committed("reach") or {}).get("reach", {})
+    lines = [f"reach {f} {v} {row['rank']} (committed "
+             f"{previous.get(f, {}).get(v, {}).get('rank', 'none')})"
+             for f, rows in table.items() for v, row in rows.items()]
+    return bench, lines
+
+
 def main(argv=None):
-    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--reach", action="store_true",
+                    help="record how far altcox order reaches, in BENCH_reach.json")
+    if ap.parse_args(argv).reach:
+        bench, lines = record_reach()
+        print("\n".join(lines))
+        (ROOT / "BENCH_reach.json").write_text(json.dumps(bench, indent=1) + "\n")
+        return 0
     status = 0
     for name in (w["name"] for w in SPEC["workloads"]):
         r = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
