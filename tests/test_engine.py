@@ -361,11 +361,7 @@ def test_order_plan_is_no_heavier_than_the_relators():
             q = engine._central_quotient(p) if v.startswith("tilde") else None
             if q is not None:
                 assert plan_letters(q) <= letters(q) < letters(p), argv
-            assert letters(p) + (q and letters(q) or 0) <= cli._weight(p), argv
-
-
-COVERS = ("tilde", "tilde-prime", "tilde-plus-bourbaki", "tilde-plus-edge",
-          "tilde-prime-plus-bourbaki", "tilde-prime-plus-edge")
+            assert letters(p) + (letters(q) if q else 0) <= cli._weight(p), argv
 
 
 @pytest.mark.parametrize("argv, want", [
