@@ -4,9 +4,9 @@ chain normal forms, and the verification catalog.
 Exit codes: 0 ok, 2 usage error, 3 coset cap exceeded (by `enumerate`,
 the one enumeration behind `nf`, or any of those behind `order`: over a
 two-generator subgroup, a cyclic one and the trivial one, each run when
-the one before certifies no order, and for a catalog spinor cover first
-those of its central quotient; ``main`` alone turns the engine's
-CapExceeded into it), 4
+the one before certifies no order, and before them, for a cover counted
+through its central quotient (see engine._order), those of the quotient;
+``main`` alone turns the engine's CapExceeded into it), 4
 verification failure.  A usage error is bad input (an argparse error such
 as a rank above ``coxeter.MAX_RANK``, an ``InputError`` or a file error)
 or running out of memory; any other exception is a bug and ends in a
@@ -24,9 +24,10 @@ any other argv whole, so help, usage, errors and exit codes are its own.
 One process may run many commands through ``main``, which keeps a memo
 of what they build for a catalog group: the presentation of each
 (variant, family, rank) that --variant, --family and --rank name, or a
-cover variant alone, with its engine encoding and order plan, and a spinor
-cover's proved central quotient (see `_certificate`); and the `nf`
-Chain of each (family, variant, rank, cap), with its top table and sift.
+cover variant alone, with its engine encoding and order plan, and a
+cover's proved central quotient (see `_certificate` and engine._order);
+and the `nf` Chain of each (family, variant, rank, cap), with its top
+table and sift.
 It keeps them in least recently used order while their weights, in
 relator letters, table cells and sift points, sum to at most MEMO_BUDGET
 (2^16, 2 to 4 MB); a command that fails, or a group heavier than that,

@@ -17,15 +17,19 @@ presentation's first order and kept on it, beside its encoded relators
 (``_order_plan``); each order still counts the pair's group in the core.
 The certificate (``_orbits_certify``) walks H's orbits from the last coset
 down, reading only the table entries of the orbits it visits, until the
-lcm of their sizes reaches H's order bound.  A spinor cover G, with a
-central z of order 2, is counted as 2 |G/<z>| through its central
-quotient when ``_order`` is given images of its generators in which z is
-not 1 (``_certifies``; ``altcox order`` passes oracle.clifford_images for
-a catalog cover), and the quotient's order fits in the cap; the proved
-quotient is kept on G.  A run that would define more cosets than its cap
+lcm of their sizes reaches H's order bound.  A group G whose central
+generators have distinct prime orders, such as a spinor cover (z of order
+2) or the A5 and A6 covers (z and zeta, of orders 2 and 3), is counted as
+f |G/C| through its central quotient (``_central_quotient``), f the
+product of those orders, once each central generator is proved not 1: by
+images of G's generators given to ``_order`` (``_certifies``; ``altcox
+order`` passes oracle.clifford_images for a catalog spinor cover), or by
+the table of an earlier order of G that certified |H| with every central
+generator outside H.  The proved quotient is kept on G, with the least cap
+at which it is counted.  A run that would define more cosets than its cap
 raises the core's CapExceeded, which ``enumerate``, ``index`` and
-``_order`` let through to their caller (those of a cover's quotient are
-caught, and G's own path runs); only ``order`` turns it into None.
+``_order`` let through to their caller (those of G's quotient are caught,
+and G's own path runs); only ``order`` turns it into None.
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain, compress, repeat
-from math import lcm
+from math import isqrt, lcm, prod
 from operator import add, lt, ne
 
 from .words import InputError, Record, Word, Presentation
@@ -180,53 +184,75 @@ def _order_plan(p: Presentation):
     return plan
 
 
-def _subgroups(p: Presentation, cap):
+def _subgroups(p: Presentation, cap, defined):
     """The subgroups H whose orders _order tries to certify, made lazily, as
     (H's generators, a multiple d of |H|): ((g, h), d) for the first
     candidate h of _order_plan with d = |<g, h | the relators in g and h
     alone>| > k, then ((g,), k).  Each d is counted by the core on h's
     words, to at most min(cap, PAIR_BOUND) cosets; an h whose count
-    reaches that bound is passed over."""
+    reaches that bound is passed over.  Each count appends to defined the
+    cosets it defined, or its bound + 1 when it is passed over."""
     plan = _order_plan(p)
     if not plan:
         return
     g, k, pairs = plan
+    limit = min(cap, PAIR_BOUND)
     for h, words in pairs:
         try:
-            d = _core(4, words, (), min(cap, PAIR_BOUND), False)[0]
+            d, ndef, _ = _core(4, words, (), limit, False)
         except CapExceeded:
+            defined.append(limit + 1)
             continue
+        defined.append(ndef)
         if d > k:
             yield (g, h), d
             break
     yield (g,), k
 
 
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def _central_quotient(p: Presentation):
-    """p over its central generator z, when p.central is z alone, of order
-    2, else None: z's letters deleted from every relator, each word freely
-    reduced and the empty ones dropped, which drops z^2 and z's
-    commutators (a Tietze move), and z's name deleted from the
-    generators."""
-    if len(p.central) != 1 or p.central[0][1] != 2:
+    """(p over its central generators, the product of their orders) when
+    those orders are distinct primes, else None: the central generators'
+    letters deleted from every relator, each word freely reduced and the
+    empty ones dropped, which drops their powers and commutators (a Tietze
+    move), and their names deleted from the generators.  Central c_i of
+    distinct prime orders p_i, each c_i != 1, span a subgroup of order
+    their product, so that |p| is the product times |quotient|."""
+    orders = [k for _, k in p.central]
+    if not orders or len(set(orders)) < len(orders) or not all(map(_is_prime, orders)):
         return None
-    z = p.gen_index(p.central[0][0]) + 1
-    # the letters of the generators after z move down by one
-    words = (Word([x - 1 if x > z else x + 1 if x < -z else x
-                   for x in w.letters if abs(x) != z]) for w in p.relators)
-    return Presentation(p.generators[:z - 1] + p.generators[z:],
-                        (w for w in words if w))
+    central = {name for name, _ in p.central}
+    kept = [name for name in p.generators if name not in central]
+    # the letters of the other generators, renumbered past the deleted ones
+    renumber = {}
+    for new, name in zip(range(1, len(kept) + 1), kept):
+        g = p.gen_index(name) + 1
+        renumber[g], renumber[-g] = new, -new
+    words = (Word([renumber[x] for x in w.letters if x in renumber])
+             for w in p.relators)
+    return Presentation(kept, (w for w in words if w)), prod(orders)
 
 
 def _certifies(p: Presentation, images):
     """Whether images, one per generator of p, elements kept up to a
     positive scalar as oracle.clifford_images gives them, send every
-    relator of p to the identity and p's central generator z elsewhere
-    (to -1).  They then define a homomorphism in which z is not 1, so z,
-    central with z^2 = 1 as p.central promises, spans a normal subgroup of
-    order 2, and |p| = 2 |_central_quotient(p)|."""
-    z = p.gen_index(p.central[0][0])
-    return verify_hom(p, images) and not images[z].is_identity()
+    relator of p to the identity and none of p's central generators there
+    (a cover's z goes to -1).  They then define a homomorphism in which no
+    central generator is 1, which is what _central_quotient needs."""
+    return verify_hom(p, images) and not any(
+        images[p.gen_index(name)].is_identity() for name, _ in p.central)
+
+
+def _moves_central(t: CosetTable):
+    """Whether every central generator c of t's presentation moves coset
+    1: c is then outside the subgroup, so c is not 1."""
+    p = t.presentation
+    row = 2 * p.rank  # coset 1's
+    return all(t.rows[row + 2 * p.gen_index(name)] != 1 for name, _ in p.central)
 
 
 def _orbits_certify(t: CosetTable, gens, n):
@@ -236,10 +262,10 @@ def _orbits_certify(t: CosetTable, gens, n):
     and the lcm of any set of orbits reaching n is the same answer.  The
     walk reads the table entries of the orbits it visits, from the last
     coset down, and it stops at the first orbit that brings the lcm to n.
-    On the 19 presentations of the benchmark's regular workload, order's
-    certificates read 1,106 entries this way and 1,840 walking up from
-    coset 1, as the cosets far from coset 1 more often lie in orbits
-    that settle the lcm."""
+    On the 19 presentations of the benchmark's regular workload, the
+    certificates of a repeated order read 1,148 entries this way and 1,968
+    walking up from coset 1, as the cosets far from coset 1 more often lie
+    in orbits that settle the lcm."""
     rows, ncols = t.rows, 2 * t.presentation.rank
     cols = [2 * g for g in gens]
     seen = bytearray(t.index + 1)
@@ -263,18 +289,31 @@ def _orbits_certify(t: CosetTable, gens, n):
 
 
 def _order(p: Presentation, cap, certificate=None):
-    """|G| = 2 |G/<z>| for a cover whose central quotient G/<z> is proved
-    (_certifies) and whose order fits in the cap; else |G| = |H| * [G:H]
-    for the first subgroup H that _subgroups makes whose table certifies
-    its order, else for the trivial subgroup.
+    """|G| = f |G/C| for a group whose central quotient G/C, by the
+    subgroup C of order f that its central generators span, is proved
+    (_central_quotient) and whose order fits in the cap; else
+    |G| = |H| * [G:H] for the first subgroup H that _subgroups makes whose
+    table certifies its order, else for the trivial subgroup.
 
-    The quotient is proved by certificate, a function of no arguments that
-    returns images of p's generators, read after the quotient's order,
-    when that order is first counted: a quotient whose order meets the cap
-    needs no proof.  p keeps the proved quotient (p._quotient), which keeps
-    its own plan, so the certificate is read once.  When the quotient's
-    order meets the cap, p's own subgroups, which may fit in it, are
-    tried, as they are without a certificate or when it fails.
+    G keeps a proved quotient as p._quotient, (quotient, f, bound), and
+    the quotient keeps its own plan.  It is counted at a cap of at least
+    bound, and proved in one of two ways:
+
+    - by certificate, a function of no arguments that returns images of
+      p's generators (_certifies), read after the quotient's order, when
+      that order is first counted and G keeps no quotient counted at the
+      cap: a quotient whose order meets the cap needs no proof.  The
+      bound is 1.
+    - without a certificate, by G's own path: a table over <g, h> or <g>
+      that certifies |H| and in which every central generator moves coset
+      1 (_moves_central) proves them all not 1.  The bound is the most
+      cosets any core call of that order defined, or would have defined
+      past its limit; at any cap of at least the bound, G's own path makes
+      the same calls with the same results, and prints that order.
+
+    An order at a cap below the bound takes G's own path, as does one whose
+    quotient's order meets the cap, so every order prints what it would
+    print had G kept nothing.
 
     The relators in g and h alone present a group of order d of which
     <g, h> in G is a quotient, and g^k = 1, so |H| divides d, or k, and the
@@ -286,22 +325,33 @@ def _order(p: Presentation, cap, certificate=None):
     # min(cap, PAIR_BOUND) the core would reject as a ValueError or TypeError
     if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:
         raise InputError(f"cap must be between 1 and {MAX_CAP}")
-    quotient = p._quotient
-    if quotient is None and certificate is not None:
-        quotient = _central_quotient(p)
-    if quotient is not None:
+    kept = p._quotient
+    if certificate is not None and (kept is None or kept[2] > cap):
+        found = _central_quotient(p)
+        kept = found and (*found, 1)
+    if kept and kept[2] <= cap:
+        quotient, factor, _ = kept
         try:
             n = _order(quotient, cap)
         except CapExceeded:
             n = None
         # a quotient that p keeps was proved when p kept it
-        if n is not None and (quotient is p._quotient
+        if n is not None and (kept is p._quotient
                               or _certifies(p, certificate())):
-            object.__setattr__(p, "_quotient", quotient)
-            return 2 * n
-    for gens, d in _subgroups(p, cap):
-        t = enumerate(p, tuple(map(Word.gen, gens)), cap)
+            object.__setattr__(p, "_quotient", kept)
+            return factor * n
+    defined = []
+    for gens, d in _subgroups(p, cap, defined):
+        rows, ndef, _, arrival = _run(p, tuple(map(Word.gen, gens)), cap, True)
+        defined.append(ndef)
+        t = CosetTable(p, rows, arrival)
         if _orbits_certify(t, gens, d):
+            bound = max(defined)
+            if (p.central and certificate is None and p._quotient is None
+                    and bound <= cap and _moves_central(t)):
+                found = _central_quotient(p)
+                if found is not None:
+                    object.__setattr__(p, "_quotient", (*found, bound))
             return d * t.index
     return index(p, (), cap)
 

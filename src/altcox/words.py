@@ -157,7 +157,8 @@ class Presentation(Record):
     # first enumeration over the presentation; _order_plan: the subgroups
     # engine.order tries, set on the first order of the presentation that
     # tries them; _quotient: the central quotient by which engine.order
-    # counts a cover, set once a certificate proves it
+    # counts the presentation, with its factor and the least cap it is
+    # counted at, set once a certificate or an order's table proves it
     __slots__ = ("generators", "relators", "central", "_index", "_encoded",
                  "_order_plan", "_quotient")
 

@@ -135,51 +135,55 @@ def test_order_through_a_cyclic_subgroup(backend, request, monkeypatch, p, want,
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-@pytest.mark.parametrize("p, want, bound, runs", [
+@pytest.mark.parametrize("build, want, bound, runs", [
     # S5: <s0, s1> = S3 counted (6), certified on its twenty cosets
-    (coxeter_presentation(standard_matrix("A", 4)), 120, 1000,
+    (lambda: coxeter_presentation(standard_matrix("A", 4)), 120, 1000,
      [(4, []), (8, [(0,), (2,)])]),
     # S3 x S3 on a = z, b = w, c = z x, e = w^-1 y: <y, x> is the diagonal
     # S3, whose orbits on its six cosets have sizes 1, 3 and 2, none 6
-    (presented(["x", "y", "z", "w"], "x^2", "y^3", "x y x y", "z^2", "w^3",
-               "z w z w", "z x z x", "w^-1 y w^-1 y w^-1 y", "z x w^-1 y z x w^-1 y",
-               "z x z^-1 x^-1", "z w^-1 y z^-1 y^-1 w", "w z x w^-1 x^-1 z^-1",
-               "y w^-1 y^-1 w"), 36, 1000, [(4, []), (8, [(2,), (0,)])]),
+    (lambda: presented(["x", "y", "z", "w"], "x^2", "y^3", "x y x y", "z^2",
+                       "w^3", "z w z w", "z x z x", "w^-1 y w^-1 y w^-1 y",
+                       "z x w^-1 y z x w^-1 y", "z x z^-1 x^-1",
+                       "z w^-1 y z^-1 y^-1 w", "w z x w^-1 x^-1 z^-1",
+                       "y w^-1 y^-1 w"), 36, 1000, [(4, []), (8, [(2,), (0,)])]),
     # S4: <s0, s1> fixes each of its four cosets, too few for an orbit of
     # six, so s0 is certified on the twelve cosets of <s0>
-    (coxeter_presentation(standard_matrix("A", 3)), 24, 1000,
+    (lambda: coxeter_presentation(standard_matrix("A", 3)), 24, 1000,
      [(4, []), (6, [(0,), (2,)]), (6, [(0,)])]),
     # x = y through w = 1, so G is trivial, not A4: neither <x, y> (12)
     # nor <x> (3) is certified on one coset, and the trivial subgroup is
-    (presented(["x", "y", "w"], "x^3", "y^3", "x y x y", "w", "x w y^-1"), 1, 1000,
-     [(4, []), (6, [(0,), (2,)]), (6, [(0,)]), (6, [])]),
+    (lambda: presented(["x", "y", "w"], "x^3", "y^3", "x y x y", "w", "x w y^-1"),
+     1, 1000, [(4, []), (6, [(0,), (2,)]), (6, [(0,)]), (6, [])]),
     # <y, x> presents the infinite triangle group (2, 3, 8): its count
     # reaches the bound, and the pair is dropped for <y> in G = S4
-    (presented(["x", "y", "z"], "x^2", "y^3", "x y x y x y x y x y x y x y x y",
-               "z^2", "x y x y z^-1"), 24, 1000, [(4, []), (6, [(2,)])]),
+    (lambda: presented(["x", "y", "z"], "x^2", "y^3",
+                       "x y x y x y x y x y x y x y x y", "z^2", "x y x y z^-1"),
+     24, 1000, [(4, []), (6, [(2,)])]),
     # at a bound of 5 cosets <s0, s1> = S3 is dropped, and the next h
     # gives <s0, s2> = C2 x C2, counted and certified
-    (coxeter_presentation(standard_matrix("A", 4)), 120, 5,
+    (lambda: coxeter_presentation(standard_matrix("A", 4)), 120, 5,
      [(4, []), (4, []), (8, [(0,), (4,)])]),
     # <x, y> = <x> has order 3, no more than x's, so y is passed over for
     # z; in G = S3, <x, z> has index 1 and <x> is normal
-    (presented(["x", "y", "z"], "x^3", "x y", "z^2", "x z x z"), 6, 1000,
+    (lambda: presented(["x", "y", "z"], "x^3", "x y", "z^2", "x z x z"), 6, 1000,
      [(4, []), (4, []), (6, [(0,), (4,)]), (6, [(0,)]), (6, [])]),
     # c is the lowest generator with a two-letter relator in y, but
     # central; <y, x> = A4 has index 2 and fixes both cosets
-    (presented(["c", "x", "y"], "x^2", "y^3", "x y x y x y", "c^2",
-               "c x c^-1 x^-1", "c y c^-1 y^-1", central=[("c", 2)]), 24, 1000,
+    (lambda: presented(["c", "x", "y"], "x^2", "y^3", "x y x y x y", "c^2",
+                       "c x c^-1 x^-1", "c y c^-1 y^-1", central=[("c", 2)]), 24, 1000,
      [(4, []), (6, [(4,), (2,)]), (6, [(4,)])]),
 ], ids=["certified", "orbit-lcm", "fallback", "collapsed", "bounded", "bound",
         "not-above-k", "central"])
-def test_order_through_a_pair(backend, request, monkeypatch, p, want, bound, runs):
+def test_order_through_a_pair(backend, request, monkeypatch, build, want, bound, runs):
     """engine.order's core calls at rank 3 and above: the count of the
     pair's group, with four columns and no subgroup, then the tables over
-    <g, h> and <g>, then the trivial subgroup, until one certifies."""
+    <g, h> and <g>, then the trivial subgroup, until one certifies.  Each
+    case builds its presentation afresh, as an order may keep a central
+    quotient on it that a second order would count instead."""
     core = py_core if backend == "python" else request.getfixturevalue("c_core")
     monkeypatch.setattr(engine, "PAIR_BOUND", bound)
     calls = counting_core(monkeypatch, core)
-    assert engine.order(p) == want
+    assert engine.order(build()) == want
     assert calls == runs
 
 
@@ -243,7 +247,7 @@ def test_orbits_certify_is_the_lcm_of_every_orbit():
     pair is not certified)."""
     answers = Counter()
     for p in [*regular_cases(), S3_BY_S3, coxeter_presentation(standard_matrix("A", 3))]:
-        for gens, d in engine._subgroups(p, 500_000):
+        for gens, d in engine._subgroups(p, 500_000, []):
             t = engine.enumerate(p, tuple(map(Word.gen, gens)), 500_000)
             certified = engine._orbits_certify(t, gens, d)
             assert certified == (orbit_lcm(t, gens) == d), (p, gens)
@@ -281,27 +285,29 @@ REGULAR_ARGVS = [
 def test_certificate_reads_the_orbits_it_needs():
     """On the 19 presentations of the benchmark's regular workload, the
     certificates of order's path, through the central quotient of each of
-    the four spinor covers, read 1,106 table entries in all, where copying
-    whole generator columns reads 27,133."""
+    the six covers, read 1,148 table entries in all, where copying whole
+    generator columns reads 21,918."""
     reads = 0
     for argv in REGULAR_ARGVS:
         args = cli._parse(["order", *argv])
         p = cli._build_presentation(args)
         assert engine._order(p, 500_000, cli._certificate(args))
-        p = p._quotient or p
-        for gens, d in engine._subgroups(p, 500_000):
+        p = p._quotient[0] if p._quotient else p
+        for gens, d in engine._subgroups(p, 500_000, []):
             t = engine.enumerate(p, tuple(map(Word.gen, gens)), 500_000)
             counted = engine.CosetTable(p, CountingRows(t.rows), t.arrival)
             certified = engine._orbits_certify(counted, gens, d)
             reads += counted.rows.reads
             if certified:
                 break
-    assert reads == 1106
+    assert reads == 1148
 
 
 def test_order_plan_is_worked_out_once(monkeypatch):
     """A second order of a presentation makes the same core calls, with the
-    same relators, from the plan kept on it, without reading its relators."""
+    same relators, from the plan kept on it, without reading its relators;
+    that of the A5 cover, whose first order proved its central quotient,
+    makes the calls of the quotient's first order."""
     class Unread:
         def __iter__(self):
             raise AssertionError("relators read again")
@@ -316,6 +322,10 @@ def test_order_plan_is_worked_out_once(monkeypatch):
         calls.clear()
         want = engine.order(p, cap=500_000)
         first = list(calls)
+        if p._quotient:
+            calls.clear()
+            engine.order(engine._central_quotient(p)[0], cap=500_000)
+            first = list(calls)
         object.__setattr__(p, "relators", Unread())
         calls.clear()
         assert engine.order(p, cap=500_000) == want
@@ -358,7 +368,8 @@ def test_order_plan_is_no_heavier_than_the_relators():
         for argv in argvs:
             p = cli._build_presentation(cli._parse(["order", *argv]))
             assert plan_letters(p) <= letters(p), argv
-            q = engine._central_quotient(p) if v.startswith("tilde") else None
+            found = engine._central_quotient(p)
+            q = found[0] if found else None
             if q is not None:
                 assert plan_letters(q) <= letters(q) < letters(p), argv
             assert letters(p) + (letters(q) if q else 0) <= cli._weight(p), argv
@@ -388,8 +399,9 @@ def test_a_catalog_cover_is_counted_through_its_quotient(monkeypatch, capsys,
         assert cli.main(["order", *argv]) == 0
         assert capsys.readouterr().out == f"{want}\n"
     p = cli._build_presentation(cli._parse(["order", *argv]))
-    assert p._quotient.generators == p.generators[:-1]
-    assert {ncols for ncols, _ in runs} == {4, 2 * p._quotient.rank}
+    quotient, factor, bound = p._quotient
+    assert quotient.generators == p.generators[:-1] and (factor, bound) == (2, 1)
+    assert {ncols for ncols, _ in runs} == {4, 2 * quotient.rank}
     assert built == [(argv[1], argv[-1], int(argv[3]))]
 
 
@@ -427,18 +439,129 @@ def test_a_tampered_cover_fails_the_certificate(monkeypatch):
     assert runs[-len(path):] == path and p._quotient is None
 
 
+# the caps of test_cover_orders_do_not_depend_on_history; each input prints
+# its order from its least cap up, and exits 3 below it, as it did before an
+# order kept a quotient that its table proved.  For the covers that least
+# cap is the bound the quotient is kept with
+HISTORY_GRID = [1, 2, 10, 64, 65, 100, 1000, 1320, 1321, 2000, 8682, 8683,
+                10_000, 100_000, 200_000]
+
+
+@pytest.mark.parametrize("argv, want, least", [
+    (["--variant", "a5-cover"], 2160, 1321),
+    (["--variant", "a6-cover"], 15120, 8683),
+    (["--presentation", "D4-tilde.json"], 384, 65),
+], ids=["a5-cover", "a6-cover", "presentation-D4-tilde"])
+def test_cover_orders_do_not_depend_on_history(capsys, tmp_path, monkeypatch,
+                                               argv, want, least):
+    """Each cap of the grid prints the same (exit, stdout, stderr) in a
+    fresh memo and after a 500,000-cap order of the same input, which
+    keeps the covers' quotients: below the kept bound the cover's own path
+    runs, and at it the quotient is counted."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["present", "--family", "D", "--rank", "4", "--variant",
+                     "tilde", "--output", "D4-tilde.json"]) == 0
+    for cap in HISTORY_GRID:
+        got = []
+        for history in (False, True):
+            cli._memo.clear()
+            if history:
+                assert cli.main(["order", *argv, "--max-cosets", "500000"]) == 0
+            capsys.readouterr()
+            got.append((cli.main(["order", *argv, "--max-cosets", str(cap)]),
+                        *capsys.readouterr()))
+        if cap >= least:
+            assert got == [(0, f"{want}\n", "")] * 2, cap
+        else:
+            assert got == [(3, "", f"cap exceeded at {cap} cosets\n")] * 2, cap
+    if argv[0] == "--variant":
+        assert cli._build_presentation(cli._parse(["order", *argv]))._quotient[2] == least
+
+
+def test_central_quotient_needs_distinct_prime_orders():
+    """The A5 cover's z and zeta, of orders 2 and 3, give its quotient A6
+    and the factor 6; two central involutions, which may be equal, or one
+    of order 4, which may have order 2, give none."""
+    quotient, factor = engine._central_quotient(universal_extension("A5"))
+    assert factor == 6 and quotient.generators == ("tr1", "tr2", "tr3", "tr4")
+    assert [render_word(w, quotient) for w in quotient.relators] == [
+        "tr1^3", "tr2^3", "tr3^3", "tr4^3", "tr1 tr2 tr1 tr2", "tr2 tr3 tr2 tr3",
+        "tr3 tr4 tr3 tr4", "tr1 tr2 tr3 tr1 tr2 tr3", "tr2 tr3 tr4 tr2 tr3 tr4",
+        "tr1 tr4 tr1^-1 tr4^-1"]
+    assert engine.order(quotient) == 360
+    two = presented(["x", "c", "d"], "x^3", "c^2", "d^2", "c x c^-1 x^-1",
+                    "c d c^-1 d^-1", "d x d^-1 x^-1", central=[("c", 2), ("d", 2)])
+    four = presented(["x", "c"], "x^3", "c^4", "c x c^-1 x^-1", central=[("c", 4)])
+    assert engine._central_quotient(two) is None
+    assert engine._central_quotient(four) is None
+    assert engine.order(two) == 12 and engine.order(four) == 12
+
+
+@pytest.mark.parametrize("p, want", [
+    # S4 with c = 1: <s0> is certified on its twelve cosets, and c fixes them
+    (presented(["s0", "s1", "s2", "c"], "s0^2", "s1^2", "s2^2", "s0 s1 s0 s1 s0 s1",
+               "s1 s2 s1 s2 s1 s2", "s0 s2 s0 s2", "c^2", "c s0 c^-1 s0^-1",
+               "c s1 c^-1 s1^-1", "c s2 c^-1 s2^-1", "c", central=[("c", 2)]), 24),
+    # D4 with c = x^2 in <x>: c fixes every coset of <x, y> and <x>, so
+    # neither is certified, and the trivial subgroup counts 8
+    (presented(["x", "y", "c"], "x^4", "y^2", "x y x y", "c^2", "c x c^-1 x^-1",
+               "c y c^-1 y^-1", "c x^-2", central=[("c", 2)]), 8),
+], ids=["c-is-1", "c-in-g"])
+def test_a_central_generator_in_the_subgroup_keeps_no_quotient(p, want):
+    """A central generator that fixes coset 1 of the certified table, or
+    leaves no table certified, proves nothing: no quotient is kept, and a
+    second order counts the same."""
+    assert engine.order(p) == want and p._quotient is None
+    assert engine.order(p) == want
+
+
+def test_a_pair_passed_over_at_the_cap_keeps_no_quotient():
+    """At a cap of 29 the count of <g, h1> (dihedral of order 40) is passed
+    over, and the table over <g, h2>, which defines 29 cosets, certifies
+    it with c outside.  A cap of 40 completes that count, and <g> then
+    needs more than 40 cosets, so order returns None.  The order at 29
+    keeps no quotient: counted at 40, its order 24 would give 48."""
+    g, h1, h2 = (Word.gen(i) for i in range(3))
+
+    def build():
+        return Presentation.build(
+            ("g", "h1", "h2", "c"), [g ** 2, h1 ** 2, h2 ** 2, (g * h1) ** 20,
+                                     (g * h2) ** 2, (h1 * h2) ** 3, (g * h1 * h2) ** 3],
+            central=(("c", 2),))
+
+    p = build()
+    assert engine.order(p, cap=29) == 48 and p._quotient is None
+    assert engine.order(p, cap=40) is None and engine.order(build(), cap=40) is None
+    assert engine.order(p, cap=1000) == 48 and p._quotient[1:] == (2, 43)
+
+
+def test_a_second_order_of_the_a6_cover_counts_its_quotient(monkeypatch, capsys):
+    """The first altcox order of the A6 cover counts it over <tr1>; the
+    second makes only its quotient A7's calls: the count of <tr1, tr2>
+    (A4) in four columns, then the table over it, in ten."""
+    runs = counting_core(monkeypatch)
+    argv = ["order", "--variant", "a6-cover"]
+    assert cli.main(argv) == 0
+    assert runs == [(14, [(0,)])]
+    runs.clear()
+    assert cli.main(argv) == 0
+    assert runs == [(4, []), (10, [(0,), (2,)])]
+    assert capsys.readouterr().out == "15120\n" * 2
+
+
 def test_central_quotients_halve_the_covers():
     """2 |G/<z>| is the regular index of each of the 44 spinor covers of the
-    corpus; the A5 and A6 covers, with two central generators, have no
-    central quotient."""
-    covers = 0
+    corpus, and 6 |G/<z, zeta>| that of the A5 and A6 covers, whose two
+    central generators have orders 2 and 3."""
+    factors = Counter()
     for p in regular_cases():
-        q = engine._central_quotient(p)
-        assert (q is None) == (len(p.central) != 1)
-        if q is not None:
-            assert 2 * engine.order(q, cap=500_000) == engine.index(p, (), cap=500_000)
-            covers += 1
-    assert covers == 44
+        found = engine._central_quotient(p)
+        assert (found is None) == (not p.central)
+        if found is not None:
+            q, factor = found
+            assert factor * engine.order(q, cap=500_000) == engine.index(p, (), cap=500_000)
+            factors[factor] += 1
+    assert factors == {2: 44, 6: 2}
 
 
 def test_order_prints_the_regular_orders(capsys):
