@@ -191,7 +191,7 @@ def _subgroups(p: Presentation, cap, defined):
     alone>| > k, then ((g,), k).  Each d is counted by the core on h's
     words, to at most min(cap, PAIR_BOUND) cosets; an h whose count
     reaches that bound is passed over.  Each count appends to defined the
-    cosets it defined, or its bound + 1 when it is passed over."""
+    cosets it defined, or that bound + 1 when it is passed over."""
     plan = _order_plan(p)
     if not plan:
         return
