@@ -7,11 +7,13 @@ covers one whole engine call on a fresh copy of the presentation, so
 encoding its words is timed too.  The "table" columns time
 engine.enumerate: the core's enumeration and its standardization of the
 table.  The "index" columns time engine.index, the same enumeration
-counted without a table, which is what ``altcox order`` runs.  The
-"defined" columns give the cosets each core defines for the case, live
-and dead, which both calls share; a presentation with g^2 relators
-defines fewer than with two columns per generator, as its involutions
-get one self-inverse column each.  The compiled columns need the
+counted without standardizing its table (the core still returns a copy
+of the table in its own coset ids), which is what an ``altcox
+enumerate`` that writes no artifact runs.  The "defined" columns give
+the cosets each core defines for the case, live and dead, which both
+calls share; a presentation with g^2 relators defines fewer than with
+two columns per generator, as its involutions get one self-inverse
+column each.  The compiled columns need the
 extension built first, for a source checkout with
 ``python setup.py build_ext --inplace``.  The last row times a layer
 that no core runs: engine.schreier_texts on one finished table, the

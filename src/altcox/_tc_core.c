@@ -1,12 +1,15 @@
 /* Compiled Todd-Coxeter core: a line-for-line port of _tc_py.enumerate_core,
 whose docstring specifies both cores: the HLT strategy with its read-only
 closure pass, the definition order, the coincidence handling, the
-involution rule, the standardizing traversal and the return shapes.  The
-test suite asserts that both cores return identical results.  rows, parent
-and arrival are flat array('i') buffers of C ints, with no Python object per
-cell, row, coset or arrival edge.  Coset ids are C ints, so the wrapper
-accepts caps up to INT_MAX - 2; table indices are computed in size_t.  The
-loop holds the GIL and checks for signals every SIGNAL_EVERY rows.
+involution rule, the standardizing traversal and the return shapes:
+(rows, ndef, parent, arrival), or (index, ndef, parent, cells) with
+table=False.  The test suite asserts that both cores return identical
+results.  rows, parent, arrival and cells are flat array('i') buffers of C
+ints, with no Python object per cell, row, coset or arrival edge; cells is
+a copy of the state block's first ndef+1 table rows.  Coset ids are C
+ints, so the wrapper accepts caps up to INT_MAX - 2; table indices are
+computed in size_t.  The loop holds the GIL and checks for signals every
+SIGNAL_EVERY rows.
 
 Memory is two blocks per call, a layout of this file alone and not part of
 the transliteration.  The fixed block, allocated once the letters are
@@ -14,7 +17,8 @@ counted, holds the word offsets, col, inv, the words and the closure flags.
 The state block holds the table, then parent, then the dead stack, nrows
 rows each.  Like the pure core's table it starts with rows 0 and 1 and
 doubles on demand up to the cap, so memory follows the cosets defined, not
-the cap; and a doubling is one realloc, which no companion can block.
+the cap; and a doubling is one realloc, which no companion can block.  With
+table=False it is shrunk to its first ndef+1 rows before they are copied.
 */
 
 #define PY_SSIZE_T_CLEAN
@@ -276,17 +280,17 @@ static PyObject *int_array(Py_ssize_t n, Py_buffer *view)
     return a;
 }
 
-/* The union-find forest tc->parent[0..ndef] as a new array('i'), or NULL
-   with an exception set. */
-static PyObject *forest(TC *tc)
+/* A new array('i') copying the n C ints at src, or NULL with an exception
+   set: the union-find forest, or the table's rows. */
+static PyObject *copied(const int *src, Py_ssize_t n)
 {
-    Py_buffer pv;
-    PyObject *parent = int_array((Py_ssize_t)tc->ndef + 1, &pv);
-    if (parent) {
-        memcpy(pv.buf, tc->parent, ((size_t)tc->ndef + 1) * sizeof(int));
-        PyBuffer_Release(&pv);
+    Py_buffer view;
+    PyObject *a = int_array(n, &view);
+    if (a) {
+        memcpy(view.buf, src, (size_t)n * sizeof(int));
+        PyBuffer_Release(&view);
     }
-    return parent;
+    return a;
 }
 
 /* The standardization of _tc_py.enumerate_core on a completed table of
@@ -309,7 +313,7 @@ static PyObject *standardize(TC *tc, int live)
         PyErr_NoMemory();
         return NULL;
     }
-    if (!(parent = forest(tc)))
+    if (!(parent = copied(tc->parent, (Py_ssize_t)size)))
         goto done;
     if (!(rows = int_array(((Py_ssize_t)live + 1) * tc->ncols, &rv)))
         goto done;
@@ -416,8 +420,18 @@ static PyObject *enumerate_core(PyObject *self, PyObject *args, PyObject *kwargs
         if (table)
             result = standardize(&tc, live);
         else {
-            PyObject *parent = forest(&tc);
-            result = parent ? Py_BuildValue("iiN", live, tc.ndef, parent) : NULL;
+            Py_ssize_t size = (Py_ssize_t)tc.ndef + 1;
+            PyObject *parent = copied(tc.parent, size);
+            /* once parent is copied, the block past row ndef is done
+               with; giving it back before the copy keeps the call's peak
+               memory down (a failed shrink leaves the block as it was) */
+            int *rows = parent ? realloc(tc.table, (size_t)size * ncols * sizeof(int)) : NULL;
+            if (rows)
+                tc.table = rows;
+            PyObject *cells = parent ? copied(tc.table, size * ncols) : NULL;
+            result = cells ? Py_BuildValue("iiNN", live, tc.ndef, parent, cells) : NULL;
+            if (!cells)
+                Py_XDECREF(parent);
         }
         break;
     }  /* SIGNALLED, NOMEM: the exception is already set */
@@ -435,7 +449,8 @@ static PyMethodDef methods[] = {
     {"enumerate_core", (PyCFunction)(void (*)(void))enumerate_core,
      METH_VARARGS | METH_KEYWORDS,
      "enumerate_core(ncols, relators, subgroup_words, cap, table=True)\n"
-     "-> (rows, ndef, parent, arrival), or (index, ndef, parent) with table=False\n\n"
+     "-> (rows, ndef, parent, arrival), or (index, ndef, parent, cells) with\n"
+     "table=False\n\n"
      "Compiled twin of altcox._tc_py.enumerate_core."},
     {NULL, NULL, 0, NULL},
 };

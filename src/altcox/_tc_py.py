@@ -9,8 +9,8 @@ involution: it is enumerated in column ``2*g`` alone, and its column
 
 This is the reference core.  Its compiled twin in ``_tc_core.c`` is a
 line-for-line port; the test suite asserts that both return identical
-``(rows, ndef, parent, arrival)``, and identical ``(index, ndef, parent)``
-when the table is not asked for.
+``(rows, ndef, parent, arrival)``, and identical ``(index, ndef, parent,
+cells)`` when the table is not asked for.
 """
 
 from __future__ import annotations
@@ -68,8 +68,13 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
     0..ndef, with parent[c] == c exactly for the live cosets.
 
     With table false the enumeration is the same, but nothing is renumbered
-    and no rows or arrival are built: the return is (index, ndef, parent),
-    index the number of live cosets and ndef and parent as above.
+    and no rows or arrival are built: the return is (index, ndef, parent,
+    cells), index the number of live cosets, ndef and parent as above, and
+    cells the completed table in the enumeration's own coset ids, a flat
+    array('i') of (ndef+1)*ncols entries laid out as rows is.  Row 0 and
+    every dead row are all zeros, each live row names live cosets only,
+    and column 2g+1 of an involutory g is 0, as its letter reads column
+    2g.
     """
     if not 1 <= operator.index(cap) <= MAX_CAP:  # a float raises TypeError
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
@@ -209,7 +214,8 @@ def enumerate_core(ncols, relators, subgroup_words, cap, table=True):
 
     live = [c for c in range(1, ndef + 1) if parent[c] == c]
     if not table:
-        return len(live), ndef, array("i", parent)
+        return (len(live), ndef, array("i", parent),
+                array("i", cells[:(ndef + 1) * ncols]))
 
     # standardize: number[c] is the new number of live coset c, order[k]
     # the old id of new coset k; order grows while the loop walks it.  In

@@ -8,24 +8,28 @@ docstring of ``_tc_py.enumerate_core`` specifies both cores: the
 involution rule, the renumbering and the return shapes.  This module
 encodes the words, each presentation's relators once, and calls the
 core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
-while ``index`` takes the count alone.  ``order`` (and ``altcox order``,
+while ``index`` takes the count alone from the core's index path
+(``table=False``), which renumbers nothing and returns the completed table
+in the enumeration's own coset ids.  ``order`` (and ``altcox order``,
 through ``_order``) returns |H| * [G:H] for the first subgroup H whose
 order its table certifies: the two-generator <g, h>, then the cyclic <g>
 that ``_subgroups`` makes, else the trivial one.  Which g, k and candidate
 h to try, and each pair's relators in four columns, are worked out on a
 presentation's first order and kept on it, beside its encoded relators
 (``_order_plan``); each order still counts the pair's group in the core.
-The certificate (``_orbits_certify``) walks H's orbits from the last coset
-down, reading only the table entries of the orbits it visits, until the
-lcm of their sizes reaches H's order bound.  A group G whose central
-generators have distinct prime orders, such as a spinor cover (z of order
-2) or the A5 and A6 covers (z and zeta, of orders 2 and 3), is counted as
-f |G/C| through its central quotient (``_central_quotient``), f the
-product of those orders, once each central generator is proved not 1: by
-images of G's generators given to ``_order`` (``_certifies``; ``altcox
-order`` passes oracle.clifford_images for a catalog spinor cover), or by
-the table of an earlier order of G that certified |H| with every central
-generator outside H.  The proved quotient is kept on G, with the least cap
+H's table comes from the index path too, and no CosetTable is built: the
+certificate (``_orbits_certify``) walks H's orbits on the live cosets,
+from the last coset defined down, reading only the table entries of the
+orbits it visits, until the lcm of their sizes reaches H's order bound.
+A group G whose central generators have distinct prime orders, such as a
+spinor cover (z of order 2) or the A5 and A6 covers (z and zeta, of
+orders 2 and 3), is counted as f |G/C| through its central quotient
+(``_central_quotient``), f the product of those orders, once each
+central generator is proved not 1: by images of G's generators given to
+``_order`` (``_certifies``; ``altcox order`` passes
+oracle.clifford_images for a catalog spinor cover), or by the table of
+an earlier order of G that certified |H| with every central generator
+outside H.  The proved quotient is kept on G, with the least cap
 at which it is counted.  A run that would define more cosets than its cap
 raises the core's CapExceeded, which ``enumerate``, ``index`` and
 ``_order`` let through to their caller (those of G's quotient are caught,
@@ -199,7 +203,7 @@ def _subgroups(p: Presentation, cap, defined):
     limit = min(cap, PAIR_BOUND)
     for h, words in pairs:
         try:
-            d, ndef, _ = _core(4, words, (), limit, False)
+            d, ndef, *_ = _core(4, words, (), limit, False)
         except CapExceeded:
             defined.append(limit + 1)
             continue
@@ -247,38 +251,42 @@ def _certifies(p: Presentation, images):
         images[p.gen_index(name)].is_identity() for name, _ in p.central)
 
 
-def _moves_central(t: CosetTable):
-    """Whether every central generator c of t's presentation moves coset
-    1: c is then outside the subgroup, so c is not 1."""
-    p = t.presentation
+def _moves_central(p: Presentation, cells):
+    """Whether every central generator c of p moves coset 1 of cells, a
+    completed table over p as the core's index path returns it: c is then
+    outside the subgroup, so c is not 1."""
     row = 2 * p.rank  # coset 1's
-    return all(t.rows[row + 2 * p.gen_index(name)] != 1 for name, _ in p.central)
+    return all(cells[row + 2 * p.gen_index(name)] != 1 for name, _ in p.central)
 
 
-def _orbits_certify(t: CosetTable, gens, n):
-    """Whether the lcm of the orbit sizes of <gens> on t's cosets is n.
-    <gens> acts on the completed table, so each orbit size divides its
-    order; when that order divides n, the lcm reaching n proves it is n,
-    and the lcm of any set of orbits reaching n is the same answer.  The
-    walk reads the table entries of the orbits it visits, from the last
-    coset down, and it stops at the first orbit that brings the lcm to n.
-    On the 19 presentations of the benchmark's regular workload, the
-    certificates of a repeated order read 1,148 entries this way and 1,968
-    walking up from coset 1, as the cosets far from coset 1 more often lie
-    in orbits that settle the lcm."""
-    rows, ncols = t.rows, 2 * t.presentation.rank
+def _orbits_certify(p: Presentation, cells, parent, gens, n):
+    """Whether the lcm of the orbit sizes of <gens> on the live cosets of
+    cells is n, cells and parent a completed table over p and its
+    union-find forest, in the enumeration's own coset ids, as the core's
+    index path returns them.  <gens> acts on the completed table, so each
+    orbit size divides its order; when that order divides n, the lcm
+    reaching n proves it is n, and the lcm of any set of orbits reaching
+    n is the same answer.  A live row names live cosets only, so the
+    orbits need no find and no renumbering.  The walk reads the table
+    entries of the orbits it visits, from the last coset defined down,
+    skipping dead ones (parent[c] != c), and it stops at the first orbit
+    that brings the lcm to n.  On the 19 presentations of the benchmark's
+    regular workload, the certificates of a repeated order read 1,190
+    entries this way and 1,574 walking up from coset 1, as the cosets far
+    from coset 1 more often lie in orbits that settle the lcm."""
+    ncols = 2 * p.rank
     cols = [2 * g for g in gens]
-    seen = bytearray(t.index + 1)
+    seen = bytearray(len(parent))
     reached = 1
-    for c in range(t.index, 0, -1):
-        if seen[c]:
+    for c in range(len(parent) - 1, 0, -1):
+        if seen[c] or parent[c] != c:
             continue
         seen[c] = 1
         orbit = [c]
         for a in orbit:  # grows as the walk reaches new cosets
             row = a * ncols
             for col in cols:
-                b = rows[row + col]
+                b = cells[row + col]
                 if not seen[b]:
                     seen[b] = 1
                     orbit.append(b)
@@ -342,17 +350,16 @@ def _order(p: Presentation, cap, certificate=None):
             return factor * n
     defined = []
     for gens, d in _subgroups(p, cap, defined):
-        rows, ndef, _, arrival = _run(p, tuple(map(Word.gen, gens)), cap, True)
+        cosets, ndef, parent, cells = _run(p, tuple(map(Word.gen, gens)), cap, False)
         defined.append(ndef)
-        t = CosetTable(p, rows, arrival)
-        if _orbits_certify(t, gens, d):
+        if _orbits_certify(p, cells, parent, gens, d):
             bound = max(defined)
             if (p.central and certificate is None and p._quotient is None
-                    and bound <= cap and _moves_central(t)):
+                    and bound <= cap and _moves_central(p, cells)):
                 found = _central_quotient(p)
                 if found is not None:
                     object.__setattr__(p, "_quotient", (*found, bound))
-            return d * t.index
+            return d * cosets
     return index(p, (), cap)
 
 

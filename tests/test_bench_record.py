@@ -85,3 +85,39 @@ def test_reach_records_the_highest_rank_that_exits_0(bench_record):
     # D2 is no catalog group: altcox order exits 2
     assert bench_record.reach("D", ("bourbaki",), range(2, 3)) == {
         "D": {"bourbaki": {"rank": None, "wall_s": None, "peak_rss_mb": None}}}
+
+
+def test_reach_gate_marks_each_rank_that_fell(bench_record, monkeypatch, tmp_path,
+                                              capsys):
+    """--reach marks each (family, variant) whose rank fell below the
+    committed one, a null rank included, and exits 1; it writes the file
+    all the same.  A rise, an equal rank and a rank with no committed one
+    pass."""
+    def row(rank):
+        return {"rank": rank, "wall_s": rank and 0.1, "peak_rss_mb": rank and 20.0}
+
+    table = {"A": {"coxeter": row(8), "edge": row(7), "tilde": row(None)},
+             "B": {"coxeter": row(8), "edge": row(7)}}
+    committed = {"A": {"coxeter": row(8), "edge": row(8), "tilde": row(5)},
+                 "B": {"coxeter": row(7), "edge": row(None)}}
+    monkeypatch.setattr(bench_record, "reach", lambda: table)
+    monkeypatch.setattr(bench_record, "committed",
+                        lambda name: name == "reach" and {"reach": committed})
+    monkeypatch.setattr(bench_record, "REACH", tmp_path / "BENCH_reach.json")
+    assert bench_record.main(["--reach"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "reach A coxeter 8 (committed 8)",
+        "reach A edge 7 (committed 8) FELL BELOW COMMITTED",
+        "reach A tilde None (committed 5) FELL BELOW COMMITTED",
+        "reach B coxeter 8 (committed 7)",
+        "reach B edge 7 (committed None)"]
+    assert json.loads((tmp_path / "BENCH_reach.json").read_text())["reach"] == table
+    del table["A"]
+    assert bench_record.main(["--reach"]) == 0
+    assert "FELL" not in capsys.readouterr().out
+    monkeypatch.setattr(bench_record, "committed", lambda name: None)
+    table["A"] = {"edge": row(None)}
+    assert bench_record.main(["--reach"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "reach B coxeter 8 (committed none)", "reach B edge 7 (committed none)",
+        "reach A edge None (committed none)"]

@@ -371,10 +371,11 @@ def test_artifacts_of_rank_zero_and_one(generators, relators, subgroup, table,
     ids=["A-5-edge", "B-4-bourbaki", "D-4-carmichael", "B-3-coxeter"])
 def test_index_path_agrees_with_table(tmp_path, monkeypatch, capsys, family, rank,
                                       variant, tables):
-    """order counts its pair's group without a table, then builds the
-    tables of <g, h> and, when that one certifies nothing, of <g>, and
-    never enumerates the trivial subgroup when one of them certifies; an
-    enumerate that writes no artifact counts the cosets without a table;
+    """order counts its pair's group without a table, then enumerates
+    <g, h> and, when that one certifies nothing, <g>, each certified from
+    the core's unstandardized table without asking for a standardized one,
+    and never enumerates the trivial subgroup when one of them certifies;
+    an enumerate that writes no artifact counts the cosets without a table;
     enumerate --table builds one; they print one index."""
     runs = []  # (column count, subgroup column words, table wanted) of each core call
     core = engine._core
@@ -386,7 +387,7 @@ def test_index_path_agrees_with_table(tmp_path, monkeypatch, capsys, family, ran
     count, *made = runs
     ncols = made[0][0]
     assert count == (4, [], False) and ncols > 4
-    assert made == [(ncols, words, True) for words in tables]
+    assert made == [(ncols, words, False) for words in tables]
     for sub in ([], ["--subgroup-gens", "2"]):
         runs.clear()
         assert main(["enumerate"] + base + sub) == EXIT_OK

@@ -241,15 +241,18 @@ S3_BY_S3 = presented(["x", "y", "z", "w"], "x^2", "y^3", "x y x y", "z^2", "w^3"
 
 
 def test_orbits_certify_is_the_lcm_of_every_orbit():
-    """The certificate's answer is whether the lcm of all of H's orbit sizes
+    """The certificate's answer, read off the core's unstandardized table,
+    is whether the lcm of all of H's orbit sizes on the standardized table
     is d, whichever orbits it walks, on every subgroup that _subgroups makes
     over the corpus, S3 x S3 (certified by no single orbit) and A3 (whose
     pair is not certified)."""
     answers = Counter()
     for p in [*regular_cases(), S3_BY_S3, coxeter_presentation(standard_matrix("A", 3))]:
         for gens, d in engine._subgroups(p, 500_000, []):
-            t = engine.enumerate(p, tuple(map(Word.gen, gens)), 500_000)
-            certified = engine._orbits_certify(t, gens, d)
+            sub = tuple(map(Word.gen, gens))
+            t = engine.enumerate(p, sub, 500_000)
+            _, _, parent, cells = engine._run(p, sub, 500_000, False)
+            certified = engine._orbits_certify(p, cells, parent, gens, d)
             assert certified == (orbit_lcm(t, gens) == d), (p, gens)
             answers[len(gens), certified] += 1
     # False on the 11 corpus pairs and 15 cyclic subgroups that order passes
@@ -258,7 +261,7 @@ def test_orbits_certify_is_the_lcm_of_every_orbit():
 
 
 class CountingRows:
-    """A table's rows that count the entries read, one per index and the
+    """A table's cells that count the entries read, one per index and the
     length of each slice."""
 
     def __init__(self, rows):
@@ -285,8 +288,9 @@ REGULAR_ARGVS = [
 def test_certificate_reads_the_orbits_it_needs():
     """On the 19 presentations of the benchmark's regular workload, the
     certificates of order's path, through the central quotient of each of
-    the six covers, read 1,148 table entries in all, where copying whole
-    generator columns reads 21,918."""
+    the six covers, read 1,190 entries of the core's unstandardized tables
+    in all, where copying whole generator columns of those tables reads
+    29,710."""
     reads = 0
     for argv in REGULAR_ARGVS:
         args = cli._parse(["order", *argv])
@@ -294,13 +298,14 @@ def test_certificate_reads_the_orbits_it_needs():
         assert engine._order(p, 500_000, cli._certificate(args))
         p = p._quotient[0] if p._quotient else p
         for gens, d in engine._subgroups(p, 500_000, []):
-            t = engine.enumerate(p, tuple(map(Word.gen, gens)), 500_000)
-            counted = engine.CosetTable(p, CountingRows(t.rows), t.arrival)
-            certified = engine._orbits_certify(counted, gens, d)
-            reads += counted.rows.reads
+            _, _, parent, cells = engine._run(p, tuple(map(Word.gen, gens)), 500_000,
+                                              False)
+            counted = CountingRows(cells)
+            certified = engine._orbits_certify(p, counted, parent, gens, d)
+            reads += counted.reads
             if certified:
                 break
-    assert reads == 1148
+    assert reads == 1190
 
 
 def test_order_plan_is_worked_out_once(monkeypatch):
@@ -825,9 +830,9 @@ def test_backend_equivalence(c_core):
         assert len(want) == 4  # (rows, ndef, parent, arrival)
         assert want == c_core(*args, 50_000), p.generators
         rows, ndef, parent, arrival = want
-        counted = (len(arrival) // 2 - 1, ndef, parent)  # (index, ndef, parent)
-        assert py_core(*args, 50_000, table=False) == c_core(*args, 50_000, table=False) \
-            == counted
+        counted = py_core(*args, 50_000, table=False)  # (index, ndef, parent, cells)
+        assert counted[:3] == (len(arrival) // 2 - 1, ndef, parent)
+        assert c_core(*args, 50_000, table=False) == counted
         # the cap boundary: exactly ndef cosets completes, one fewer does not
         assert py_core(*args, ndef) == c_core(*args, ndef) == want
         assert py_core(*args, ndef, False) == c_core(*args, ndef, False) == counted
@@ -889,9 +894,10 @@ def random_presentations(draw):
 @given(random_presentations())
 def test_cores_agree_on_random_presentations(c_core, case):
     """The two cores, with and without the table, return identical results
-    or both raise CapExceeded; the index path counts the table's index;
-    and on the compiled core a run whose cap is exactly its ndef completes
-    while one fewer does not."""
+    (the index path's unstandardized cells among them) or both raise
+    CapExceeded; the index path counts the table's index; and on the
+    compiled core a run whose cap is exactly its ndef completes while one
+    fewer does not."""
     ncols, relators, subwords, cap = case
     args = (ncols, relators, subwords)
     want = outcome(py_core, *args, cap)
@@ -902,12 +908,76 @@ def test_cores_agree_on_random_presentations(c_core, case):
         assert counted is CapExceeded
         return
     rows, ndef, parent, arrival = want
-    assert counted == (len(arrival) // 2 - 1, ndef, parent)
+    assert counted[:3] == (len(arrival) // 2 - 1, ndef, parent)
     assert c_core(*args, ndef) == want
     if ndef > 1:
         for table in (True, False):
             with pytest.raises(CapExceeded):
                 c_core(*args, ndef - 1, table)
+
+
+def standardized(ncols, relators, cells, parent):
+    """(rows, arrival) of the completed table cells, over the live cosets
+    of parent, renumbered as _tc_py.enumerate_core's docstring specifies:
+    in the order a traversal from coset 1 first reaches them, each coset
+    trying its arrival generator first, then the other generators in
+    decreasing index, positive letters only, with column 2g+1 of an
+    involutory g (one with a relator of two equal letters) a copy of
+    column 2g."""
+    ngens = ncols // 2
+    col = list(range(ncols))
+    for w in relators:
+        if len(w) == 2 and w[0] == w[1]:
+            col[w[0] | 1] = w[0] & ~1
+    number, order, arrival = {1: 1}, [0, 1], [0, 0, 0, 0]
+    for k, c in enumerate(order):  # order grows as the traversal numbers cosets
+        if not k:
+            continue
+        gens = list(range(ngens - 1, -1, -1))
+        if k > 1:
+            gens.remove(arrival[2 * k + 1])
+            gens.insert(0, arrival[2 * k + 1])
+        for g in gens:
+            d = cells[c * ncols + 2 * g]
+            if d not in number:
+                number[d] = len(order)
+                order.append(d)
+                arrival += (k, g)
+    assert len(order) - 1 == sum(parent[c] == c for c in range(1, len(parent)))
+    rows = [0] * ncols
+    for c in order[1:]:
+        rows += (number[cells[c * ncols + col[x]]] for x in range(ncols))
+    return array("i", rows), array("i", arrival)
+
+
+@settings(max_examples=600, deadline=None)
+@given(random_presentations())
+def test_cores_cells_standardize_to_the_table(c_core, case):
+    """On both cores, the index path's cells is the completed table in the
+    enumeration's own coset ids: standardized by the traversal that
+    _tc_py.enumerate_core's docstring specifies, it gives the table path's
+    rows and arrival exactly.  Row 0, every dead row and column 2g+1 of
+    each involutory g are zeros; every other entry of a live row names a
+    live coset."""
+    ncols, relators, subwords, cap = case
+    args = (ncols, relators, subwords, cap)
+    for core in (py_core, c_core):
+        counted = outcome(core, *args, False)
+        if counted is CapExceeded:
+            return
+        _, ndef, parent, cells = counted
+        rows, _, _, arrival = core(*args)
+        assert type(cells) is array and cells.typecode == "i"
+        assert len(cells) == (ndef + 1) * ncols
+        assert standardized(ncols, relators, cells, parent) == (rows, arrival)
+        skipped = {w[0] | 1 for w in relators if len(w) == 2 and w[0] == w[1]}
+        for c in range(ndef + 1):
+            row = cells[c * ncols:(c + 1) * ncols]
+            if c and parent[c] == c:
+                assert [x for x, e in enumerate(row) if not e] == sorted(skipped)
+                assert all(parent[e] == e for e in row if e)
+            else:
+                assert not any(row)
 
 
 class IterOnly:

@@ -23,7 +23,11 @@ B and D and each variant of REACH_VARIANTS it runs ``altcox order`` in a
 fresh interpreter at every rank from 3 to 11, and records the highest
 rank that exits 0, with that run's wall time (the interpreter's start
 included) and peak RSS, or a rank of null when none does.  It prints
-each rank beside the one in the BENCH_reach.json committed at HEAD.
+each rank beside the one in the BENCH_reach.json committed at HEAD, and
+marks each (family, variant) whose rank fell below that one (a rank of
+null is below any rank); it writes the file either way, and exits 1
+when any rank fell.  Reach counts what exits 0 at the default cap, not
+time, so the committed record holds on any machine.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 RESULTS = ROOT / ".bench_build" / "perfbench" / "results"
+REACH = ROOT / "BENCH_reach.json"
 # the files whose changes change what the benchmark measures
 SOURCE = ("src", "perfbench", "setup.py", "pyproject.toml", "BENCHMARK.json")
 ENVIRONMENT = ("seed", "run_seconds", "measured_s", "backend", "nproc", "python")
@@ -139,7 +144,8 @@ def reach(families="ABD", variants=REACH_VARIANTS, ranks=REACH_RANKS):
 
 
 def record_reach():
-    """BENCH_reach.json's contents, and one line per family and variant."""
+    """BENCH_reach.json's contents, one line per family and variant, and
+    whether any rank fell below the committed one."""
     backend = subprocess.run(
         [sys.executable, "-c", "from altcox import engine; print(engine.BACKEND)"],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
@@ -151,10 +157,15 @@ def record_reach():
              "python": platform.python_version(),
              "ranks": [REACH_RANKS.start, REACH_RANKS.stop - 1], "reach": table}
     previous = (committed("reach") or {}).get("reach", {})
-    lines = [f"reach {f} {v} {row['rank']} (committed "
-             f"{previous.get(f, {}).get(v, {}).get('rank', 'none')})"
-             for f, rows in table.items() for v, row in rows.items()]
-    return bench, lines
+    lines, fell = [], False
+    for f, rows in table.items():
+        for v, row in rows.items():
+            old = previous.get(f, {}).get(v, {}).get("rank", "none")
+            lower = isinstance(old, int) and (row["rank"] or 0) < old
+            fell |= lower
+            lines.append(f"reach {f} {v} {row['rank']} (committed {old})"
+                         + (" FELL BELOW COMMITTED" if lower else ""))
+    return bench, lines, fell
 
 
 def main(argv=None):
@@ -162,10 +173,10 @@ def main(argv=None):
     ap.add_argument("--reach", action="store_true",
                     help="record how far altcox order reaches, in BENCH_reach.json")
     if ap.parse_args(argv).reach:
-        bench, lines = record_reach()
+        bench, lines, fell = record_reach()
         print("\n".join(lines))
-        (ROOT / "BENCH_reach.json").write_text(json.dumps(bench, indent=1) + "\n")
-        return 0
+        REACH.write_text(json.dumps(bench, indent=1) + "\n")
+        return int(fell)
     status = 0
     for name in (w["name"] for w in SPEC["workloads"]):
         r = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
