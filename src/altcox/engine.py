@@ -10,9 +10,9 @@ encodes the words, each presentation's relators once, and calls the
 core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
 while ``index`` takes the count alone from the core's index path
 (``table=False``), which renumbers nothing and returns the completed table
-in the enumeration's own coset ids.  ``order`` (and ``altcox order``,
-through ``_order``) returns |H| * [G:H] for the first subgroup H whose
-order its table certifies: the two-generator <g, h>, then the cyclic <g>
+in the enumeration's own coset ids.  ``order``, which ``altcox order``
+calls, returns |H| * [G:H] for the first subgroup H whose order its
+table certifies: the two-generator <g, h>, then the cyclic <g>
 that ``_subgroups`` makes, else the trivial one.  Which g, k and candidate
 h to try, and each pair's relators in four columns, are worked out on a
 presentation's first order and kept on it, beside its encoded relators
@@ -26,14 +26,14 @@ spinor cover (z of order 2) or the A5 and A6 covers (z and zeta, of
 orders 2 and 3), is counted as f |G/C| through its central quotient
 (``_central_quotient``), f the product of those orders, once each
 central generator is proved not 1: by images of G's generators given to
-``_order`` (``_certifies``; ``altcox order`` passes
+``order`` (``_certifies``; ``altcox order`` passes
 oracle.clifford_images for a catalog spinor cover), or by the table of
 an earlier order of G that certified |H| with every central generator
 outside H.  The proved quotient is kept on G, with the least cap
 at which it is counted.  A run that would define more cosets than its cap
 raises the core's CapExceeded, which ``enumerate``, ``index`` and
-``_order`` let through to their caller (those of G's quotient are caught,
-and G's own path runs); only ``order`` turns it into None.
+``order`` let through to their caller (those of G's quotient are caught,
+and G's own path runs).
 
 Tables act on left cosets: words act with their rightmost letter first,
 matching the composition convention of the oracle module.
@@ -58,7 +58,7 @@ except ImportError:
     BACKEND = "python"
 
 DEFAULT_CAP = 200_000
-# the most cosets a pair's group <g, h> may take to count (see _order)
+# the most cosets a pair's group <g, h> may take to count (see order)
 PAIR_BOUND = 1000
 
 
@@ -155,7 +155,8 @@ def _order_plan(p: Presentation):
     pairs the (h, words) of each candidate h in increasing order.  g is the
     generator outside central, the indices of p.central, with a relator
     g^k or g^-k, k >= 2, of the largest k, then the lowest g; none is made
-    when no generator has one.  A central g is left out: <g> is then
+    when no generator has one, or at rank 1, where <g> is all of G and its
+    one coset could certify no k.  A central g is left out: <g> is then
     normal, acts trivially on its own cosets, and its order could not be
     certified.  A candidate h is a generator, other than g and outside
     central, such that some relator has exactly the letters g and h; at
@@ -171,7 +172,7 @@ def _order_plan(p: Presentation):
     found = max((gk for gk in powers if gk[0] not in central),
                 key=lambda gk: (gk[1], -gk[0]), default=None)
     plan = ()
-    if found is not None:
+    if found is not None and p.rank >= 2:
         g, k = found
         encoded = _relator_columns(p) if p.rank >= 3 else ()
         letters = [{x >> 1 for x in w} for w in encoded]
@@ -189,7 +190,7 @@ def _order_plan(p: Presentation):
 
 
 def _subgroups(p: Presentation, cap, defined):
-    """The subgroups H whose orders _order tries to certify, made lazily, as
+    """The subgroups H whose orders ``order`` tries to certify, made lazily, as
     (H's generators, a multiple d of |H|): ((g, h), d) for the first
     candidate h of _order_plan with d = |<g, h | the relators in g and h
     alone>| > k, then ((g,), k).  Each d is counted by the core on h's
@@ -296,7 +297,7 @@ def _orbits_certify(p: Presentation, cells, parent, gens, n):
     return False
 
 
-def _order(p: Presentation, cap, certificate=None):
+def order(p: Presentation, cap=DEFAULT_CAP, certificate=None):
     """|G| = f |G/C| for a group whose central quotient G/C, by the
     subgroup C of order f that its central generators span, is proved
     (_central_quotient) and whose order fits in the cap; else
@@ -326,8 +327,10 @@ def _order(p: Presentation, cap, certificate=None):
     The relators in g and h alone present a group of order d of which
     <g, h> in G is a quotient, and g^k = 1, so |H| divides d, or k, and the
     table certifies |H| when the orbit sizes of H on it have that lcm
-    (_orbits_certify).  Each enumeration has the cap; the CapExceeded of
-    one over <g, h> or <g> is raised, not fallen back from.
+    (_orbits_certify).  Each enumeration has the cap, and the CapExceeded
+    of one over <g, h>, <g> or the trivial subgroup is raised, as
+    enumerate and index raise theirs, not fallen back from; only the
+    quotient's is caught.
     """
     # _run's check, made before the pair's count, whose bound
     # min(cap, PAIR_BOUND) the core would reject as a ValueError or TypeError
@@ -340,7 +343,7 @@ def _order(p: Presentation, cap, certificate=None):
     if kept and kept[2] <= cap:
         quotient, factor, _ = kept
         try:
-            n = _order(quotient, cap)
+            n = order(quotient, cap)
         except CapExceeded:
             n = None
         # a quotient that p keeps was proved when p kept it
@@ -361,18 +364,6 @@ def _order(p: Presentation, cap, certificate=None):
                     object.__setattr__(p, "_quotient", (*found, bound))
             return d * cosets
     return index(p, (), cap)
-
-
-def order(p: Presentation, cap=DEFAULT_CAP):
-    """The group order, through a two-generator or cyclic subgroup where
-    its order is certified (see _order), else through the trivial subgroup.
-
-    Returns the order, or None when an enumeration exceeded the cap.
-    """
-    try:
-        return _order(p, cap)
-    except CapExceeded:
-        return None
 
 
 def word_in_subgroup(t: CosetTable, w: Word) -> bool:

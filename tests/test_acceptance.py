@@ -13,6 +13,8 @@ import sys
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from altcox import chains, engine, oracle
 from altcox import presentations as pres
 from altcox.coxeter import CoxeterMatrix, standard_matrix
@@ -216,7 +218,8 @@ def test_criterion_09_disconnected_example_end_to_end():
         # both the enumerator and the exact linear oracle find the group
         # infinite: enumeration never closes, and one word maps to a
         # unipotent non-identity matrix, which has infinite order
-        assert engine.order(p, cap=20_000) is None
+        with pytest.raises(engine.CapExceeded):
+            engine.order(p, cap=20_000)
         imgs = edge_images(EXAMPLE5, emap)
         witness = oracle.eval_word(imgs, p.gen("r2_3") * p.gen("r2_4"))
         assert witness.is_unipotent() and not witness.is_identity()

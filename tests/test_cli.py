@@ -687,7 +687,8 @@ def test_order_at_a_cap_of_one(backend, request, monkeypatch, capsys):
     assert main(["order", "--family", "A", "--rank", "4", "--max-cosets", "1"]) == EXIT_CAP
     assert capsys.readouterr() == ("", "cap exceeded at 1 cosets\n")
     p = presentations.coxeter_presentation(standard_matrix("A", 4))
-    assert engine.order(p, cap=1) is None
+    with pytest.raises(engine.CapExceeded):
+        engine.order(p, cap=1)
 
 
 def test_nf_cap_bounds_the_top_table_alone(capsys):
@@ -906,6 +907,44 @@ def test_verify_runs_the_whole_catalog(monkeypatch, capsys):
     assert lines == [f"PASS {n}" for n in names] + ["46/46 checks passed"]
 
 
+def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
+    """Each check of `verify` that names a group builds it with
+    cli._catalog_presentation, the builder behind the commands' memo, and
+    gets the group that `present` serves under that name: images-* its
+    one group, orders-* the three chain variants, spinor-* the cover
+    (whose plain edge group is the one it twists, over the standard
+    matrix), vv-equivalence both groups and a5-cover-order the cover.
+    verify keeps none of them in the memo."""
+    calls, build = [], cli._catalog_presentation
+    monkeypatch.setattr(cli, "_catalog_presentation",
+                        lambda *a: calls.append(a) or build(*a))
+    want = {"vv-equivalence": [("vv", "A", 4), ("edge", "A", 4)],
+            "a5-cover-order": [("a5-cover", None, None)],
+            "artin-braid": [], "spinor-iso-A3": []}
+    got = {}
+    for name, thunk in cli._verify_checks():
+        kind, group, *variant = name.split("-", 2)
+        family, rank = group[0], int(group[1:]) if group[1:].isdigit() else None
+        if kind == "images":
+            want[name] = [(variant[0], family, rank)]
+        elif kind == "orders":
+            want[name] = [(v, family, rank) for v in ("carmichael", "bourbaki", "edge")]
+        elif kind == "spinor" and not variant:
+            want[name] = [("tilde-plus-edge", family, rank)]
+        calls.clear()
+        assert thunk(), name
+        got[name] = list(calls)
+    assert got == want
+    for v, family, rank in {a for names in want.values() for a in names}:
+        named = [] if family is None else ["--family", family, "--rank", str(rank)]
+        assert main(["present", "--variant", v, *named]) == EXIT_OK
+        assert capsys.readouterr().out == build(v, family, rank).to_json() + "\n"
+    cli._memo.clear()
+    calls.clear()
+    assert main(["verify"]) == EXIT_OK and not cli._memo
+    assert calls == [a for names in got.values() for a in names]
+
+
 def test_verify_only_filter(capsys):
     assert main(["verify", "--only", "orders-A4"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -935,11 +974,17 @@ def _not_called(*args):
     raise AssertionError("generated_order called")
 
 
+def _cap_exceeded(*args):
+    raise engine.CapExceeded("cap")
+
+
 @pytest.mark.parametrize("name, obj, attr, sabotage", [
     ("images-A3-edge", oracle, "verify_hom", lambda p, images: False),
     ("artin-braid", oracle, "standard_images", _one_image),
     ("spinor-iso-A3", presentations.GroupHom, "verify", lambda self, *a: False),
-], ids=["images", "artin-braid", "spinor-iso"])
+    ("orders-A4", engine, "_core", _cap_exceeded),
+    ("spinor-iso-A3", engine, "_core", _cap_exceeded),
+], ids=["images", "artin-braid", "spinor-iso", "order-cap", "enumerate-cap"])
 def test_verify_reports_each_failure(monkeypatch, capsys, name, obj, attr, sabotage):
     # a check fails as soon as one part of it does: the images are not
     # counted once they break a relator

@@ -94,7 +94,8 @@ def test_cap_exceeded_on_infinite_group(monkeypatch):
     # <s0> has infinite index: order's one enumeration meets the cap, and
     # it does not go on to the trivial subgroup
     runs = counting_core(monkeypatch)
-    assert engine.order(coxeter_presentation(inf), cap=10_000) is None
+    with pytest.raises(CapExceeded):
+        engine.order(coxeter_presentation(inf), cap=10_000)
     assert runs == [(4, [(0,)])]
 
 
@@ -106,9 +107,9 @@ def presented(generators, *relators, central=()):
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
 @pytest.mark.parametrize("p, want, subgroups", [
-    # <x> is the whole group, and x^2 moves no coset: x^4 = 1 is not x's
-    # order, and k * [G:<x>] would say 4
-    (presented(["x"], "x^4", "x^2"), 2, [[(0,)], []]),
+    # at rank 1 <x> would be the whole group, whose one coset x^2 cannot
+    # move, so x^4 = 1 could not be certified: the trivial subgroup alone
+    (presented(["x"], "x^4", "x^2"), 2, [[]]),
     # S3: x moves <x>'s three cosets, but x^2 = x^(4/2), or x^(6/3), moves none
     (presented(["x", "y"], "x^4", "x^2", "y^3", "x y x y"), 6, [[(0,)], []]),
     (presented(["x", "y"], "x^6", "x^2", "y^3", "x y x y"), 6, [[(0,)], []]),
@@ -125,9 +126,9 @@ def presented(generators, *relators, central=()):
         "largest-k", "lowest-g", "central-only"])
 def test_order_through_a_cyclic_subgroup(backend, request, monkeypatch, p, want,
                                          subgroups):
-    """engine.order's enumerations at rank 2, where no pair is tried: the
-    subgroup of each, the certificate's fallback to the trivial subgroup,
-    and the order it returns."""
+    """engine.order's enumerations at ranks 1 and 2, where no pair is tried:
+    the subgroup of each, the certificate's fallback to the trivial
+    subgroup, and the order it returns."""
     core = py_core if backend == "python" else request.getfixturevalue("c_core")
     runs = counting_core(monkeypatch, core)
     assert engine.order(p) == want
@@ -210,8 +211,8 @@ def test_order_agrees_with_the_regular_index(backend, request, monkeypatch):
         runs.pop()  # the index's
         paths[tuple(len(w) for ncols, w in runs if ncols == 2 * p.rank)] += 1
     # the pair certified, the pair then <g>, <g>, <g> then the trivial
-    # subgroup, the trivial subgroup alone
-    assert paths == {(2,): 28, (2, 1): 11, (1,): 25, (1, 0): 15, (0,): 29}
+    # subgroup, the trivial subgroup alone (every rank-1 case)
+    assert paths == {(2,): 28, (2, 1): 11, (1,): 25, (1, 0): 2, (0,): 42}
 
 
 def orbit_lcm(t, gens):
@@ -255,9 +256,9 @@ def test_orbits_certify_is_the_lcm_of_every_orbit():
             certified = engine._orbits_certify(p, cells, parent, gens, d)
             assert certified == (orbit_lcm(t, gens) == d), (p, gens)
             answers[len(gens), certified] += 1
-    # False on the 11 corpus pairs and 15 cyclic subgroups that order passes
+    # False on the 11 corpus pairs and 2 cyclic subgroups that order passes
     # over, and on A3's pair, in the corpus and again as a fixture
-    assert answers == {(2, True): 29, (2, False): 12, (1, True): 66, (1, False): 15}
+    assert answers == {(2, True): 29, (2, False): 12, (1, True): 66, (1, False): 2}
 
 
 class CountingRows:
@@ -295,7 +296,7 @@ def test_certificate_reads_the_orbits_it_needs():
     for argv in REGULAR_ARGVS:
         args = cli._parse(["order", *argv])
         p = cli._build_presentation(args)
-        assert engine._order(p, 500_000, cli._certificate(args))
+        assert engine.order(p, 500_000, cli._certificate(args))
         p = p._quotient[0] if p._quotient else p
         for gens, d in engine._subgroups(p, 500_000, []):
             _, _, parent, cells = engine._run(p, tuple(map(Word.gen, gens)), 500_000,
@@ -423,7 +424,7 @@ def test_a_cover_whose_quotient_meets_the_cap_takes_its_own_path(capsys):
 def test_a_tampered_cover_fails_the_certificate(monkeypatch):
     """A D4 tilde relator with its alpha dropped maps to -1 under the
     Clifford images, so the certificate fails: after its quotient's count,
-    _order takes the path of an order without a certificate, with its
+    order takes the path of an order without a certificate, with its
     answer, and keeps no quotient."""
     def tampered():
         p = spinor_presentation(standard_matrix("D", 4), "tilde")
@@ -440,7 +441,7 @@ def test_a_tampered_cover_fails_the_certificate(monkeypatch):
     want = engine.order(tampered())
     path = list(runs)
     runs.clear()
-    assert engine._order(p, engine.DEFAULT_CAP, lambda: images) == want
+    assert engine.order(p, engine.DEFAULT_CAP, lambda: images) == want
     assert runs[-len(path):] == path and p._quotient is None
 
 
@@ -524,7 +525,7 @@ def test_a_pair_passed_over_at_the_cap_keeps_no_quotient():
     """At a cap of 29 the count of <g, h1> (dihedral of order 40) is passed
     over, and the table over <g, h2>, which defines 29 cosets, certifies
     it with c outside.  A cap of 40 completes that count, and <g> then
-    needs more than 40 cosets, so order returns None.  The order at 29
+    needs more than 40 cosets, so order raises CapExceeded.  The order at 29
     keeps no quotient: counted at 40, its order 24 would give 48."""
     g, h1, h2 = (Word.gen(i) for i in range(3))
 
@@ -536,7 +537,9 @@ def test_a_pair_passed_over_at_the_cap_keeps_no_quotient():
 
     p = build()
     assert engine.order(p, cap=29) == 48 and p._quotient is None
-    assert engine.order(p, cap=40) is None and engine.order(build(), cap=40) is None
+    for q in (p, build()):
+        with pytest.raises(CapExceeded):
+            engine.order(q, cap=40)
     assert engine.order(p, cap=1000) == 48 and p._quotient[1:] == (2, 43)
 
 

@@ -297,6 +297,38 @@ def test_clifford_images_present_every_catalog_cover():
             assert not images[-1].is_identity()
 
 
+def clifford_closure(generators):
+    """The elements of the group that CliffordElement generators generate,
+    by breadth-first search from the identity, up to a positive scalar."""
+    one = oracle.CliffordElement({0: 1}, generators[0].square)
+    seen, todo = {one}, [one]
+    for x in todo:  # grows as new elements are reached
+        for g in generators:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("A", 4), ("B", 3), ("D", 4)])
+def test_clifford_images_generate_the_double_cover(family, rank):
+    """The images of each cover's generators other than the central one
+    generate a group of twice the order of the quotient by it, which
+    contains -1: that quotient is W, of order 2 |W+|, for tilde and
+    tilde-prime, and W+ for the plus styles.  So -1, the
+    central generator's image, has no complement, and the images tell
+    the spin cover from the quotient times C2.  D4 tilde's has 384
+    elements, the most here."""
+    half = oracle.alternating_order(family, rank)
+    for variant in COVERS:
+        images = oracle.clifford_images(family, variant, rank)
+        group = clifford_closure(images[:-1])
+        want = 4 * half if variant in ("tilde", "tilde-prime") else 2 * half
+        assert len(group) == want, variant
+        assert images[-1] in group, variant
+
+
 def test_clifford_images_need_obtuse_roots():
     """With D's s_0 sent to e1 + e2, acute to s_2's root, the relators of
     D4 tilde with an odd count of ts0, the label-3 (ts0 ts2)^3, map to -1;
