@@ -16,11 +16,13 @@ target), except to a path that exists and is not a regular file, such as
 a device or a FIFO, or a symlink to one, which is opened and written in
 place; all output is byte-deterministic.
 
-An argv whose first token names a command is read straight from that
-command's declared actions when it is well formed: each option written
+Each command is declared once, in ``_COMMANDS``: its help, its function
+and its options.  An argv whose first token names a command is read
+straight from that declaration when it is well formed: each option written
 exactly, each value present and not beginning with "-" and passing the
-option's type and choices, and each required option given.  Argparse reads
-any other argv whole, so help, usage, errors and exit codes are its own.
+option's type and choices, and each required option given.  Argparse is
+imported, and its parser built from the same declaration, only to read any
+other argv whole, so help, usage, errors and exit codes are its own.
 
 One process may run many commands through ``main``, which keeps a memo
 of what they build for a catalog group: the presentation of each
@@ -40,13 +42,13 @@ lock: ``main`` runs one command at a time.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import os
 import stat
 import sys
 import time
+import types
 
 from .words import InputError, Word, Presentation, parse_word, render_word
 from .coxeter import MAX_RANK, CoxeterMatrix, standard_matrix
@@ -261,17 +263,9 @@ def _matrix_presentation(v, m):
 def _rank(text):
     rank = int(text)
     if rank > MAX_RANK:
+        import argparse  # for the error it prints; a valid rank needs none
         raise argparse.ArgumentTypeError(f"rank {rank} above {MAX_RANK}")
     return rank
-
-
-def _input_flags(sub):
-    sub.add_argument("--family", choices=("A", "B", "D", "a", "b", "d"))
-    sub.add_argument("--rank", type=_rank)
-    sub.add_argument("--matrix", help="Coxeter matrix JSON file")
-    sub.add_argument("--presentation", help="presentation JSON file")
-    sub.add_argument("--variant", choices=_VARIANTS, default="coxeter")
-    sub.add_argument("--output", help="write to file instead of stdout")
 
 
 def cmd_present(args):
@@ -458,108 +452,111 @@ def cmd_verify(args):
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+_FAMILIES = ("A", "B", "D", "a", "b", "d")
+_CAP = ("--max-cosets", {"type": int, "default": engine.DEFAULT_CAP})
+_INPUT = (("--family", {"choices": _FAMILIES}),
+          ("--rank", {"type": _rank}),
+          ("--matrix", {"help": "Coxeter matrix JSON file"}),
+          ("--presentation", {"help": "presentation JSON file"}),
+          ("--variant", {"choices": _VARIANTS, "default": "coxeter"}),
+          ("--output", {"help": "write to file instead of stdout"}))
+
+# name -> (help, function, options): each option its option string and the
+# keyword arguments of argparse's add_argument, of which _reader reads
+# type, choices, default, required and the actions store_true and append
+_COMMANDS = {
+    "present": ("build a presentation as JSON", cmd_present, _INPUT),
+    "enumerate": ("coset enumeration over a subgroup", cmd_enumerate, _INPUT + (
+        ("--subgroup", {"action": "append",
+                        "help": "subgroup generator word (repeatable)"}),
+        ("--subgroup-gens", {"type": int,
+                             "help": "use the first K generators as the subgroup"}),
+        _CAP,
+        ("--table", {"help": "write coset table CSV here"}),
+        ("--dot", {"help": "write Schreier graph DOT here"}),
+        ("--reps", {"help": "write representative words here"}))),
+    "order": ("group order by coset enumeration over a subgroup whose order "
+              "its table certifies", cmd_order, _INPUT + (_CAP,)),
+    "nf": ("chain normal forms", cmd_nf, (
+        ("--family", {"required": True, "choices": _FAMILIES}),
+        ("--variant", {"required": True, "choices": ("carmichael", "bourbaki", "edge")}),
+        ("--rank", {"type": _rank, "required": True}),
+        ("--word", {"help": "word to decompose"}),
+        ("--enumerate", {"action": "store_true", "help": "dump every normal form"}),
+        _CAP,
+        ("--output", {}))),
+    "verify": ("run the verification catalog", cmd_verify, (
+        ("--only", {"help": "substring filter on check names"}),
+        ("--timings", {"action": "store_true",
+                       "help": "write each check's wall time in ms to stderr"}),
+        ("--output", {}))),
+}
+
+
 def build_parser():
+    """The argparse parser of _COMMANDS, for help, usage and errors."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="altcox",
         description="presentations, coset enumeration and normal forms for "
                     "alternating subgroups of Coxeter groups")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("present", help="build a presentation as JSON")
-    _input_flags(p)
-    p.set_defaults(func=cmd_present)
-
-    p = sub.add_parser("enumerate", help="coset enumeration over a subgroup")
-    _input_flags(p)
-    p.add_argument("--subgroup", action="append",
-                   help="subgroup generator word (repeatable)")
-    p.add_argument("--subgroup-gens", type=int,
-                   help="use the first K generators as the subgroup")
-    p.add_argument("--max-cosets", type=int, default=engine.DEFAULT_CAP)
-    p.add_argument("--table", help="write coset table CSV here")
-    p.add_argument("--dot", help="write Schreier graph DOT here")
-    p.add_argument("--reps", help="write representative words here")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("order", help="group order by coset enumeration over a "
-                                     "subgroup whose order its table certifies")
-    _input_flags(p)
-    p.add_argument("--max-cosets", type=int, default=engine.DEFAULT_CAP)
-    p.set_defaults(func=cmd_order)
-
-    p = sub.add_parser("nf", help="chain normal forms")
-    p.add_argument("--family", required=True, choices=("A", "B", "D", "a", "b", "d"))
-    p.add_argument("--variant", required=True,
-                   choices=("carmichael", "bourbaki", "edge"))
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--word", help="word to decompose")
-    p.add_argument("--enumerate", action="store_true",
-                   help="dump every normal form")
-    p.add_argument("--max-cosets", type=int, default=engine.DEFAULT_CAP)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_nf)
-
-    p = sub.add_parser("verify", help="run the verification catalog")
-    p.add_argument("--only", help="substring filter on check names")
-    p.add_argument("--timings", action="store_true",
-                   help="write each check's wall time in ms to stderr")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_verify)
-    # name -> the reader of that command's arguments, for _parse
-    ap.readers = {name: _reader(name, p) for name, p in sub.choices.items()}
+    for name, (summary, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for option, kwargs in options:
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
-def _reader(name, command):
-    """A reader of the arguments after name that command declares: a
-    function from them to the Namespace the full parser would return, or
-    to None where it declines to read them.  It takes each token as an
-    exact option string of a store or append action, followed by a value
-    that does not begin with "-", which it runs through the action's type
-    and choices, or of a store-const action, such as --enumerate, which
-    takes no value.  The actions' defaults, then command's set_defaults,
-    fill the rest, and each required action must appear.  It declines
-    anything else: -h, an unknown or abbreviated option, --flag=value,
-    "--", a missing value, a value the type or choices refuse, or a
-    required option left out."""
-    options, defaults = {}, {"command": name}
-    for a in command._actions:
-        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
-            defaults[a.dest] = a.default
-        one_value = (type(a) in (argparse._StoreAction, argparse._AppendAction)
-                     and a.nargs is None)
-        if one_value or isinstance(a, argparse._StoreConstAction):
-            options.update(dict.fromkeys(a.option_strings, a))
-    for dest, value in command._defaults.items():
-        defaults.setdefault(dest, value)
-    required = {a for a in command._actions if a.required}
+@functools.cache
+def _reader(name):
+    """A reader of the arguments after command name: a function from them
+    to the namespace the parser would return, or to None where it declines
+    to read them.  It takes each token as an option string of the command,
+    exactly, followed by a value that does not begin with "-", which it
+    runs through the option's type and choices, or of a store_true option,
+    such as --enumerate, which takes no value.  The defaults fill the rest,
+    and each required option must appear.  It declines anything else: -h,
+    an unknown or abbreviated option, --flag=value, "--", a missing value,
+    a value the type raises on or the choices refuse, or a required option
+    left out."""
+    _, func, options = _COMMANDS[name]
+    defaults, kinds, required = {"command": name, "func": func}, {}, set()
+    for option, kwargs in options:
+        dest = option[2:].replace("-", "_")  # as argparse names it
+        action = kwargs.get("action")
+        defaults[dest] = kwargs.get("default", False if action == "store_true" else None)
+        kinds[option] = (dest, action, kwargs.get("type"), kwargs.get("choices"))
+        if kwargs.get("required"):
+            required.add(dest)
 
     def read(tokens):
-        args, seen = argparse.Namespace(), set()
+        args, seen = types.SimpleNamespace(**defaults), set()
         values = vars(args)
-        values.update(defaults)
         tokens = iter(tokens)
         for token in tokens:
-            a = options.get(token)
-            if a is None:
+            kind = kinds.get(token)
+            if kind is None:
                 return None
-            seen.add(a)
-            if a.nargs == 0:
-                values[a.dest] = a.const
+            dest, action, convert, choices = kind
+            seen.add(dest)
+            if action == "store_true":
+                values[dest] = True
                 continue
             value = next(tokens, "-")  # a missing value declines as "-" does
             if value.startswith("-"):
                 return None
-            if a.type is not None:
+            if convert is not None:
                 try:
-                    value = a.type(value)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    value = convert(value)
+                except Exception:  # argparse reads argv again: it reports or raises it
                     return None
-            if a.choices is not None and value not in a.choices:
+            if choices is not None and value not in choices:
                 return None
-            if type(a) is argparse._AppendAction:
-                value = [*(values[a.dest] or ()), value]
-            values[a.dest] = value
+            if action == "append":
+                value = [*(values[dest] or ()), value]
+            values[dest] = value
         return args if required <= seen else None
     return read
 
@@ -571,21 +568,19 @@ def _parser():
 
 def _parse(argv):
     """The arguments of argv, read once.  When argv[0] names a command, its
-    reader reads the rest straight from the command's declared actions;
-    when it names none, or the reader declines, argparse reads all of argv,
-    so that help, usage, errors and exit codes are argparse's own."""
-    ap = _parser()
-    read = ap.readers.get(argv[0]) if argv else None
-    args = read(argv[1:]) if read is not None else None
-    return ap.parse_args(argv) if args is None else args
+    reader reads the rest; when it names none, or the reader declines,
+    argparse reads all of argv, so that help, usage, errors and exit codes
+    are argparse's own."""
+    args = _reader(argv[0])(argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):
-    """Run one command and return its exit code.  The parser and its
-    readers are built on the first call, not at import, and reused for
-    the life of the process, as is the memo.  What a command built goes
-    into the memo when the command returns; one that fails raises, and
-    keeps nothing."""
+    """Run one command and return its exit code.  A command's reader is
+    worked out on its first use, and argparse's parser on the first argv
+    that a reader declines, not at import; both are reused for the life of
+    the process, as is the memo.  What a command built goes into the memo
+    when the command returns; one that fails raises, and keeps nothing."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:

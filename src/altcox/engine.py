@@ -115,12 +115,17 @@ class CosetTable(Record):
         return coset
 
 
+def _check_cap(cap):
+    """Refuse a cap that is not an int from 1 to MAX_CAP, a C int in the core."""
+    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:
+        raise InputError(f"cap must be between 1 and {MAX_CAP}")
+
+
 def _run(p: Presentation, subgroup, cap, table):
     """The core's return for <subgroup> in p, with or without its table, or
     None when p has no generators: the cores reject a table without
     columns, and the trivial group has index 1."""
-    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:  # a C int in the core
-        raise InputError(f"cap must be between 1 and {MAX_CAP}")
+    _check_cap(cap)
     if not p.rank:
         return None
     subwords = [_columns(w) for w in subgroup]
@@ -334,8 +339,7 @@ def order(p: Presentation, cap=DEFAULT_CAP, certificate=None):
     """
     # _run's check, made before the pair's count, whose bound
     # min(cap, PAIR_BOUND) the core would reject as a ValueError or TypeError
-    if not isinstance(cap, int) or not 1 <= cap <= MAX_CAP:
-        raise InputError(f"cap must be between 1 and {MAX_CAP}")
+    _check_cap(cap)
     kept = p._quotient
     if certificate is not None and (kept is None or kept[2] > cap):
         found = _central_quotient(p)

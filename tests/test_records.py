@@ -2,6 +2,7 @@
 does not import dataclasses."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import altcox
 from altcox.coxeter import CoxeterMatrix, ConnectedExtension, standard_matrix
 from altcox.engine import CosetTable
-from altcox.oracle import Permutation, WreathElement
+from altcox.oracle import CliffordElement, Permutation, WreathElement
 from altcox.presentations import EdgeGeneratorMap, GroupHom
 from altcox.words import MAX_LETTERS, MAX_WORD_LENGTH, InputError, Presentation, Word
 
@@ -35,6 +36,7 @@ RECORDS = {
                                      array("i", [0, 0, 0, 0])),
     "Permutation": lambda: Permutation([2, 3, 1]),
     "WreathElement": lambda: WreathElement([1, 2, 3], Permutation((2, 1, 3))),
+    "CliffordElement": lambda: CliffordElement({0b01: 2, 0b10: -4}, -1),
     "EdgeGeneratorMap": lambda: EdgeGeneratorMap(((0, 1), (1, 2))),
     "GroupHom": lambda: GroupHom(_presentation(), _presentation(),
                                  (Word((1,)), Word((-2,)))),
@@ -75,6 +77,7 @@ def test_fields_are_coerced():
     assert p.generators == ("a", "b") and p.central == (("b", 2),)
     assert CoxeterMatrix(3, [list(r) for r in A3]).m == A3
     assert WreathElement([1, 2, 3], Permutation((2, 1, 3))).flags == (1, 0, 1)
+    assert CliffordElement({0b01: 2, 0b10: -4, 0b11: 0}, -1).terms == ((1, 1), (2, -2))
 
 
 def test_presentation_size_rule_on_a_lazy_iterable():
@@ -100,3 +103,42 @@ def test_startup_imports_no_dataclasses():
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                        text=True, timeout=60, check=True)
     assert r.stdout.split() == []
+
+
+def _fresh_main(*argvs):
+    """The exit code of cli.main on each argv in turn in a fresh interpreter,
+    then which of argparse and the gettext it imports were loaded; and the
+    interpreter's stdout and stderr."""
+    code = ("import json, sys; from altcox.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(*codes, *sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(altcox.__file__).resolve().parents[1]),
+               COLUMNS="80")
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                       capture_output=True, text=True, timeout=60, check=True)
+    *out, loaded = r.stdout.splitlines()
+    return loaded.split(), out, r.stderr
+
+
+def test_well_formed_commands_import_no_argparse(tmp_path):
+    # a well-formed argv is read from the commands' own declaration; argparse
+    # and its parser took 4 to 5 ms of every fresh process before it ran
+    loaded, out, err = _fresh_main(
+        ["present", "--family", "A", "--rank", "3"],
+        ["enumerate", "--family", "A", "--rank", "3", "--subgroup-gens", "1",
+         "--reps", str(tmp_path / "reps.txt")],
+        ["order", "--family", "B", "--rank", "3", "--variant", "edge"],
+        ["nf", "--family", "A", "--variant", "edge", "--rank", "3", "--word", "r1 r2"],
+        ["verify", "--only", "artin"])
+    assert (loaded, err) == (["0"] * 5, "")
+    assert out[-5:] == ["index 12", "24", "r2^2 | r1^2", "PASS artin-braid",
+                        "1/1 checks passed"]
+    assert (tmp_path / "reps.txt").read_text().count("\n") == 12
+    # --rank=3 is declined: argparse reads it, to the same namespace
+    loaded, out, err = _fresh_main(["order", "--family", "A", "--rank=3"])
+    assert (loaded[:2], out, err) == (["0", "argparse"], ["24"], "")
+    # and prints its own usage and error
+    loaded, out, err = _fresh_main(["order", "--family", "A", "--rank", "401"])
+    assert (loaded[:2], out) == (["2", "argparse"], [])
+    assert err.startswith("usage: altcox order [-h]")
+    assert err.endswith("altcox order: error: argument --rank: rank 401 above 400\n")
