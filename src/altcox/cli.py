@@ -25,19 +25,23 @@ imported, and its parser built from the same declaration, only to read any
 other argv whole, so help, usage, errors and exit codes are its own.
 
 One process may run many commands through ``main``, which keeps a memo
-of what they build for a catalog group: the presentation of each
-(variant, family, rank) that --variant, --family and --rank name, or a
-cover variant alone, with its engine encoding and order plan, and a
-cover's proved central quotient (see `_certificate` and engine.order);
-and the `nf` Chain of each (family, variant, rank, cap), with its top
-table and sift.
+of what they build: the presentation of each catalog group, named by the
+(variant, family, rank) of --variant, --family and --rank or by a cover
+variant alone, and of each --presentation input, named by the file's
+text, which is read on every command, so that an edited file is parsed
+again; each with its engine encoding and order plan, and a cover's
+proved central quotient (see `_certificate` and engine.order); and the
+`nf` Chain of each (family, variant, rank, cap), with its top table and
+sift.  `verify` keeps each catalog group it names but the covers: the
+`spinor-*` checks build theirs, and the plain edge group each twists,
+afresh, as `a5-cover-order` does, so each counts its cover on its own.
 It keeps them in least recently used order while their weights, in
-relator letters, table cells and sift points, sum to at most MEMO_BUDGET
-(2^16, 2 to 4 MB); a command that fails, or a group heavier than that,
-keeps nothing.  It never keeps a --matrix or --presentation input, which
-is read on every command, a table over a subgroup, an order, or anything
-of `verify`.  No output depends on what the memo holds.  The memo has no
-lock: ``main`` runs one command at a time.
+relator letters (and a unit per 32 characters of a file's text), table
+cells and sift points, sum to at most MEMO_BUDGET (2^16, 2 to 4 MB); a
+command that fails, or a group heavier than that, keeps nothing.  It
+never keeps a --matrix input, which is read on every command, a table
+over a subgroup or an order.  No output depends on what the memo holds.
+The memo has no lock: ``main`` runs one command at a time.
 """
 
 from __future__ import annotations
@@ -181,6 +185,8 @@ def _keep():
     MEMO_BUDGET."""
     for key, value in _built:
         weight = _weight(value)
+        if key[0] == "--presentation":  # the file's text, a unit per 32 characters
+            weight += len(key[1]) // 32
         if weight <= MEMO_BUDGET:
             _memo[key] = (weight, value)
             total = sum(w for w, _ in _memo.values())
@@ -193,7 +199,8 @@ def _build_presentation(args) -> Presentation:
     read: the covers take none, --presentation takes no other and only the
     default --variant, and --matrix takes no --family or --rank.  A
     catalog group, named by the variant and any --family and --rank, goes
-    through the memo; a file is read on every call."""
+    through the memo, as does a --presentation file, by its text; a file
+    is read on every call."""
     v = args.variant
     if v == "vv":
         if (args.family not in (None, "A", "a") or args.matrix is not None
@@ -202,8 +209,7 @@ def _build_presentation(args) -> Presentation:
                              "other --family, no --matrix or --presentation")
         if args.rank is None:
             raise UsageError("vv variant needs --rank")
-        return _memoized((v, "A", args.rank),
-                         lambda: _catalog_presentation(v, "A", args.rank))
+        return _catalog(v, "A", args.rank)
     # a file that cannot be read is reported before a clash of flags
     matrix, presentation = _read(args.matrix), _read(args.presentation)
     given = [f"--{k}" for k in ("family", "rank", "matrix", "presentation")
@@ -212,25 +218,30 @@ def _build_presentation(args) -> Presentation:
         if given:
             raise UsageError(f"variant {v!r} takes no input flag, got "
                              + " ".join(given))
-        return _memoized((v, None, None), lambda: _catalog_presentation(v, None, None))
+        return _catalog(v, None, None)
     if presentation is not None:
         if len(given) > 1 or v != "coxeter":
             raise UsageError("--presentation takes no other input flag "
                              "and no --variant")
-        return Presentation.from_json(presentation)
+        return _memoized(("--presentation", presentation),
+                         lambda: Presentation.from_json(presentation))
     if matrix is not None:
         if len(given) > 1:
             raise UsageError("--matrix takes no --family or --rank")
     elif args.family and args.rank is not None:
-        family = args.family.upper()
-        return _memoized((v, family, args.rank),
-                         lambda: _catalog_presentation(v, family, args.rank))
+        return _catalog(v, args.family.upper(), args.rank)
     if v == "carmichael":
         raise UsageError("variant 'carmichael' needs --family and --rank; "
                          "it has no matrix form")
     if matrix is None:
         raise UsageError("need --family and --rank, or --matrix")
     return _matrix_presentation(v, CoxeterMatrix.from_json(matrix))
+
+
+def _catalog(v, family, rank):
+    """The catalog group _catalog_presentation builds, through the memo
+    under the key (v, family, rank)."""
+    return _memoized((v, family, rank), lambda: _catalog_presentation(v, family, rank))
 
 
 def _catalog_presentation(v, family, rank):
@@ -359,7 +370,7 @@ def cmd_nf(args):
 
 
 def _images(family, variant, rank):
-    p = _catalog_presentation(variant, family, rank)
+    p = _catalog(variant, family, rank)
     images = oracle.standard_images(family, variant, rank)
     if not oracle.verify_hom(p, images):
         return False
@@ -370,20 +381,23 @@ def _images(family, variant, rank):
 
 def _orders(family, rank):
     want = oracle.alternating_order(family, rank)
-    return all(engine.order(_catalog_presentation(v, family, rank)) == want
+    return all(engine.order(_catalog(v, family, rank)) == want
                for v in ("carmichael", "bourbaki", "edge"))
 
 
 def _spinor(family, rank):
-    # the edge presentation that the cover twists, not the chain's
+    # both built afresh, outside the memo, so the cover is counted on its
+    # own path, with no quotient that an earlier order kept on it; the
+    # plain group is the edge presentation that the cover twists, not the
+    # chain's
     plain = _matrix_presentation("edge", standard_matrix(family, rank))
     cover = _catalog_presentation("tilde-plus-edge", family, rank)
     return engine.order(cover) == 2 * engine.order(plain)
 
 
 def _vv_equivalence():
-    p_vv = _catalog_presentation("vv", "A", 4)
-    p_edge = _catalog_presentation("edge", "A", 4)
+    p_vv = _catalog("vv", "A", 4)
+    p_edge = _catalog("edge", "A", 4)
     ident = (Word.gen(0), Word.gen(1), Word.gen(2))
     return (presentations.GroupHom(p_vv, p_edge, ident).verify()
             and presentations.GroupHom(p_edge, p_vv, ident).verify())
@@ -409,7 +423,8 @@ def _spinor_iso():
 
 
 def _a5_cover():
-    # A5+ is the even subgroup of S6, order 360; kernel C2 x C3
+    # A5+ is the even subgroup of S6, order 360; kernel C2 x C3.  Built
+    # afresh, as _spinor builds its cover
     return engine.order(_catalog_presentation("a5-cover", None, None),
                         cap=500_000) == 6 * 360
 

@@ -12,6 +12,7 @@ so (1,2)(2,3) = (1,2,3).
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import itemgetter, mul, xor
 
@@ -142,39 +143,71 @@ def eval_word(images, w: Word):
 
 def verify_hom(presentation, images) -> bool:
     """True iff every relator evaluates to the identity under the images,
-    which are elements as in eval_word that also have ``is_identity()``."""
-    return all(eval_word(images, rel).is_identity()
-               for rel in presentation.relators)
+    which are elements as in eval_word that also have ``is_identity()``.
+    When the images are a nonempty list or tuple of WreathElements of one
+    degree, at most 128, each relator is evaluated on their _points
+    encodings, right to left, so that its rightmost letter acts first, one
+    bytes.translate call a letter, and a relator with a letter that has no
+    image through eval_word, which raises its error.  Any other images go
+    through eval_word."""
+    wreaths = (isinstance(images, (list, tuple))
+               and all(isinstance(g, WreathElement) for g in images))
+    degrees = {len(g.flags) for g in images} if wreaths else ()
+    if len(degrees) != 1 or max(degrees) > 128:
+        return all(eval_word(images, rel).is_identity()
+                   for rel in presentation.relators)
+    tables = {}
+    for i, g in enumerate(images, 1):
+        tables[i], tables[-i] = _points(g), _points(g.inverse())
+    identity = _BYTES[:2 * max(degrees)]
+    for rel in presentation.relators:
+        try:
+            e = functools.reduce(bytes.translate,
+                                 map(tables.__getitem__, reversed(rel.letters)), identity)
+        except KeyError:  # eval_word raises its error for such a letter, or reads it
+            e = _points(eval_word(images, rel))[:len(identity)]
+        if e != identity:
+            return False
+    return True
 
 
-def _points(e: WreathElement) -> tuple[int, ...]:
+_BYTES = bytes(range(256))
+
+
+def _points(e: WreathElement) -> bytes:
     """e as a permutation of the 2n signed points, point 2i standing for
     +(i+1) and point 2i+1 for -(i+1): +(i+1) goes to +pi(i+1), negated if
-    pi(i+1) is flagged.  e*g encodes as itemgetter(*_points(g))(_points(e))."""
+    pi(i+1) is flagged.  It is a bytes.translate table, so the points
+    2n to 255 are fixed, and n is at most 128: e*g encodes as
+    _points(g).translate(_points(e)), and g*x, for x the first 2n bytes
+    of an encoding, as x.translate(_points(g))."""
+    if len(e.flags) > 128:
+        raise OracleError(f"degree {len(e.flags)} above 128: no byte encoding")
     images = []
     for j in e.perm.images:
         k = 2 * j - 2 + e.flags[j - 1]
         images += (k, k ^ 1)
-    return tuple(images)
+    return bytes(images) + _BYTES[len(images):]
 
 
 def generated_order(generators, cap=10 ** 6) -> int:
-    """Order of the subgroup generated by WreathElements, by breadth-first
-    closure over their _points encodings, one itemgetter call a product."""
+    """Order of the subgroup generated by WreathElements of one degree, at
+    most 128, by breadth-first closure over the first 2n bytes of their
+    _points encodings, multiplied on the left by each generator, one
+    bytes.translate call a product."""
     if not generators or not generators[0].flags:  # degree 0 is trivial
         return 1
-    encoded = [_points(g) for g in generators]
-    if len(set(map(len, encoded))) != 1:
+    if len({len(g.flags) for g in generators}) != 1:
         raise OracleError("generator degrees differ")
-    products = [itemgetter(*g) for g in encoded]
-    identity = tuple(range(len(encoded[0])))
+    tables = [_points(g) for g in generators]
+    identity = _BYTES[:2 * len(generators[0].flags)]
     seen = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for e in frontier:
-            for product in products:
-                x = product(e)
+            for table in tables:
+                x = e.translate(table)
                 if x not in seen:
                     seen.add(x)
                     new.append(x)

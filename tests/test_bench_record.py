@@ -90,9 +90,9 @@ def test_reach_records_the_highest_rank_that_exits_0(bench_record):
 def test_reach_gate_marks_each_rank_that_fell(bench_record, monkeypatch, tmp_path,
                                               capsys):
     """--reach marks each (family, variant) whose rank fell below the
-    committed one, a null rank included, and exits 1; it writes the file
-    all the same.  A rise, an equal rank and a rank with no committed one
-    pass."""
+    committed one, a null rank included, and exits 1; it writes nothing,
+    and with --write it writes the file all the same.  A rise, an equal
+    rank and a rank with no committed one pass."""
     def row(rank):
         return {"rank": rank, "wall_s": rank and 0.1, "peak_rss_mb": rank and 20.0}
 
@@ -104,14 +104,20 @@ def test_reach_gate_marks_each_rank_that_fell(bench_record, monkeypatch, tmp_pat
     monkeypatch.setattr(bench_record, "committed",
                         lambda name: name == "reach" and {"reach": committed})
     monkeypatch.setattr(bench_record, "REACH", tmp_path / "BENCH_reach.json")
+    lines = ["reach A coxeter 8 (committed 8)",
+             "reach A edge 7 (committed 8) FELL BELOW COMMITTED",
+             "reach A tilde None (committed 5) FELL BELOW COMMITTED",
+             "reach B coxeter 8 (committed 7)",
+             "reach B edge 7 (committed None)"]
     assert bench_record.main(["--reach"]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "reach A coxeter 8 (committed 8)",
-        "reach A edge 7 (committed 8) FELL BELOW COMMITTED",
-        "reach A tilde None (committed 5) FELL BELOW COMMITTED",
-        "reach B coxeter 8 (committed 7)",
-        "reach B edge 7 (committed None)"]
+    assert capsys.readouterr().out.splitlines() == lines
+    assert list(tmp_path.iterdir()) == []
+    assert bench_record.main(["--reach", "--write"]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
     assert json.loads((tmp_path / "BENCH_reach.json").read_text())["reach"] == table
+    with pytest.raises(SystemExit):  # --write alone would write nothing
+        bench_record.main(["--write"])
+    capsys.readouterr()
     del table["A"]
     assert bench_record.main(["--reach"]) == 0
     assert "FELL" not in capsys.readouterr().out

@@ -913,13 +913,17 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
     one group, orders-* the three chain variants, spinor-* the cover
     (whose plain edge group is the one it twists, over the standard
     matrix), vv-equivalence both groups and a5-cover-order the cover.
-    verify keeps none of them in the memo."""
+    verify keeps each group but the covers in the memo, under the key
+    that the commands give it, and builds the covers and the plain edge
+    groups afresh on every run; neither its output nor any order depends
+    on what the memo holds."""
     calls, build = [], cli._catalog_presentation
     monkeypatch.setattr(cli, "_catalog_presentation",
                         lambda *a: calls.append(a) or build(*a))
     want = {"vv-equivalence": [("vv", "A", 4), ("edge", "A", 4)],
             "a5-cover-order": [("a5-cover", None, None)],
             "artin-braid": [], "spinor-iso-A3": []}
+    spinors = []
     got = {}
     for name, thunk in cli._verify_checks():
         kind, group, *variant = name.split("-", 2)
@@ -930,18 +934,45 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
             want[name] = [(v, family, rank) for v in ("carmichael", "bourbaki", "edge")]
         elif kind == "spinor" and not variant:
             want[name] = [("tilde-plus-edge", family, rank)]
+            spinors.append((family, rank))
         calls.clear()
         assert thunk(), name
         got[name] = list(calls)
+    cli._built.clear()  # the thunks ran outside main, which would keep them
     assert got == want
-    for v, family, rank in {a for names in want.values() for a in names}:
-        named = [] if family is None else ["--family", family, "--rank", str(rank)]
-        assert main(["present", "--variant", v, *named]) == EXIT_OK
+    named = {a for names in want.values() for a in names}
+    covers = {a for a in named if a[0] in ("tilde-plus-edge", "a5-cover")}
+    for v, family, rank in named:
+        flags = [] if family is None else ["--family", family, "--rank", str(rank)]
+        assert main(["present", "--variant", v, *flags]) == EXIT_OK
         assert capsys.readouterr().out == build(v, family, rank).to_json() + "\n"
+
+    def order(v, family, rank):
+        assert main(["order", "--variant", v, "--family", family,
+                     "--rank", str(rank)]) == EXIT_OK
+        return capsys.readouterr().out
+
+    kept = sorted(named - covers)
+    fresh = []
+    for group in kept:
+        cli._memo.clear()
+        fresh.append(order(*group))
     cli._memo.clear()
     calls.clear()
-    assert main(["verify"]) == EXIT_OK and not cli._memo
+    assert main(["verify"]) == EXIT_OK
+    cold = capsys.readouterr().out
     assert calls == [a for names in got.values() for a in names]
+    assert set(cli._memo) == named - covers
+    plain, matrix = [], cli._matrix_presentation
+    monkeypatch.setattr(cli, "_matrix_presentation",
+                        lambda v, m: plain.append((v, m)) or matrix(v, m))
+    calls.clear()
+    assert main(["verify"]) == EXIT_OK and capsys.readouterr().out == cold
+    assert calls == [a for names in got.values() for a in names if a in covers]
+    assert plain == [(v, standard_matrix(family, rank)) for family, rank in spinors
+                     for v in ("edge", "tilde-plus-edge")]
+    assert [order(*group) for group in kept] == fresh
+    assert main(["verify"]) == EXIT_OK and capsys.readouterr().out == cold
 
 
 def test_verify_only_filter(capsys):
@@ -1071,6 +1102,33 @@ def test_memo_is_bounded_least_recently_used(monkeypatch, capsys):
         assert main(argv) == code
         assert cli._memo == kept and cli._built == []
     capsys.readouterr()
+
+
+def test_presentation_file_is_kept_by_its_text(tmp_path, monkeypatch, capsys):
+    """--presentation keeps what it parses under the file's text, which it
+    reads on every call: a second order of a cover's file parses nothing
+    and reuses the kept presentation, with the central quotient the first
+    order proved, and both print what a fresh process prints; an edited
+    file is parsed again."""
+    path = tmp_path / "cover.json"
+    argv = ["order", "--presentation", str(path)]
+    parsed, from_json = [], Presentation.from_json
+    monkeypatch.setattr(Presentation, "from_json",
+                        staticmethod(lambda text: parsed.append(text) or from_json(text)))
+    for family, rank in (("D", 5), ("D", 4)):
+        assert main(["present", "--family", family, "--rank", str(rank),
+                     "--variant", "tilde", "--output", str(path)]) == EXIT_OK
+        fresh = subprocess.run([sys.executable, "-m", "altcox.cli", *argv],
+                               capture_output=True, text=True)
+        assert (fresh.returncode, fresh.stderr) == (EXIT_OK, "")
+        parsed.clear()
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr() == (fresh.stdout, "")
+        text = path.read_text()
+        assert parsed == [text]
+        weight, p = cli._memo[("--presentation", text)]
+        assert p._quotient is not None and weight == cli._weight(p) + len(text) // 32
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

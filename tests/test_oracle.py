@@ -1,11 +1,9 @@
-from operator import itemgetter
-
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from altcox import oracle
 from altcox.oracle import Permutation, WreathElement, OracleError
-from altcox.words import Word
+from altcox.words import Presentation, Word
 from altcox.presentations import (chain_presentation, coxeter_presentation,
                                   spinor_presentation)
 from altcox.cli import _catalog_presentation
@@ -181,8 +179,82 @@ def test_generated_order_matches_wreath_bfs():
 @given(wreaths, wreaths)
 def test_signed_encoding_is_faithful_homomorphism(a, b):
     pa, pb = oracle._points(a), oracle._points(b)
-    assert oracle._points(a * b) == itemgetter(*pb)(pa)
+    assert oracle._points(a * b) == pb.translate(pa)
     assert (pa == pb) == (a == b)
+
+
+def element_order(e):
+    power, order = e, 1
+    while not power.is_identity():
+        power, order = power * e, order + 1
+    return order
+
+
+@st.composite
+def images_and_relators(draw):
+    """One to four signed permutations of one degree from 1 to 6, or now
+    and then one of another degree, and up to five words in letters of
+    both signs, some of a generator past the images: random words, most of
+    which are not relators, and powers of them to their order under the
+    images, which are."""
+    n = draw(st.integers(1, 6))
+
+    def element(degree):
+        return WreathElement(draw(st.lists(st.integers(0, 1), min_size=degree,
+                                           max_size=degree)),
+                             Permutation(draw(st.permutations(range(1, degree + 1)))))
+
+    images = [element(n) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.integers(0, 9)) == 0:
+        images[draw(st.integers(0, len(images) - 1))] = element(n + 1)
+    reach = len(images) + draw(st.integers(0, 1))
+    letter = st.integers(1, reach).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = []
+    for _ in range(draw(st.integers(0, 5))):
+        w = Word(draw(st.lists(letter, max_size=10)))
+        if draw(st.booleans()) and max(map(abs, w), default=0) <= len(images):
+            try:
+                w = w ** element_order(oracle.eval_word(images, w))
+            except OracleError:  # the degrees differ
+                pass
+        words.append(w)
+    return images, words
+
+
+def outcome(check):
+    try:
+        return check()
+    except OracleError as e:
+        return f"OracleError: {e}"
+
+
+@settings(max_examples=300)
+@given(images_and_relators())
+def test_verify_hom_byte_path_matches_eval_word(case):
+    """verify_hom's byte path answers as the relators evaluated by
+    eval_word do, and raises the same error: for a letter with no image,
+    and for images of different degrees."""
+    images, words = case
+    names = tuple(f"g{k}" for k in range(len(images) + 1))
+    for relators in [*([w] for w in words), words]:
+        p = Presentation(names, relators)
+        want = outcome(lambda: all(oracle.eval_word(images, w).is_identity()
+                                   for w in relators))
+        for given_images in (images, tuple(images)):
+            assert outcome(lambda: oracle.verify_hom(p, given_images)) == want
+
+
+def test_byte_encoding_degrees():
+    """Degree 128 is the largest the byte encoding holds: generated_order
+    refuses a larger one, and verify_hom evaluates it through eval_word."""
+    swap = {n: WreathElement.from_perm(Permutation.cycle(n, 1, n)) for n in (128, 129)}
+    assert oracle.generated_order([swap[128]]) == 2
+    with pytest.raises(OracleError, match="^degree 129 above 128"):
+        oracle.generated_order([swap[129]])
+    p = Presentation(("a",), [Word((1, 1)), Word((1,))])
+    for n, g in swap.items():
+        assert oracle.verify_hom(Presentation(("a",), [Word((1, 1))]), [g])
+        assert not oracle.verify_hom(p, [g])
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """Record the benchmark's end-to-end metrics in BENCH_<workload>.json files.
 
     python tools/bench_record.py
-    python tools/bench_record.py --reach
+    python tools/bench_record.py --reach [--write]
 
 For each workload that BENCHMARK.json declares it runs ``perfbench/run.py
 --workload NAME`` in a fresh process, at seed 1 and BENCHMARK.json's run
@@ -17,17 +17,18 @@ run length, backend, CPU count or Python, it names those and compares
 nothing.  A run that fails, or whose outputs are not all correct, writes
 no file and makes the script exit 1.
 
-With --reach it runs no workload.  It writes BENCH_reach.json instead:
-how far ``altcox order`` reaches at its default cap.  For each family A,
+With --reach it runs no workload.  It checks how far ``altcox order``
+reaches at its default cap against BENCH_reach.json.  For each family A,
 B and D and each variant of REACH_VARIANTS it runs ``altcox order`` in a
 fresh interpreter at every rank from 3 to 11, and records the highest
 rank that exits 0, with that run's wall time (the interpreter's start
 included) and peak RSS, or a rank of null when none does.  It prints
 each rank beside the one in the BENCH_reach.json committed at HEAD, and
 marks each (family, variant) whose rank fell below that one (a rank of
-null is below any rank); it writes the file either way, and exits 1
-when any rank fell.  Reach counts what exits 0 at the default cap, not
-time, so the committed record holds on any machine.
+null is below any rank), and exits 1 when any rank fell.  It writes
+nothing unless given --write, which writes BENCH_reach.json from the
+run, whether or not a rank fell.  Reach counts what exits 0 at the
+default cap, not time, so the committed record holds on any machine.
 """
 
 from __future__ import annotations
@@ -171,11 +172,17 @@ def record_reach():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--reach", action="store_true",
-                    help="record how far altcox order reaches, in BENCH_reach.json")
-    if ap.parse_args(argv).reach:
+                    help="check how far altcox order reaches against BENCH_reach.json")
+    ap.add_argument("--write", action="store_true",
+                    help="with --reach, write the run to BENCH_reach.json")
+    args = ap.parse_args(argv)
+    if args.write and not args.reach:
+        ap.error("--write goes with --reach")
+    if args.reach:
         bench, lines, fell = record_reach()
         print("\n".join(lines))
-        REACH.write_text(json.dumps(bench, indent=1) + "\n")
+        if args.write:
+            REACH.write_text(json.dumps(bench, indent=1) + "\n")
         return int(fell)
     status = 0
     for name in (w["name"] for w in SPEC["workloads"]):
