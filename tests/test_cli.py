@@ -1175,6 +1175,40 @@ def test_memo_changes_no_benchmark_output(tmp_path, monkeypatch, capsys, mix):
     assert warm == fresh
 
 
+# the SHA-256 of every core call the three benchmark mixes make at seed 1,
+# run from an empty memo and then again in the same process
+CORE_WORK_DIGEST = "e7c246b4e92334121649a02b872ec454ff9d629390edcef2940e3d88077e52d5"
+
+
+def test_core_work_of_the_benchmark_mixes(tmp_path, monkeypatch, capsys):
+    """The requests of the regular, chain and session mixes at seed 1, run
+    in turn from an empty memo and then again, make the same core calls
+    with the same results: each call's column count, subgroup words, cap,
+    whether it builds the table, and the cosets it defined, or that it met
+    its cap.  The calls, and so the digest, are the same on either core."""
+    calls, core = [], engine._core
+
+    def recording_core(ncols, relators, subwords, cap, table):
+        subwords = [tuple(w) for w in subwords]
+        try:
+            result = core(ncols, relators, subwords, cap, table)
+        except engine.CapExceeded:
+            calls.append((ncols, subwords, cap, table, "cap exceeded"))
+            raise
+        calls.append((ncols, subwords, cap, table, result[1]))
+        return result
+
+    requests = [req for mix in ("regular", "chain", "session")
+                for req in _benchmark_requests(monkeypatch, mix, tmp_path)]
+    monkeypatch.setattr(engine, "_core", recording_core)
+    for _ in range(2):
+        for req in requests:
+            main(list(req.argv))
+    capsys.readouterr()
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert (len(calls), digest) == (378, CORE_WORK_DIGEST)
+
+
 # argument lists read by a command's own parser and by the full parser:
 # help, unknown and abbreviated commands, options before the command,
 # abbreviated and attached options, "--", extras and missing values
