@@ -150,30 +150,32 @@ def _read(path):
 # that fills the budget holds about 3.6 MB (tracemalloc)
 MEMO_BUDGET = 1 << 16
 _memo = {}   # key -> (weight, value), the least recently used first
-_built = []  # (key, value) for each value the running request built
+_built = {}  # key -> value, for each value the running request built
 
 
 def _memoized(key, build):
-    """The value kept under key, now the most recently used, else build()'s,
-    which _keep may keep when the request ends."""
+    """The value kept under key, now the most recently used, else the one
+    the running request built under key, else build()'s, which _keep may
+    keep when the request ends: a request builds each key once."""
     entry = _memo.pop(key, None)
-    if entry is None:
-        value = build()
-        _built.append((key, value))
-        return value
-    _memo[key] = entry
-    return entry[1]
+    if entry is not None:
+        _memo[key] = entry
+        return entry[1]
+    value = _built.get(key)
+    if value is None:
+        value = _built[key] = build()
+    return value
 
 
 def _weight(value):
     """A presentation's relator letters, twice over when it has a central
     generator, and a chain's plus its table cells and sift points.  What
-    the engine keeps on a presentation counts with its letters: the column
-    encoding has as many, and the order plan (engine._order_plan) no more
-    on any catalog group.  An order of a cover may keep its central
-    quotient too (engine.order), with fewer letters and an encoding and a
-    plan of its own; that counts before an order keeps it, as a
-    presentation kept by `present` may be ordered later."""
+    the engine keeps in a presentation's record (engine._kept) counts with
+    its letters: the column encoding has as many, and the order plan no
+    more on any catalog group.  A cover's record may hold its central
+    quotient too (engine.order), with fewer letters and a record of its
+    own; that counts before an order works it out, as a presentation kept
+    by `present` may be ordered later."""
     if isinstance(value, chains.Chain):
         return _weight(value.presentation) + value.weight()
     return sum(map(len, value.relators)) * (2 if value.central else 1)
@@ -183,7 +185,7 @@ def _keep():
     """Keep each value the request built that weighs at most MEMO_BUDGET,
     then drop the least recently used until the weights sum to at most
     MEMO_BUDGET."""
-    for key, value in _built:
+    for key, value in _built.items():
         weight = _weight(value)
         if key[0] == "--presentation":  # the file's text, a unit per 32 characters
             weight += len(key[1]) // 32
@@ -404,14 +406,15 @@ def _vv_equivalence():
 
 
 def _artin_braid():
-    for n in range(3, 8):
-        images = oracle.standard_images("A", "edge", n)
-        for i in range(n - 2):
-            r_i = images[i].inverse() if (i + 1) % 2 else images[i]
-            r_j = images[i + 1].inverse() if (i + 2) % 2 else images[i + 1]
-            if r_i * r_j * r_i != r_j * r_i * r_j:
-                return False
-    return True
+    """Whether the A edge images of ranks 3 to 7, r1^-1, r2, r3^-1, ...
+    with every other one inverted, satisfy the braid relations of
+    consecutive ones: the relators of a presentation over them, which
+    oracle.verify_hom evaluates."""
+    r = [Word.gen(k, 1 if k % 2 else -1) for k in range(6)]
+    braids = [a * b * a * (b * a * b).inverse() for a, b in zip(r, r[1:])]
+    return all(oracle.verify_hom(Presentation([f"r{k}" for k in range(1, n)], braids[:n - 2]),
+                                 oracle.standard_images("A", "edge", n))
+               for n in range(3, 8))
 
 
 def _spinor_iso():

@@ -6,31 +6,33 @@ compiler is present) with the pure-Python reference core
 (``altcox._tc_py``) as the fallback; BACKEND names the one in use.  The
 docstring of ``_tc_py.enumerate_core`` specifies both cores: the
 involution rule, the renumbering and the return shapes.  This module
-encodes the words, each presentation's relators once, and calls the
-core: ``enumerate`` wraps the rows and arrival tree in a CosetTable,
-while ``index`` takes the count alone from the core's index path
-(``table=False``), which renumbers nothing and returns the completed table
-in the enumeration's own coset ids.  ``order``, which ``altcox order``
-calls, returns |H| * [G:H] for the first subgroup H whose order its
-table certifies: the two-generator <g, h>, then the cyclic <g>
-that ``_subgroups`` makes, else the trivial one.  Which g, k and candidate
-h to try, and each pair's relators in four columns, are worked out on a
-presentation's first order and kept on it, beside its encoded relators
-(``_order_plan``); each order still counts the pair's group in the core.
-H's table comes from the index path too, and no CosetTable is built: the
-certificate (``_orbits_certify``) walks H's orbits on the live cosets,
-from the last coset defined down, reading only the table entries of the
-orbits it visits, until the lcm of their sizes reaches H's order bound.
-A group G whose central generators have distinct prime orders, such as a
-spinor cover (z of order 2) or the A5 and A6 covers (z and zeta, of
-orders 2 and 3), is counted as f |G/C| through its central quotient
-(``_central_quotient``), f the product of those orders, once each
-central generator is proved not 1: by images of G's generators given to
-``order`` (``_certifies``; ``altcox order`` passes
-oracle.clifford_images for a catalog spinor cover), or by the table of
-an earlier order of G that certified |H| with every central generator
-outside H.  The proved quotient is kept on G, with the least cap
-at which it is counted.  A run that would define more cosets than its cap
+encodes the words and calls the core: ``enumerate`` wraps the rows and
+arrival tree in a CosetTable, while ``index`` takes the count alone from
+the core's index path (``table=False``), which renumbers nothing and
+returns the completed table in the enumeration's own coset ids.  What it
+works out from a presentation is kept in one record, the presentation's
+``_engine`` slot, which no other module reads (``_kept``): the relators'
+column encoding, the order plan (``_order_plan``: which g, k and candidate
+h to try, and each pair's relators in four columns) and the central
+quotient, each worked out once.  ``order``, which ``altcox order`` calls,
+walks one list of subgroups (``_subgroups``): the two-generator <g, h>,
+the cyclic <g> and the trivial subgroup.  It returns |H| * [G:H] for the
+first H whose order its table certifies; each order still counts the
+pair's group in the core.  H's table comes from the index path too, and no
+CosetTable is built: the certificate (``_orbits_certify``) walks H's
+orbits on the live cosets, from the last coset defined down, reading only
+the table entries of the orbits it visits, until the lcm of their sizes
+reaches H's order bound.  A group G whose central generators have distinct
+prime orders, such as a spinor cover (z of order 2) or the A5 and A6
+covers (z and zeta, of orders 2 and 3), is counted as f |G/C| through its
+central quotient (``_central_quotient``), f the product of those orders,
+once each central generator is proved not 1: by images of G's generators
+given to ``order`` (``_certifies``; ``altcox order`` passes
+oracle.clifford_images for a catalog spinor cover), or by the table of an
+earlier order of G that certified |H| with every central generator outside
+H.  A proof is kept as one number in G's record, the least cap at which
+the quotient stands in for G: 1 after a certificate, and the bound of G's
+own path after a table.  A run that would define more cosets than its cap
 raises the core's CapExceeded, which ``enumerate``, ``index`` and
 ``order`` let through to their caller (those of G's quotient are caught,
 and G's own path runs).
@@ -68,14 +70,21 @@ def _columns(w: Word):
                  for x in reversed(w.letters))
 
 
+def _kept(p: Presentation, name, work):
+    """work(p), worked out on the first call for name and kept under it in
+    p's engine record: "columns", "plan" or "quotient"."""
+    record = p._engine
+    try:
+        return record[name]
+    except KeyError:
+        value = record[name] = work(p)
+        return value
+
+
 def _relator_columns(p: Presentation):
-    """The column words of p's relators, encoded on p's first enumeration
-    and kept on p, so that every enumeration over it shares them."""
-    encoded = p._encoded
-    if encoded is None:
-        encoded = tuple(map(_columns, p.relators))
-        object.__setattr__(p, "_encoded", encoded)
-    return encoded
+    """The column words of p's relators, encoded once, so that every
+    enumeration over p shares them."""
+    return _kept(p, "columns", lambda p: tuple(map(_columns, p.relators)))
 
 
 class CosetTable(Record):
@@ -155,8 +164,8 @@ def index(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> int:
 
 
 def _order_plan(p: Presentation):
-    """The subgroups that _subgroups tries on p, worked out on p's first
-    order and kept on p: (g, k, pairs), or () when no g is made, with
+    """The subgroups that _subgroups tries on p, worked out once, on p's
+    first order (``_kept``): (g, k, pairs), or () when no g is made, with
     pairs the (h, words) of each candidate h in increasing order.  g is the
     generator outside central, the indices of p.central, with a relator
     g^k or g^-k, k >= 2, of the largest k, then the lowest g; none is made
@@ -168,56 +177,56 @@ def _order_plan(p: Presentation):
     rank below 3 there is none, as <g, h> would be all of G.  Its words
     are the relators in g and h alone, in relator order, re-encoded to
     four columns, g's first."""
-    plan = p._order_plan
-    if plan is not None:
-        return plan
     central = {p.gen_index(name) for name, _ in p.central}
     powers = ((abs(w.letters[0]) - 1, len(w)) for w in p.relators
               if len(w) >= 2 and w.letters.count(w.letters[0]) == len(w))
     found = max((gk for gk in powers if gk[0] not in central),
                 key=lambda gk: (gk[1], -gk[0]), default=None)
-    plan = ()
-    if found is not None and p.rank >= 2:
-        g, k = found
-        encoded = _relator_columns(p) if p.rank >= 3 else ()
-        letters = [{x >> 1 for x in w} for w in encoded]
-        others = sorted({h for s in letters if len(s) == 2 and g in s
-                         for h in s} - central - {g})
-        pairs = []
-        for h in others:
-            pair, recode = {g, h}, {2 * g: 0, 2 * g + 1: 1, 2 * h: 2, 2 * h + 1: 3}
-            words = tuple(tuple(map(recode.__getitem__, w))
-                          for w, s in zip(encoded, letters) if s <= pair)
-            pairs.append((h, words))
-        plan = (g, k, tuple(pairs))
-    object.__setattr__(p, "_order_plan", plan)
-    return plan
+    if found is None or p.rank < 2:
+        return ()
+    g, k = found
+    encoded = _relator_columns(p) if p.rank >= 3 else ()
+    letters = [{x >> 1 for x in w} for w in encoded]
+    others = sorted({h for s in letters if len(s) == 2 and g in s
+                     for h in s} - central - {g})
+    pairs = []
+    for h in others:
+        pair, recode = {g, h}, {2 * g: 0, 2 * g + 1: 1, 2 * h: 2, 2 * h + 1: 3}
+        words = tuple(tuple(map(recode.__getitem__, w))
+                      for w, s in zip(encoded, letters) if s <= pair)
+        pairs.append((h, words))
+    return g, k, tuple(pairs)
 
 
-def _subgroups(p: Presentation, cap, defined):
-    """The subgroups H whose orders ``order`` tries to certify, made lazily, as
-    (H's generators, a multiple d of |H|): ((g, h), d) for the first
-    candidate h of _order_plan with d = |<g, h | the relators in g and h
-    alone>| > k, then ((g,), k).  Each d is counted by the core on h's
-    words, to at most min(cap, PAIR_BOUND) cosets; an h whose count
-    reaches that bound is passed over.  Each count appends to defined the
-    cosets it defined, or that bound + 1 when it is passed over."""
-    plan = _order_plan(p)
-    if not plan:
-        return
-    g, k, pairs = plan
-    limit = min(cap, PAIR_BOUND)
-    for h, words in pairs:
-        try:
-            d, ndef, *_ = _core(4, words, (), limit, False)
-        except CapExceeded:
-            defined.append(limit + 1)
-            continue
-        defined.append(ndef)
-        if d > k:
-            yield (g, h), d
-            break
-    yield (g,), k
+def _subgroups(p: Presentation, cap):
+    """The subgroups H that ``order`` tries on p, in turn, each as (H's
+    generators, a multiple d of |H|), and the most cosets that counting
+    their d's defined.  The list is ((g, h), d) for the first candidate h
+    of _order_plan with d = |<g, h | the relators in g and h alone>| > k,
+    then ((g,), k), then the trivial subgroup ((), 1); at rank 0 it is
+    empty, as the cores take no table without columns.  Each pair's d is
+    counted by the core on h's words, to at most min(cap, PAIR_BOUND)
+    cosets; an h whose count reaches that bound is passed over, and counts
+    as defining that bound + 1 cosets."""
+    subgroups, defined = [], 0
+    plan = _kept(p, "plan", _order_plan)
+    if plan:
+        g, k, pairs = plan
+        limit = min(cap, PAIR_BOUND)
+        for h, words in pairs:
+            try:
+                d, ndef, *_ = _core(4, words, (), limit, False)
+            except CapExceeded:
+                defined = limit + 1
+                continue
+            defined = max(defined, ndef)
+            if d > k:
+                subgroups.append(((g, h), d))
+                break
+        subgroups.append(((g,), k))
+    if p.rank:
+        subgroups.append(((), 1))
+    return subgroups, defined
 
 
 def _is_prime(n):
@@ -306,26 +315,26 @@ def order(p: Presentation, cap=DEFAULT_CAP, certificate=None):
     """|G| = f |G/C| for a group whose central quotient G/C, by the
     subgroup C of order f that its central generators span, is proved
     (_central_quotient) and whose order fits in the cap; else
-    |G| = |H| * [G:H] for the first subgroup H that _subgroups makes whose
-    table certifies its order, else for the trivial subgroup.
+    |G| = d [G:H] for the first subgroup H in the list of _subgroups whose
+    table certifies that |H| = d: <g, h>, <g>, and at the latest the
+    trivial subgroup, whose d is 1.
 
-    G keeps a proved quotient as p._quotient, (quotient, f, bound), and
-    the quotient keeps its own plan.  It is counted at a cap of at least
-    bound, and proved in one of two ways:
+    G keeps its quotient in its engine record (_kept), worked out once,
+    and once the quotient is proved, the least cap at which it stands in
+    for G.  It is proved in one of two ways:
 
     - by certificate, a function of no arguments that returns images of
       p's generators (_certifies), read after the quotient's order, when
-      that order is first counted and G keeps no quotient counted at the
-      cap: a quotient whose order meets the cap needs no proof.  The
-      bound is 1.
+      that order is counted and no proof holds at the cap: a quotient whose
+      order meets the cap needs no proof.  The least cap is then 1.
     - without a certificate, by G's own path: a table over <g, h> or <g>
       that certifies |H| and in which every central generator moves coset
-      1 (_moves_central) proves them all not 1.  The bound is the most
+      1 (_moves_central) proves them all not 1.  The least cap is the most
       cosets any core call of that order defined, or would have defined
-      past its limit; at any cap of at least the bound, G's own path makes
-      the same calls with the same results, and prints that order.
+      past its limit; at any cap of at least that, G's own path makes the
+      same calls with the same results, and prints that order.
 
-    An order at a cap below the bound takes G's own path, as does one whose
+    An order at a cap below the least takes G's own path, as does one whose
     quotient's order meets the cap, so every order prints what it would
     print had G kept nothing.
 
@@ -340,34 +349,30 @@ def order(p: Presentation, cap=DEFAULT_CAP, certificate=None):
     # _run's check, made before the pair's count, whose bound
     # min(cap, PAIR_BOUND) the core would reject as a ValueError or TypeError
     _check_cap(cap)
-    kept = p._quotient
-    if certificate is not None and (kept is None or kept[2] > cap):
-        found = _central_quotient(p)
-        kept = found and (*found, 1)
-    if kept and kept[2] <= cap:
-        quotient, factor, _ = kept
+    record = p._engine
+    proved = record.get("least", cap + 1) <= cap
+    found = (proved or certificate is not None) and _kept(p, "quotient", _central_quotient)
+    if found:
+        quotient, factor = found
         try:
             n = order(quotient, cap)
         except CapExceeded:
             n = None
-        # a quotient that p keeps was proved when p kept it
-        if n is not None and (kept is p._quotient
-                              or _certifies(p, certificate())):
-            object.__setattr__(p, "_quotient", kept)
+        if n is not None and (proved or _certifies(p, certificate())):
+            if not proved:  # a certificate holds at every cap
+                record["least"] = 1
             return factor * n
-    defined = []
-    for gens, d in _subgroups(p, cap, defined):
+    subgroups, bound = _subgroups(p, cap)
+    for gens, d in subgroups:
         cosets, ndef, parent, cells = _run(p, tuple(map(Word.gen, gens)), cap, False)
-        defined.append(ndef)
+        bound = max(bound, ndef)
         if _orbits_certify(p, cells, parent, gens, d):
-            bound = max(defined)
-            if (p.central and certificate is None and p._quotient is None
-                    and bound <= cap and _moves_central(p, cells)):
-                found = _central_quotient(p)
-                if found is not None:
-                    object.__setattr__(p, "_quotient", (*found, bound))
+            if (gens and p.central and certificate is None and "least" not in record
+                    and bound <= cap and _moves_central(p, cells)
+                    and _kept(p, "quotient", _central_quotient)):
+                record["least"] = bound
             return d * cosets
-    return index(p, (), cap)
+    return 1  # no generators: the trivial group
 
 
 def word_in_subgroup(t: CosetTable, w: Word) -> bool:

@@ -153,14 +153,9 @@ class Presentation(Record):
     have them generated automatically).
     """
 
-    # _encoded: the engine's column encoding of the relators, set on the
-    # first enumeration over the presentation; _order_plan: the subgroups
-    # engine.order tries, set on the first order of the presentation that
-    # tries them; _quotient: the central quotient by which engine.order
-    # counts the presentation, with its factor and the least cap it is
-    # counted at, set once a certificate or an order's table proves it
-    __slots__ = ("generators", "relators", "central", "_index", "_encoded",
-                 "_order_plan", "_quotient")
+    # _engine: what the engine works out from the presentation, kept for
+    # its later calls; only the engine reads or writes it
+    __slots__ = ("generators", "relators", "central", "_index", "_engine")
 
     def __init__(self, generators, relators, central=()):
         # the size rule: generators before any relator is read, then each
@@ -181,9 +176,7 @@ class Presentation(Record):
         object.__setattr__(self, "relators", tuple(kept))
         object.__setattr__(self, "central", tuple(tuple(c) for c in central))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(generators)})
-        object.__setattr__(self, "_encoded", None)
-        object.__setattr__(self, "_order_plan", None)
-        object.__setattr__(self, "_quotient", None)
+        object.__setattr__(self, "_engine", {})
 
     @classmethod
     def build(cls, generators, relators, central=()):

@@ -87,6 +87,13 @@ def counting_core(monkeypatch, core=None):
     return runs
 
 
+def kept_quotient(p):
+    """(quotient, factor, least cap) of the central quotient that order
+    keeps in p's engine record once it is proved, else None."""
+    record = p._engine
+    return (*record["quotient"], record["least"]) if "least" in record else None
+
+
 def test_cap_exceeded_on_infinite_group(monkeypatch):
     inf = CoxeterMatrix(2, ((1, 0), (0, 1)))
     with pytest.raises(CapExceeded):
@@ -249,7 +256,7 @@ def test_orbits_certify_is_the_lcm_of_every_orbit():
     pair is not certified)."""
     answers = Counter()
     for p in [*regular_cases(), S3_BY_S3, coxeter_presentation(standard_matrix("A", 3))]:
-        for gens, d in engine._subgroups(p, 500_000, []):
+        for gens, d in engine._subgroups(p, 500_000)[0]:
             sub = tuple(map(Word.gen, gens))
             t = engine.enumerate(p, sub, 500_000)
             _, _, parent, cells = engine._run(p, sub, 500_000, False)
@@ -257,8 +264,10 @@ def test_orbits_certify_is_the_lcm_of_every_orbit():
             assert certified == (orbit_lcm(t, gens) == d), (p, gens)
             answers[len(gens), certified] += 1
     # False on the 11 corpus pairs and 2 cyclic subgroups that order passes
-    # over, and on A3's pair, in the corpus and again as a fixture
-    assert answers == {(2, True): 29, (2, False): 12, (1, True): 66, (1, False): 2}
+    # over, and on A3's pair, in the corpus and again as a fixture; the
+    # trivial subgroup, last in every list, is always certified
+    assert answers == {(2, True): 29, (2, False): 12, (1, True): 66, (1, False): 2,
+                       (0, True): 110}
 
 
 class CountingRows:
@@ -297,8 +306,8 @@ def test_certificate_reads_the_orbits_it_needs():
         args = cli._parse(["order", *argv])
         p = cli._build_presentation(args)
         assert engine.order(p, 500_000, cli._certificate(args))
-        p = p._quotient[0] if p._quotient else p
-        for gens, d in engine._subgroups(p, 500_000, []):
+        p = kept_quotient(p)[0] if kept_quotient(p) else p
+        for gens, d in engine._subgroups(p, 500_000)[0]:
             _, _, parent, cells = engine._run(p, tuple(map(Word.gen, gens)), 500_000,
                                               False)
             counted = CountingRows(cells)
@@ -328,7 +337,7 @@ def test_order_plan_is_worked_out_once(monkeypatch):
         calls.clear()
         want = engine.order(p, cap=500_000)
         first = list(calls)
-        if p._quotient:
+        if kept_quotient(p):
             calls.clear()
             engine.order(engine._central_quotient(p)[0], cap=500_000)
             first = list(calls)
@@ -343,10 +352,10 @@ def test_presentations_ignore_the_order_plan():
     fields only: an order's plan is neither compared nor copied."""
     p, q = (coxeter_presentation(standard_matrix("A", 4)) for _ in range(2))
     assert engine.order(p) == 120
-    assert p._order_plan and q._order_plan is None
+    assert p._engine["plan"] and q._engine == {}
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
     r = pickle.loads(pickle.dumps(p))
-    assert r == p and r._order_plan is None
+    assert r == p and r._engine == {}
 
 
 def letters(p):
@@ -405,7 +414,7 @@ def test_a_catalog_cover_is_counted_through_its_quotient(monkeypatch, capsys,
         assert cli.main(["order", *argv]) == 0
         assert capsys.readouterr().out == f"{want}\n"
     p = cli._build_presentation(cli._parse(["order", *argv]))
-    quotient, factor, bound = p._quotient
+    quotient, factor, bound = kept_quotient(p)
     assert quotient.generators == p.generators[:-1] and (factor, bound) == (2, 1)
     assert {ncols for ncols, _ in runs} == {4, 2 * quotient.rank}
     assert built == [(argv[1], argv[-1], int(argv[3]))]
@@ -418,7 +427,7 @@ def test_a_cover_whose_quotient_meets_the_cap_takes_its_own_path(capsys):
     argv = ["order", "--family", "A", "--rank", "3", "--variant", "tilde",
             "--max-cosets", "10"]
     assert cli.main(argv) == 0 and capsys.readouterr().out == "48\n"
-    assert cli._build_presentation(cli._parse(argv))._quotient is None
+    assert kept_quotient(cli._build_presentation(cli._parse(argv))) is None
 
 
 def test_a_tampered_cover_fails_the_certificate(monkeypatch):
@@ -442,7 +451,7 @@ def test_a_tampered_cover_fails_the_certificate(monkeypatch):
     path = list(runs)
     runs.clear()
     assert engine.order(p, engine.DEFAULT_CAP, lambda: images) == want
-    assert runs[-len(path):] == path and p._quotient is None
+    assert runs[-len(path):] == path and kept_quotient(p) is None
 
 
 # the caps of test_cover_orders_do_not_depend_on_history; each input prints
@@ -481,7 +490,8 @@ def test_cover_orders_do_not_depend_on_history(capsys, tmp_path, monkeypatch,
         else:
             assert got == [(3, "", f"cap exceeded at {cap} cosets\n")] * 2, cap
     if argv[0] == "--variant":
-        assert cli._build_presentation(cli._parse(["order", *argv]))._quotient[2] == least
+        p = cli._build_presentation(cli._parse(["order", *argv]))
+        assert kept_quotient(p)[2] == least
 
 
 def test_central_quotient_needs_distinct_prime_orders():
@@ -517,7 +527,7 @@ def test_a_central_generator_in_the_subgroup_keeps_no_quotient(p, want):
     """A central generator that fixes coset 1 of the certified table, or
     leaves no table certified, proves nothing: no quotient is kept, and a
     second order counts the same."""
-    assert engine.order(p) == want and p._quotient is None
+    assert engine.order(p) == want and kept_quotient(p) is None
     assert engine.order(p) == want
 
 
@@ -536,11 +546,11 @@ def test_a_pair_passed_over_at_the_cap_keeps_no_quotient():
             central=(("c", 2),))
 
     p = build()
-    assert engine.order(p, cap=29) == 48 and p._quotient is None
+    assert engine.order(p, cap=29) == 48 and kept_quotient(p) is None
     for q in (p, build()):
         with pytest.raises(CapExceeded):
             engine.order(q, cap=40)
-    assert engine.order(p, cap=1000) == 48 and p._quotient[1:] == (2, 43)
+    assert engine.order(p, cap=1000) == 48 and kept_quotient(p)[1:] == (2, 43)
 
 
 def test_a_second_order_of_the_a6_cover_counts_its_quotient(monkeypatch, capsys):
@@ -1021,10 +1031,10 @@ def test_engine_leaves_encoded_relators_alone(backend, request, monkeypatch):
     monkeypatch.setattr(engine, "_core", core)
     p = coxeter_presentation(standard_matrix("B", 3))
     assert engine.index(p) == 48
-    encoded = p._encoded
+    encoded = p._engine["columns"]
     words, letters = list(encoded), [list(w) for w in encoded]
     assert engine.index(p) == engine.enumerate(p).index == 48
-    assert p._encoded is encoded
+    assert p._engine["columns"] is encoded
     assert all(a is b for a, b in zip(encoded, words)) and len(encoded) == len(words)
     assert [list(w) for w in encoded] == letters
 
