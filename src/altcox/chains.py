@@ -13,7 +13,7 @@ import math
 from operator import ne
 
 from .words import InputError, Word
-from .presentations import CHAIN_BASE, chain_presentation
+from .presentations import CHAIN_BASE
 from . import engine
 
 SCALE_CAP = 100_000  # the most normal forms enumerate_elements lists
@@ -34,10 +34,11 @@ def _schreier_word(arrival, k):
 
 
 class Chain:
-    """Representative sets and sift cosets for one (family, variant, n)
-    chain, read off one coset table.
+    """Representative sets and sift cosets for the chain of a rank-n
+    (family, variant) presentation, read off one coset table.
 
-    The rank-n presentation is built once, which validates the triple.  The
+    The presentation is chain_presentation(family, variant, n), built by
+    the caller, which validates the triple: its n-1 generators give n.  The
     level-i subgroup is generated by the first i-2 generators, or is trivial
     at the base.  _table(), enumerated on first use, is the top table: the
     rank-n group over the level-n subgroup, of index n+1 (A), 2n (B, D) or
@@ -48,10 +49,9 @@ class Chain:
     level's representatives.
     """
 
-    def __init__(self, family: str, variant: str, n: int, cap=engine.DEFAULT_CAP):
-        self.presentation = chain_presentation(family, variant, n)
-        self.family, self.n = family.upper(), n
-        self.base, self.cap = CHAIN_BASE[self.family], cap
+    def __init__(self, presentation, family: str, cap=engine.DEFAULT_CAP):
+        self.presentation, self.family = presentation, family.upper()
+        self.n, self.base, self.cap = presentation.rank + 1, CHAIN_BASE[self.family], cap
         self._top, self._sifts = None, []
 
     def levels(self):

@@ -32,15 +32,18 @@ text, which is read on every command, so that an edited file is parsed
 again; each with its engine encoding and order plan, and a cover's
 proved central quotient (see `_certificate` and engine.order); and the
 `nf` Chain of each (family, variant, rank, cap), with its top table and
-sift.  `verify` keeps each catalog group it names but the covers: the
-`spinor-*` checks build theirs, and the plain edge group each twists,
-afresh, as `a5-cover-order` does, so each counts its cover on its own.
-It keeps them in least recently used order while their weights, in
-relator letters (and a unit per 32 characters of a file's text), table
-cells and sift points, sum to at most MEMO_BUDGET (2^16, 2 to 4 MB); a
-command that fails, or a group heavier than that, keeps nothing.  It
-never keeps a --matrix input, which is read on every command, a table
-over a subgroup or an order.  No output depends on what the memo holds.
+sift, whose presentation is the memo's catalog group.  `verify` keeps
+each catalog group it names, covers included; the `spinor-*` and
+`a5-cover-order` checks order a new presentation of the kept cover, so
+each counts it on its own path, and only the plain edge group that each
+`spinor-*` check compares with, which no command names, is built on
+every run.  The memo keeps its values in least recently used order
+while their weights, in relator letters (and a unit per 32 characters of
+a file's text), table cells and sift points, sum to at most MEMO_BUDGET
+(2^16, 2 to 4 MB); a command that fails, or a group heavier than that,
+keeps nothing.  It never keeps a --matrix input, which is read on every
+command, a table over a subgroup or an order.  No output depends on
+what the memo holds.
 The memo has no lock: ``main`` runs one command at a time.
 """
 
@@ -169,9 +172,10 @@ def _memoized(key, build):
 
 def _weight(value):
     """A presentation's relator letters, twice over when it has a central
-    generator, and a chain's plus its table cells and sift points.  What
-    the engine keeps in a presentation's record (engine._kept) counts with
-    its letters: the column encoding has as many, and the order plan no
+    generator, and a chain's plus its table cells and sift points: the
+    chain holds its presentation, which may outlive its own memo entry.
+    What the engine keeps in a presentation's record (engine._kept) counts
+    with its letters: the column encoding has as many, and the order plan no
     more on any catalog group.  A cover's record may hold its central
     quotient too (engine.order), with fewer letters and a record of its
     own; that counts before an order works it out, as a presentation kept
@@ -248,7 +252,8 @@ def _catalog(v, family, rank):
 
 def _catalog_presentation(v, family, rank):
     """The catalog group variant v names with an upper-case family and a
-    rank, or alone for a cover: the commands' and `verify`'s one builder."""
+    rank, or alone for a cover: the one builder of the commands, `nf`'s
+    chains and `verify`."""
     if v.endswith("-cover"):
         return presentations.universal_extension(v[:2].upper())
     if v == "vv":
@@ -353,9 +358,10 @@ def cmd_nf(args):
     if args.enumerate and args.word is not None:  # the word would go unread
         raise UsageError("nf takes --word or --enumerate, not both")
     # the key's length, four, is no presentation's
-    chain = _memoized((args.family.upper(), args.variant, args.rank, args.max_cosets),
-                      lambda: chains.Chain(args.family, args.variant, args.rank,
-                                           args.max_cosets))
+    family = args.family.upper()
+    chain = _memoized((family, args.variant, args.rank, args.max_cosets),
+                      lambda: chains.Chain(_catalog(args.variant, family, args.rank),
+                                           family, args.max_cosets))
     p = chain.presentation
     if args.enumerate:
         lines = []
@@ -387,13 +393,18 @@ def _orders(family, rank):
                for v in ("carmichael", "bourbaki", "edge"))
 
 
+def _unkept(p):
+    """A new presentation with p's generators, relators and central ones,
+    and an empty engine record, so that an order counts it on its own path,
+    with no quotient that an earlier order kept on p."""
+    return Presentation(p.generators, p.relators, p.central)
+
+
 def _spinor(family, rank):
-    # both built afresh, outside the memo, so the cover is counted on its
-    # own path, with no quotient that an earlier order kept on it; the
-    # plain group is the edge presentation that the cover twists, not the
-    # chain's
+    # the plain group, built on every run as no command names it, is the
+    # edge presentation that the cover twists, not the chain's
     plain = _matrix_presentation("edge", standard_matrix(family, rank))
-    cover = _catalog_presentation("tilde-plus-edge", family, rank)
+    cover = _unkept(_catalog("tilde-plus-edge", family, rank))
     return engine.order(cover) == 2 * engine.order(plain)
 
 
@@ -418,7 +429,8 @@ def _artin_braid():
 
 
 def _spinor_iso():
-    fwd, bwd = presentations.spinor_iso(standard_matrix("A", 3))
+    fwd, bwd = presentations.spinor_iso(_catalog("tilde-plus-edge", "A", 3),
+                                        _catalog("tilde-prime-plus-edge", "A", 3))
     rt = engine.enumerate(fwd.target, ())
     rs = engine.enumerate(bwd.target, ())
     return (fwd.verify(rt) and bwd.verify(rs)
@@ -426,9 +438,8 @@ def _spinor_iso():
 
 
 def _a5_cover():
-    # A5+ is the even subgroup of S6, order 360; kernel C2 x C3.  Built
-    # afresh, as _spinor builds its cover
-    return engine.order(_catalog_presentation("a5-cover", None, None),
+    # A5+ is the even subgroup of S6, order 360; kernel C2 x C3
+    return engine.order(_unkept(_catalog("a5-cover", None, None)),
                         cap=500_000) == 6 * 360
 
 

@@ -131,12 +131,14 @@ def _check_cap(cap):
 
 
 def _run(p: Presentation, subgroup, cap, table):
-    """The core's return for <subgroup> in p, with or without its table, or
-    None when p has no generators: the cores reject a table without
-    columns, and the trivial group has index 1."""
+    """The core's return for <subgroup> in p, with or without its table.
+    The cores reject a table without columns, so when p has no generators
+    it is the trivial group's, in the core's shapes: one coset, defined and
+    live, with no cells."""
     _check_cap(cap)
     if not p.rank:
-        return None
+        return ((array("i"), 1, array("i", (0, 1)), array("i", (0,) * 4)) if table
+                else (1, 1, array("i", (0, 1)), array("i")))
     subwords = [_columns(w) for w in subgroup]
     return _core(2 * p.rank, _relator_columns(p), subwords, cap, table)
 
@@ -148,10 +150,7 @@ def enumerate(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> CosetTable:
     Raises CapExceeded when the enumeration would define more than cap
     cosets.  A presentation with no generators is the trivial group.
     """
-    result = _run(p, subgroup, cap, True)
-    if result is None:
-        return CosetTable(p, array("i"), array("i", (0,) * 4))
-    rows, _, _, arrival = result
+    rows, _, _, arrival = _run(p, subgroup, cap, True)
     return CosetTable(p, rows, arrival)
 
 
@@ -159,8 +158,7 @@ def index(p: Presentation, subgroup=(), cap=DEFAULT_CAP) -> int:
     """The index of <subgroup>: enumerate's enumeration, with its cap and
     its CapExceeded, counted in the core without standardizing it or
     building a table."""
-    result = _run(p, subgroup, cap, False)
-    return 1 if result is None else result[0]
+    return _run(p, subgroup, cap, False)[0]
 
 
 def _order_plan(p: Presentation):
@@ -203,8 +201,8 @@ def _subgroups(p: Presentation, cap):
     generators, a multiple d of |H|), and the most cosets that counting
     their d's defined.  The list is ((g, h), d) for the first candidate h
     of _order_plan with d = |<g, h | the relators in g and h alone>| > k,
-    then ((g,), k), then the trivial subgroup ((), 1); at rank 0 it is
-    empty, as the cores take no table without columns.  Each pair's d is
+    then ((g,), k), then the trivial subgroup ((), 1), which always
+    certifies, as each of its orbits is one coset.  Each pair's d is
     counted by the core on h's words, to at most min(cap, PAIR_BOUND)
     cosets; an h whose count reaches that bound is passed over, and counts
     as defining that bound + 1 cosets."""
@@ -224,8 +222,7 @@ def _subgroups(p: Presentation, cap):
                 subgroups.append(((g, h), d))
                 break
         subgroups.append(((g,), k))
-    if p.rank:
-        subgroups.append(((), 1))
+    subgroups.append(((), 1))
     return subgroups, defined
 
 
@@ -372,7 +369,6 @@ def order(p: Presentation, cap=DEFAULT_CAP, certificate=None):
                     and _kept(p, "quotient", _central_quotient)):
                 record["least"] = bound
             return d * cosets
-    return 1  # no generators: the trivial group
 
 
 def word_in_subgroup(t: CosetTable, w: Word) -> bool:

@@ -123,22 +123,26 @@ class WreathElement(Record):
 def eval_word(images, w: Word):
     """Left-to-right product of the letter images (rightmost acts first).
 
-    ``images`` maps 0-based generator index to a group element supporting
-    ``*`` and ``.inverse()``; must be nonempty even for the identity word.
+    ``images`` is a sequence of group elements supporting ``*`` and
+    ``.inverse()``, indexed by 0-based generator; it must be nonempty even
+    for the identity word.
     """
     result = None
     for x in w:
         try:
             g = images[abs(x) - 1]
-        except (KeyError, IndexError):
-            raise OracleError(f"no image for generator index {abs(x) - 1}") from None
+        except IndexError:
+            raise _no_image(x) from None
         if x < 0:
             g = g.inverse()
         result = g if result is None else result * g
     if result is None:
-        some = images[next(iter(images))] if isinstance(images, dict) else images[0]
-        return some * some.inverse()
+        return images[0] * images[0].inverse()
     return result
+
+
+def _no_image(x):
+    return OracleError(f"no image for generator index {abs(x) - 1}")
 
 
 def verify_hom(presentation, images) -> bool:
@@ -146,10 +150,11 @@ def verify_hom(presentation, images) -> bool:
     which are elements as in eval_word that also have ``is_identity()``.
     When the images are a nonempty list or tuple of WreathElements of one
     degree, at most 128, each relator is evaluated on their _points
-    encodings, right to left, so that its rightmost letter acts first, one
-    bytes.translate call a letter, and a relator with a letter that has no
-    image through eval_word, which raises its error.  Any other images go
-    through eval_word."""
+    encodings, and on those of their inverses, each read off its image's
+    table, right to left, so that its rightmost letter acts first, one
+    bytes.translate call a letter; a relator with a letter that has no
+    image raises eval_word's error, naming the leftmost such letter.  Any
+    other images go through eval_word."""
     wreaths = (isinstance(images, (list, tuple))
                and all(isinstance(g, WreathElement) for g in images))
     degrees = {len(g.flags) for g in images} if wreaths else ()
@@ -158,14 +163,15 @@ def verify_hom(presentation, images) -> bool:
                    for rel in presentation.relators)
     tables = {}
     for i, g in enumerate(images, 1):
-        tables[i], tables[-i] = _points(g), _points(g.inverse())
+        table = tables[i] = _points(g)
+        tables[-i] = bytes.maketrans(table, _BYTES)
     identity = _BYTES[:2 * max(degrees)]
     for rel in presentation.relators:
         try:
             e = functools.reduce(bytes.translate,
                                  map(tables.__getitem__, reversed(rel.letters)), identity)
-        except KeyError:  # eval_word raises its error for such a letter, or reads it
-            e = _points(eval_word(images, rel))[:len(identity)]
+        except KeyError:
+            raise _no_image(next(x for x in rel.letters if x not in tables)) from None
         if e != identity:
             return False
     return True

@@ -365,11 +365,11 @@ def is_identity_hom(h: GroupHom, source_table=None, cap=engine.DEFAULT_CAP) -> b
                for k in range(h.source.rank))
 
 
-def spinor_iso(m: CoxeterMatrix):
-    """The isomorphism pair between the tilde and tilde-prime edge-style
-    spinor extensions: tr_ij -> zp * tr'_ij, z -> zp (and its inverse)."""
-    src = spinor_plus_presentation(m, "edge", "tilde")
-    dst = spinor_plus_presentation(m, "edge", "tilde_prime")
+def spinor_iso(src: Presentation, dst: Presentation):
+    """The isomorphism pair between src and dst, the tilde and tilde-prime
+    edge-style spinor extensions of one Coxeter matrix, as
+    spinor_plus_presentation(m, "edge", variant) builds them:
+    tr_ij -> zp * tr'_ij, z -> zp (and its inverse)."""
     nedges = src.rank - 1
     c = Word.gen(nedges)  # the central generator, z or zp, on either side
     images = tuple(c * Word.gen(k) for k in range(nedges)) + (c,)

@@ -112,7 +112,9 @@ def test_criterion_05_universal_central_extensions():
 def test_criterion_06_spinor_isomorphism():
     with criterion(6, "tilde/tilde-prime isomorphism verified both ways", 10):
         for fam in ("A", "B"):
-            fwd, bwd = pres.spinor_iso(standard_matrix(fam, 3))
+            m = standard_matrix(fam, 3)
+            fwd, bwd = pres.spinor_iso(pres.spinor_plus_presentation(m, "edge", "tilde"),
+                                       pres.spinor_plus_presentation(m, "edge", "tilde_prime"))
             rt = engine.enumerate(fwd.target, ())
             rs = engine.enumerate(bwd.target, ())
             assert fwd.verify(rt) and bwd.verify(rs), fam
@@ -126,7 +128,7 @@ def test_criterion_07_normal_form_uniqueness():
         cases += [("B", "edge", n) for n in range(2, 5)]
         cases += [("D", "edge", n) for n in range(3, 5)]
         for fam, v, n in cases:
-            chain = chains.Chain(fam, v, n)
+            chain = chains.Chain(pres.chain_presentation(fam, v, n), fam)
             reg = engine.enumerate(chain.presentation, ())
             forms = chain.enumerate_elements()
             assert len(forms) == reg.index == oracle.alternating_order(fam, n)

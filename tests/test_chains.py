@@ -13,6 +13,11 @@ from altcox.words import Presentation, Word, parse_word, render_word
 from subgroups import chain_subgroup_words, schreier_words
 
 
+def make_chain(family, variant, n):
+    """The chain over chain_presentation(family, variant, n)."""
+    return Chain(chain_presentation(family, variant, n), family)
+
+
 def letters(rep_set):
     return [w.letters for w in rep_set]
 
@@ -66,12 +71,12 @@ def indices(monkeypatch):
 
 def test_spec_validation():
     with pytest.raises(BuildError):
-        Chain("E", "edge", 4)
+        chain_presentation("E", "edge", 4)
     with pytest.raises(BuildError):
-        Chain("D", "edge", 2)
+        chain_presentation("D", "edge", 2)
     with pytest.raises(BuildError):
-        Chain("A", "nosuch", 4)
-    c = Chain("a", "edge", 4)
+        chain_presentation("A", "nosuch", 4)
+    c = Chain(chain_presentation("a", "edge", 4), "a")
     assert c.family == "A" and c.base == 2
     assert list(c.levels()) == [4, 3, 2]
 
@@ -112,7 +117,7 @@ def test_each_presentation_encoded_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_columns", counting_columns)
     monkeypatch.setattr(engine, "enumerate", recording_enumerate)
-    c = Chain("B", "carmichael", 5)
+    c = make_chain("B", "carmichael", 5)
     word = Word((1, 2, -3, 4, 4, 2, 1))
     c.decompose(word)
     assert list(presentations.values()) == [c.presentation] and len(subgroups) == 3
@@ -156,7 +161,7 @@ def test_rep_sets_are_level_table_schreier_words(family, variant):
     """Every orbit traversal numbers its level as the level table's
     standardization does: rep_set(i) is the level table's Schreier words,
     in order, at every level of the rank-30 chain."""
-    c = Chain(family, variant, 30)
+    c = make_chain(family, variant, 30)
     for i in c.levels():
         assert c.rep_set(i) == schreier_words(level_table(family, variant, i))[1:], i
 
@@ -169,7 +174,7 @@ def test_sift_cosets_separate_each_levels_reps(family, variant):
     orbit the chain traverses; checked here with the level tables'
     Schreier words for every top rank up to 30."""
     for n in range(CHAIN_BASE[family], 31):
-        c = Chain(family, variant, n)
+        c = make_chain(family, variant, n)
         t = c._table()
         for i, (cosets, number, _) in zip(c.levels(), c._sift()):
             reps = schreier_words(level_table(family, variant, i))[1:]
@@ -179,7 +184,7 @@ def test_sift_cosets_separate_each_levels_reps(family, variant):
 
 
 def test_rep_set_level_bounds():
-    c = Chain("A", "edge", 4)
+    c = make_chain("A", "edge", 4)
     with pytest.raises(ChainError):
         c.rep_set(1)
     with pytest.raises(ChainError):
@@ -187,20 +192,20 @@ def test_rep_set_level_bounds():
 
 
 def test_a_carmichael_rep_words():
-    c = Chain("A", "carmichael", 4)
+    c = make_chain("A", "carmichael", 4)
     # 1, a3, a3^2, a2 a3^2, a1 a3^2
     assert letters(c.rep_set(4)) == [(), (3,), (3, 3), (2, 3, 3), (1, 3, 3)]
     assert letters(c.rep_set(3)) == [(), (2,), (2, 2), (1, 2, 2)]
 
 
 def test_a_bourbaki_rep_words():
-    c = Chain("A", "bourbaki", 4)
+    c = make_chain("A", "bourbaki", 4)
     # 1, R3, R2 R3, R1 R2 R3, R1^2 R2 R3
     assert letters(c.rep_set(4)) == [(), (3,), (2, 3), (1, 2, 3), (1, 1, 2, 3)]
 
 
 def test_a_edge_rep_words_both_parities():
-    c = Chain("A", "edge", 5)
+    c = make_chain("A", "edge", 5)
     # even level, in the sift's order: 1, r3, r3^2, r1 r3, r2 r3^2
     assert letters(c.rep_set(4)) == [(), (3,), (3, 3), (1, 3), (2, 3, 3)]
     # odd level: 1, r4, r4^2, r2 r4, r3 r4^2, r1 r3 r4^2
@@ -212,7 +217,7 @@ def test_a_edge_rep_words_both_parities():
 def test_a_rep_sets_are_the_displayed_lists(variant):
     # at every A level above the base the sift gives the paper's displayed
     # E_i as a set; carmichael and bourbaki in the same order, edge not
-    c = Chain("A", variant, 30)
+    c = make_chain("A", variant, 30)
     for i in range(3, 31):
         displayed = displayed_reps(variant, i)
         assert set(c.rep_set(i)) == set(displayed), i
@@ -225,7 +230,7 @@ def test_rep_set_sizes():
                           ("B", 4, {4: 8, 3: 6, 2: 4}),
                           ("D", 5, {5: 10, 4: 8, 3: 12})):
         for variant in ("carmichael", "bourbaki", "edge"):
-            c = Chain(fam, variant, n)
+            c = make_chain(fam, variant, n)
             for i, size in sizes.items():
                 assert len(c.rep_set(i)) == size, (fam, variant, i)
 
@@ -235,7 +240,7 @@ def test_reps_hit_distinct_cosets():
     # cosets of the top table to distinct tuples
     for fam, variant, n in (("A", "edge", 5), ("B", "carmichael", 4),
                             ("D", "bourbaki", 4)):
-        c = Chain(fam, variant, n)
+        c = make_chain(fam, variant, n)
         top = c._table()
         for i, (cosets, _, _) in zip(c.levels(), c._sift()):
             t, reps = level_table(fam, variant, i), c.rep_set(i)
@@ -245,9 +250,9 @@ def test_reps_hit_distinct_cosets():
 
 
 def test_base_blocks_are_whole_base_groups():
-    assert len(Chain("A", "edge", 3).rep_set(2)) == 3
-    assert len(Chain("B", "bourbaki", 3).rep_set(2)) == 4
-    assert len(Chain("D", "carmichael", 4).rep_set(3)) == 12
+    assert len(make_chain("A", "edge", 3).rep_set(2)) == 3
+    assert len(make_chain("B", "bourbaki", 3).rep_set(2)) == 4
+    assert len(make_chain("D", "carmichael", 4).rep_set(3)) == 12
 
 
 def test_chain_subgroup_words_generic():
@@ -270,7 +275,7 @@ def test_chain_subgroup_words_d_rank3():
 
 
 def test_decompose_roundtrip_exhaustive():
-    c = Chain("A", "edge", 4)
+    c = make_chain("A", "edge", 4)
     reg = engine.enumerate(c.presentation, ())
     assert reg.index == 60
     seen = set()
@@ -285,7 +290,7 @@ def test_decompose_roundtrip_exhaustive():
 def test_decompose_scrambled_words():
     for fam, variant, n in (("B", "edge", 3), ("D", "carmichael", 4),
                             ("A", "bourbaki", 4)):
-        c = Chain(fam, variant, n)
+        c = make_chain(fam, variant, n)
         reg = engine.enumerate(c.presentation, ())
         words = [Word((1, 2, 1)), Word((2, 1, 2, 2)), Word((-1, 2, -2, 1, 1)),
                  Word(), Word.gen(0) ** 3]
@@ -300,7 +305,7 @@ def test_decompose_scrambled_words():
 def test_a_sift_cut_short_keeps_no_level(monkeypatch):
     """A sift that raises at its second level keeps none, so the next
     decompose sifts again and returns every factor."""
-    c = Chain("B", "edge", 5)
+    c = make_chain("B", "edge", 5)
     c._table()
     levels, subgroup_rank = [], Chain._subgroup_rank
 
@@ -325,7 +330,7 @@ def test_enumerate_elements_counts():
                                    ("B", "edge", 3, 24),
                                    ("D", "bourbaki", 4, 96),
                                    ("D", "edge", 3, 12)):
-        assert len(Chain(fam, variant, n).enumerate_elements()) == order
+        assert len(make_chain(fam, variant, n).enumerate_elements()) == order
 
 
 def test_enumerate_elements_scale_cap(indices, capsys):
@@ -350,8 +355,8 @@ def test_enumerate_elements_scale_cap(indices, capsys):
 
 
 def test_module_level_wrappers():
-    assert len(Chain("A", "carmichael", 3).rep_set(3)) == 4
-    c = Chain("A", "carmichael", 3)
+    assert len(make_chain("A", "carmichael", 3).rep_set(3)) == 4
+    c = make_chain("A", "carmichael", 3)
     d = c.decompose(Word((1, 2)))
     reg = engine.enumerate(c.presentation, ())
     assert engine.words_equal(reg, product(d), Word((1, 2)))

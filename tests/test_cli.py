@@ -738,7 +738,7 @@ def test_nf_decompose(capsys):
     assert main(["nf", "--family", "A", "--variant", "carmichael",
                  "--rank", "3", "--word", "a1 a2"]) == EXIT_OK
     got = capsys.readouterr().out.strip()
-    chain = chains.Chain("A", "carmichael", 3)
+    chain = chains.Chain(presentations.chain_presentation("A", "carmichael", 3), "A")
     p = chain.presentation
     d = chain.decompose(parse_word("a1 a2", p))
     assert got == " | ".join(render_word(f, p) for f in d)
@@ -836,8 +836,8 @@ def test_nf_builds_each_table_once(monkeypatch, capsys, family):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
-    monkeypatch.setattr(chains, "chain_presentation",
-                        counted("build", chains.chain_presentation))
+    monkeypatch.setattr(presentations, "chain_presentation",
+                        counted("build", presentations.chain_presentation))
     monkeypatch.setattr(engine, "enumerate", counted("enumerate", engine.enumerate))
     argv = ["nf", "--family", family, "--variant", "edge", "--rank", "5",
             "--word", "r1 r2^-1 r3 r4"]
@@ -912,18 +912,20 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
     gets the group that `present` serves under that name: images-* its
     one group, orders-* the three chain variants, spinor-* the cover
     (whose plain edge group is the one it twists, over the standard
-    matrix), vv-equivalence both groups and a5-cover-order the cover.
-    A cold verify builds each group it names once, 41 in all, however
-    many checks name it.  verify keeps each group but the covers in the
-    memo, under the key that the commands give it, and builds the covers
-    and the plain edge groups afresh on every run; neither its output nor
-    any order depends on what the memo holds."""
+    matrix), vv-equivalence both groups, spinor-iso-A3 the tilde and
+    tilde-prime edge covers and a5-cover-order the cover.  A cold verify
+    builds each group it names once, 42 in all, however many checks name
+    it.  verify keeps every group it names in the memo, covers included,
+    under the key that the commands give it, so a warm verify builds none
+    of them, and only the plain edge groups afresh; neither its output
+    nor any order depends on what the memo holds."""
     calls, build = [], cli._catalog_presentation
     monkeypatch.setattr(cli, "_catalog_presentation",
                         lambda *a: calls.append(a) or build(*a))
     want = {"vv-equivalence": [("vv", "A", 4), ("edge", "A", 4)],
             "a5-cover-order": [("a5-cover", None, None)],
-            "artin-braid": [], "spinor-iso-A3": []}
+            "artin-braid": [],
+            "spinor-iso-A3": [("tilde-plus-edge", "A", 3), ("tilde-prime-plus-edge", "A", 3)]}
     spinors = []
     got = {}
     for name, thunk in cli._verify_checks():
@@ -943,18 +945,19 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
     cli._built.clear()  # the thunks ran outside main, which would keep them
     assert got == want
     named = {a for names in want.values() for a in names}
-    covers = {a for a in named if a[0] in ("tilde-plus-edge", "a5-cover")}
+
+    def flags(family, rank):
+        return [] if family is None else ["--family", family, "--rank", str(rank)]
+
     for v, family, rank in named:
-        flags = [] if family is None else ["--family", family, "--rank", str(rank)]
-        assert main(["present", "--variant", v, *flags]) == EXIT_OK
+        assert main(["present", "--variant", v, *flags(family, rank)]) == EXIT_OK
         assert capsys.readouterr().out == build(v, family, rank).to_json() + "\n"
 
     def order(v, family, rank):
-        assert main(["order", "--variant", v, "--family", family,
-                     "--rank", str(rank)]) == EXIT_OK
+        assert main(["order", "--variant", v, *flags(family, rank)]) == EXIT_OK
         return capsys.readouterr().out
 
-    kept = sorted(named - covers)
+    kept = sorted(named)
     fresh = []
     for group in kept:
         cli._memo.clear()
@@ -964,18 +967,50 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
     assert main(["verify"]) == EXIT_OK
     cold = capsys.readouterr().out
     assert calls == list(dict.fromkeys(a for names in got.values() for a in names))
-    assert len(calls) == 41
-    assert set(cli._memo) == named - covers
+    assert len(calls) == 42
+    assert set(cli._memo) == named
     plain, matrix = [], cli._matrix_presentation
     monkeypatch.setattr(cli, "_matrix_presentation",
                         lambda v, m: plain.append((v, m)) or matrix(v, m))
     calls.clear()
     assert main(["verify"]) == EXIT_OK and capsys.readouterr().out == cold
-    assert calls == [a for names in got.values() for a in names if a in covers]
-    assert plain == [(v, standard_matrix(family, rank)) for family, rank in spinors
-                     for v in ("edge", "tilde-plus-edge")]
+    assert calls == []
+    assert plain == [("edge", standard_matrix(family, rank)) for family, rank in spinors]
     assert [order(*group) for group in kept] == fresh
     assert main(["verify"]) == EXIT_OK and capsys.readouterr().out == cold
+
+
+def test_each_catalog_group_is_built_once(tmp_path, monkeypatch, capsys):
+    """In one process, an enumerate over B5 edge, an nf over the same group
+    and two verifies build each catalog group once: the chain's presentation
+    is the one the enumerate kept, and the second verify builds no catalog
+    group, only the three plain edge groups of its spinor-* checks."""
+    calls, build = [], cli._catalog_presentation
+    monkeypatch.setattr(cli, "_catalog_presentation",
+                        lambda *a: calls.append(a) or build(*a))
+    builders = []
+    for name in ("coxeter_presentation", "bourbaki_presentation", "edge_presentation",
+                 "chain_presentation", "vv_presentation", "spinor_presentation",
+                 "spinor_plus_presentation", "universal_extension"):
+        monkeypatch.setattr(presentations, name,
+                            lambda *a, name=name, fn=getattr(presentations, name):
+                            builders.append((name, a)) or fn(*a))
+    assert main(["enumerate", "--family", "B", "--rank", "5", "--variant", "edge",
+                 "--subgroup-gens", "2", "--reps", str(tmp_path / "reps")]) == EXIT_OK
+    assert main(["nf", "--family", "B", "--variant", "edge", "--rank", "5",
+                 "--word", "r1 r2^-1 r3 r4"]) == EXIT_OK
+    assert calls == [("edge", "B", 5)]
+    chain = cli._memo[("B", "edge", 5, engine.DEFAULT_CAP)][1]
+    assert chain.presentation is cli._memo[("edge", "B", 5)][1]
+    assert main(["verify"]) == EXIT_OK
+    assert len(calls) == len(set(calls)) == 43
+    calls.clear()
+    builders.clear()
+    assert main(["verify"]) == EXIT_OK
+    assert calls == []
+    assert builders == [("edge_presentation", (standard_matrix(family, rank),))
+                        for family, rank in (("A", 3), ("B", 3), ("D", 4))]
+    capsys.readouterr()
 
 
 def test_verify_only_filter(capsys):

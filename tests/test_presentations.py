@@ -23,6 +23,12 @@ def rendered(p):
     return [render_word(w, p) for w in p.relators]
 
 
+def edge_spinor_pair(m):
+    """The tilde and tilde-prime edge-style spinor extensions over m."""
+    return (pres.spinor_plus_presentation(m, "edge", "tilde"),
+            pres.spinor_plus_presentation(m, "edge", "tilde_prime"))
+
+
 def test_coxeter_rank1():
     p = pres.coxeter_presentation(standard_matrix("A", 1))
     assert p.generators == ("s0",) and rendered(p) == ["s0^2"]
@@ -156,7 +162,7 @@ def test_builders_refuse_unknown_arguments():
             (lambda: pres.universal_extension("A7"), "unknown extension 'A7'")):
         with pytest.raises(pres.BuildError, match=f"^{message}$"):
             build()
-    fwd, _ = pres.spinor_iso(m)  # its target names zp, its source z
+    fwd, _ = pres.spinor_iso(*edge_spinor_pair(m))  # its target names zp, its source z
     with pytest.raises(pres.BuildError, match="^homs not composable$"):
         pres.compose(fwd, fwd)
 
@@ -389,7 +395,7 @@ def test_edge_families_match_brute_force():
 
 def test_spinor_iso_both_ways():
     for fam in ("A", "B"):
-        fwd, bwd = pres.spinor_iso(standard_matrix(fam, 3))
+        fwd, bwd = pres.spinor_iso(*edge_spinor_pair(standard_matrix(fam, 3)))
         rt = engine.enumerate(fwd.target, ())
         rs = engine.enumerate(bwd.target, ())
         assert fwd.verify(rt) and bwd.verify(rs)
