@@ -40,19 +40,21 @@ class Chain:
     The presentation is chain_presentation(family, variant, n), built by
     the caller, which validates the triple: its n-1 generators give n.  The
     level-i subgroup is generated by the first i-2 generators, or is trivial
-    at the base.  _table(), enumerated on first use, is the top table: the
-    rank-n group over the level-n subgroup, of index n+1 (A), 2n (B, D) or
-    12 (D3).  Level i's sift cosets are its cosets that the level's
-    generators move and its subgroup fixes, which is their stabilizer (see
-    decompose); so their tuple's orbit is the level-i table as a pointed
-    set, and the Schreier words of its standardized numbering are the
-    level's representatives.
+    at the base.  A chain is complete when it is made: it enumerates its top
+    table (_table), the rank-n group over the level-n subgroup, of index
+    n+1 (A), 2n (B, D) or 12 (D3), and sifts every level, so a cap overrun
+    or a sift cut short makes no chain.  Level i's sift cosets are its
+    cosets that the level's generators move and its subgroup fixes, which
+    is their stabilizer (see decompose); so their tuple's orbit is the
+    level-i table as a pointed set, and the Schreier words of its
+    standardized numbering are the level's representatives.
     """
 
     def __init__(self, presentation, family: str, cap=engine.DEFAULT_CAP):
         self.presentation, self.family = presentation, family.upper()
         self.n, self.base, self.cap = presentation.rank + 1, CHAIN_BASE[self.family], cap
-        self._top, self._sifts = None, []
+        self._top = self._table()
+        self._sifts = self._sift()
 
     def levels(self):
         return range(self.n, self.base - 1, -1)
@@ -62,15 +64,13 @@ class Chain:
 
     def _table(self):
         """The top table: the rank-n group over the level-n subgroup."""
-        if self._top is None:
-            sub = tuple(map(Word.gen, range(self._subgroup_rank(self.n))))
-            self._top = engine.enumerate(self.presentation, sub, self.cap)
-        return self._top
+        sub = tuple(map(Word.gen, range(self._subgroup_rank(self.n))))
+        return engine.enumerate(self.presentation, sub, self.cap)
 
     def rep_set(self, i) -> tuple[Word, ...]:
         if not self.base <= i <= self.n:
             raise ChainError(f"level {i} outside [{self.base}, {self.n}]")
-        _, number, arrival = self._sift()[self.n - i]
+        _, number, arrival = self._sifts[self.n - i]
         return tuple(_schreier_word(arrival, k) for k in number.values())
 
     def _sift(self):
@@ -78,40 +78,36 @@ class Chain:
         their tuple's orbit under the level's generators that standardizes a
         table, as a map from orbit tuples to numbers and a CosetTable's
         arrival list.  A point tries its arrival generator, then those that
-        move it in decreasing index, skipping those that fix it.  The levels
-        are kept all at once, so that a sift cut short keeps none."""
-        if not self._sifts:
-            t = self._table()
-            rows, ncols, cosets = t.rows, 2 * t.presentation.rank, range(t.index + 1)
-            movers = [[] for _ in cosets]  # the generators moving each coset, ascending
-            for g in range(t.presentation.rank):
-                for c in itertools.compress(cosets, map(ne, rows[2 * g::ncols], cosets)):
-                    movers[c].append(g)
-            sifts = []
-            for i in self.levels():
-                sub, ngens = self._subgroup_rank(i), i - 1
-                start = tuple(c for c, m in enumerate(movers) if m and sub <= m[0] < ngens)
-                number, order, arrival = {start: 1}, [start], [0, 0, 0, 0]
-                for k, point in enumerate(order, 1):
-                    gens = sorted({g for c in point for g in movers[c] if g < ngens},
-                                  reverse=True)
-                    first = arrival[2 * k + 1] if k > 1 else ngens - 1
-                    for g in (first, *gens):
-                        image = tuple(rows[c * ncols + 2 * g] for c in point)
-                        if image not in number:
-                            number[image] = len(order) + 1
-                            order.append(image)
-                            arrival += (k, g)
-                sifts.append((start, number, arrival))
-            self._sifts = sifts
-        return self._sifts
+        move it in decreasing index, skipping those that fix it."""
+        t = self._top
+        rows, ncols, cosets = t.rows, 2 * t.presentation.rank, range(t.index + 1)
+        movers = [[] for _ in cosets]  # the generators moving each coset, ascending
+        for g in range(t.presentation.rank):
+            for c in itertools.compress(cosets, map(ne, rows[2 * g::ncols], cosets)):
+                movers[c].append(g)
+        sifts = []
+        for i in self.levels():
+            sub, ngens = self._subgroup_rank(i), i - 1
+            start = tuple(c for c, m in enumerate(movers) if m and sub <= m[0] < ngens)
+            number, order, arrival = {start: 1}, [start], [0, 0, 0, 0]
+            for k, point in enumerate(order, 1):
+                gens = sorted({g for c in point for g in movers[c] if g < ngens},
+                              reverse=True)
+                first = arrival[2 * k + 1] if k > 1 else ngens - 1
+                for g in (first, *gens):
+                    image = tuple(rows[c * ncols + 2 * g] for c in point)
+                    if image not in number:
+                        number[image] = len(order) + 1
+                        order.append(image)
+                        arrival += (k, g)
+            sifts.append((start, number, arrival))
+        return sifts
 
     def weight(self):
         """The cells of the top table and the points of the sift, the cosets
-        in its orbit tuples: what the chain holds beside its presentation
-        once a decompose or rep_set has run."""
-        cells = len(self._top.rows) if self._top is not None else 0
-        return cells + sum(len(start) * len(number) for start, number, _ in self._sifts)
+        in its orbit tuples: what the chain holds beside its presentation."""
+        return len(self._top.rows) + sum(len(start) * len(number)
+                                         for start, number, _ in self._sifts)
 
     def decompose(self, w: Word) -> tuple[Word, ...]:
         """Peel factors u_n, u_{n-1}, ..., u_base, whose product is w: u_i
@@ -121,9 +117,9 @@ class Chain:
         w is encoded once; each factor u is peeled by appending the columns
         of u^-1, read off u's letters, all positive: the completed table
         sends a word and its free reduction to one coset."""
-        t = self._table()
+        t = self._top
         factors, cols = [], list(engine._columns(w))
-        for cosets, number, arrival in self._sift():
+        for cosets, number, arrival in self._sifts:
             u = _schreier_word(arrival, number[tuple(t.walk(c, cols) for c in cosets)])
             factors.append(u)
             cols += [2 * x - 1 for x in u.letters]

@@ -37,13 +37,16 @@ each catalog group it names, covers included; the `spinor-*` and
 `a5-cover-order` checks order a new presentation of the kept cover, so
 each counts it on its own path, and only the plain edge group that each
 `spinor-*` check compares with, which no command names, is built on
-every run.  The memo keeps its values in least recently used order
-while their weights, in relator letters (and a unit per 32 characters of
-a file's text), table cells and sift points, sum to at most MEMO_BUDGET
-(2^16, 2 to 4 MB); a command that fails, or a group heavier than that,
-keeps nothing.  It never keeps a --matrix input, which is read on every
-command, a table over a subgroup or an order.  No output depends on
-what the memo holds.
+every run.  A value is kept when it is built, and is complete then: a
+Chain is made with its table and sift, and the engine records what it
+derives from a presentation only once it is worked out.  So a command
+that fails keeps what it built before it failed, and nothing partial.
+The memo keeps its values in least recently used order while their
+weights, in relator letters (and a unit per 32 characters of a file's
+text), table cells and sift points, sum to at most MEMO_BUDGET (2^16, 2
+to 4 MB); a value heavier than that is not kept.  It never keeps a
+--matrix input, which is read on every command, a table over a subgroup
+or an order.  No output depends on what the memo holds.
 The memo has no lock: ``main`` runs one command at a time.
 """
 
@@ -152,21 +155,27 @@ def _read(path):
 # order has left its encoding and plan on it, so a memo of catalog groups
 # that fills the budget holds about 3.6 MB (tracemalloc)
 MEMO_BUDGET = 1 << 16
-_memo = {}   # key -> (weight, value), the least recently used first
-_built = {}  # key -> value, for each value the running request built
+_memo = {}  # key -> (weight, value), the least recently used first
 
 
 def _memoized(key, build):
-    """The value kept under key, now the most recently used, else the one
-    the running request built under key, else build()'s, which _keep may
-    keep when the request ends: a request builds each key once."""
+    """The value kept under key, now the most recently used, else build()'s,
+    which is kept if it weighs at most MEMO_BUDGET, the least recently used
+    then dropped until the weights sum to at most MEMO_BUDGET.  A value is
+    complete when it is built, so its weight is final; only a miss evicts."""
     entry = _memo.pop(key, None)
     if entry is not None:
         _memo[key] = entry
         return entry[1]
-    value = _built.get(key)
-    if value is None:
-        value = _built[key] = build()
+    value = build()
+    weight = _weight(value)
+    if key[0] == "--presentation":  # the file's text, a unit per 32 characters
+        weight += len(key[1]) // 32
+    if weight <= MEMO_BUDGET:
+        _memo[key] = (weight, value)
+        total = sum(w for w, _ in _memo.values())
+        while total > MEMO_BUDGET:
+            total -= _memo.pop(next(iter(_memo)))[0]
     return value
 
 
@@ -179,25 +188,12 @@ def _weight(value):
     more on any catalog group.  A cover's record may hold its central
     quotient too (engine.order), with fewer letters and a record of its
     own; that counts before an order works it out, as a presentation kept
-    by `present` may be ordered later."""
+    by `present` may be ordered later.  So a value's weight is final when
+    it is built.  A chain's presentation counts again under its own key
+    while both are kept, which errs on the side of keeping less."""
     if isinstance(value, chains.Chain):
         return _weight(value.presentation) + value.weight()
     return sum(map(len, value.relators)) * (2 if value.central else 1)
-
-
-def _keep():
-    """Keep each value the request built that weighs at most MEMO_BUDGET,
-    then drop the least recently used until the weights sum to at most
-    MEMO_BUDGET."""
-    for key, value in _built.items():
-        weight = _weight(value)
-        if key[0] == "--presentation":  # the file's text, a unit per 32 characters
-            weight += len(key[1]) // 32
-        if weight <= MEMO_BUDGET:
-            _memo[key] = (weight, value)
-            total = sum(w for w, _ in _memo.values())
-            while total > MEMO_BUDGET:
-                total -= _memo.pop(next(iter(_memo)))[0]
 
 
 def _build_presentation(args) -> Presentation:
@@ -357,21 +353,21 @@ def cmd_order(args):
 def cmd_nf(args):
     if args.enumerate and args.word is not None:  # the word would go unread
         raise UsageError("nf takes --word or --enumerate, not both")
-    # the key's length, four, is no presentation's
     family = args.family.upper()
+    p = _catalog(args.variant, family, args.rank)  # refuses a bad triple
+    if not args.enumerate and args.word is None:  # "" is the identity, like "1"
+        raise UsageError("nf needs --word or --enumerate")
+    w = None if args.enumerate else parse_word(args.word, p)
+    # the key's length, four, is no presentation's; a chain enumerates its
+    # table when it is made, so only after the input has been read
     chain = _memoized((family, args.variant, args.rank, args.max_cosets),
-                      lambda: chains.Chain(_catalog(args.variant, family, args.rank),
-                                           family, args.max_cosets))
-    p = chain.presentation
+                      lambda: chains.Chain(p, family, args.max_cosets))
     if args.enumerate:
         lines = []
         for d in chain.enumerate_elements():
             lines.append(" | ".join(render_word(f, p) for f in d))
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
-    if args.word is None:  # "" is the identity, like "1"
-        raise UsageError("nf needs --word or --enumerate")
-    w = parse_word(args.word, p)
     d = chain.decompose(w)
     _emit(" | ".join(render_word(f, p) for f in d) + "\n", args.output)
     return EXIT_OK
@@ -608,16 +604,14 @@ def main(argv=None):
     """Run one command and return its exit code.  A command's reader is
     worked out on its first use, and argparse's parser on the first argv
     that a reader declines, not at import; both are reused for the life of
-    the process, as is the memo.  What a command built goes into the memo
-    when the command returns; one that fails raises, and keeps nothing."""
+    the process, as is the memo, which keeps what a command builds as it
+    builds it, whether or not the command then fails."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        code = args.func(args)
-        _keep()
-        return code
+        return args.func(args)
     except engine.CapExceeded:
         cap = getattr(args, "max_cosets", engine.DEFAULT_CAP)
         sys.stderr.write(f"cap exceeded at {cap} cosets\n")
@@ -632,8 +626,6 @@ def main(argv=None):
                if hasattr(args, "max_cosets") else "")
         sys.stderr.write(f"error: not enough memory{cap}\n")
         return EXIT_USAGE
-    finally:
-        _built.clear()
 
 
 if __name__ == "__main__":

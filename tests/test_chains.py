@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from altcox import engine, oracle
+from altcox import cli, engine, oracle
 from altcox.chains import Chain, ChainError
 from altcox.cli import EXIT_OK, EXIT_USAGE, main
 from altcox.presentations import CHAIN_BASE, chain_presentation, BuildError
@@ -302,27 +302,33 @@ def test_decompose_scrambled_words():
             assert engine.words_equal(reg, product(d), w)
 
 
-def test_a_sift_cut_short_keeps_no_level(monkeypatch):
-    """A sift that raises at its second level keeps none, so the next
-    decompose sifts again and returns every factor."""
-    c = make_chain("B", "edge", 5)
-    c._table()
+def test_a_sift_cut_short_keeps_no_level(monkeypatch, capsys):
+    """A sift that raises at its second level makes no Chain.  Through
+    main, the memo keeps the catalog group and no chain, so the next nf
+    makes the chain again and returns every factor."""
     levels, subgroup_rank = [], Chain._subgroup_rank
 
     def failing(self, i):
         levels.append(i)
-        if len(levels) == 2:
+        if len(levels) == 3:  # the top table's level 5, then the sift's 5, 4
             raise MemoryError
         return subgroup_rank(self, i)
 
     monkeypatch.setattr(Chain, "_subgroup_rank", failing)
-    with pytest.raises(MemoryError):
-        c.decompose(Word((1, 2)))
-    assert levels == [5, 4] and c._sifts == []
-    w = Word((1, -2, 3, 4, 4))
-    d = c.decompose(w)
-    assert len(d) == len(c.levels()) == 4
-    assert engine.words_equal(engine.enumerate(c.presentation, ()), product(d), w)
+    argv = ["nf", "--family", "B", "--variant", "edge", "--rank", "5"]
+    assert main(argv + ["--word", "r1 r2"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: not enough memory for --max-cosets "
+                                   f"{engine.DEFAULT_CAP}\n")
+    assert levels == [5, 5, 4]
+    assert list(cli._memo) == [("edge", "B", 5)]
+    assert main(argv + ["--word", "r1 r2^-1 r3 r4 r4"]) == EXIT_OK
+    factors = capsys.readouterr().out.strip().split(" | ")
+    c = cli._memo[("B", "edge", 5, engine.DEFAULT_CAP)][1]
+    assert len(factors) == len(c.levels()) == 4
+    p = c.presentation
+    d = [parse_word(f, p) for f in factors]
+    w = parse_word("r1 r2^-1 r3 r4 r4", p)
+    assert engine.words_equal(engine.enumerate(p, ()), product(d), w)
 
 
 def test_enumerate_elements_counts():
@@ -341,17 +347,17 @@ def test_enumerate_elements_scale_cap(indices, capsys):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr() == refused
     assert indices == [9]
-    # a refused request keeps nothing, so the same one enumerates again;
-    # after an nf over the chain exits 0, it is refused from the memo
+    # the chain was complete before the refusal, so the memo kept it: the
+    # same request is refused from the memo, as is one after an nf over it
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr() == refused
-    assert indices == [9, 9]
+    assert indices == [9]
     assert main(argv[:-1] + ["--word", "r1 r7"]) == EXIT_OK
-    assert indices == [9, 9, 9]
+    assert indices == [9]
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr() == refused
-    assert indices == [9, 9, 9]
+    assert indices == [9]
 
 
 def test_module_level_wrappers():

@@ -939,10 +939,10 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
             want[name] = [("tilde-plus-edge", family, rank)]
             spinors.append((family, rank))
         calls.clear()
-        cli._built.clear()  # each check on its own, as if no other had run
+        cli._memo.clear()  # each check on its own, as if no other had run
         assert thunk(), name
         got[name] = list(calls)
-    cli._built.clear()  # the thunks ran outside main, which would keep them
+    cli._memo.clear()  # the thunks kept what they built, as main would
     assert got == want
     named = {a for names in want.values() for a in names}
 
@@ -1103,7 +1103,8 @@ def test_memo_is_bounded_least_recently_used(monkeypatch, capsys):
     """With a budget that any two of three groups fit but not all three:
     the kept weight never exceeds it, the least recently used group goes
     first, a group heavier than the budget is served as from an empty memo
-    and not kept, and a request that exits 2 or 3 keeps nothing."""
+    and not kept, and a request that exits 2 or 3 keeps the groups it built
+    but no chain, as a capped chain is never made."""
     keys = [("coxeter", "A", 2), ("coxeter", "A", 3), ("coxeter", "B", 3)]
     weights = [cli._weight(presentations.coxeter_presentation(standard_matrix(f, r)))
                for _, f, r in keys]
@@ -1138,8 +1139,47 @@ def test_memo_is_bounded_least_recently_used(monkeypatch, capsys):
             (["nf", "--family", "A", "--rank", "4", "--variant", "edge", "--word", "r1",
               "--max-cosets", "1"], EXIT_CAP)]:
         assert main(argv) == code
-        assert cli._memo == kept and cli._built == {}
+    # the capped nf raised while its chain was being made
+    assert list(cli._memo) == [*kept, ("coxeter", "A", 4), ("edge", "A", 4)]
+    assert {key: cli._memo[key] for key in kept} == kept
     capsys.readouterr()
+
+
+def test_a_refused_command_keeps_what_it_built(monkeypatch, capsys):
+    """An nf refused for its word keeps the group it built, and no chain:
+    the word is read before the chain is made, so no table is enumerated.
+    The next nf over that group builds no presentation."""
+    cores, core = [], engine._core
+    monkeypatch.setattr(engine, "_core", lambda *a: cores.append(a) or core(*a))
+    built, chain_presentation = [], presentations.chain_presentation
+    monkeypatch.setattr(presentations, "chain_presentation",
+                        lambda *a: built.append(a) or chain_presentation(*a))
+    argv = ["nf", "--family", "A", "--rank", "4", "--variant", "edge"]
+    assert main(argv + ["--word", "r1 q^2"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: unknown generator 'q'\n")
+    assert list(cli._memo) == [("edge", "A", 4)] and cores == []
+    built.clear()
+    assert main(argv + ["--word", "r1 r2"]) == EXIT_OK
+    assert capsys.readouterr() == ("1 | r2^2 | r1^2\n", "")
+    assert built == []
+
+
+@pytest.mark.parametrize("family, rank, flags, error", [
+    ("A", 4, ["--word", "r1", "--enumerate"], "nf takes --word or --enumerate, not both"),
+    ("A", 4, [], "nf needs --word or --enumerate"),
+    ("D", 2, [], "rank 2 below minimum for (D, edge)"),
+    ("A", 4, ["--word", "r1 q2"], "unknown generator 'q2'"),
+    ("A", 4, ["--word", "r1 q2", "--max-cosets", "1"], "unknown generator 'q2'"),
+], ids=["both-flags", "neither-A4", "neither-D2", "bad-word", "bad-word-capped"])
+def test_nf_refuses_before_it_enumerates(monkeypatch, capsys, family, rank, flags, error):
+    """nf reads its flags, its group and its word before it makes a chain:
+    each refusal exits 2 with its own message and runs no enumeration."""
+    cores, core = [], engine._core
+    monkeypatch.setattr(engine, "_core", lambda *a: cores.append(a) or core(*a))
+    argv = ["nf", "--family", family, "--rank", str(rank), "--variant", "edge", *flags]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert cores == []
 
 
 def test_presentation_file_is_kept_by_its_text(tmp_path, monkeypatch, capsys):
@@ -1186,11 +1226,18 @@ def test_memo_changes_no_benchmark_output(tmp_path, monkeypatch, capsys, mix):
     """Every request of the benchmark's mixes at seed 1 gives the same exit
     code, stdout, stderr and files with the memo emptied before it, as in a
     fresh process, in a pass from an empty memo, and in a pass after that;
-    in the last, only a request that fails builds a group."""
+    in the last, a request builds a key only when that build raises."""
     requests = _benchmark_requests(monkeypatch, mix, tmp_path)
     built, memoized = [], cli._memoized
-    monkeypatch.setattr(cli, "_memoized",
-                        lambda key, build: memoized(key, lambda: built.append(key) or build()))
+
+    def recorded(key, build):
+        def record():
+            value = build()
+            built.append(key)
+            return value
+        return memoized(key, record)
+
+    monkeypatch.setattr(cli, "_memoized", recorded)
 
     def run(req):
         for path in req.outputs:
@@ -1209,7 +1256,7 @@ def test_memo_changes_no_benchmark_output(tmp_path, monkeypatch, capsys, mix):
     for req in requests:
         built.clear()
         warm.append(run(req))
-        assert warm[-1][0] != EXIT_OK or built == [], req.argv
+        assert built == [], req.argv
     assert warm == fresh
 
 
