@@ -40,21 +40,20 @@ class Chain:
     The presentation is chain_presentation(family, variant, n), built by
     the caller, which validates the triple: its n-1 generators give n.  The
     level-i subgroup is generated by the first i-2 generators, or is trivial
-    at the base.  A chain is complete when it is made: it enumerates its top
-    table (_table), the rank-n group over the level-n subgroup, of index
-    n+1 (A), 2n (B, D) or 12 (D3), and sifts every level, so a cap overrun
-    or a sift cut short makes no chain.  Level i's sift cosets are its
-    cosets that the level's generators move and its subgroup fixes, which
-    is their stabilizer (see decompose); so their tuple's orbit is the
-    level-i table as a pointed set, and the Schreier words of its
-    standardized numbering are the level's representatives.
+    at the base.  A chain is complete when it is made, and holds only its
+    tables (_table): the top table's rows, the rank-n group over the
+    level-n subgroup, of index n+1 (A), 2n (B, D) or 12 (D3), and every
+    level's sift, so a cap overrun or a sift cut short makes no chain.
+    Level i's sift cosets are its cosets that the level's generators move
+    and its subgroup fixes, which is their stabilizer (see decompose); so
+    their tuple's orbit is the level-i table as a pointed set, and the
+    Schreier words of its standardized numbering are the level's
+    representatives.
     """
 
     def __init__(self, presentation, family: str, cap=engine.DEFAULT_CAP):
-        self.presentation, self.family = presentation, family.upper()
-        self.n, self.base, self.cap = presentation.rank + 1, CHAIN_BASE[self.family], cap
-        self._top = self._table()
-        self._sifts = self._sift()
+        self.n, self.base = presentation.rank + 1, CHAIN_BASE[family.upper()]
+        self._rows, self._ncols, self._sifts = self._table(presentation, cap)
 
     def levels(self):
         return range(self.n, self.base - 1, -1)
@@ -62,10 +61,12 @@ class Chain:
     def _subgroup_rank(self, i):
         return i - 2 if i > self.base else 0
 
-    def _table(self):
-        """The top table: the rank-n group over the level-n subgroup."""
+    def _table(self, presentation, cap):
+        """The top table, the rank-n group over the level-n subgroup, as its
+        rows and column count, and its sift (_sift)."""
         sub = tuple(map(Word.gen, range(self._subgroup_rank(self.n))))
-        return engine.enumerate(self.presentation, sub, self.cap)
+        top = engine.enumerate(presentation, sub, cap)
+        return top.rows, 2 * presentation.rank, self._sift(top)
 
     def rep_set(self, i) -> tuple[Word, ...]:
         if not self.base <= i <= self.n:
@@ -73,13 +74,13 @@ class Chain:
         _, number, arrival = self._sifts[self.n - i]
         return tuple(_schreier_word(arrival, k) for k in number.values())
 
-    def _sift(self):
-        """Per level, from the top: its sift cosets, and the traversal of
-        their tuple's orbit under the level's generators that standardizes a
-        table, as a map from orbit tuples to numbers and a CosetTable's
-        arrival list.  A point tries its arrival generator, then those that
-        move it in decreasing index, skipping those that fix it."""
-        t = self._top
+    def _sift(self, t):
+        """Per level of top table t, from the top: its sift cosets, and the
+        traversal of their tuple's orbit under the level's generators that
+        standardizes a table, as a map from orbit tuples to numbers and a
+        CosetTable's arrival list.  A point tries its arrival generator,
+        then those that move it in decreasing index, skipping those that
+        fix it."""
         rows, ncols, cosets = t.rows, 2 * t.presentation.rank, range(t.index + 1)
         movers = [[] for _ in cosets]  # the generators moving each coset, ascending
         for g in range(t.presentation.rank):
@@ -105,22 +106,28 @@ class Chain:
 
     def weight(self):
         """The cells of the top table and the points of the sift, the cosets
-        in its orbit tuples: what the chain holds beside its presentation."""
-        return len(self._top.rows) + sum(len(start) * len(number)
-                                         for start, number, _ in self._sifts)
+        in its orbit tuples: all that the chain holds."""
+        return len(self._rows) + sum(len(start) * len(number)
+                                     for start, number, _ in self._sifts)
 
     def decompose(self, w: Word) -> tuple[Word, ...]:
         """Peel factors u_n, u_{n-1}, ..., u_base, whose product is w: u_i
         sends level i's sift cosets where w does.  The level's subgroup fixes
         them and its representatives send them to distinct tuples, so by
         orbit-stabilizer that subgroup is their stabilizer in the level.
-        w is encoded once; each factor u is peeled by appending the columns
-        of u^-1, read off u's letters, all positive: the completed table
-        sends a word and its free reduction to one coset."""
-        t = self._top
+        w is encoded once and walked through the top table's rows; each
+        factor u is peeled by appending the columns of u^-1, read off u's
+        letters, all positive: the completed table sends a word and its
+        free reduction to one coset."""
+        rows, ncols = self._rows, self._ncols
         factors, cols = [], list(engine._columns(w))
         for cosets, number, arrival in self._sifts:
-            u = _schreier_word(arrival, number[tuple(t.walk(c, cols) for c in cosets)])
+            images = []
+            for c in cosets:
+                for col in cols:
+                    c = rows[c * ncols + col]
+                images.append(c)
+            u = _schreier_word(arrival, number[tuple(images)])
             factors.append(u)
             cols += [2 * x - 1 for x in u.letters]
         return tuple(factors)

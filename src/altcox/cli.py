@@ -31,15 +31,13 @@ variant alone, and of each --presentation input, named by the file's
 text, which is read on every command, so that an edited file is parsed
 again; each with its engine encoding and order plan, and a cover's
 proved central quotient (see `_certificate` and engine.order); and the
-`nf` Chain of each (family, variant, rank, cap), with its top table and
-sift, whose presentation is the memo's catalog group.  `verify` keeps
-each catalog group it names, covers included; the `spinor-*` and
-`a5-cover-order` checks order a new presentation of the kept cover, so
-each counts it on its own path, and only the plain edge group that each
-`spinor-*` check compares with, which no command names, is built on
-every run.  A value is kept when it is built, and is complete then: a
-Chain is made with its table and sift, and the engine records what it
-derives from a presentation only once it is worked out.  So a command
+`nf` Chain of each (family, variant, rank, cap), made over the memo's
+catalog group.  `verify` keeps each catalog group it names, covers
+included, and builds nothing else; the `spinor-*` and `a5-cover-order`
+checks order a new presentation of the kept cover, so each counts it on
+its own path.  A value is kept when it is built, and is complete then: a
+Chain is made with its tables, and the engine records what it derives
+from a presentation only once it is worked out.  So a command
 that fails keeps what it built before it failed, and nothing partial.
 The memo keeps its values in least recently used order while their
 weights, in relator letters (and a unit per 32 characters of a file's
@@ -180,19 +178,16 @@ def _memoized(key, build):
 
 
 def _weight(value):
-    """A presentation's relator letters, twice over when it has a central
-    generator, and a chain's plus its table cells and sift points: the
-    chain holds its presentation, which may outlive its own memo entry.
-    What the engine keeps in a presentation's record (engine._kept) counts
-    with its letters: the column encoding has as many, and the order plan no
-    more on any catalog group.  A cover's record may hold its central
-    quotient too (engine.order), with fewer letters and a record of its
-    own; that counts before an order works it out, as a presentation kept
-    by `present` may be ordered later.  So a value's weight is final when
-    it is built.  A chain's presentation counts again under its own key
-    while both are kept, which errs on the side of keeping less."""
+    """A chain's Chain.weight, and a presentation's relator letters, twice
+    over when it has a central generator.  What the engine keeps in a
+    presentation's record (engine._kept) counts with its letters: the
+    column encoding has as many, and the order plan no more on any catalog
+    group.  A cover's record may hold its central quotient too
+    (engine.order), with fewer letters and a record of its own; that counts
+    before an order works it out, as a presentation kept by `present` may
+    be ordered later.  So a value's weight is final when it is built."""
     if isinstance(value, chains.Chain):
-        return _weight(value.presentation) + value.weight()
+        return value.weight()
     return sum(map(len, value.relators)) * (2 if value.central else 1)
 
 
@@ -267,11 +262,10 @@ def _matrix_presentation(v, m):
         return presentations.bourbaki_presentation(m)
     if v == "edge":
         return presentations.edge_presentation(m)[0]
-    variant = "tilde_prime" if v.startswith("tilde-prime") else "tilde"
-    if v in ("tilde", "tilde-prime"):
+    variant, _, style = v.partition("-plus-")
+    if not style:
         return presentations.spinor_presentation(m, variant)
-    # the four tilde-plus and tilde-prime-plus variants remain
-    return presentations.spinor_plus_presentation(m, v.rsplit("-", 1)[1], variant)
+    return presentations.spinor_plus_presentation(m, style, variant)
 
 
 def _rank(text):
@@ -332,21 +326,29 @@ def cmd_enumerate(args):
     return EXIT_OK
 
 
-def _certificate(args):
-    """For a catalog spinor cover, named by a tilde variant with --family
-    and --rank, a function of no arguments giving its Clifford images
-    (oracle.clifford_images), which certify that its central generator is
-    not 1; else None.  _build_presentation has refused any other input
-    flag beside --family and --rank."""
-    if args.variant.startswith("tilde") and args.family and args.rank is not None:
-        return functools.partial(oracle.clifford_images, args.family.upper(),
-                                 args.variant, args.rank)
-    return None
+def _certificate(args, p):
+    """For p a catalog spinor cover, named by a tilde variant with --family
+    and --rank, engine.order's certificate: a function of no arguments that
+    returns whether p's Clifford images (oracle.clifford_images), elements
+    kept up to a positive scalar, send every relator of p to the identity
+    (oracle.verify_hom) and its central generator elsewhere (a cover's z
+    goes to -1).  They then define a homomorphism in which z is not 1.  The
+    images are built when it is called, which order does at most once.
+    Else None.  _build_presentation has refused any other input flag beside
+    --family and --rank."""
+    if not (args.variant.startswith("tilde") and args.family and args.rank is not None):
+        return None
+
+    def certificate():
+        images = oracle.clifford_images(args.family.upper(), args.variant, args.rank)
+        return oracle.verify_hom(p, images) and not any(
+            images[p.gen_index(name)].is_identity() for name, _ in p.central)
+    return certificate
 
 
 def cmd_order(args):
     p = _build_presentation(args)
-    _emit(f"{engine.order(p, args.max_cosets, _certificate(args))}\n", args.output)
+    _emit(f"{engine.order(p, args.max_cosets, _certificate(args, p))}\n", args.output)
     return EXIT_OK
 
 
@@ -397,11 +399,8 @@ def _unkept(p):
 
 
 def _spinor(family, rank):
-    # the plain group, built on every run as no command names it, is the
-    # edge presentation that the cover twists, not the chain's
-    plain = _matrix_presentation("edge", standard_matrix(family, rank))
     cover = _unkept(_catalog("tilde-plus-edge", family, rank))
-    return engine.order(cover) == 2 * engine.order(plain)
+    return engine.order(cover) == 2 * oracle.alternating_order(family, rank)
 
 
 def _vv_equivalence():

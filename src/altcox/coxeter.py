@@ -92,10 +92,6 @@ class ConnectedExtension(Record):
 
     __slots__ = ("matrix", "virtual_edges")
 
-    def __init__(self, matrix: CoxeterMatrix, virtual_edges: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "virtual_edges", virtual_edges)
-
     @property
     def n(self):
         return self.matrix.n

@@ -26,13 +26,14 @@ reaches H's order bound.  A group G whose central generators have distinct
 prime orders, such as a spinor cover (z of order 2) or the A5 and A6
 covers (z and zeta, of orders 2 and 3), is counted as f |G/C| through its
 central quotient (``_central_quotient``), f the product of those orders,
-once each central generator is proved not 1: by images of G's generators
-given to ``order`` (``_certifies``; ``altcox order`` passes
-oracle.clifford_images for a catalog spinor cover), or by the table of an
-earlier order of G that certified |H| with every central generator outside
-H.  A proof is kept as one number in G's record, the least cap at which
-the quotient stands in for G: 1 after a certificate, and the bound of G's
-own path after a table.  A run that would define more cosets than its cap
+once each central generator is proved not 1: by a certificate given to
+``order``, a function that returns whether its proof holds (``altcox
+order`` passes one for a catalog spinor cover, cli._certificate; this
+module imports no oracle), or by the table of an earlier order of G that
+certified |H| with every central generator outside H.  A proof is kept as
+one number in G's record, the least cap at which the quotient stands in
+for G: 1 after a certificate, and the bound of G's own path after a
+table.  A run that would define more cosets than its cap
 raises the core's CapExceeded, which ``enumerate``, ``index`` and
 ``order`` let through to their caller (those of G's quotient are caught,
 and G's own path runs).
@@ -49,7 +50,6 @@ from math import isqrt, lcm, prod
 from operator import add, lt, ne
 
 from .words import InputError, Record, Word, Presentation
-from .oracle import verify_hom
 from ._tc_py import CapExceeded, MAX_CAP
 
 try:
@@ -102,24 +102,14 @@ class CosetTable(Record):
 
     __slots__ = ("presentation", "rows", "arrival")
 
-    def __init__(self, presentation: Presentation, rows: array, arrival: array):
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "rows", rows)  # 1-based coset ids, row-major
-        object.__setattr__(self, "arrival", arrival)
-
     @property
     def index(self):
         return len(self.arrival) // 2 - 1
 
     def trace(self, coset, w: Word):
         """Apply word w to a coset (rightmost letter acts first)."""
-        return self.walk(coset, _columns(w))
-
-    def walk(self, coset, cols):
-        """The coset that a word's column indices, as _columns gives them,
-        send coset to."""
         rows, ncols = self.rows, 2 * self.presentation.rank
-        for col in cols:
+        for col in _columns(w):
             coset = rows[coset * ncols + col]
         return coset
 
@@ -166,7 +156,8 @@ def _order_plan(p: Presentation):
     first order (``_kept``): (g, k, pairs), or () when no g is made, with
     pairs the (h, words) of each candidate h in increasing order.  g is the
     generator outside central, the indices of p.central, with a relator
-    g^k or g^-k, k >= 2, of the largest k, then the lowest g; none is made
+    g^k or g^-k, k >= 2, of the largest k, then the lowest g, read like the
+    pairs' words from the relators' column encoding; none is made
     when no generator has one, or at rank 1, where <g> is all of G and its
     one coset could certify no k.  A central g is left out: <g> is then
     normal, acts trivially on its own cosets, and its order could not be
@@ -176,15 +167,15 @@ def _order_plan(p: Presentation):
     are the relators in g and h alone, in relator order, re-encoded to
     four columns, g's first."""
     central = {p.gen_index(name) for name, _ in p.central}
-    powers = ((abs(w.letters[0]) - 1, len(w)) for w in p.relators
-              if len(w) >= 2 and w.letters.count(w.letters[0]) == len(w))
+    encoded = _relator_columns(p) if p.rank >= 2 else ()
+    powers = ((w[0] >> 1, len(w)) for w in encoded
+              if len(w) >= 2 and w.count(w[0]) == len(w))
     found = max((gk for gk in powers if gk[0] not in central),
                 key=lambda gk: (gk[1], -gk[0]), default=None)
-    if found is None or p.rank < 2:
+    if found is None:
         return ()
     g, k = found
-    encoded = _relator_columns(p) if p.rank >= 3 else ()
-    letters = [{x >> 1 for x in w} for w in encoded]
+    letters = [{x >> 1 for x in w} for w in encoded] if p.rank >= 3 else ()
     others = sorted({h for s in letters if len(s) == 2 and g in s
                      for h in s} - central - {g})
     pairs = []
@@ -253,16 +244,6 @@ def _central_quotient(p: Presentation):
     return Presentation(kept, (w for w in words if w)), prod(orders)
 
 
-def _certifies(p: Presentation, images):
-    """Whether images, one per generator of p, elements kept up to a
-    positive scalar as oracle.clifford_images gives them, send every
-    relator of p to the identity and none of p's central generators there
-    (a cover's z goes to -1).  They then define a homomorphism in which no
-    central generator is 1, which is what _central_quotient needs."""
-    return verify_hom(p, images) and not any(
-        images[p.gen_index(name)].is_identity() for name, _ in p.central)
-
-
 def _moves_central(p: Presentation, cells):
     """Whether every central generator c of p moves coset 1 of cells, a
     completed table over p as the core's index path returns it: c is then
@@ -320,10 +301,11 @@ def order(p: Presentation, cap=DEFAULT_CAP, certificate=None):
     and once the quotient is proved, the least cap at which it stands in
     for G.  It is proved in one of two ways:
 
-    - by certificate, a function of no arguments that returns images of
-      p's generators (_certifies), read after the quotient's order, when
-      that order is counted and no proof holds at the cap: a quotient whose
-      order meets the cap needs no proof.  The least cap is then 1.
+    - by certificate, a function of no arguments that returns whether
+      every central generator of p is proved not 1, called after the
+      quotient's order, when that order is counted and no proof holds at
+      the cap: a quotient whose order meets the cap needs no proof.  The
+      least cap is then 1.
     - without a certificate, by G's own path: a table over <g, h> or <g>
       that certifies |H| and in which every central generator moves coset
       1 (_moves_central) proves them all not 1.  The least cap is the most
@@ -355,7 +337,7 @@ def order(p: Presentation, cap=DEFAULT_CAP, certificate=None):
             n = order(quotient, cap)
         except CapExceeded:
             n = None
-        if n is not None and (proved or _certifies(p, certificate())):
+        if n is not None and (proved or certificate()):
             if not proved:  # a certificate holds at every cap
                 record["least"] = 1
             return factor * n

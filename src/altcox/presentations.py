@@ -52,7 +52,7 @@ def _plain(names, family) -> Presentation:
 def _spinor(names, family, variant: str, zname: str) -> Presentation:
     """Names prefixed with t, central ``zname`` of order 2 appended, and
     each relator w replaced by w z^-twist for the variant's twist."""
-    if variant not in ("tilde", "tilde_prime"):
+    if variant not in ("tilde", "tilde-prime"):
         raise BuildError(f"unknown spinor variant {variant!r}")
     k = 1 if variant == "tilde" else 2
     z = Word.gen(len(names))
@@ -85,7 +85,7 @@ def _bourbaki_family(m: CoxeterMatrix):
         for a in range(m.n - 1):
             for b in range(a + 1, m.n - 1):
                 mij = m.entry(a + 1, b + 1)
-                if mij != INFINITY:  # tilde_prime's ts_i^-1 is alpha ts_i
+                if mij != INFINITY:  # tilde-prime's ts_i^-1 is alpha ts_i
                     twist = (mij - 1) % 2
                     yield (Word.gen(a, -1) * Word.gen(b)) ** mij, twist, twist
     return tuple(f"R{v}" for v in range(1, m.n)), triples()
@@ -267,14 +267,14 @@ def spinor_presentation(m: CoxeterMatrix, variant: str) -> Presentation:
     """Central extension of the full Coxeter group by alpha (order 2).
 
     tilde: (ts_i ts_j)^m_ij = 1 for odd m_ij, = alpha for even.
-    tilde_prime: every (ts_i ts_j)^m_ij = alpha.
+    tilde-prime: every (ts_i ts_j)^m_ij = alpha.
     """
     return _spinor(*_coxeter_family(m), variant, "alpha")
 
 
 def spinor_plus_presentation(m: CoxeterMatrix, style: str, variant: str) -> Presentation:
     """Spinor extension of the alternating subgroup, with central z (tilde)
-    or zp (tilde_prime); Bourbaki or edge style."""
+    or zp (tilde-prime); Bourbaki or edge style."""
     zname = "z" if variant == "tilde" else "zp"
     if style == "bourbaki":
         return _spinor(*_bourbaki_family(m), variant, zname)
@@ -325,12 +325,6 @@ class GroupHom(Record):
     generator."""
 
     __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: Presentation, target: Presentation,
-                 images: tuple[Word, ...]):  # one target word per source generator
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
 
     def apply(self, w: Word) -> Word:
         out = Word()

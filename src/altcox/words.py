@@ -52,17 +52,22 @@ def _reduce_letters(letters):
 
 class Record:
     """Base of the package's record types.  A subclass names its fields in
-    ``__slots__`` and sets them in ``__init__`` with object.__setattr__;
-    after that, assigning or deleting an attribute raises AttributeError.
-    Equality, hash, repr, copy and pickle read the public fields, so a
-    derived field whose name starts with an underscore (an index map) is
-    left out, and ``__init__`` takes the public fields in slot order."""
+    ``__slots__``; ``__init__`` takes the public fields in slot order and
+    sets them, and a subclass that checks, converts or derives a field
+    writes its own, which sets them with object.__setattr__.  After that,
+    assigning or deleting an attribute raises AttributeError.  Equality,
+    hash, repr, copy and pickle read the public fields, so a derived field
+    whose name starts with an underscore (an index map) is left out."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
+    def __init__(self, *values):
+        for field, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, field, value)
 
     def _values(self):
         return tuple([getattr(self, f) for f in self._fields])

@@ -114,7 +114,7 @@ def test_criterion_06_spinor_isomorphism():
         for fam in ("A", "B"):
             m = standard_matrix(fam, 3)
             fwd, bwd = pres.spinor_iso(pres.spinor_plus_presentation(m, "edge", "tilde"),
-                                       pres.spinor_plus_presentation(m, "edge", "tilde_prime"))
+                                       pres.spinor_plus_presentation(m, "edge", "tilde-prime"))
             rt = engine.enumerate(fwd.target, ())
             rs = engine.enumerate(bwd.target, ())
             assert fwd.verify(rt) and bwd.verify(rs), fam
@@ -128,8 +128,9 @@ def test_criterion_07_normal_form_uniqueness():
         cases += [("B", "edge", n) for n in range(2, 5)]
         cases += [("D", "edge", n) for n in range(3, 5)]
         for fam, v, n in cases:
-            chain = chains.Chain(pres.chain_presentation(fam, v, n), fam)
-            reg = engine.enumerate(chain.presentation, ())
+            p = pres.chain_presentation(fam, v, n)
+            chain = chains.Chain(p, fam)
+            reg = engine.enumerate(p, ())
             forms = chain.enumerate_elements()
             assert len(forms) == reg.index == oracle.alternating_order(fam, n)
             cosets = {reg.trace(1, Word(tuple(x for f in d for x in f)))

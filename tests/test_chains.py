@@ -77,7 +77,7 @@ def test_spec_validation():
     with pytest.raises(BuildError):
         chain_presentation("A", "nosuch", 4)
     c = Chain(chain_presentation("a", "edge", 4), "a")
-    assert c.family == "A" and c.base == 2
+    assert c.base == 2
     assert list(c.levels()) == [4, 3, 2]
 
 
@@ -117,11 +117,12 @@ def test_each_presentation_encoded_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_columns", counting_columns)
     monkeypatch.setattr(engine, "enumerate", recording_enumerate)
-    c = make_chain("B", "carmichael", 5)
+    p = chain_presentation("B", "carmichael", 5)
+    c = Chain(p, "B")
     word = Word((1, 2, -3, 4, 4, 2, 1))
     c.decompose(word)
-    assert list(presentations.values()) == [c.presentation] and len(subgroups) == 3
-    assert Counter(encoded) == Counter([id(w) for w in c.presentation.relators]
+    assert list(presentations.values()) == [p] and len(subgroups) == 3
+    assert Counter(encoded) == Counter([id(w) for w in p.relators]
                                        + [id(word)] + list(map(id, subgroups)))
     encoded.clear()
     assert sum(len(c.rep_set(i)) for i in c.levels()) == 10 + 8 + 6 + 4
@@ -129,7 +130,7 @@ def test_each_presentation_encoded_once(monkeypatch):
     c.decompose(word)
     assert encoded == [id(word)]
     encoded.clear()
-    assert engine.index(c.presentation) == 1920
+    assert engine.index(p) == 1920
     assert encoded == []
 
 
@@ -174,9 +175,10 @@ def test_sift_cosets_separate_each_levels_reps(family, variant):
     orbit the chain traverses; checked here with the level tables'
     Schreier words for every top rank up to 30."""
     for n in range(CHAIN_BASE[family], 31):
-        c = make_chain(family, variant, n)
-        t = c._table()
-        for i, (cosets, number, _) in zip(c.levels(), c._sift()):
+        p = chain_presentation(family, variant, n)
+        c = Chain(p, family)
+        t = engine.enumerate(p, tuple(map(Word.gen, range(c._subgroup_rank(n)))))
+        for i, (cosets, number, _) in zip(c.levels(), c._sifts):
             reps = schreier_words(level_table(family, variant, i))[1:]
             images = {tuple(t.trace(x, u) for x in cosets) for u in reps}
             assert cosets and len(images) == len(reps), (n, i)
@@ -240,9 +242,10 @@ def test_reps_hit_distinct_cosets():
     # cosets of the top table to distinct tuples
     for fam, variant, n in (("A", "edge", 5), ("B", "carmichael", 4),
                             ("D", "bourbaki", 4)):
-        c = make_chain(fam, variant, n)
-        top = c._table()
-        for i, (cosets, _, _) in zip(c.levels(), c._sift()):
+        p = chain_presentation(fam, variant, n)
+        c = Chain(p, fam)
+        top = engine.enumerate(p, tuple(map(Word.gen, range(c._subgroup_rank(n)))))
+        for i, (cosets, _, _) in zip(c.levels(), c._sifts):
             t, reps = level_table(fam, variant, i), c.rep_set(i)
             assert sorted(t.trace(1, u) for u in reps) == list(range(1, t.index + 1))
             assert len({tuple(top.trace(x, u) for x in cosets) for u in reps}) \
@@ -275,8 +278,9 @@ def test_chain_subgroup_words_d_rank3():
 
 
 def test_decompose_roundtrip_exhaustive():
-    c = make_chain("A", "edge", 4)
-    reg = engine.enumerate(c.presentation, ())
+    p = chain_presentation("A", "edge", 4)
+    c = Chain(p, "A")
+    reg = engine.enumerate(p, ())
     assert reg.index == 60
     seen = set()
     for d in c.enumerate_elements():
@@ -290,8 +294,9 @@ def test_decompose_roundtrip_exhaustive():
 def test_decompose_scrambled_words():
     for fam, variant, n in (("B", "edge", 3), ("D", "carmichael", 4),
                             ("A", "bourbaki", 4)):
-        c = make_chain(fam, variant, n)
-        reg = engine.enumerate(c.presentation, ())
+        p = chain_presentation(fam, variant, n)
+        c = Chain(p, fam)
+        reg = engine.enumerate(p, ())
         words = [Word((1, 2, 1)), Word((2, 1, 2, 2)), Word((-1, 2, -2, 1, 1)),
                  Word(), Word.gen(0) ** 3]
         for w in words:
@@ -325,7 +330,7 @@ def test_a_sift_cut_short_keeps_no_level(monkeypatch, capsys):
     factors = capsys.readouterr().out.strip().split(" | ")
     c = cli._memo[("B", "edge", 5, engine.DEFAULT_CAP)][1]
     assert len(factors) == len(c.levels()) == 4
-    p = c.presentation
+    p = cli._memo[("edge", "B", 5)][1]
     d = [parse_word(f, p) for f in factors]
     w = parse_word("r1 r2^-1 r3 r4 r4", p)
     assert engine.words_equal(engine.enumerate(p, ()), product(d), w)
@@ -362,7 +367,8 @@ def test_enumerate_elements_scale_cap(indices, capsys):
 
 def test_module_level_wrappers():
     assert len(make_chain("A", "carmichael", 3).rep_set(3)) == 4
-    c = make_chain("A", "carmichael", 3)
+    p = chain_presentation("A", "carmichael", 3)
+    c = Chain(p, "A")
     d = c.decompose(Word((1, 2)))
-    reg = engine.enumerate(c.presentation, ())
+    reg = engine.enumerate(p, ())
     assert engine.words_equal(reg, product(d), Word((1, 2)))

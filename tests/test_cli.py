@@ -738,8 +738,8 @@ def test_nf_decompose(capsys):
     assert main(["nf", "--family", "A", "--variant", "carmichael",
                  "--rank", "3", "--word", "a1 a2"]) == EXIT_OK
     got = capsys.readouterr().out.strip()
-    chain = chains.Chain(presentations.chain_presentation("A", "carmichael", 3), "A")
-    p = chain.presentation
+    p = presentations.chain_presentation("A", "carmichael", 3)
+    chain = chains.Chain(p, "A")
     d = chain.decompose(parse_word("a1 a2", p))
     assert got == " | ".join(render_word(f, p) for f in d)
 
@@ -910,15 +910,13 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
     """Each check of `verify` that names a group builds it with
     cli._catalog_presentation, the builder behind the commands' memo, and
     gets the group that `present` serves under that name: images-* its
-    one group, orders-* the three chain variants, spinor-* the cover
-    (whose plain edge group is the one it twists, over the standard
-    matrix), vv-equivalence both groups, spinor-iso-A3 the tilde and
-    tilde-prime edge covers and a5-cover-order the cover.  A cold verify
-    builds each group it names once, 42 in all, however many checks name
-    it.  verify keeps every group it names in the memo, covers included,
-    under the key that the commands give it, so a warm verify builds none
-    of them, and only the plain edge groups afresh; neither its output
-    nor any order depends on what the memo holds."""
+    one group, orders-* the three chain variants, spinor-* the cover,
+    vv-equivalence both groups, spinor-iso-A3 the tilde and tilde-prime
+    edge covers and a5-cover-order the cover.  A cold verify builds each
+    group it names once, 42 in all, however many checks name it.  verify
+    keeps every group it names in the memo, covers included, under the key
+    that the commands give it, so a warm verify builds nothing; neither its
+    output nor any order depends on what the memo holds."""
     calls, build = [], cli._catalog_presentation
     monkeypatch.setattr(cli, "_catalog_presentation",
                         lambda *a: calls.append(a) or build(*a))
@@ -926,7 +924,6 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
             "a5-cover-order": [("a5-cover", None, None)],
             "artin-braid": [],
             "spinor-iso-A3": [("tilde-plus-edge", "A", 3), ("tilde-prime-plus-edge", "A", 3)]}
-    spinors = []
     got = {}
     for name, thunk in cli._verify_checks():
         kind, group, *variant = name.split("-", 2)
@@ -937,7 +934,6 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
             want[name] = [(v, family, rank) for v in ("carmichael", "bourbaki", "edge")]
         elif kind == "spinor" and not variant:
             want[name] = [("tilde-plus-edge", family, rank)]
-            spinors.append((family, rank))
         calls.clear()
         cli._memo.clear()  # each check on its own, as if no other had run
         assert thunk(), name
@@ -969,22 +965,23 @@ def test_verify_builds_its_groups_through_the_catalog(monkeypatch, capsys):
     assert calls == list(dict.fromkeys(a for names in got.values() for a in names))
     assert len(calls) == 42
     assert set(cli._memo) == named
-    plain, matrix = [], cli._matrix_presentation
+    plain, matrix, edge = [], cli._matrix_presentation, presentations.edge_presentation
     monkeypatch.setattr(cli, "_matrix_presentation",
                         lambda v, m: plain.append((v, m)) or matrix(v, m))
+    monkeypatch.setattr(presentations, "edge_presentation",
+                        lambda *a: plain.append(a) or edge(*a))
     calls.clear()
     assert main(["verify"]) == EXIT_OK and capsys.readouterr().out == cold
     assert calls == []
-    assert plain == [("edge", standard_matrix(family, rank)) for family, rank in spinors]
+    assert plain == []
     assert [order(*group) for group in kept] == fresh
     assert main(["verify"]) == EXIT_OK and capsys.readouterr().out == cold
 
 
 def test_each_catalog_group_is_built_once(tmp_path, monkeypatch, capsys):
     """In one process, an enumerate over B5 edge, an nf over the same group
-    and two verifies build each catalog group once: the chain's presentation
-    is the one the enumerate kept, and the second verify builds no catalog
-    group, only the three plain edge groups of its spinor-* checks."""
+    and two verifies build each catalog group once: the chain is made over
+    the group the enumerate kept, and the second verify builds nothing."""
     calls, build = [], cli._catalog_presentation
     monkeypatch.setattr(cli, "_catalog_presentation",
                         lambda *a: calls.append(a) or build(*a))
@@ -997,20 +994,66 @@ def test_each_catalog_group_is_built_once(tmp_path, monkeypatch, capsys):
                             builders.append((name, a)) or fn(*a))
     assert main(["enumerate", "--family", "B", "--rank", "5", "--variant", "edge",
                  "--subgroup-gens", "2", "--reps", str(tmp_path / "reps")]) == EXIT_OK
+    tables, enumerate_ = [], engine.enumerate
+    monkeypatch.setattr(engine, "enumerate",
+                        lambda p, *a: tables.append(p) or enumerate_(p, *a))
     assert main(["nf", "--family", "B", "--variant", "edge", "--rank", "5",
                  "--word", "r1 r2^-1 r3 r4"]) == EXIT_OK
     assert calls == [("edge", "B", 5)]
-    chain = cli._memo[("B", "edge", 5, engine.DEFAULT_CAP)][1]
-    assert chain.presentation is cli._memo[("edge", "B", 5)][1]
+    assert ("B", "edge", 5, engine.DEFAULT_CAP) in cli._memo
+    group = cli._memo[("edge", "B", 5)][1]
+    assert len(tables) == 1 and tables[0] is group and "columns" in group._engine
     assert main(["verify"]) == EXIT_OK
     assert len(calls) == len(set(calls)) == 43
+    plain, matrix = [], cli._matrix_presentation
+    monkeypatch.setattr(cli, "_matrix_presentation",
+                        lambda v, m: plain.append((v, m)) or matrix(v, m))
     calls.clear()
     builders.clear()
     assert main(["verify"]) == EXIT_OK
-    assert calls == []
-    assert builders == [("edge_presentation", (standard_matrix(family, rank),))
-                        for family, rank in (("A", 3), ("B", 3), ("D", 4))]
+    assert calls == builders == plain == []
     capsys.readouterr()
+
+
+def test_the_certificate_proves_each_catalog_cover(tmp_path):
+    """cli._certificate gives engine.order a proof for a catalog spinor
+    cover, named by one of the six tilde variants with --family and
+    --rank: its Clifford images send every relator to the identity and z
+    elsewhere.  It gives None for every other variant, and for a tilde
+    variant over a --matrix input."""
+    (tmp_path / "M").write_text(_matrix_json(standard_matrix("A", 3)))
+    for family, rank in (("A", 3), ("B", 3), ("D", 4)):
+        for v in cli._VARIANTS:
+            flags = ([] if v.endswith("-cover") else ["--rank", str(rank)] if v == "vv"
+                     else ["--family", family, "--rank", str(rank)])
+            args = cli._parse(["order", "--variant", v, *flags])
+            p = cli._build_presentation(args)
+            certificate = cli._certificate(args, p)
+            if v.startswith("tilde"):
+                assert certificate(), (family, rank, v)
+            else:
+                assert certificate is None, v
+    for v in cli._VARIANTS[5:11]:
+        args = cli._parse(["order", "--variant", v, "--matrix", str(tmp_path / "M")])
+        assert cli._certificate(args, cli._build_presentation(args)) is None, v
+
+
+def test_a_kept_chain_holds_only_its_tables(tmp_path, monkeypatch, capsys):
+    """After the benchmark's chain mix at seed 1 the memo's weights sum to
+    2,787.  Each chain weighs its Chain.weight, its top table's cells and
+    its sift points, and holds no presentation or table: those weigh under
+    their own keys alone."""
+    for req in _benchmark_requests(monkeypatch, "chain", tmp_path):
+        main(list(req.argv))
+    capsys.readouterr()
+    assert sum(weight for weight, _ in cli._memo.values()) == 2787
+    kept = [(weight, value) for weight, value in cli._memo.values()
+            if isinstance(value, chains.Chain)]
+    assert kept
+    for weight, chain in kept:
+        assert weight == chain.weight()
+        assert not any(isinstance(field, (Presentation, engine.CosetTable))
+                       for field in vars(chain).values())
 
 
 def test_verify_only_filter(capsys):
@@ -1262,7 +1305,7 @@ def test_memo_changes_no_benchmark_output(tmp_path, monkeypatch, capsys, mix):
 
 # the SHA-256 of every core call the three benchmark mixes make at seed 1,
 # run from an empty memo and then again in the same process
-CORE_WORK_DIGEST = "e7c246b4e92334121649a02b872ec454ff9d629390edcef2940e3d88077e52d5"
+CORE_WORK_DIGEST = "731de95fe95140ea0b6f3d2d7fe2b5969bc74a939856595f616e5d8c5ba0a843"
 
 
 def test_core_work_of_the_benchmark_mixes(tmp_path, monkeypatch, capsys):
@@ -1291,7 +1334,7 @@ def test_core_work_of_the_benchmark_mixes(tmp_path, monkeypatch, capsys):
             main(list(req.argv))
     capsys.readouterr()
     digest = hashlib.sha256(repr(calls).encode()).hexdigest()
-    assert (len(calls), digest) == (378, CORE_WORK_DIGEST)
+    assert (len(calls), digest) == (368, CORE_WORK_DIGEST)
 
 
 # argument lists read by a command's own parser and by the full parser:

@@ -128,7 +128,7 @@ def presented(generators, *relators, central=()):
     (presented(["x", "y"], "x^2", "y^3", "x y x y x y"), 12, [[(2,)]]),
     (presented(["x", "y"], "x^3", "y^3", "x y x y"), 12, [[(0,)]]),
     # the only pure power is alpha^2, and alpha is central
-    (spinor_presentation(standard_matrix("A", 3), "tilde_prime"), 48, [[]]),
+    (spinor_presentation(standard_matrix("A", 3), "tilde-prime"), 48, [[]]),
 ], ids=["cyclic", "square-below-k", "order-below-k", "normal", "certified",
         "largest-k", "lowest-g", "central-only"])
 def test_order_through_a_cyclic_subgroup(backend, request, monkeypatch, p, want,
@@ -305,7 +305,7 @@ def test_certificate_reads_the_orbits_it_needs():
     for argv in REGULAR_ARGVS:
         args = cli._parse(["order", *argv])
         p = cli._build_presentation(args)
-        assert engine.order(p, 500_000, cli._certificate(args))
+        assert engine.order(p, 500_000, cli._certificate(args, p))
         p = kept_quotient(p)[0] if kept_quotient(p) else p
         for gens, d in engine._subgroups(p, 500_000)[0]:
             _, _, parent, cells = engine._run(p, tuple(map(Word.gen, gens)), 500_000,
@@ -332,7 +332,7 @@ def test_order_plan_is_worked_out_once(monkeypatch):
         (a[0], [tuple(w) for w in a[1]], list(a[2]), a[3], a[4])) or core(*a))
     for p in (coxeter_presentation(standard_matrix("A", 4)), S3_BY_S3,
               coxeter_presentation(standard_matrix("A", 3)),
-              spinor_presentation(standard_matrix("A", 3), "tilde_prime"),
+              spinor_presentation(standard_matrix("A", 3), "tilde-prime"),
               universal_extension("A5")):
         calls.clear()
         want = engine.order(p, cap=500_000)
@@ -442,15 +442,16 @@ def test_a_tampered_cover_fails_the_certificate(monkeypatch):
         relators[k] = Word(relators[k].letters[:-1])
         return Presentation(p.generators, relators, p.central)
 
-    images = oracle.clifford_images("D", "tilde", 4)
+    args = cli._parse(["order", "--family", "D", "--rank", "4", "--variant", "tilde"])
     p = tampered()
     assert engine._central_quotient(p) is not None
-    assert not engine._certifies(p, images)
+    certificate = cli._certificate(args, p)
+    assert not certificate()
     runs = counting_core(monkeypatch)
     want = engine.order(tampered())
     path = list(runs)
     runs.clear()
-    assert engine.order(p, engine.DEFAULT_CAP, lambda: images) == want
+    assert engine.order(p, engine.DEFAULT_CAP, certificate) == want
     assert runs[-len(path):] == path and kept_quotient(p) is None
 
 
@@ -693,15 +694,15 @@ def golden_cases():
             m = standard_matrix(f, n)
             yield coxeter_presentation(m), ()
             for style in ("bourbaki", "edge"):
-                for variant in ("tilde", "tilde_prime"):
+                for variant in ("tilde", "tilde-prime"):
                     yield spinor_plus_presentation(m, style, variant), ()
     yield universal_extension("A5"), ()
 
 
 # taken with the renumbering still in engine.enumerate, before the cores
 # standardized their own tables.  This digest and the next were re-taken
-# when the Bourbaki tilde_prime braids (R_i^-1 R_j)^m took twist (m-1) mod 2,
-# which changed only the 8 Bourbaki tilde_prime runs of rank 3 and up
+# when the Bourbaki tilde-prime braids (R_i^-1 R_j)^m took twist (m-1) mod 2,
+# which changed only the 8 Bourbaki tilde-prime runs of rank 3 and up
 ENUMERATION_DIGEST = "dc89a0fd23c2a7fdd9357769ddefc2c5006179279cd6ae441206c17b63f0f96b"
 # each run's (ndef, parent): the cosets it defined and the union-find forest
 # of its merges, with one self-inverse column per involutory generator.
@@ -834,7 +835,7 @@ def test_backend_equivalence(c_core):
         cases.append((coxeter_presentation(standard_matrix(f, n)), s(*range(n - 1))))
     a4 = standard_matrix("A", 4)
     cases += [(spinor_plus_presentation(a4, style, variant), ())
-              for style in ("bourbaki", "edge") for variant in ("tilde", "tilde_prime")]
+              for style in ("bourbaki", "edge") for variant in ("tilde", "tilde-prime")]
     cases.append((coxeter_presentation(a4), s(0, 1)))
     cases.append((universal_extension("A5"), ()))
     for p, sub in cases:

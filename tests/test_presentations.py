@@ -26,7 +26,7 @@ def rendered(p):
 def edge_spinor_pair(m):
     """The tilde and tilde-prime edge-style spinor extensions over m."""
     return (pres.spinor_plus_presentation(m, "edge", "tilde"),
-            pres.spinor_plus_presentation(m, "edge", "tilde_prime"))
+            pres.spinor_plus_presentation(m, "edge", "tilde-prime"))
 
 
 def test_coxeter_rank1():
@@ -156,6 +156,8 @@ def test_builders_refuse_unknown_arguments():
     m = standard_matrix("A", 3)
     for build, message in (
             (lambda: pres.spinor_presentation(m, "hat"), "unknown spinor variant 'hat'"),
+            (lambda: pres.spinor_presentation(m, "tilde_prime"),
+             "unknown spinor variant 'tilde_prime'"),
             (lambda: pres.spinor_plus_presentation(m, "carmichael", "tilde"),
              "unknown spinor style 'carmichael'"),
             (lambda: pres.vv_presentation(1), "vv presentation needs n >= 2"),
@@ -234,7 +236,7 @@ def test_spinor_parity_rule():
     tilde = rendered(pres.spinor_presentation(m, "tilde"))
     assert "ts0 ts2 ts0 ts2 alpha^-1" in tilde     # even label picks up alpha
     assert "ts0 ts1 ts0 ts1 ts0 ts1" in tilde      # odd label does not
-    prime = rendered(pres.spinor_presentation(m, "tilde_prime"))
+    prime = rendered(pres.spinor_presentation(m, "tilde-prime"))
     assert "ts0 ts1 ts0 ts1 ts0 ts1 alpha^-1" in prime
 
 
@@ -242,7 +244,7 @@ def test_spinor_orders_double_full_group():
     for fam, n in (("A", 3), ("B", 3)):
         m = standard_matrix(fam, n)
         full = engine.order(pres.coxeter_presentation(m))
-        for v in ("tilde", "tilde_prime"):
+        for v in ("tilde", "tilde-prime"):
             assert engine.order(pres.spinor_presentation(m, v)) == 2 * full
 
 
@@ -252,7 +254,7 @@ def test_spinor_plus_relator_shapes():
     assert "tR1^3" in bour                         # z^(3-1) = z^2 = 1
     edge = rendered(pres.spinor_plus_presentation(m, "edge", "tilde"))
     assert "tr0_1 tr1_2 tr0_1 tr1_2 z^-1" in edge  # (r r')^2 = z
-    prime = rendered(pres.spinor_plus_presentation(m, "bourbaki", "tilde_prime"))
+    prime = rendered(pres.spinor_plus_presentation(m, "bourbaki", "tilde-prime"))
     assert "tR1^3 zp^-1" in prime
 
 
@@ -261,13 +263,15 @@ def test_spinor_plus_orders():
         m = standard_matrix(fam, n)
         plain = oracle.alternating_order(fam, n)
         for style in ("bourbaki", "edge"):
-            for v in ("tilde", "tilde_prime"):
+            for v in ("tilde", "tilde-prime"):
                 assert engine.order(pres.spinor_plus_presentation(m, style, v)) \
                     == 2 * plain
 
 
 @pytest.mark.parametrize("fam, n", [("A", 3), ("A", 4), ("B", 3), ("D", 4)])
-@pytest.mark.parametrize("variant", ["tilde", "tilde_prime"])
+# the ids keep the names these cases had when the builders spelt the
+# variant tilde_prime
+@pytest.mark.parametrize("variant", ["tilde", "tilde-prime"], ids=["tilde", "tilde_prime"])
 @pytest.mark.parametrize("style", ["bourbaki", "edge"])
 def test_spinor_plus_lifts_into_spinor(fam, n, variant, style):
     # each spinor-plus generator names an element of the spinor group of
@@ -312,7 +316,7 @@ def test_spinor_builders_kill_central_to_plain(m):
     plain = [pres.coxeter_presentation(m), pres.bourbaki_presentation(m),
              pres.edge_presentation(m)[0]]
     cases = []
-    for v in ("tilde", "tilde_prime"):
+    for v in ("tilde", "tilde-prime"):
         cases.append((plain[0], "alpha", pres.spinor_presentation(m, v)))
         zname = "z" if v == "tilde" else "zp"
         for p, style in zip(plain[1:], ("bourbaki", "edge")):
@@ -378,7 +382,7 @@ def test_edge_families_match_brute_force():
         z = Word.gen(len(edges))
         central = [z ** 2] + [commutator(z, Word.gen(k)) for k in range(len(edges))]
         built = [p]
-        for k, v in ((1, "tilde"), (2, "tilde_prime")):
+        for k, v in ((1, "tilde"), (2, "tilde-prime")):
             sp = pres.spinor_plus_presentation(m, "edge", v)
             assert sp.relators == tuple([t[0] * z ** -t[k] for t in triples] + central)
             built += [sp, pres.spinor_plus_presentation(m, "bourbaki", v),

@@ -89,6 +89,19 @@ def test_every_import_is_used():
         assert unused_imports(path.read_text()) == [], path.name
 
 
+def test_the_engine_imports_no_oracle():
+    """The engine's answers are what verify and the benchmark check
+    against the oracle, so it never consults the oracle itself: a cover's
+    proof comes from its caller (cli._certificate)."""
+    imported = set()
+    for n in ast.walk(ast.parse((SRC / "engine.py").read_text())):
+        if isinstance(n, ast.ImportFrom):
+            imported |= {(n.module or "").rpartition(".")[2]} | {a.name for a in n.names}
+        elif isinstance(n, ast.Import):
+            imported |= {a.name.rpartition(".")[2] for a in n.names}
+    assert "oracle" not in imported
+
+
 def test_unused_imports_follow_the_reads():
     src = ("from __future__ import annotations\n"
            "import os, os.path as osp\n"
